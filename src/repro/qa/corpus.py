@@ -135,13 +135,14 @@ def read_corpus(path: Union[str, Path]) -> List[CorpusEntry]:
 def _build(entry: CorpusEntry, graph: TaskGraph, scheduler_name: str):
     """(prepared graph, schedule) under the entry's recorded combo."""
     from repro.baselines.registry import make_scheduler
-    from repro.model.compiled import compiled_enabled, use_compiled
+    from repro.model.compiled import compiled_enabled
+    from repro.runtime.context import activate, current_context
 
     scheduler = make_scheduler(scheduler_name)
     if entry.engine is not None and hasattr(scheduler, "engine"):
         scheduler.engine = entry.engine
     compiled = entry.compiled if entry.compiled is not None else compiled_enabled()
-    with use_compiled(compiled):
+    with activate(current_context().with_(compiled=compiled)):
         prepared = scheduler.prepare(graph)
         schedule = scheduler.build_schedule(prepared)
     return prepared, schedule

@@ -39,12 +39,12 @@ from repro import obs
 from repro.baselines.registry import SCHEDULER_FACTORIES, make_scheduler
 from repro.generator import GeneratorConfig, generate_random_graph
 from repro.io.json_io import graph_to_dict
-from repro.model.compiled import use_compiled
 from repro.model.task_graph import TaskGraph
 from repro.qa.corpus import CorpusEntry, append_entries
 from repro.qa.invariants import invariants_for, run_invariants
 from repro.qa.metamorphic import run_metamorphic, schedule_signature
 from repro.qa.shrink import shrink_graph
+from repro.runtime.context import activate, current_context
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import FEASIBILITY_EPS
 
@@ -211,7 +211,7 @@ def _build(
     scheduler = make_scheduler(name)
     if engine is not None:
         scheduler.engine = engine
-    with use_compiled(compiled):
+    with activate(current_context().with_(compiled=compiled)):
         prepared = scheduler.prepare(graph)
         schedule = scheduler.build_schedule(prepared)
     return prepared, schedule
@@ -286,7 +286,7 @@ def _still_violates(
 
     def predicate(candidate: TaskGraph) -> bool:
         prepared, schedule = _build(name, candidate, compiled, engine)
-        with use_compiled(compiled):
+        with activate(current_context().with_(compiled=compiled)):
             report = run_invariants(prepared, schedule, invariant_names)
         return not report.ok
 
@@ -306,7 +306,7 @@ def _still_caught_injected(
         prepared, schedule = _build(name, candidate, compiled, engine)
         if not _inject(mode, prepared, schedule):
             return False
-        with use_compiled(compiled):
+        with activate(current_context().with_(compiled=compiled)):
             report = run_invariants(prepared, schedule, invariant_names)
         return not report.ok
 
@@ -659,7 +659,7 @@ def run_campaign(
                             "task (degenerate schedule)"
                         )
                         continue
-                with use_compiled(compiled):
+                with activate(current_context().with_(compiled=compiled)):
                     inv = run_invariants(prepared, schedule, inv_names)
                 if not inv.ok:
                     caught(

@@ -249,7 +249,7 @@ def _entry_duplication(graph: TaskGraph, schedule: Schedule) -> List[str]:
 def _metrics_consistency(graph: TaskGraph, schedule: Schedule) -> List[str]:
     from repro.metrics.critical_path import cp_min_lower_bound, critical_path_min
     from repro.metrics.metrics import evaluate, sequential_time
-    from repro.model.compiled import use_compiled
+    from repro.runtime.context import activate, current_context
 
     if not schedule.is_complete():
         return []
@@ -281,7 +281,7 @@ def _metrics_consistency(graph: TaskGraph, schedule: Schedule) -> List[str]:
         )
     # the compiled artifact cache must agree with the object-graph
     # recursions bit for bit (the PR 3 contract)
-    with use_compiled(False):
+    with activate(current_context().with_(compiled=False)):
         ref_bound = critical_path_min(graph)[0]
         ref_seq = float(graph.cost_matrix().sum(axis=0).min())
     if ref_bound != bound:

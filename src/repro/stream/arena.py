@@ -273,7 +273,25 @@ def _window_free(
 
 
 class _AdmittedJob:
-    """Mutable per-job execution state inside the arena."""
+    """Mutable per-job execution state inside the arena.
+
+    Data-ready times are cached rather than re-derived per dispatch
+    (see ``docs/streaming.md``, "Incremental ready times"):
+
+    * online policy -- ``ready_base[task]`` is the part of a ready
+      task's arrival row that is final once the task is ready (the max
+      over its non-entry parents, which have exactly one copy each),
+      and the entry-duplication window of each CPU is re-checked only
+      against slots it has not seen yet, since a closed window stays
+      closed;
+    * static policies -- ``ready_at[(task, proc)]`` is a queue head's
+      ready time, dropped whenever one of the task's parents gains a
+      copy.
+
+    Every cached value is the same float64 expression the direct
+    computation evaluates, combined only by ``min``/``max``, so cached
+    and recomputed ready times are bit-identical.
+    """
 
     __slots__ = (
         "job",
@@ -286,8 +304,13 @@ class _AdmittedJob:
         "copies",
         "finish_times",
         "proc_of",
+        "ready_base",
+        "window_open",
+        "window_seen",
         "queues",
         "heads",
+        "left",
+        "ready_at",
     )
 
     def __init__(self, job: StreamJob) -> None:
@@ -301,9 +324,17 @@ class _AdmittedJob:
         self.copies: Dict[int, List[Tuple[int, float]]] = {}
         self.finish_times: Dict[int, float] = {}
         self.proc_of: Dict[int, int] = {}
-        # static policy: per-CPU (task, is_duplicate) queues + cursors
+        # online policy: task -> (base row, entry comm or None)
+        self.ready_base: Dict[int, Tuple[np.ndarray, Optional[float]]] = {}
+        n_procs = job.graph.n_procs
+        self.window_open = [True] * n_procs
+        self.window_seen = [0] * n_procs
+        # static policy: per-CPU (task, is_duplicate) queues + cursors,
+        # the number of queued dispatches left, and cached head readiness
         self.queues: Optional[List[List[Tuple[int, bool]]]] = None
         self.heads: Optional[List[int]] = None
+        self.left = 0
+        self.ready_at: Dict[Tuple[int, int], float] = {}
 
     def arrival_of(self, parent: int, child: int, proc: int) -> float:
         """Earliest availability of ``parent``'s output on ``proc``."""
@@ -314,6 +345,100 @@ class _AdmittedJob:
         return min(
             fin + (0.0 if cproc == proc else comm) for cproc, fin in copies
         )
+
+    # -- online policy -------------------------------------------------
+    def cache_ready_base(self, task: int) -> None:
+        """Cache ``task``'s arrival row over its non-entry parents.
+
+        Called once, when ``task`` enters the ready set: its parents are
+        all dispatched then, and a non-entry task has exactly one copy
+        under the online policy, so the row never changes.  The row is
+        floored at the job's arrival; the entry parent's term, which
+        moves as duplicates land and windows close, is kept apart.
+        """
+        graph = self.graph
+        row = np.full(graph.n_procs, self.arrival)
+        entry_comm: Optional[float] = None
+        for parent in graph.predecessors(task):
+            comm = graph.comm_cost(parent, task)
+            if parent == self.entry:
+                entry_comm = comm
+                continue
+            ((proc, fin),) = self.copies[parent]
+            term = np.full(graph.n_procs, fin + comm)
+            term[proc] = fin
+            np.maximum(row, term, out=row)
+        self.ready_base[task] = (row, entry_comm)
+
+    def dup_window_open(
+        self, proc: int, slots: Sequence[Tuple[float, float]]
+    ) -> bool:
+        """Is the entry-duplicate window on ``proc`` still idle?
+
+        ``slots`` only grow and :func:`_window_free` is a conjunction
+        over slots, so each slot is checked once and a closed window
+        stays closed.
+        """
+        if self.window_open[proc] and self.window_seen[proc] < len(slots):
+            self.window_open[proc] = _window_free(
+                slots[self.window_seen[proc]:],
+                self.arrival,
+                self.arrival + self.w[self.entry, proc],
+            )
+            self.window_seen[proc] = len(slots)
+        return self.window_open[proc]
+
+    def entry_terms(
+        self, slots: Sequence[Sequence[Tuple[float, float]]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The entry output's availability per CPU, split by channel.
+
+        Returns ``(near, remote)``: ``near`` is the finish of a copy on
+        the CPU itself, or of a duplicate that could still start at the
+        job's arrival; ``remote`` is the earliest copy finish on any
+        other CPU.  A child with entry comm ``c`` sees the entry output
+        at ``min(near, remote + c)`` -- the same minimum
+        :meth:`arrival_of` takes, because rounding ``fin + c`` is
+        monotone in ``fin``.
+        """
+        n_procs = self.graph.n_procs
+        copies = self.copies[self.entry]
+        near = [np.inf] * n_procs
+        remote = [np.inf] * n_procs
+        for proc in range(n_procs):
+            for cproc, fin in copies:
+                if cproc == proc:
+                    near[proc] = min(near[proc], fin)
+                else:
+                    remote[proc] = min(remote[proc], fin)
+            if near[proc] == np.inf and self.dup_window_open(
+                proc, slots[proc]
+            ):
+                near[proc] = self.arrival + self.w[self.entry, proc]
+        return np.array(near), np.array(remote)
+
+    # -- static policies -----------------------------------------------
+    def head_ready(self, task: int, proc: int) -> float:
+        """When every input of ``task`` can be on ``proc``; fills
+        ``ready_at[(task, proc)]``, which callers consult first."""
+        ready = self.arrival
+        for parent in self.graph.predecessors(task):
+            t = self.arrival_of(parent, task, proc)
+            if t == float("inf"):
+                ready = t
+                break
+            if t > ready:
+                ready = t
+        self.ready_at[(task, proc)] = ready
+        return ready
+
+    def add_copy(self, task: int, proc: int, finish: float) -> None:
+        """Record a (primary or duplicate) copy of ``task`` and drop the
+        cached head readiness of its children, which it may advance."""
+        self.copies.setdefault(task, []).append((proc, finish))
+        for child in self.graph.successors(task):
+            for p in range(self.graph.n_procs):
+                self.ready_at.pop((child, p), None)
 
 
 class JobStream:
@@ -417,7 +542,7 @@ class JobStream:
                 sojourn=finish - st.arrival,
             )
 
-    def _assemble(self, state, dead: set) -> StreamResult:
+    def _assemble(self, state, dead: set, policy: str) -> StreamResult:
         instance = self.instance
         records: List[JobRecord] = state["records"]
         first_start: Dict[int, float] = state["first_start"]
@@ -467,7 +592,7 @@ class JobStream:
                     )
                 )
         return StreamResult(
-            policy=getattr(self, "_policy", ONLINE_POLICY),
+            policy=policy,
             n_procs=instance.n_procs,
             jobs=jobs,
             records=records,
@@ -483,7 +608,6 @@ class JobStream:
     # online policy: merged-ready-set penalty-value loop
     # ------------------------------------------------------------------
     def _run_online(self, policy: str) -> StreamResult:
-        self._policy = policy
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
@@ -491,44 +615,37 @@ class JobStream:
         state = self._setup()
         avail: np.ndarray = state["avail"]
         slots: List[List[Tuple[float, float]]] = state["slots"]
-        admitted: List[_AdmittedJob] = state["admitted"]
+        # admitted jobs with tasks left, in admission order
+        active: List[_AdmittedJob] = []
         dead: set = set()
 
+        def admit_online() -> None:
+            st = self._admit(state)
+            st.itq = IndependentTaskQueue(st.graph)
+            for task in st.itq.ready_tasks():
+                st.cache_ready_base(task)
+            active.append(st)
+
         def ready_row(st: _AdmittedJob, task: int, floor: float) -> np.ndarray:
-            row = np.full(n_procs, floor)
-            entry = st.entry
-            for parent in st.graph.predecessors(task):
-                for proc in range(n_procs):
-                    t = st.arrival_of(parent, task, proc)
-                    if (
-                        parent == entry
-                        and not any(
-                            c == proc for c, _ in st.copies.get(entry, ())
-                        )
-                        and _window_free(
-                            slots[proc],
-                            st.arrival,
-                            st.arrival + st.w[entry, proc],
-                        )
-                    ):
-                        t = min(t, st.arrival + st.w[entry, proc])
-                    if t > row[proc]:
-                        row[proc] = t
+            base, entry_comm = st.ready_base[task]
+            row = np.maximum(base, floor)
+            if entry_comm is not None:
+                near, remote = st.entry_terms(slots)
+                np.maximum(row, np.minimum(near, remote + entry_comm), out=row)
             return row
 
         def try_dispatch(
             st: _AdmittedJob, task: int, proc: int, ready: float
         ) -> Optional[float]:
             entry = st.entry
-            if (
-                task != entry
-                and entry in st.graph.predecessors(task)
-                and not any(c == proc for c, _ in st.copies.get(entry, ()))
+            base, entry_comm = st.ready_base[task]
+            if entry_comm is not None and not any(
+                c == proc for c, _ in st.copies[entry]
             ):
                 via_network = st.arrival_of(entry, task, proc)
                 dup_end = st.arrival + st.w[entry, proc]
-                if dup_end < via_network and _window_free(
-                    slots[proc], st.arrival, dup_end
+                if dup_end < via_network and st.dup_window_open(
+                    proc, slots[proc]
                 ):
                     dup_start = st.arrival
                     dup_finish = dup_start + st.duration_fn(entry, proc)
@@ -553,11 +670,7 @@ class JobStream:
                             dup_start, dup_finish, True,
                         ),
                     )
-                    ready = st.arrival
-                    for parent in st.graph.predecessors(task):
-                        t = st.arrival_of(parent, task, proc)
-                        if t > ready:
-                            ready = t
+                    ready = max(base[proc], st.arrival_of(entry, task, proc))
             start = max(avail[proc], ready)
             duration = st.duration_fn(task, proc)
             finish = start + duration
@@ -582,25 +695,32 @@ class JobStream:
             )
             return finish
 
-        while state["next_ix"] < n_jobs or any(st.itq for st in admitted):
-            if not any(st.itq for st in admitted):
-                st = self._admit(state)
-                st.itq = IndependentTaskQueue(st.graph)
+        while state["next_ix"] < n_jobs or active:
+            if not active:
+                admit_online()
                 continue
             alive = [p for p in range(n_procs) if p not in dead]
             if not alive:
                 break
-            ready: List[Tuple[_AdmittedJob, int]] = [
-                (st, t)
-                for st in admitted
-                if st.itq
-                for t in st.itq.ready_tasks()
-            ]
-            rows = np.array(
-                [ready_row(st, t, st.arrival) for st, t in ready]
-            )
-            est = np.maximum(rows, avail[None, :])
-            eft = est + np.array([st.w[t] for st, t in ready])
+            ready: List[Tuple[_AdmittedJob, int]] = []
+            rows: List[np.ndarray] = []
+            costs: List[np.ndarray] = []
+            for st in active:
+                terms = None
+                for t in st.itq.ready_tasks():
+                    row, entry_comm = st.ready_base[t]
+                    if entry_comm is not None:
+                        if terms is None:
+                            terms = st.entry_terms(slots)
+                        near, remote = terms
+                        row = np.maximum(
+                            row, np.minimum(near, remote + entry_comm)
+                        )
+                    ready.append((st, t))
+                    rows.append(row)
+                    costs.append(st.w[t])
+            est = np.maximum(np.array(rows), avail[None, :])
+            eft = est + np.array(costs)
             eft[:, sorted(dead)] = np.inf
             if len(alive) > 1:
                 priorities = np.asarray(eft[:, alive]).std(axis=1, ddof=1)
@@ -633,8 +753,7 @@ class JobStream:
                     and max(row[proc], avail[proc])
                     >= self.instance.jobs[state["next_ix"]].arrival
                 ):
-                    new = self._admit(state)
-                    new.itq = IndependentTaskQueue(new.graph)
+                    admit_online()
                     held = True
                     break
                 finish = try_dispatch(st, task, proc, row[proc])
@@ -646,10 +765,13 @@ class JobStream:
                 break
             if held:
                 continue
-            st.itq.complete(task)
+            del st.ready_base[task]
+            for released in st.itq.complete(task):
+                st.cache_ready_base(released)
             if not st.itq:
+                active.remove(st)
                 self._finish_job(state, st)
-        return self._assemble(state, dead)
+        return self._assemble(state, dead, policy)
 
     # ------------------------------------------------------------------
     # static policies: per-job frozen schedules, shared global-time replay
@@ -657,14 +779,14 @@ class JobStream:
     def _run_static(self, policy: str) -> StreamResult:
         from repro.baselines.registry import make_scheduler
 
-        self._policy = policy
         name = policy[len(STATIC_PREFIX):]
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
         state = self._setup()
         avail: np.ndarray = state["avail"]
-        admitted: List[_AdmittedJob] = state["admitted"]
+        # admitted jobs with queued dispatches left, in admission order
+        active: List[_AdmittedJob] = []
 
         def admit_static() -> None:
             st = self._admit(state)
@@ -679,33 +801,25 @@ class JobStream:
                 for timeline in schedule.timelines
             ]
             st.heads = [0] * n_procs
+            st.left = sum(len(q) for q in st.queues)
+            active.append(st)
 
-        def remaining(st: _AdmittedJob) -> int:
-            return sum(
-                len(q) - h for q, h in zip(st.queues, st.heads)
-            )
-
-        while state["next_ix"] < n_jobs or any(
-            remaining(st) for st in admitted
-        ):
-            if not any(remaining(st) for st in admitted):
+        while state["next_ix"] < n_jobs or active:
+            if not active:
                 admit_static()
                 continue
             best = None
             best_start = float("inf")
-            for st in admitted:
+            for st in active:
+                queues, heads, ready_at = st.queues, st.heads, st.ready_at
                 for proc in range(n_procs):
-                    if st.heads[proc] >= len(st.queues[proc]):
+                    queue = queues[proc]
+                    if heads[proc] >= len(queue):
                         continue
-                    task, _ = st.queues[proc][st.heads[proc]]
-                    ready = st.arrival
-                    for parent in st.graph.predecessors(task):
-                        t = st.arrival_of(parent, task, proc)
-                        if t == float("inf"):
-                            ready = float("inf")
-                            break
-                        if t > ready:
-                            ready = t
+                    task = queue[heads[proc]][0]
+                    ready = ready_at.get((task, proc))
+                    if ready is None:
+                        ready = st.head_ready(task, proc)
                     start = max(avail[proc], ready)
                     if start < best_start:
                         best_start = start
@@ -713,7 +827,7 @@ class JobStream:
             if best is None:
                 stuck = [
                     st.queues[p][st.heads[p]][0]
-                    for st in admitted
+                    for st in active
                     for p in range(n_procs)
                     if st.heads[p] < len(st.queues[p])
                 ]
@@ -731,7 +845,7 @@ class JobStream:
             duration = st.duration_fn(task, proc)
             finish = best_start + duration
             avail[proc] = finish
-            st.copies.setdefault(task, []).append((proc, finish))
+            st.add_copy(task, proc, finish)
             if not is_dup:
                 if task in st.finish_times:
                     raise ValueError(
@@ -747,7 +861,9 @@ class JobStream:
                 ),
             )
             st.heads[proc] += 1
-            if not remaining(st):
+            st.left -= 1
+            if not st.left:
+                active.remove(st)
                 missing = [
                     t for t in st.graph.tasks() if t not in st.finish_times
                 ]
@@ -757,7 +873,7 @@ class JobStream:
                         f"{missing[:10]}"
                     )
                 self._finish_job(state, st)
-        return self._assemble(state, set())
+        return self._assemble(state, set(), policy)
 
 
 def run_stream(

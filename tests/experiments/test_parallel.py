@@ -92,13 +92,11 @@ class TestMetricsMerge:
     @pytest.fixture(autouse=True)
     def _obs_enabled(self):
         from repro import obs
+        from repro.runtime.context import activate, current_context
 
-        obs.enable()
-        try:
+        with activate(current_context().with_(metrics=True)):
             with obs.scoped(merge_up=False):
                 yield
-        finally:
-            obs.disable()
 
     def test_parallel_counters_bit_identical_to_serial(self):
         serial = run_sweep(tiny_sweep(), reps=4, seed=7)

@@ -17,6 +17,8 @@ from repro.model.ranking import (
     upward_rank_reference,
 )
 from repro.model.task_graph import TaskGraph
+from repro.runtime import deprecation
+from repro.runtime.context import activate, current_context
 
 
 def random_graph(seed, v=60, ccr=2.0, **kw):
@@ -26,9 +28,21 @@ def random_graph(seed, v=60, ccr=2.0, **kw):
 
 
 class TestSwitch:
+    """The deprecated ``use_compiled`` shim still scopes the switch."""
+
+    @pytest.fixture
+    def shim_warns(self):
+        # re-arm the warn-once registry so each test sees (and asserts)
+        # the shim's deprecation instead of leaking it to the run summary
+        deprecation.reset()
+        with pytest.deprecated_call(match="use_compiled"):
+            yield
+        deprecation.reset()
+
     def test_enabled_by_default(self):
         assert compiled_enabled()
 
+    @pytest.mark.usefixtures("shim_warns")
     def test_scoped_disable_restores(self):
         with use_compiled(False):
             assert not compiled_enabled()
@@ -37,6 +51,7 @@ class TestSwitch:
             assert not compiled_enabled()
         assert compiled_enabled()
 
+    @pytest.mark.usefixtures("shim_warns")
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with use_compiled(False):
@@ -164,7 +179,7 @@ class TestArtifactCache:
 
         for seed in range(4):
             graph = random_graph(seed, v=40)
-            with use_compiled(False):
+            with activate(current_context().with_(compiled=False)):
                 reference = cp_min_lower_bound(graph)
             assert compile_graph(graph).cp_min_bound() == reference
 

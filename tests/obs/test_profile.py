@@ -5,6 +5,8 @@ import pytest
 from repro import obs
 from repro.obs import profile as prof
 from repro.obs.metrics import scoped
+from repro.runtime import deprecation
+from repro.runtime.context import activate, current_context
 
 
 @pytest.fixture(autouse=True)
@@ -15,10 +17,28 @@ def _clean_switch():
     prof.disable()
 
 
+@pytest.fixture
+def metrics_on():
+    """Profiling on through the run context, the non-deprecated switch."""
+    with activate(current_context().with_(metrics=True)):
+        yield
+
+
+@pytest.fixture
+def enable_warns():
+    """Re-arm the warn-once registry and assert the ``enable()`` shim's
+    deprecation instead of leaking it to the run summary."""
+    deprecation.reset()
+    with pytest.deprecated_call(match="obs.enable"):
+        yield
+    deprecation.reset()
+
+
 class TestSwitch:
     def test_disabled_by_default(self):
         assert not prof.enabled()
 
+    @pytest.mark.usefixtures("enable_warns")
     def test_enable_disable(self):
         prof.enable()
         assert prof.enabled()
@@ -30,6 +50,7 @@ class TestSwitch:
             assert prof.enabled()
         assert not prof.enabled()
 
+    @pytest.mark.usefixtures("enable_warns")
     def test_enabled_scope_nested_restore(self):
         prof.enable()
         with prof.enabled_scope(False):
@@ -41,15 +62,15 @@ class TestPhase:
     def test_disabled_phase_is_shared_noop(self):
         assert prof.phase("a") is prof.phase("b")
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_enabled_phase_records_timer(self):
-        prof.enable()
         with scoped(merge_up=False) as registry:
             with prof.phase("outer"):
                 pass
         assert registry.timer("outer").count == 1
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_nested_phases_join_keys(self):
-        prof.enable()
         with scoped(merge_up=False) as registry:
             with prof.phase("HDLTS"):
                 with prof.phase("eft_vector"):
@@ -60,9 +81,9 @@ class TestPhase:
         assert snap["HDLTS"]["count"] == 1
         assert snap["HDLTS/eft_vector"]["count"] == 2
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_current_scope(self):
         assert prof.current_scope() is None
-        prof.enable()
         with prof.phase("HDLTS"):
             assert prof.current_scope() == "HDLTS"
         assert prof.current_scope() is None
@@ -74,14 +95,14 @@ class TestCounters:
             prof.count("x")
         assert not registry
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_count_when_enabled(self):
-        prof.enable()
         with scoped(merge_up=False) as registry:
             prof.count("x", 3)
         assert registry.counter("x").value == 3
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_scoped_count_prefixes_phase_root(self):
-        prof.enable()
         with scoped(merge_up=False) as registry:
             with prof.phase("HEFT"):
                 prof.scoped_count("eft_evaluations", 4)
@@ -91,12 +112,12 @@ class TestCounters:
 
 
 class TestInstrumented:
+    @pytest.mark.usefixtures("metrics_on")
     def test_decorator_times_calls(self):
         @prof.instrumented("my_phase")
         def work(x):
             return x * 2
 
-        prof.enable()
         with scoped(merge_up=False) as registry:
             assert work(2) == 4
             assert work(3) == 6
@@ -114,12 +135,12 @@ class TestInstrumented:
         assert calls == [1]
         assert not registry
 
+    @pytest.mark.usefixtures("metrics_on")
     def test_decorator_default_name(self):
         @prof.instrumented()
         def named_fn():
             pass
 
-        prof.enable()
         with scoped(merge_up=False) as registry:
             named_fn()
         (key,) = registry.snapshot()["timers"].keys()

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.runtime import deprecation
 from repro.runtime.context import (
     DEFAULT_CONTEXT,
     ENGINE_CHOICES,
@@ -128,8 +129,10 @@ class TestConsumers:
     def test_use_compiled_shim_still_scopes(self):
         from repro.model.compiled import compiled_enabled, use_compiled
 
-        with use_compiled(False):
-            assert not compiled_enabled()
+        deprecation.reset()
+        with pytest.deprecated_call(match="use_compiled"):
+            with use_compiled(False):
+                assert not compiled_enabled()
         assert compiled_enabled()
 
     def test_obs_enabled_follows_context(self):
@@ -143,7 +146,9 @@ class TestConsumers:
     def test_obs_enable_shim_overrides_context(self):
         from repro import obs
 
-        obs.enable()
+        deprecation.reset()
+        with pytest.deprecated_call(match="obs.enable"):
+            obs.enable()
         try:
             assert obs.enabled()
         finally:

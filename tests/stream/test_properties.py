@@ -29,7 +29,7 @@ from repro.qa.invariants import (
     run_stream_invariants,
     stream_invariant_names,
 )
-from repro.stream import run_stream
+from repro.stream import JobStream, normalize_policy, run_stream
 from repro.stream.metrics import STREAM_METRICS
 from tests.stream.conftest import ALL_POLICIES, build_workload, small_spec
 
@@ -212,6 +212,19 @@ class TestDeterminism:
         b = run_stream(instance, policy)
         assert a.records == b.records
         assert a.horizon == b.horizon
+
+    def test_one_arena_runs_policies_in_turn_without_carryover(self):
+        """A JobStream holds no per-run state: each run reports its own
+        policy and matches a fresh arena's run of that policy."""
+        instance = build_workload(4, n_jobs=4, sigma=0.2)
+        arena = JobStream(instance)
+        for policy in ("Static/HEFT", "online", "Static/HDLTS",
+                       "OnlineHDLTS", "Static/HEFT"):
+            result = arena.run(policy)
+            assert result.policy == normalize_policy(policy)
+            fresh = JobStream(instance).run(policy)
+            assert result.records == fresh.records
+            assert result.horizon == fresh.horizon
 
 
 class TestMonotonicity:

@@ -1,6 +1,7 @@
 """Differential suite: compiled layer vs the object-graph code paths.
 
-``use_compiled(False)`` reproduces the pre-compiled paths exactly
+``compiled=False`` in the active run context reproduces the
+pre-compiled paths exactly
 (per-run ``cost_matrix()`` copies, scalar rank recursions, dict-based
 parent walks).  Every scheduler in the registry must produce a
 bit-identical schedule -- same CPU, same start, same finish for every
@@ -25,9 +26,9 @@ from hypothesis import strategies as st
 from repro.baselines.registry import SCHEDULER_FACTORIES, make_scheduler
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
-from repro.model.compiled import use_compiled
 from repro.model.ranking import downward_rank, oct_rank, optimistic_cost_table, upward_rank
 from repro.model.task_graph import TaskGraph
+from repro.runtime.context import activate, current_context
 from repro.workflows import (
     cybershake_workflow,
     epigenomics_workflow,
@@ -66,11 +67,16 @@ def workflow_graphs():
     ]
 
 
+def compiled_arm_context(enabled: bool):
+    """Scope the compiled layer on or off for one arm."""
+    return activate(current_context().with_(compiled=enabled))
+
+
 def assert_arms_identical(name: str, graph: TaskGraph, label: str = "") -> None:
     """Build with the compiled layer on and off; demand exact equality."""
-    with use_compiled(True):
+    with compiled_arm_context(True):
         compiled_arm = make_scheduler(name).build_schedule(graph)
-    with use_compiled(False):
+    with compiled_arm_context(False):
         object_arm = make_scheduler(name).build_schedule(graph)
     context = f"{name} on {label or 'graph'}"
     assert schedule_signature(compiled_arm) == schedule_signature(
@@ -99,9 +105,9 @@ class TestRankVectors:
     )
     def test_bit_identical_between_arms(self, func):
         for label, graph in self.graphs():
-            with use_compiled(True):
+            with compiled_arm_context(True):
                 compiled_arm = func(graph)
-            with use_compiled(False):
+            with compiled_arm_context(False):
                 object_arm = func(graph)
             assert np.array_equal(compiled_arm, object_arm), (
                 f"{func.__name__} on {label}"
@@ -112,9 +118,9 @@ class TestRankVectors:
 
         for label, graph in self.graphs():
             weights = np.asarray(std_execution_times(graph))
-            with use_compiled(True):
+            with compiled_arm_context(True):
                 compiled_arm = upward_rank(graph, weights)
-            with use_compiled(False):
+            with compiled_arm_context(False):
                 object_arm = upward_rank(graph, weights)
             assert np.array_equal(compiled_arm, object_arm), label
 
@@ -169,9 +175,9 @@ class TestSweepEquivalence:
         from repro.experiments.harness import run_sweep
         from tests.experiments.test_harness import tiny_sweep
 
-        with use_compiled(True):
+        with compiled_arm_context(True):
             compiled_arm = run_sweep(tiny_sweep(), reps=reps, seed=seed)
-        with use_compiled(False):
+        with compiled_arm_context(False):
             object_arm = run_sweep(tiny_sweep(), reps=reps, seed=seed)
         return compiled_arm, object_arm
 
@@ -188,12 +194,9 @@ class TestSweepEquivalence:
     def test_sweep_counters_bit_identical(self):
         from repro import obs
 
-        obs.enable()
-        try:
+        with activate(current_context().with_(metrics=True)):
             with obs.scoped(merge_up=False):
                 compiled_arm, object_arm = self.run_arms()
-        finally:
-            obs.disable()
         assert object_arm.metrics["counters"]
         assert (
             compiled_arm.metrics["counters"] == object_arm.metrics["counters"]
