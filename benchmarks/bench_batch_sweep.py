@@ -1,28 +1,34 @@
 """Batched multi-DAG kernel vs the scalar per-instance path.
 
 The batch kernel (:mod:`repro.core.batch`) packs a replication batch of
-same-shape compiled instances into ``(batch, n, p)`` struct-of-arrays
-tensors and runs the batchable scheduler set as one array program per
-batch instead of one Python dispatch per instance.  This bench pairs
-the two paths on a fig2-style shape-uniform sweep (100-task random
-DAGs, fixed structure per x point via the ``random-fixed`` factory, the
-batchable paper schedulers):
+compiled instances that share ``(n_tasks, n_procs, entry)`` -- as the
+block-diagonal union of their CSR graphs, with ``(batch, n, p)`` cost
+tensors -- and runs the batchable scheduler set as one array program
+per batch instead of one Python dispatch per instance.  This bench
+pairs the two paths on two fig2-style sweeps (100-task random DAGs,
+the batchable paper schedulers):
 
-* **correctness first** -- ``run_sweep`` under ``batch="auto"`` vs
-  ``batch="off"`` must report bit-identical means/stds and identical
-  observability counters, and the raw kernel makespans must equal the
-  scalar schedulers' bit for bit;
-* **throughput second** -- both arms consume the *same* prebuilt
-  compiled instances (instance construction is identical input work,
-  not what the kernel optimizes), alternating scalar-then-batched each
-  round so CPU-frequency drift hits both arms alike; the per-arm
-  minimum over rounds is the measure.  Both arms run warm: the scalar
-  arm's per-``CompiledGraph`` rank caches persist across rounds, so the
-  batched arm symmetrically reuses one packed :class:`CompiledBatch`
-  (packing is a one-time ~2 ms cost, charged to the warmup round).
+* **shape-uniform** -- the ``random-fixed`` factory: one structure per
+  x point, only the cost draws differ per lane;
+* **ragged** -- the ``random`` factory ``repro figure fig2`` ships
+  with: every lane has its own structure (the bench asserts all 512
+  are distinct).
 
-Acceptance: >=3x replication-batch throughput (conservative CI floor;
-the measured speedup on a warm machine is >=5x at 512 lanes).
+Each arm checks **correctness first** -- ``run_sweep`` under
+``batch="auto"`` vs ``batch="off"`` must report bit-identical
+means/stds and identical observability counters, and the raw kernel
+makespans must equal the scalar schedulers' bit for bit -- and then
+**throughput**: both paths consume the *same* prebuilt compiled
+instances (instance construction is identical input work, not what the
+kernel optimizes), alternating scalar-then-batched each round so
+CPU-frequency drift hits both alike; the per-path minimum over rounds
+is the measure.  Both paths run warm: the scalar path's
+per-``CompiledGraph`` rank caches persist across rounds, so the
+batched path symmetrically reuses one packed :class:`CompiledBatch`
+(packing is a one-time cost of a few ms, charged to the warmup round).
+
+Acceptance: >=3x replication-batch throughput on each arm
+(conservative CI floor).
 """
 
 import time
@@ -32,7 +38,7 @@ import numpy as np
 from conftest import bench_reps, emit
 from repro import obs
 from repro.baselines.registry import make_scheduler
-from repro.core.batch import CompiledBatch, run_batch
+from repro.core.batch import CompiledBatch, batch_key, run_batch
 from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import (
     SweepDefinition,
@@ -55,19 +61,16 @@ BATCH_LANES = 512
 SCHEDULERS = ("HDLTS", "HEFT", "PEFT", "SDBATS")
 
 
-def _definition(x_values=(1.0, 3.0, 5.0)):
-    """Fig. 2-style sweep with one DAG shape per x point."""
+def _definition(factory, params, x_values=(1.0, 3.0, 5.0)):
+    """Fig. 2-style sweep over one random-DAG factory."""
     return SweepDefinition(
-        key="batch_sweep",
+        key=f"batch_sweep_{factory}",
         title="batched vs scalar paired sweep",
         x_label="CCR",
         x_values=x_values,
         metric="slr",
         schedulers=SCHEDULERS,
-        graph=GraphSpec(
-            "random-fixed",
-            {"axis": "ccr", "single_entry": True, "structure_seed": 11},
-        ),
+        graph=GraphSpec(factory, dict(params, axis="ccr", single_entry=True)),
     )
 
 
@@ -95,11 +98,18 @@ def _assert_outputs_identical(definition, reps):
 
 
 def _build_batch(definition, x, lanes):
-    """One replication batch of compiled same-shape instances."""
-    graphs = [
-        _build_instance(definition, x, 0, rep, seed=0) for rep in range(lanes)
-    ]
-    return graphs, [compile_graph(g) for g in graphs]
+    """``lanes`` compiled instances sharing one batch key."""
+    graphs, compiled = [], []
+    rep = 0
+    while len(graphs) < lanes:
+        graph = _build_instance(definition, x, 0, rep, seed=0)
+        rep += 1
+        instance = compile_graph(graph)
+        if compiled and batch_key(instance) != batch_key(compiled[0]):
+            continue  # a different task count after normalization
+        graphs.append(graph)
+        compiled.append(instance)
+    return graphs, compiled
 
 
 def _scalar_round(graphs):
@@ -114,8 +124,7 @@ def _batched_round(batch):
     return {name: run_batch(batch, name).makespans for name in SCHEDULERS}
 
 
-def test_batch_sweep_throughput(benchmark):
-    definition = _definition()
+def _paired_throughput(definition, key, label, distinct_shapes, benchmark):
     reps = bench_reps()
 
     # correctness first: the harness arms agree bit for bit
@@ -123,6 +132,8 @@ def test_batch_sweep_throughput(benchmark):
 
     # raw kernel bit-identity on the throughput workload itself
     graphs, compiled = _build_batch(definition, 3.0, BATCH_LANES)
+    shapes = {(g.succ_indptr.tobytes(), g.succ_ids.tobytes()) for g in compiled}
+    assert len(shapes) == (BATCH_LANES if distinct_shapes else 1), len(shapes)
     batch = CompiledBatch(compiled)
     scalar_spans = _scalar_round(graphs)
     batched_spans = _batched_round(batch)
@@ -135,7 +146,7 @@ def test_batch_sweep_throughput(benchmark):
     rows = []
     t_scalar, t_batched = [], []
     with obs.enabled_scope(False):
-        _scalar_round(graphs)  # warm both arms (rank caches, packing)
+        _scalar_round(graphs)  # warm both paths (rank caches, packing)
         _batched_round(batch)
         for _ in range(ROUNDS):
             started = time.perf_counter()
@@ -150,10 +161,11 @@ def test_batch_sweep_throughput(benchmark):
     best_s, best_b = min(t_scalar), min(t_batched)
     speedup = best_s / best_b if best_b > 0 else float("inf")
     lines = [
-        "replication-batch scheduling throughput, scalar vs batched "
-        "(bit-identical schedules):",
-        f"  batch width          : {BATCH_LANES} lanes "
-        f"(100-task random DAGs, CCR 3.0, schedulers {', '.join(SCHEDULERS)})",
+        f"replication-batch scheduling throughput, {label}, scalar vs "
+        "batched (bit-identical schedules):",
+        f"  batch width          : {BATCH_LANES} lanes, {len(shapes)} "
+        f"structure(s) (100-task random DAGs, CCR 3.0, schedulers "
+        f"{', '.join(SCHEDULERS)})",
     ]
     for i, (s, b) in enumerate(rows):
         lines.append(
@@ -167,13 +179,33 @@ def test_batch_sweep_throughput(benchmark):
         f"({1e3 * best_b / BATCH_LANES:.2f} ms/rep)   "
         f"speedup {speedup:.2f}x"
     )
-    emit("batch_sweep", "\n".join(lines))
+    emit(key, "\n".join(lines))
 
     assert speedup >= SPEEDUP_FLOOR, (
         f"batched kernel only {speedup:.2f}x faster on the paired "
-        f"replication batch; the bar is {SPEEDUP_FLOOR}x"
+        f"{label} replication batch; the bar is {SPEEDUP_FLOOR}x"
     )
 
     small = CompiledBatch(compiled[:16])
     with obs.enabled_scope(False):
         benchmark(lambda: _batched_round(small))
+
+
+def test_batch_sweep_throughput(benchmark):
+    _paired_throughput(
+        _definition("random-fixed", {"structure_seed": 11}),
+        "batch_sweep",
+        "shape-uniform",
+        distinct_shapes=False,
+        benchmark=benchmark,
+    )
+
+
+def test_batch_sweep_throughput_ragged(benchmark):
+    _paired_throughput(
+        _definition("random", {}),
+        "batch_sweep_ragged",
+        "ragged",
+        distinct_shapes=True,
+        benchmark=benchmark,
+    )

@@ -12,9 +12,11 @@ This bench times both arms on the paper's Fig. 2 sweep (100-task random
 DAGs, five CCR points, the full paper scheduler set) with an
 alternating-pair protocol: each round runs disabled-then-enabled
 back-to-back so CPU-frequency drift hits both arms alike, and the
-per-arm minimum over rounds is the measure.  Acceptance: >=2x
-replication throughput with identical means, stds and observability
-counters.
+per-arm minimum over rounds is the measure.  Both arms pin
+``batch="off"``: the compiled arm would otherwise hand the random
+sweep's replication groups to the batched kernel, and this bench
+isolates the compiled layer.  Acceptance: >=2x replication throughput
+with identical means, stds and observability counters.
 """
 
 import time
@@ -26,6 +28,7 @@ from repro import obs
 from repro.experiments.figures import get_figure
 from repro.experiments.harness import run_sweep
 from repro.model.compiled import use_compiled
+from repro.runtime.context import activate, current_context
 
 #: acceptance bar for the paired Fig. 2 sweep (full scheduler set)
 SPEEDUP_FLOOR = 2.0
@@ -35,10 +38,11 @@ ROUNDS = 4
 
 
 def _run_arm(definition, reps, enabled):
-    if enabled:
-        return run_sweep(definition, reps=reps, seed=0)
-    with use_compiled(False):
-        return run_sweep(definition, reps=reps, seed=0)
+    with activate(current_context().with_(batch="off")):
+        if enabled:
+            return run_sweep(definition, reps=reps, seed=0)
+        with use_compiled(False):
+            return run_sweep(definition, reps=reps, seed=0)
 
 
 def _assert_outputs_identical(definition, reps):
@@ -112,4 +116,4 @@ def test_compile_cache_throughput(benchmark):
     )
 
     with obs.enabled_scope(False):
-        benchmark(lambda: run_sweep(definition, reps=2, seed=0))
+        benchmark(lambda: _run_arm(definition, 2, True))

@@ -87,9 +87,9 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         "--batch",
         default="auto",
         choices=["auto", "off"],
-        help="batched multi-DAG kernel: 'auto' groups same-shape "
-        "replications per x point, 'off' forces the scalar path "
-        "(bit-identical results either way)",
+        help="batched multi-DAG kernel: 'auto' batches each x point's "
+        "replications of one task/CPU count, 'off' forces the scalar "
+        "path (bit-identical results either way)",
     )
 
 

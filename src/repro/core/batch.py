@@ -1,18 +1,20 @@
 """Batched multi-DAG scheduling kernel: one array program per batch.
 
 A figure sweep's replication loop runs the same scheduler on many
-independent random instances that usually share one *shape*: the graph
-structure (CSR adjacency) is identical and only the cost draws differ.
-The scalar path pays full Python dispatch per instance; this module
-packs a whole replication batch of same-shape compiled instances
-(:class:`~repro.model.compiled.CompiledGraph`) into struct-of-arrays
-``(batch, n, p)`` tensors and runs the schedulers as vectorized sweeps
-over the leading batch axis:
+independent random instances of one size.  The scalar path pays full
+Python dispatch per instance; this module packs a whole replication
+batch of compiled instances (:class:`~repro.model.compiled.CompiledGraph`)
+that share a task count, a CPU count and an entry task id -- their
+structures may all differ -- into one struct-of-arrays program:
 
+* the lanes' graphs are packed as the block-diagonal union of their
+  CSR structures (global node ``lane * n + task``), with per-lane
+  ``(batch, n, p)`` cost tensors;
 * the rank kernels (mean/std costs, upward rank, OCT) are the
-  level-``reduceat`` kernels of :mod:`repro.model.compiled` with a
-  batch axis in front -- per-lane bit-identical because every reduction
-  runs along a per-lane axis;
+  level-``reduceat`` kernels of :mod:`repro.model.compiled` run over the
+  union -- a disjoint union's heights above the sinks are each lane's
+  own heights, so every node reduces exactly the operands it reduces
+  in its own graph;
 * the static-priority baselines (HEFT, PEFT, SDBATS and their
   registered ablations) compute per-lane task orders up front and then
   place one task per lane per step in lockstep, with a vectorized
@@ -37,7 +39,6 @@ anything this module does not cover.
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,13 +54,13 @@ __all__ = [
     "BATCHABLE",
     "BatchResult",
     "CompiledBatch",
+    "batch_key",
     "batchable_schedulers",
     "hdlts_dup_batchable",
     "instance_batchable",
     "max_lanes",
+    "min_lanes",
     "run_batch",
-    "same_shape",
-    "shape_key",
 ]
 
 
@@ -129,45 +130,18 @@ def batchable_schedulers() -> List[str]:
     return list(_CONFIGS)
 
 
-def shape_key(compiled: CompiledGraph) -> Tuple:
-    """Hashable structural identity of one compiled instance.
-
-    Two instances share a shape exactly when their CSR successor
-    structure (and so their predecessor mirror, topological order,
-    entry/exit sets and level batches) is identical -- only the cost
-    draws may differ.
-    """
-    return (
-        compiled.n_tasks,
-        compiled.n_procs,
-        compiled.succ_indptr.tobytes(),
-        compiled.succ_ids.tobytes(),
-    )
+#: fewest lanes at which each kernel family beats the scalar path.  The
+#: kernel pays a fixed numpy dispatch cost per scheduling step that its
+#: lanes must amortize; since both sides scale with the task count, the
+#: break-even width barely moves with size.  Measured on random DAGs of
+#: 30-200 tasks on 2-8 CPUs: HDLTS breaks even at 3-4 lanes, the static
+#: list schedulers at 12-16 (at 2 lanes they run ~5x slower batched).
+_MIN_LANES = {_StaticConfig: 16, _DynamicConfig: 4}
 
 
-def same_shape(a: CompiledGraph, b: CompiledGraph) -> bool:
-    """Do two compiled instances share one structural shape?
-
-    Equivalent to ``shape_key(a) == shape_key(b)`` without serializing
-    either CSR structure: two int compares, then ``np.array_equal``
-    over the successor arrays (identity-short-circuited -- instances
-    drawn from one generator config usually share the very same
-    arrays).  Group-by-representative callers use this to avoid
-    re-hashing CSR bytes per instance; ``shape_key`` remains the
-    hashable form for dict-keyed caches.
-    """
-    return (
-        a.n_tasks == b.n_tasks
-        and a.n_procs == b.n_procs
-        and (
-            a.succ_indptr is b.succ_indptr
-            or np.array_equal(a.succ_indptr, b.succ_indptr)
-        )
-        and (
-            a.succ_ids is b.succ_ids
-            or np.array_equal(a.succ_ids, b.succ_ids)
-        )
-    )
+def min_lanes(scheduler: str) -> int:
+    """Fewest lanes for which the harness batches ``scheduler``."""
+    return _MIN_LANES[type(_CONFIGS[scheduler])]
 
 
 def max_lanes(n_tasks: int, n_procs: int) -> int:
@@ -221,64 +195,158 @@ def instance_batchable(
 # ----------------------------------------------------------------------
 # the packed batch
 # ----------------------------------------------------------------------
-class CompiledBatch:
-    """Struct-of-arrays view of same-shape compiled instances.
+def batch_key(compiled: CompiledGraph) -> Tuple[int, int, int]:
+    """``(n_tasks, n_procs, entry)``: what the lanes of one batch share.
 
-    Structure arrays (CSR adjacency, topo order, level batches) are
-    shared with the first instance's :class:`CompiledGraph`; per-lane
-    data (costs, edge costs) is stacked along a leading batch axis.
-    Rank kernels mirror the compiled graph's level-``reduceat`` kernels
-    with the extra axis and cache their results per batch.
+    Only sizes and the (single) entry id must agree; structures and
+    cost draws may differ per lane.  Callers check
+    :func:`instance_batchable` first, which guarantees one entry.
+    """
+    return (compiled.n_tasks, compiled.n_procs, int(compiled.entry_ids[0]))
+
+
+def _union_csr(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal union of per-lane CSR ``(indptr, ids, costs)``.
+
+    Row ``lane * n + task`` of the union is row ``task`` of lane
+    ``lane``: each lane's ``indptr`` is shifted by the edges of the
+    lanes before it, while ids stay lane-local task ids.
+    """
+    sizes = np.fromiter((ip[-1] for ip, _, _ in parts), np.intp, len(parts))
+    shift = np.zeros(len(parts), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=shift[1:])
+    indptr = np.empty(len(parts) * n + 1, dtype=np.intp)
+    indptr[:-1] = (
+        np.stack([ip[:-1] for ip, _, _ in parts]) + shift[:, None]
+    ).ravel()
+    indptr[-1] = sizes.sum()
+    ids = np.concatenate([ids for _, ids, _ in parts])
+    costs = np.concatenate([costs for _, _, costs in parts])
+    return indptr, ids, costs
+
+
+class CompiledBatch:
+    """Struct-of-arrays view of compiled instances sharing one :func:`batch_key`.
+
+    The lanes' graphs are packed as the block-diagonal union of their
+    CSR structures: global node ``lane * n + task``, lane-local ids,
+    flat 1-D edge costs aligned with the union CSR.  Per-lane node data
+    (costs, topological positions, entry-child rows) is stacked along a
+    leading batch axis.  Rank kernels mirror the compiled graph's
+    level-``reduceat`` kernels over the flattened ``(B * n)`` view and
+    cache their results per batch.
     """
 
     def __init__(self, instances: Sequence[CompiledGraph]) -> None:
         if not instances:
             raise ValueError("batch needs at least one instance")
-        base = instances[0]
-        for other in instances[1:]:
-            if not same_shape(base, other):
-                raise ValueError("all batch instances must share one shape")
-        if base.entry_ids.size != 1:
+        if any(g.entry_ids.size != 1 for g in instances):
             raise ValueError("batch instances must have a single entry task")
+        key = batch_key(instances[0])
+        if any(batch_key(g) != key for g in instances[1:]):
+            raise ValueError(
+                "all batch instances must share (n_tasks, n_procs, entry)"
+            )
         self.instances: Tuple[CompiledGraph, ...] = tuple(instances)
-        self.base = base
         self.n_lanes = len(self.instances)
-        self.n_tasks = base.n_tasks
-        self.n_procs = base.n_procs
-        self.entry = int(base.entry_ids[0])
+        self.n_tasks, self.n_procs, self.entry = key
+        n = self.n_tasks
+        lanes = np.arange(self.n_lanes)
         # per-lane data planes
         self.W = np.stack([g.w for g in self.instances])  # (B, n, p)
-        self.succ_costs_b = np.stack(
-            [g.succ_costs for g in self.instances]
-        )  # (B, E)
-        self.pred_costs_b = np.stack(
-            [g.pred_costs for g in self.instances]
-        )  # (B, E)
-        # dense entry -> child communication per lane
-        ids, _ = base.succ_slice(self.entry)
-        self.entry_comm_b = np.zeros((self.n_lanes, self.n_tasks))
-        lo, hi = base.succ_indptr[self.entry], base.succ_indptr[self.entry + 1]
-        self.entry_comm_b[:, ids] = self.succ_costs_b[:, lo:hi]
+        self.topo_position = np.stack(
+            [g.topo_position for g in self.instances]
+        )  # (B, n)
+        # union CSR, indexed by global node lane * n + task
+        self.succ_indptr, self.succ_ids, self.succ_costs = _union_csr(
+            [(g.succ_indptr, g.succ_ids, g.succ_costs) for g in self.instances],
+            n,
+        )
+        self.pred_indptr, self.pred_ids, self.pred_costs = _union_csr(
+            [(g.pred_indptr, g.pred_ids, g.pred_costs) for g in self.instances],
+            n,
+        )
+        # dense entry -> child mask and communication per lane
+        s0 = self.succ_indptr[lanes * n + self.entry]
+        counts = self.succ_indptr[lanes * n + self.entry + 1] - s0
+        flat, _ = _ragged_indices(s0, counts)
+        b_of = np.repeat(lanes, counts)
+        children = self.succ_ids[flat]
+        self.entry_child = np.zeros((self.n_lanes, n), dtype=bool)
+        self.entry_child[b_of, children] = True
+        self.entry_comm = np.zeros((self.n_lanes, n))
+        self.entry_comm[b_of, children] = self.succ_costs[flat]
         # entry-stripped predecessor CSR (HDLTS entry-children rows)
-        keep = base.pred_ids != self.entry
-        counts = np.diff(base.pred_indptr)
-        stripped = np.zeros(self.n_tasks, dtype=np.intp)
-        if len(keep):
-            # per-task count of kept predecessor edges
-            owner = np.repeat(np.arange(self.n_tasks), counts)
-            np.add.at(stripped, owner[keep], 1)
-        self.ne_indptr = np.zeros(self.n_tasks + 1, dtype=np.intp)
-        np.cumsum(stripped, out=self.ne_indptr[1:])
-        self.ne_ids = base.pred_ids[keep]
-        self.ne_costs_b = self.pred_costs_b[:, keep]
+        keep = self.pred_ids != self.entry
+        total = self.n_lanes * n
+        owner = np.repeat(np.arange(total), np.diff(self.pred_indptr))
+        self.ne_indptr = np.zeros(total + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(owner[keep], minlength=total), out=self.ne_indptr[1:]
+        )
+        self.ne_ids = self.pred_ids[keep]
+        self.ne_costs = self.pred_costs[keep]
+        self._up_batches_cache: Optional[List[Tuple]] = None
         self._cache: Dict[str, np.ndarray] = {}
 
     @property
     def label(self) -> str:
-        """Short human-readable shape tag for spans and logs."""
-        key = shape_key(self.base)
-        digest = zlib.crc32(key[2] + key[3]) & 0xFFFFFFFF
-        return f"n{self.n_tasks}p{self.n_procs}-{digest:08x}"
+        """Short human-readable batch tag for spans and logs."""
+        return f"n{self.n_tasks}p{self.n_procs}e{self.entry}"
+
+    def _global_ids(self, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Lane-local ids of a union CSR as global nodes ``lane * n + id``."""
+        n = self.n_tasks
+        lane_base = np.arange(self.n_lanes * n) // n * n
+        return ids + np.repeat(lane_base, np.diff(indptr))
+
+    def _succ_global(self) -> np.ndarray:
+        """Union successor ids as global nodes (cached)."""
+        return self._cached(
+            "succ_global",
+            lambda: self._global_ids(self.succ_indptr, self.succ_ids),
+        )
+
+    def up_batches(self) -> List[Tuple]:
+        """Union nodes grouped by height above the sinks.
+
+        The layout of :meth:`CompiledGraph._up_batches`, over the union:
+        ``(nodes, flat, offsets, counts)`` per height ``h >= 1``, with
+        global ``nodes`` in ascending order and ``flat`` indexing the
+        union successor CSR.  Heights come from a vectorized Kahn peel
+        from the sinks; in a disjoint union they equal each lane's own
+        heights, so lane ``b``'s slice of batch ``h`` is exactly batch
+        ``h`` of its own compiled graph.
+        """
+        if self._up_batches_cache is not None:
+            return self._up_batches_cache
+        total = self.n_lanes * self.n_tasks
+        pred_global = self._global_ids(self.pred_indptr, self.pred_ids)
+        remaining = np.diff(self.succ_indptr)
+        height = np.zeros(total, dtype=np.intp)
+        frontier = np.flatnonzero(remaining == 0)
+        level = 0
+        while frontier.size:
+            height[frontier] = level
+            s0 = self.pred_indptr[frontier]
+            flat, _ = _ragged_indices(s0, self.pred_indptr[frontier + 1] - s0)
+            peeled = np.bincount(pred_global[flat], minlength=total)
+            remaining = remaining - peeled
+            frontier = np.flatnonzero((peeled > 0) & (remaining == 0))
+            level += 1
+        order = np.argsort(height, kind="stable")
+        bounds = np.searchsorted(height[order], np.arange(1, level + 1))
+        batches: List[Tuple] = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            nodes = order[lo:hi]
+            starts = self.succ_indptr[nodes]
+            counts = self.succ_indptr[nodes + 1] - starts
+            flat, offsets = _ragged_indices(starts, counts)
+            batches.append((nodes, flat, offsets, counts))
+        self._up_batches_cache = batches
+        return batches
 
     # ------------------------------------------------------------------
     # batched rank kernels (per-lane bit-identical to CompiledGraph's)
@@ -305,14 +373,15 @@ class CompiledBatch:
 
     def upward_rank(self, weights: np.ndarray) -> np.ndarray:
         """(B, n) upward rank from per-lane node weights ``(B, n)``."""
-        rank = weights + 0.0
-        ids = self.base.succ_ids
-        costs = self.succ_costs_b
-        for nodes, flat, offsets, _ in self.base._up_batches():
-            candidates = costs[:, flat] + rank[:, ids[flat]]
-            best = np.maximum.reduceat(candidates, offsets, axis=1)
-            rank[:, nodes] = weights[:, nodes] + np.maximum(best, 0.0)
-        return rank
+        wts = weights.reshape(-1)
+        rank = wts + 0.0
+        succ = self._succ_global()
+        costs = self.succ_costs
+        for nodes, flat, offsets, _ in self.up_batches():
+            candidates = costs[flat] + rank[succ[flat]]
+            best = np.maximum.reduceat(candidates, offsets)
+            rank[nodes] = wts[nodes] + np.maximum(best, 0.0)
+        return rank.reshape(self.n_lanes, self.n_tasks)
 
     def mean_upward_rank(self) -> np.ndarray:
         """HEFT's rank (cached): upward rank over mean costs."""
@@ -330,20 +399,21 @@ class CompiledBatch:
         """(B, n, p) PEFT Optimistic Cost Table per lane (cached)."""
 
         def build() -> np.ndarray:
-            n, p = self.n_tasks, self.n_procs
-            table = np.zeros((self.n_lanes, n, p))
-            ids = self.base.succ_ids
-            costs = self.succ_costs_b
-            for nodes, flat, offsets, _ in self.base._up_batches():
+            shape = (self.n_lanes * self.n_tasks, self.n_procs)
+            w = self.W.reshape(shape)
+            table = np.zeros(shape)
+            ids = self._succ_global()
+            costs = self.succ_costs
+            for nodes, flat, offsets, _ in self.up_batches():
                 succ = ids[flat]
-                base = table[:, succ, :] + self.W[:, succ, :]
-                with_comm = base + costs[:, flat, None]
-                global_min = with_comm.min(axis=2)
-                per_p = np.minimum(global_min[..., None], base)
-                rows = np.maximum.reduceat(per_p, offsets, axis=1)
+                base = table[succ] + w[succ]
+                with_comm = base + costs[flat][:, None]
+                global_min = with_comm.min(axis=1)
+                per_p = np.minimum(global_min[:, None], base)
+                rows = np.maximum.reduceat(per_p, offsets, axis=0)
                 np.maximum(rows, 0.0, out=rows)
-                table[:, nodes, :] = rows
-            return table
+                table[nodes] = rows
+            return table.reshape(self.W.shape)
 
         return self._cached("oct_table", build)
 
@@ -460,9 +530,23 @@ class _BatchTimelines:
         # append-after-everything fallback, so argmax needs no miss case
         idx = feasible.argmax(axis=1)
         out = gap[self._row_id, idx].reshape(self.n_lanes, self.n_procs)
-        bad = (~self.monotone).reshape(self.n_lanes, self.n_procs) | (
-            dur <= _EPS
-        )
+        # an empty row answers ``max(ready, 0.0)`` on both paths (the
+        # scalar's ``max(ready, avail)`` with ``avail`` still 0), so
+        # only occupied rows can need the scalar port
+        occupied = self.counts > 0
+        point = dur_f[:, 0] == 0.0
+        bad = (~self.monotone | ((dur_f[:, 0] <= _EPS) & ~point)) & occupied
+        # a zero-cost query (normalized pseudo tasks) on a monotone row:
+        # the scan's candidate is the scalar's answer unless the scalar
+        # ``fits`` point test rejects it, i.e. it lies inside a slot
+        check = np.flatnonzero(point & self.monotone & occupied)
+        if check.size:
+            at = out.reshape(-1)[check][:, None]
+            inside = (self.starts[check, :w] < at) & (
+                at < self.ends[check, :w] - _EPS
+            )
+            bad[check[inside.any(axis=1)]] = True
+        bad = bad.reshape(self.n_lanes, self.n_procs)
         if bad.any():
             for b, q in zip(*np.nonzero(bad)):
                 out[b, q] = self._scalar_earliest(
@@ -590,7 +674,7 @@ class _BatchTimelines:
 def _gather_ready(
     indptr: np.ndarray,
     ids: np.ndarray,
-    costs_b: np.ndarray,
+    costs: np.ndarray,
     fin_of: np.ndarray,
     proc_of: np.ndarray,
     best_finish: np.ndarray,
@@ -599,6 +683,9 @@ def _gather_ready(
     n_procs: int,
 ) -> np.ndarray:
     """(K, p) Definition-5 ready rows for (lane, task) pairs.
+
+    ``indptr``/``ids``/``costs`` are a union CSR of the batch (row
+    ``lane * n + task``, lane-local ids), ``n`` being ``fin_of``'s width.
 
     Per pair: ``max over parents of min(LF[parent], BF[parent] + comm)``
     floored at 0 -- bit-identical to ``StaticEFTEngine.ready_vector`` /
@@ -610,15 +697,16 @@ def _gather_ready(
     the arrival row is ``via`` everywhere except the parent's own CPU,
     where ``min(fin, via) == fin`` exactly (``via = fin + comm >= fin``).
     """
-    starts = indptr[t_idx]
-    counts = indptr[t_idx + 1] - starts
+    rows = b_idx * fin_of.shape[1] + t_idx
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
     out = np.zeros((len(t_idx), n_procs))
     if not len(t_idx) or int(counts.sum()) == 0:
         return out
     flat, offsets = _ragged_indices(starts, counts)
     b_of = np.repeat(b_idx, counts)
     parents = ids[flat]
-    via = best_finish[b_of, parents] + costs_b[b_of, flat]
+    via = best_finish[b_of, parents] + costs[flat]
     arrivals = np.repeat(via, n_procs).reshape(-1, n_procs)
     arrivals[np.arange(via.size), proc_of[b_of, parents]] = fin_of[
         b_of, parents
@@ -629,26 +717,22 @@ def _gather_ready(
     return out
 
 
-def _select_min_score(
-    scores_by_proc: List[np.ndarray], starts_by_proc: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The baselines' CPU pick: strict 1e-12 improvement, low CPU wins.
+def _select_min_score(scores: np.ndarray) -> np.ndarray:
+    """(B,) CPU picks from ``(B, p)`` scores: strict 1e-12 improvement.
 
     A sequential loop over CPUs with vectorized lane updates -- the
     exact comparison sequence of ``place_min_eft``/``place_best``
     (which is *not* a plain argmin: an eps-scale improvement on a later
-    CPU does not displace an earlier winner).
+    CPU does not displace an earlier winner, so the low CPU wins).
     """
-    n_lanes = len(scores_by_proc[0])
-    best_score = np.full(n_lanes, np.inf)
-    best_proc = np.full(n_lanes, -1, dtype=np.intp)
-    best_start = np.zeros(n_lanes)
-    for q, (score, start) in enumerate(zip(scores_by_proc, starts_by_proc)):
+    best_score = np.full(len(scores), np.inf)
+    best_proc = np.zeros(len(scores), dtype=np.intp)
+    for q in range(scores.shape[1]):
+        score = scores[:, q]
         better = score < best_score - 1e-12
         best_score = np.where(better, score, best_score)
-        best_proc = np.where(better, q, best_proc)
-        best_start = np.where(better, start, best_start)
-    return best_proc, best_start, best_score
+        best_proc[better] = q
+    return best_proc
 
 
 # ----------------------------------------------------------------------
@@ -708,7 +792,6 @@ class BatchResult:
 def _static_orders(batch: CompiledBatch, cfg: _StaticConfig) -> np.ndarray:
     """(B, n) per-lane task orders, exactly the scalar derivations."""
     n = batch.n_tasks
-    position = batch.base.topo_position
     if cfg.rank == "mean":
         ranks = batch.mean_upward_rank()
     elif cfg.rank == "std":
@@ -722,7 +805,7 @@ def _static_orders(batch: CompiledBatch, cfg: _StaticConfig) -> np.ndarray:
     n_lanes = batch.n_lanes
     flat = np.lexsort(
         (
-            np.tile(position, n_lanes),
+            batch.topo_position.ravel(),
             np.negative(ranks).ravel(),
             np.repeat(np.arange(n_lanes), n),
         )
@@ -739,24 +822,23 @@ def _peft_orders(batch: CompiledBatch, ranks: np.ndarray) -> np.ndarray:
     maximum -- the lowest-id maximum -- so one argmax per step across
     all lanes reproduces every lane's pop sequence exactly.
     """
-    base = batch.base
     n = batch.n_tasks
     n_lanes = batch.n_lanes
     lanes = np.arange(n_lanes)
-    indeg = np.broadcast_to(np.diff(base.pred_indptr), (n_lanes, n)).copy()
+    indeg = np.diff(batch.pred_indptr).reshape(n_lanes, n)
     score = np.where(indeg == 0, ranks, -np.inf)
     orders = np.empty((n_lanes, n), dtype=np.intp)
     for k in range(n):
         task = score.argmax(axis=1)
         orders[:, k] = task
         score[lanes, task] = -np.inf
-        s0 = base.succ_indptr[task]
-        cnt = base.succ_indptr[task + 1] - s0
+        s0 = batch.succ_indptr[lanes * n + task]
+        cnt = batch.succ_indptr[lanes * n + task + 1] - s0
         if int(cnt.sum()):
             # one task per lane, distinct children: no write conflicts
             flat, _ = _ragged_indices(s0, cnt)
             b_of = np.repeat(lanes, cnt)
-            child = base.succ_ids[flat]
+            child = batch.succ_ids[flat]
             newdeg = indeg[b_of, child] - 1
             indeg[b_of, child] = newdeg
             released = newdeg == 0
@@ -770,7 +852,6 @@ def _run_static(batch: CompiledBatch, name: str, cfg: _StaticConfig) -> BatchRes
     n_lanes, n, p = batch.n_lanes, batch.n_tasks, batch.n_procs
     entry = batch.entry
     W = batch.W
-    base = batch.base
     lanes = np.arange(n_lanes)
     orders = _static_orders(batch, cfg)
 
@@ -833,15 +914,17 @@ def _run_static(batch: CompiledBatch, name: str, cfg: _StaticConfig) -> BatchRes
     t_sm = orders.T[start_step:]  # (steps, B)
     costs_sm = W[lanes[None, :], t_sm]  # (steps, B, p) one gather
     oct_sm = oct_b[lanes[None, :], t_sm] if cfg.peft else None
-    g_starts = base.pred_indptr[t_sm]
-    g_counts = (base.pred_indptr[t_sm + 1] - g_starts).ravel()
+    g_nodes = lanes * n + t_sm  # union CSR rows
+    g_starts = batch.pred_indptr[g_nodes]
+    g_counts = (batch.pred_indptr[g_nodes + 1] - g_starts).ravel()
     seg = np.zeros(g_counts.size + 1, dtype=np.intp)
     np.cumsum(g_counts, out=seg[1:])
     flat_all = np.repeat(g_starts.ravel() - seg[:-1], g_counts) + np.arange(
         seg[-1]
     )
     lane_all = np.repeat(np.tile(lanes, steps), g_counts)
-    parent_all = base.pred_ids[flat_all]
+    parent_all = batch.pred_ids[flat_all]
+    cost_all = batch.pred_costs[flat_all]
     # only SDBATS mirrors make the entry multi-copy; everywhere else
     # every parent's local-finish row is ``fin_of`` at ``proc_of``
     ent_all = parent_all == entry if cfg.sdbats else None
@@ -852,10 +935,7 @@ def _run_static(batch: CompiledBatch, name: str, cfg: _StaticConfig) -> BatchRes
         lo, hi = seg[row0], seg[row0 + n_lanes]
         bo = lane_all[lo:hi]
         parents = parent_all[lo:hi]
-        via = (
-            best_finish[bo, parents]
-            + batch.pred_costs_b[bo, flat_all[lo:hi]]
-        )
+        via = best_finish[bo, parents] + cost_all[lo:hi]
         arrivals = np.repeat(via, p).reshape(-1, p)
         if cfg.sdbats:
             em = ent_all[lo:hi]
@@ -882,14 +962,11 @@ def _run_static(batch: CompiledBatch, name: str, cfg: _StaticConfig) -> BatchRes
         costs = costs_sm[k - start_step]  # (B, p)
         est = timelines.earliest_start(ready, costs, cfg.insertion)
         eft = est + costs
-        if cfg.peft:
-            rows = oct_sm[k - start_step]  # (B, p)
-            scores = [eft[:, q] + rows[:, q] for q in range(p)]
-        else:
-            scores = [eft[:, q] for q in range(p)]
-        proc, start, _ = _select_min_score(
-            scores, [est[:, q] for q in range(p)]
+        # PEFT ranks CPUs by EFT + OCT row, the others by EFT alone
+        proc = _select_min_score(
+            eft + oct_sm[k - start_step] if cfg.peft else eft
         )
+        start = est[lanes, proc]
         dur = costs[lanes, proc]
         fin = start + dur
         timelines.insert(lanes, proc, start, fin)
@@ -928,11 +1005,12 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
     n_lanes, n, p = batch.n_lanes, batch.n_tasks, batch.n_procs
     entry = batch.entry
     W = batch.W
-    base = batch.base
     lanes = np.arange(n_lanes)
-    child_ids, _ = base.succ_slice(entry)
-    entry_children = np.zeros(n, dtype=bool)
-    entry_children[child_ids] = True
+    entry_child = batch.entry_child  # (B, n)
+    # task ids that are an entry child in some lane, and their (k, B)
+    # rows of the task-major per-lane mask
+    child_ids = np.flatnonzero(entry_child.any(axis=0))
+    child_mask_t = entry_child.T[child_ids]
     rule = cfg.priority
     rank_u = (
         batch.upward_rank(batch.mean_costs())
@@ -960,7 +1038,7 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
     avail = np.zeros((n_lanes, p))
     first_start = np.full((n_lanes, p), np.inf)
     mask_t = np.zeros((n, n_lanes), dtype=bool)
-    indeg = np.broadcast_to(np.diff(base.pred_indptr), (n_lanes, n)).copy()
+    indeg = np.diff(batch.pred_indptr).reshape(n_lanes, n)
     makespan = np.zeros(n_lanes)
     # the single entry is the only zero-in-degree task; its ready row is
     # all zeros (no parents), exactly the scalar refresh
@@ -1016,12 +1094,12 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
         proc = lane_eft.argmin(axis=1)
 
         if cfg.duplicate_entry:
-            cand = (selected != entry) & entry_children[selected]
+            cand = (selected != entry) & entry_child[lanes, selected]
             if cand.any():
                 cb = np.flatnonzero(cand)
                 cp = proc[cb]
                 w_entry = W[cb, entry, cp]
-                comm = batch.entry_comm_b[cb, selected[cb]]
+                comm = batch.entry_comm[cb, selected[cb]]
                 via = np.minimum(
                     lf_entry[cb, cp],
                     best_finish[cb, entry] + comm,
@@ -1071,12 +1149,12 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
         starts_rec[:, step] = start
 
         # release children whose last parent just committed
-        s0 = base.succ_indptr[selected]
-        scnt = base.succ_indptr[selected + 1] - s0
+        s0 = batch.succ_indptr[lanes * n + selected]
+        scnt = batch.succ_indptr[lanes * n + selected + 1] - s0
         if int(scnt.sum()):
             flat, _ = _ragged_indices(s0, scnt)
             b_of = np.repeat(lanes, scnt)
-            child = base.succ_ids[flat]
+            child = batch.succ_ids[flat]
             newdeg = indeg[b_of, child] - 1
             indeg[b_of, child] = newdeg
             released = newdeg == 0
@@ -1084,13 +1162,13 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
             c_rows += rb.size
             if rb.size:
                 mask_t[rc, rb] = True
-                is_ec = entry_children[rc]
+                is_ec = entry_child[rb, rc]
                 ob, oc = rb[~is_ec], rc[~is_ec]
                 if ob.size:
                     ready_t[oc, ob, :] = _gather_ready(
-                        base.pred_indptr,
-                        base.pred_ids,
-                        batch.pred_costs_b,
+                        batch.pred_indptr,
+                        batch.pred_ids,
+                        batch.pred_costs,
                         fin_of,
                         proc_of,
                         best_finish,
@@ -1103,7 +1181,7 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
                     non_entry_t[ec, eb, :] = _gather_ready(
                         batch.ne_indptr,
                         batch.ne_ids,
-                        batch.ne_costs_b,
+                        batch.ne_costs,
                         fin_of,
                         proc_of,
                         best_finish,
@@ -1111,7 +1189,7 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
                         ec,
                         p,
                     )
-                    comm = batch.entry_comm_b[eb, ec]
+                    comm = batch.entry_comm[eb, ec]
                     via = np.minimum(
                         lf_entry[eb],
                         (best_finish[eb, entry] + comm)[:, None],
@@ -1130,12 +1208,12 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
         # refresh the pending entry children's dirty column there
         # (scan only the entry-child rows; pair order is irrelevant
         # to the independent per-(lane, task) scatter updates)
-        pj, pb = np.nonzero(mask_t[child_ids])
+        pj, pb = np.nonzero(mask_t[child_ids] & child_mask_t)
         pc = child_ids[pj]
         c_cols += pb.size
         if pb.size:
             pp = proc[pb]
-            comm = batch.entry_comm_b[pb, pc]
+            comm = batch.entry_comm[pb, pc]
             via = np.minimum(
                 lf_entry[pb, pp], best_finish[pb, entry] + comm
             )

@@ -126,9 +126,9 @@ def _random_fixed_graph(
     Like ``"random"``, but level shape and edge wiring come from a
     dedicated generator seeded with ``structure_seed`` (re-seeded per
     instance), so every replication of one x point shares one DAG shape
-    while the cost draws stay independent streams of ``rng``.  This is
-    the fig2-style sweep the batched multi-DAG kernel accelerates: all
-    of an x point's replications land in one shape group.
+    while the cost draws stay independent streams of ``rng``: a
+    fig2-style sweep whose batched-kernel lanes all share one
+    structure.
     """
     base = GeneratorConfig(**config)
     structure_rng = np.random.default_rng(structure_seed)

@@ -20,10 +20,11 @@ from repro.baselines.registry import PAPER_SET, make_scheduler
 from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
+    batch_key,
     instance_batchable,
     max_lanes,
+    min_lanes,
     run_batch,
-    same_shape,
 )
 from repro.experiments.graphspec import GraphSpec
 from repro.metrics.metrics import efficiency, slr
@@ -305,11 +306,13 @@ def _run_batched_group(
     batch: CompiledBatch,
     results: List[Optional[Dict[str, float]]],
 ) -> None:
-    """One same-shape group through the batched kernel.
+    """One ``(n_tasks, n_procs, entry)`` group through the batched kernel.
 
     Batchable schedulers run once over the whole group
-    (:func:`repro.core.batch.run_batch`); anything else in the set
-    (PETS, reference-only ablations, ...) runs scalar per instance.
+    (:func:`repro.core.batch.run_batch`) when it has at least
+    :func:`~repro.core.batch.min_lanes` lanes for them; anything else in
+    the set (PETS, reference-only ablations, statics in a narrow
+    group, ...) runs scalar per instance.
     Per-instance metric values land in ``results`` at the caller's
     replication positions, bit-identical to the scalar path.
     """
@@ -320,7 +323,7 @@ def _run_batched_group(
         figure=definition.key,
         x=x,
         size=batch.n_lanes,
-        shape=batch.label,
+        key=batch.label,
     ):
         if bus.active:
             bus.emit(
@@ -328,11 +331,11 @@ def _run_batched_group(
                 figure=definition.key,
                 x=x,
                 size=batch.n_lanes,
-                shape=batch.label,
+                key=batch.label,
             )
         makespans: Dict[str, np.ndarray] = {}
         for name in definition.schedulers:
-            if name not in BATCHABLE:
+            if name not in BATCHABLE or batch.n_lanes < min_lanes(name):
                 continue
             batched = run_batch(batch, name)
             makespans[name] = batched.makespans
@@ -366,23 +369,26 @@ def run_replications(
 
     Bit-identical to calling :func:`run_replication` per rep.  When the
     active context allows it (``batch="auto"``, fast engine, compiled
-    layer on, no validation) the instances are grouped by graph shape
-    and same-shape groups run through the batched multi-DAG kernel
-    (:mod:`repro.core.batch`); ragged shapes, singleton groups,
-    non-batchable schedulers and instances outside the kernel's
-    duplication-window gate fall back to the scalar path.
+    layer on, no validation) the instances are grouped by
+    ``(n_tasks, n_procs, entry)`` -- their structures may differ -- and
+    each group runs through the batched multi-DAG kernel
+    (:mod:`repro.core.batch`); groups too narrow to pay for the kernel
+    (:func:`~repro.core.batch.min_lanes`), non-batchable schedulers and
+    instances outside the kernel's duplication-window gate fall back to
+    the scalar path.
     """
     reps = range(rep_lo, rep_hi)
     ctx = current_context()
     batchable = [n for n in definition.schedulers if n in BATCHABLE]
+    fewest = min(map(min_lanes, batchable), default=0)
     if (
         definition.stream is not None
         or ctx.batch != "auto"
         or validate
         or ctx.engine != "fast"
         or not compiled_enabled()
-        or rep_hi - rep_lo < 2
         or not batchable
+        or rep_hi - rep_lo < fewest
     ):
         return [
             run_replication(definition, x, x_index, rep, seed, validate)
@@ -394,30 +400,17 @@ def run_replications(
         _build_instance(definition, x, x_index, rep, seed) for rep in reps
     ]
     compiled = [compile_graph(graph) for graph in built]
-    # group by representative comparison, not by hashing: a chunk's
-    # instances almost always share one shape, so comparing each
-    # candidate against the group representatives (two int compares
-    # plus identity-short-circuited array_equal in same_shape) replaces
-    # serializing every instance's successor-CSR bytes per replication
-    representatives: List[int] = []
-    groups: List[List[int]] = []
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
     for idx, instance in enumerate(compiled):
-        if not instance_batchable(instance, batchable):
-            continue
-        for members, rep_idx in zip(groups, representatives):
-            if same_shape(compiled[rep_idx], instance):
-                members.append(idx)
-                break
-        else:
-            representatives.append(idx)
-            groups.append([idx])
+        if instance_batchable(instance, batchable):
+            groups.setdefault(batch_key(instance), []).append(idx)
     results: List[Optional[Dict[str, float]]] = [None] * len(built)
-    cap = max_lanes(compiled[0].n_tasks, compiled[0].n_procs)
-    for idxs in groups:
-        if len(idxs) < 2:
-            continue  # singleton shape: batching buys nothing
+    for (n_tasks, n_procs, _), idxs in groups.items():
+        cap = max_lanes(n_tasks, n_procs)
         for lo in range(0, len(idxs), cap):
             sub = idxs[lo:lo + cap]
+            if len(sub) < fewest:
+                continue  # too few lanes to pay for the kernel
             batch = CompiledBatch([compiled[i] for i in sub])
             _run_batched_group(
                 definition, x, [(i, built[i]) for i in sub], batch, results

@@ -104,7 +104,9 @@ def _init_worker(
     heartbeat file there after every chunk, and -- when tracing is on --
     streams its ``span.end`` events into ``spans-<pid>.jsonl`` in the
     same directory (flushed per chunk: ``Pool.terminate`` must not cost
-    more than the chunk in flight).
+    more than the chunk in flight).  Trace lanes derive from span pids,
+    so the worker also records one ``worker.start`` span up front: a
+    worker that never wins a chunk still gets its lane.
     """
     adopt(context)
     _WORKER_STATE["definitions"] = {d.key: d for d in definitions}
@@ -122,6 +124,9 @@ def _init_worker(
             )
             obs.get_bus().subscribe(sink, topics=[obs.SPAN_TOPIC])
             _WORKER_STATE["span_sink"] = sink
+            with obs.span("worker.start"):
+                pass
+            sink.flush()
 
 
 def _execute_chunk(definition: SweepDefinition, chunk: Chunk) -> ChunkResult:
@@ -248,6 +253,12 @@ def sweep_pool(
     ) as pool:
         pool._repro_definitions = registry  # type: ignore[attr-defined]
         yield pool
+        # a clean exit lets a worker that is still starting up finish its
+        # initializer (and record its ``worker.start`` span) before the
+        # pool goes away; an error still takes the terminate() of the
+        # with statement
+        pool.close()
+        pool.join()
 
 
 def run_sweep_parallel(

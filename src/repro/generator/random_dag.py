@@ -184,8 +184,7 @@ class RandomDAGGenerator:
         shape and edge wiring -- while ``rng`` keeps feeding the cost
         draws.  Passing a freshly seeded ``structure_rng`` per instance
         therefore fixes the DAG shape across replications while the
-        costs stay independent (what the batched multi-DAG kernel's
-        shape grouping wants).  With the default (``None``) every draw
+        costs stay independent.  With the default (``None``) every draw
         comes from ``rng``, bit-identical to the historical behaviour.
         """
         if rng is None:

@@ -48,12 +48,14 @@ ENGINE_CHOICES = ("fast", "reference")
 #: then spawn, else serial), ``"serial"`` = never create a pool
 START_METHODS = ("fork", "spawn", "forkserver", "serial")
 
-#: batched multi-DAG kernel selection: ``"auto"`` groups same-shape
-#: replications per x point and runs them through the batched kernel
+#: batched multi-DAG kernel selection: ``"auto"`` groups each x point's
+#: replications by ``(n_tasks, n_procs, entry)`` -- structures may
+#: differ -- and runs the groups through the batched kernel
 #: (:mod:`repro.core.batch`); ``"off"`` forces the scalar per-instance
 #: path everywhere.  Auto falls back to scalar bit-identically for
-#: ragged shapes, ``engine="reference"``, validation runs and
-#: non-batchable schedulers.
+#: groups narrower than :func:`repro.core.batch.min_lanes`, multi-entry
+#: instances, ``engine="reference"``, validation runs and non-batchable
+#: schedulers.
 BATCH_CHOICES = ("auto", "off")
 
 

@@ -2,8 +2,9 @@
 
 The full-schedule bit-identity contract lives in
 ``tests/test_batch_differential.py``; this module pins the pieces it
-is built from: shape grouping, eligibility gates, the packed batch's
-rank kernels, and the SoA timeline mirror.
+is built from: the batch key, eligibility gates, the union packing and
+its level batches, the packed batch's rank kernels, and the SoA
+timeline mirror.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
     _BatchTimelines,
+    batch_key,
     batchable_schedulers,
     hdlts_dup_batchable,
     instance_batchable,
     max_lanes,
+    min_lanes,
     run_batch,
-    same_shape,
-    shape_key,
 )
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
@@ -61,29 +62,16 @@ def test_run_batch_rejects_unknown_scheduler():
         run_batch(batch, "PETS")
 
 
-def test_shape_key_groups_cost_draws_not_structures():
-    a = compile_graph(_fixed_random_graph(1))
-    b = compile_graph(_fixed_random_graph(2))
-    c = compile_graph(_fixed_random_graph(1, structure_seed=8))
-    d = compile_graph(_fixed_random_graph(1, v=24))
-    assert shape_key(a) == shape_key(b)  # same structure, new costs
-    assert shape_key(a) != shape_key(c)  # different wiring
-    assert shape_key(a) != shape_key(d)  # different task count
-
-
-def test_same_shape_agrees_with_shape_key():
-    """The harness groups with ``same_shape`` -- it must partition
-    instances exactly like the serializing ``shape_key`` does."""
-    instances = [
-        compile_graph(_fixed_random_graph(1)),
-        compile_graph(_fixed_random_graph(2)),
-        compile_graph(_fixed_random_graph(1, structure_seed=8)),
-        compile_graph(_fixed_random_graph(1, v=24)),
-    ]
-    for a in instances:
-        assert same_shape(a, a)  # identity short-circuit
-        for b in instances:
-            assert same_shape(a, b) == (shape_key(a) == shape_key(b))
+def test_min_lanes_by_kernel_family():
+    # HDLTS amortizes its per-step cost over a few lanes, the static
+    # list schedulers need a wider batch
+    for name in ("HDLTS", "HDLTS-nodup", "HDLTS-rank"):
+        assert min_lanes(name) == 4
+    for name in ("HEFT", "HEFT-noinsertion", "PEFT", "SDBATS"):
+        assert min_lanes(name) == 16
+    assert {min_lanes(name) for name in BATCHABLE} == {4, 16}
+    with pytest.raises(KeyError):
+        min_lanes("PETS")
 
 
 def test_max_lanes_bounds():
@@ -143,6 +131,73 @@ def test_compiled_batch_rejects_bad_inputs():
         CompiledBatch([base, other_shape])
 
 
+def _chain(costs, n_procs=2):
+    """Entry 0 -> 1 -> ... chain with the given per-task CPU costs."""
+    graph = TaskGraph(n_procs)
+    for row in costs:
+        graph.add_task(row)
+    for t in range(len(costs) - 1):
+        graph.add_edge(t, t + 1, 1.0)
+    return compile_graph(graph)
+
+
+def test_compiled_batch_rejects_mixed_batch_keys():
+    """Lanes must agree on (n_tasks, n_procs, entry); structure may differ."""
+    base = compile_graph(_fixed_random_graph(1))
+    rewired = compile_graph(_fixed_random_graph(2, structure_seed=8))
+    assert batch_key(base) == batch_key(rewired)
+    assert CompiledBatch([base, rewired]).n_lanes == 2  # ragged is fine
+    other_n = compile_graph(_fixed_random_graph(1, v=24))
+    other_p = _chain([[1.0, 2.0, 3.0]] * base.n_tasks, n_procs=3)
+    # same size, but the entry is the last task instead of task 0
+    flipped = TaskGraph(2)
+    for _ in range(3):
+        flipped.add_task([1.0, 2.0])
+    flipped.add_edge(2, 0, 1.0)
+    flipped.add_edge(0, 1, 1.0)
+    flipped = compile_graph(flipped)
+    chain = _chain([[1.0, 2.0]] * 3)
+    assert batch_key(flipped)[:2] == batch_key(chain)[:2]
+    for a, b in ((base, other_n), (base, other_p), (chain, flipped)):
+        assert batch_key(a) != batch_key(b)
+        with pytest.raises(ValueError, match="n_tasks, n_procs, entry"):
+            CompiledBatch([a, b])
+
+
+def test_union_level_batches_match_per_lane():
+    """Each lane's slice of the union level batches is its own batches."""
+    compiled = [
+        compile_graph(_fixed_random_graph(seed, structure_seed=seed))
+        for seed in range(5)
+    ]
+    assert len({batch_key(g) for g in compiled}) == 1
+    batch = CompiledBatch(compiled)
+    n = batch.n_tasks
+    union = batch.up_batches()
+    for lane, g in enumerate(compiled):
+        own = g._up_batches()
+        assert len(own) <= len(union)
+        for h, (nodes, flat, offsets, counts) in enumerate(union):
+            mine = nodes // n == lane
+            local = nodes[mine] - lane * n
+            if h >= len(own):
+                assert not local.size, (lane, h)
+                continue
+            want_nodes, want_flat, _, want_counts = own[h]
+            assert np.array_equal(local, want_nodes), (lane, h)
+            assert np.array_equal(counts[mine], want_counts), (lane, h)
+            got_flat = np.split(flat, offsets[1:])
+            got_flat = np.concatenate(
+                [f for f, m in zip(got_flat, mine) if m]
+            )
+            assert np.array_equal(
+                batch.succ_ids[got_flat], g.succ_ids[want_flat]
+            ), (lane, h)
+            assert np.array_equal(
+                batch.succ_costs[got_flat], g.succ_costs[want_flat]
+            ), (lane, h)
+
+
 def test_run_context_batch_validation():
     context = current_context()
     for choice in BATCH_CHOICES:
@@ -155,19 +210,24 @@ def test_run_context_batch_validation():
 # batched rank kernels vs the per-instance compiled kernels
 # ----------------------------------------------------------------------
 def test_batch_rank_kernels_match_per_instance():
-    compiled = [compile_graph(_fixed_random_graph(seed)) for seed in range(4)]
-    batch = CompiledBatch(compiled)
-    for lane, g in enumerate(compiled):
-        assert np.array_equal(batch.mean_costs()[lane], g.mean_costs())
-        assert np.array_equal(batch.std_costs()[lane], g.std_costs())
-        assert np.array_equal(
-            batch.mean_upward_rank()[lane], g.upward_rank(g.mean_costs())
-        )
-        assert np.array_equal(
-            batch.std_upward_rank()[lane], g.upward_rank(g.std_costs())
-        )
-        assert np.array_equal(batch.oct_table()[lane], g.oct_table())
-        assert np.array_equal(batch.oct_rank()[lane], g.oct_rank())
+    """Same-shape and ragged (one structure per lane) batches alike."""
+    for structure_seeds in ([7] * 4, range(4)):
+        compiled = [
+            compile_graph(_fixed_random_graph(seed, structure_seed=s))
+            for seed, s in enumerate(structure_seeds)
+        ]
+        batch = CompiledBatch(compiled)
+        for lane, g in enumerate(compiled):
+            assert np.array_equal(batch.mean_costs()[lane], g.mean_costs())
+            assert np.array_equal(batch.std_costs()[lane], g.std_costs())
+            assert np.array_equal(
+                batch.mean_upward_rank()[lane], g.upward_rank(g.mean_costs())
+            )
+            assert np.array_equal(
+                batch.std_upward_rank()[lane], g.upward_rank(g.std_costs())
+            )
+            assert np.array_equal(batch.oct_table()[lane], g.oct_table())
+            assert np.array_equal(batch.oct_rank()[lane], g.oct_rank())
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +261,9 @@ def test_batch_timelines_match_scalar_timeline():
         # eps-scale durations exercise the per-row scalar fallback
         tiny = np.full((n_lanes, n_procs), 1e-13)
         assert_queries_match(ready, tiny, insertion=True)
+        # zero-cost queries (pseudo tasks) keep the vectorized scan
+        # unless the point lands inside a slot
+        assert_queries_match(ready, np.zeros_like(ready), insertion=True)
         # reserve the answered slot on one rotating (lane, CPU) pair
         b, q = step % n_lanes, (step // n_lanes) % n_procs
         est = batched.earliest_start(ready, durations, True)
@@ -214,3 +277,27 @@ def test_batch_timelines_match_scalar_timeline():
         scalar[b][q].reserve(step, start, duration)
         assert batched.counts[b * n_procs + q] == len(scalar[b][q])
         assert batched.max_end[b, q] == scalar[b][q].avail
+
+
+def test_batch_timelines_zero_cost_point_inside_slot():
+    """A zero-cost candidate inside an eps-overlapping slot is re-answered."""
+    batched = _BatchTimelines(1, 1, capacity=4)
+    scalar = ProcessorTimeline(0)
+    second = 10.0 - 5e-13  # overlaps the first slot by less than eps
+    for task, (start, duration) in enumerate([(0.0, 10.0), (second, 5.0)]):
+        batched.insert(
+            np.array([0]),
+            np.array([0]),
+            np.array([start]),
+            np.array([start + duration]),
+        )
+        scalar.reserve(task, start, duration)
+    assert batched.monotone[0]
+    for ready in (0.0, 10.0, 12.0):
+        want = scalar.earliest_start(ready, 0.0, insertion=True)
+        got = batched.earliest_start(
+            np.array([[ready]]), np.zeros((1, 1)), True
+        )
+        assert got[0, 0] == want, ready
+    # the scan's candidate at ready=10 lies inside the second slot
+    assert scalar.earliest_start(10.0, 0.0, insertion=True) != 10.0

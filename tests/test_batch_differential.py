@@ -1,8 +1,9 @@
 """Differential suite: batched multi-DAG kernel vs the scalar path.
 
 The batch kernel (:mod:`repro.core.batch`) packs a replication batch of
-same-shape compiled instances into ``(batch, n, p)`` struct-of-arrays
-tensors and runs every batchable scheduler as one array program.  Its
+compiled instances sharing ``(n_tasks, n_procs, entry)`` -- as the
+block-diagonal union of their CSR graphs, with ``(batch, n, p)`` cost
+tensors -- and runs every batchable scheduler as one array program.  Its
 contract is *bit*-identity: for every lane, the replayed schedule must
 equal the scalar compiled path's schedule slot for slot -- same CPU,
 same start, same finish, same duplicate flags -- and the makespan must
@@ -11,15 +12,17 @@ be the same float.  This suite checks that contract on:
 * the paper's Fig. 1 worked example (degenerate identical-cost batch,
   including the B=1 edge),
 * workflow families (one topology realized with independent cost
-  draws -- the exact shape-group the harness batches),
+  draws -- a repeated-structure group),
 * Hypothesis-driven random-fixed batches across sizes, CCRs and
   batch widths,
+* Hypothesis-driven ragged batches: one structure seed per lane, mixing
+  repeated and distinct structures, real and pseudo (normalized) entries,
 * every golden corpus entry whose pinned scheduler is batchable,
 
-and, at the top of the stack, that a ragged ``"random"`` sweep (every
-replication a different shape, so ``batch="auto"`` must fall back to
-the scalar path) reports identical stats and observability counters
-under both context settings.
+and, at the top of the stack, that shape-uniform ``"random-fixed"`` and
+ragged ``"random"`` sweeps (every replication a different shape) both
+run through the kernel under ``batch="auto"`` and report identical
+stats and observability counters under both context settings.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from repro.baselines.registry import make_scheduler
 from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
+    batch_key,
     batchable_schedulers,
     instance_batchable,
+    min_lanes,
     run_batch,
 )
 from repro.experiments.graphspec import GraphSpec
@@ -149,6 +154,56 @@ def test_hypothesis_random_fixed_batches(v, ccr, structure_seed, lanes, name):
 
 
 # ----------------------------------------------------------------------
+# Hypothesis: ragged batches (one structure per lane)
+# ----------------------------------------------------------------------
+@settings(max_examples=10, deadline=None)
+@given(
+    v=st.integers(min_value=8, max_value=40),
+    n_procs=st.integers(min_value=2, max_value=6),
+    ccr=st.sampled_from([0.5, 1.0, 5.0]),
+    single_entry=st.booleans(),
+    # lanes draw from a small pool of structure seeds, so a batch
+    # mixes repeated and distinct structures
+    structures=st.lists(
+        st.integers(min_value=0, max_value=5), min_size=2, max_size=6
+    ),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_hypothesis_ragged_batches(
+    v, n_procs, ccr, single_entry, structures, seed
+):
+    config = GeneratorConfig(
+        v=v, ccr=ccr, n_procs=n_procs, single_entry=single_entry
+    )
+    graphs = []
+    for lane, structure in enumerate(structures):
+        graph = generate_random_graph(
+            config,
+            np.random.default_rng([seed, lane]),
+            np.random.default_rng([seed, 1_000 + structure]),
+        )
+        if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
+            graph = graph.normalized()  # the sweep harness's pseudo tasks
+        graphs.append(graph)
+    compiled = [compile_graph(g) for g in graphs]
+    # the lanes the harness would batch with the first one
+    key = batch_key(compiled[0])
+    lanes = [i for i, c in enumerate(compiled) if batch_key(c) == key]
+    batch = CompiledBatch([compiled[i] for i in lanes])
+    for name in ALL_BATCHABLE:
+        if not all(instance_batchable(compiled[i], [name]) for i in lanes):
+            continue  # gated instances take the scalar path by design
+        result = run_batch(batch, name)
+        scheduler = make_scheduler(name)
+        for lane, idx in enumerate(lanes):
+            scalar = scheduler.run(graphs[idx]).schedule
+            assert result.makespans[lane] == scalar.makespan, (name, lane)
+            assert schedule_signature(result.schedule_for(lane)) == (
+                schedule_signature(scalar)
+            ), (name, lane)
+
+
+# ----------------------------------------------------------------------
 # golden corpus: replay the pinned makespans through the batched kernel
 # ----------------------------------------------------------------------
 def test_golden_corpus_through_batched_kernel():
@@ -189,11 +244,19 @@ def _run_arm(definition, reps, batch):
 
 
 def _assert_arms_identical(definition, reps):
+    """Stats and counters agree; returns auto's ``sweep.batch`` events."""
+    batches = []
     with obs.enabled_scope(True):
         with obs.scoped(merge_up=False) as reg_off:
             off = _run_arm(definition, reps, "off")
-        with obs.scoped(merge_up=False) as reg_auto:
-            auto = _run_arm(definition, reps, "auto")
+        unsubscribe = obs.get_bus().subscribe(
+            batches.append, topics=["sweep.batch"]
+        )
+        try:
+            with obs.scoped(merge_up=False) as reg_auto:
+                auto = _run_arm(definition, reps, "auto")
+        finally:
+            unsubscribe()
     for x in definition.x_values:
         for name in definition.schedulers:
             a, b = off.stats[x][name], auto.stats[x][name]
@@ -201,6 +264,11 @@ def _assert_arms_identical(definition, reps):
             assert a.std == b.std, (x, name)
             assert a.n == b.n, (x, name)
     assert reg_off.snapshot()["counters"] == reg_auto.snapshot()["counters"]
+    return batches
+
+
+def _widest(batches):
+    return max((event.payload["size"] for event in batches), default=0)
 
 
 def test_harness_auto_vs_off_shape_uniform():
@@ -217,18 +285,22 @@ def test_harness_auto_vs_off_shape_uniform():
             {"axis": "ccr", "single_entry": True, "structure_seed": 3, "v": 24},
         ),
     )
-    _assert_arms_identical(definition, reps=4)
+    # wide enough that the static schedulers batch too
+    batches = _assert_arms_identical(definition, reps=16)
+    assert _widest(batches) >= min_lanes("HEFT")
 
 
-def test_harness_auto_vs_off_ragged_fallback():
-    """plain random sweep: per-rep shapes differ, auto must fall back."""
+def test_harness_auto_vs_off_ragged():
+    """plain random sweep: per-rep shapes differ and still ride the kernel."""
     definition = SweepDefinition(
         key="batch_diff_ragged",
-        title="batched vs scalar (ragged fallback)",
+        title="batched vs scalar (ragged)",
         x_label="CCR",
         x_values=(1.0,),
         metric="slr",
         schedulers=("HDLTS", "HEFT"),
         graph=GraphSpec("random", {"axis": "ccr", "v": 20}),
     )
-    _assert_arms_identical(definition, reps=4)
+    batches = _assert_arms_identical(definition, reps=16)
+    assert batches, "the auto arm never ran the batched kernel"
+    assert _widest(batches) >= min_lanes("HEFT")
