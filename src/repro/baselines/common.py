@@ -5,12 +5,11 @@ minimizing an EFT-derived objective.  These helpers compute EST/EFT
 against the live schedule (Definitions 5-7) with optional HEFT-style
 insertion, and commit the placement.
 
-When an :class:`~repro.core.engine.EFTEngine` is passed, the ready-time
-computation runs vectorized from the engine's incremental per-task
-arrival arrays instead of the per-CPU Python loops -- bit-identical
-results (the engine maintains exactly the quantities the loops
-recompute), one vectorized pass per task instead of one parent x copy
-scan per CPU.
+When an engine is passed, the ready-time computation runs from the
+engine's incremental per-task arrival state instead of the per-CPU
+Python loops -- bit-identical results (the engine maintains exactly the
+quantities the loops recompute), one pass per task instead of one
+parent x copy scan per CPU.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.runtime.context import ENGINE_CHOICES, resolve_engine
 from repro.schedule.schedule import Assignment, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.engine import EFTEngine
+    from repro.core.engine import StaticEFTEngine
 
 __all__ = [
     "ENGINE_CHOICES",
@@ -40,23 +39,16 @@ __all__ = [
 def make_engine(schedule: Schedule, engine: Optional[str] = None):
     """Resolve a baseline's ``engine=`` parameter to an engine (or None).
 
-    ``None`` defers to the active run context.  ``"fast"`` builds an
-    EFT engine over the (possibly pre-populated) schedule -- the scalar
-    :class:`~repro.core.engine.StaticEFTEngine` over the compiled graph
-    when the compiled layer is enabled, the vectorized
-    :class:`~repro.core.engine.EFTEngine` otherwise (both are
-    bit-identical); ``"reference"`` selects the original scalar code
-    path.
+    ``None`` defers to the active run context.  ``"fast"`` builds the
+    scalar :class:`~repro.core.engine.StaticEFTEngine` over the compiled
+    graph of the (possibly pre-populated) schedule; ``"reference"``
+    selects the original scalar code path (the bit-identity oracle).
     """
-    engine = resolve_engine(engine)
-    if engine == "reference":
+    if resolve_engine(engine) == "reference":
         return None
-    from repro.core.engine import EFTEngine, StaticEFTEngine
-    from repro.model.compiled import compiled_enabled
+    from repro.core.engine import StaticEFTEngine
 
-    if compiled_enabled():
-        return StaticEFTEngine(schedule)
-    return EFTEngine(schedule)
+    return StaticEFTEngine(schedule)
 
 
 def est_eft(
@@ -88,7 +80,7 @@ def place_min_eft(
     insertion: bool = True,
     procs: Optional[Iterable[int]] = None,
     objective: Optional[Callable[[int, float], float]] = None,
-    engine: Optional["EFTEngine"] = None,
+    engine: Optional["StaticEFTEngine"] = None,
 ) -> Assignment:
     """Commit ``task`` to the CPU minimizing EFT (or a custom objective).
 
@@ -140,22 +132,13 @@ def precedence_safe_order(
     For well-formed rank functions priority alone guarantees that, but
     zero-cost pseudo tasks can produce exact ties; breaking ties by
     topological position makes the order always precedence-safe without
-    altering genuinely ranked decisions.
+    altering genuinely ranked decisions.  Topological position is a
+    unique secondary key, so the (priority, position) order is total.
     """
-    from repro.model.compiled import compile_graph, compiled_enabled
+    from repro.model.compiled import compile_graph
 
-    if compiled_enabled():
-        # identical to the sorted() below: topological position is a
-        # unique secondary key, so the (priority, position) order is
-        # total and lexsort reproduces it exactly
-        compiled = compile_graph(graph)
-        keys = np.asarray(priority, dtype=float)
-        if descending:
-            keys = -keys
-        order = np.lexsort((compiled.topo_position, keys))
-        return order.tolist()
-    position = {task: i for i, task in enumerate(graph.topological_order())}
-    sign = -1.0 if descending else 1.0
-    return sorted(
-        graph.tasks(), key=lambda t: (sign * priority[t], position[t])
-    )
+    keys = np.asarray(priority, dtype=float)
+    if descending:
+        keys = -keys
+    order = np.lexsort((compile_graph(graph).topo_position, keys))
+    return order.tolist()

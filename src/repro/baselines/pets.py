@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines.common import make_engine, place_min_eft
 from repro.core.base import Scheduler
 from repro.model.attributes import mean_execution_times
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.model.levels import level_decomposition
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import resolve_engine
@@ -51,56 +51,39 @@ class PETS(Scheduler):
 
     # ------------------------------------------------------------------
     def ranks(self, graph: TaskGraph) -> np.ndarray:
-        """Compute the PETS rank of every task (level by level)."""
-        if compiled_enabled() and self.variant == "drc":
-            return self._ranks_compiled(graph)
-        acc = mean_execution_times(graph)
-        dtc = np.zeros(graph.n_tasks)
-        for edge in graph.edges():
-            dtc[edge.src] += edge.cost
-        rank = np.zeros(graph.n_tasks)
-        for level in level_decomposition(graph):
-            for task in level:
-                if self.variant == "drc":
-                    extra = max(
-                        (
-                            graph.comm_cost(parent, task)
-                            for parent in graph.predecessors(task)
-                        ),
-                        default=0.0,
-                    )
-                else:  # rpt: predecessors live in earlier levels, already ranked
-                    extra = max(
-                        (rank[parent] for parent in graph.predecessors(task)),
-                        default=0.0,
-                    )
-                rank[task] = round(acc[task] + dtc[task] + extra)
-        return rank
+        """Compute the PETS rank of every task (level by level).
 
-    @staticmethod
-    def _ranks_compiled(graph: TaskGraph) -> np.ndarray:
-        """CSR form of the drc rank: one reduceat per attribute.
-
-        Bit-identical to the scalar loops: ``np.add.at`` accumulates
-        unbuffered in flat CSR order -- the per-source edge insertion
-        order ``graph.edges()`` iterates -- and the drc max is an
-        order-free reduction.
+        ACC and DTC come from the compiled CSR arrays: ``np.add.at``
+        accumulates unbuffered in flat CSR order -- each source's edge
+        insertion order -- so every DTC sum adds its terms in the
+        sequential order, and the drc max is an order-free reduction.
         """
         compiled = compile_graph(graph)
+        n = graph.n_tasks
         acc = compiled.mean_costs()
-        dtc = np.zeros(graph.n_tasks)
+        dtc = np.zeros(n)
         counts = np.diff(compiled.succ_indptr)
-        src_ids = np.repeat(np.arange(graph.n_tasks), counts)
-        np.add.at(dtc, src_ids, compiled.succ_costs)
-        drc = np.zeros(graph.n_tasks)
-        pred_indptr = compiled.pred_indptr
-        has_pred = np.diff(pred_indptr) > 0
-        if has_pred.any():
-            drc[has_pred] = np.maximum.reduceat(
-                compiled.pred_costs, pred_indptr[:-1][has_pred]
-            )
-        total = acc + dtc + drc
-        return np.array([float(round(value)) for value in total])
+        np.add.at(dtc, np.repeat(np.arange(n), counts), compiled.succ_costs)
+        if self.variant == "drc":
+            drc = np.zeros(n)
+            pred_indptr = compiled.pred_indptr
+            has_pred = np.diff(pred_indptr) > 0
+            if has_pred.any():
+                drc[has_pred] = np.maximum.reduceat(
+                    compiled.pred_costs, pred_indptr[:-1][has_pred]
+                )
+            total = acc + dtc + drc
+            return np.array([float(round(value)) for value in total])
+        rank = np.zeros(n)
+        for level in level_decomposition(graph):
+            for task in level:
+                # rpt: predecessors live in earlier levels, already ranked
+                extra = max(
+                    (rank[parent] for parent in graph.predecessors(task)),
+                    default=0.0,
+                )
+                rank[task] = round(acc[task] + dtc[task] + extra)
+        return rank
 
     def build_schedule(self, graph: TaskGraph) -> Schedule:
         """Schedule ``graph`` level by level in PETS rank order."""

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.schedule.schedule import Assignment, Schedule
 from repro.schedule.timeline import _EPS, Slot
 
@@ -74,11 +74,11 @@ class EFTEngine:
         graph = schedule.graph
         self.graph = graph
         n, p = graph.n_tasks, graph.n_procs
-        # compiled layer: share the instance's read-only cost matrix and
-        # CSR parent arrays instead of rebuilding them per engine
-        compiled = compile_graph(graph) if compiled_enabled() else None
+        # share the compiled instance's read-only cost matrix and CSR
+        # parent arrays instead of rebuilding them per engine
+        compiled = compile_graph(graph)
         self._compiled = compiled
-        self.w = compiled.w if compiled is not None else graph.cost_matrix()
+        self.w = compiled.w
         self.local_finish = np.full((n, p), np.inf)
         self.best_finish = np.full(n, np.inf)
         self.avail = np.zeros(p)
@@ -95,13 +95,11 @@ class EFTEngine:
         ] = [None] * n
         # entry -> child communication costs, pre-resolved for the
         # per-step dirty-column refresh
-        if entry is not None and compiled is not None:
-            self._entry_comm = compiled.entry_comm_vector(entry)
-        else:
-            self._entry_comm = np.zeros(n)
-            if entry is not None:
-                for child in graph.successors(entry):
-                    self._entry_comm[child] = graph.comm_cost(entry, child)
+        self._entry_comm = (
+            compiled.entry_comm_vector(entry)
+            if entry is not None
+            else np.zeros(n)
+        )
         # ingest whatever is already committed (order-free: notify is
         # all min/max updates), without scanning the full task set
         for assignment in schedule.assignments():
@@ -127,21 +125,7 @@ class EFTEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         cached = self._parents[task]
         if cached is None:
-            if self._compiled is not None:
-                cached = self._compiled.parent_arrays(task, self.entry)
-                self._parents[task] = cached
-                return cached
-            parents = self.graph.predecessors(task)
-            ids = np.array(parents, dtype=np.intp)
-            comms = np.array(
-                [self.graph.comm_cost(q, task) for q in parents]
-            )
-            if self.entry is not None and self.entry in parents:
-                keep = ids != self.entry
-                ids_ne, comms_ne = ids[keep], comms[keep]
-            else:
-                ids_ne, comms_ne = ids, comms
-            cached = (ids, comms, ids_ne, comms_ne)
+            cached = self._compiled.parent_arrays(task, self.entry)
             self._parents[task] = cached
         return cached
 

@@ -263,8 +263,8 @@ def run_shard(
     left by a crash is truncated before appending, so the finished
     store is byte-identical however many times the shard was killed.
     ``max_tasks`` bounds how many *new* tasks run (testing / draining).
-    The campaign's context governs execution -- seed, engine, compiled
-    layer, batched kernel -- exactly as a serial run would.
+    The campaign's context governs execution -- seed, engine, batched
+    kernel -- exactly as a serial run would.
     """
     tasks = campaign.shard_tasks(shard)
     definitions = {d.key: d for d in campaign.definitions}

@@ -29,7 +29,7 @@ from repro.core.batch import (
 from repro.experiments.graphspec import GraphSpec
 from repro.metrics.metrics import efficiency, slr
 from repro.metrics.stats import RunningStats
-from repro.model.compiled import compile_graph, compiled_enabled
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import current_context
 from repro.schedule.validation import validate_schedule
@@ -222,16 +222,15 @@ class SweepResult:
 def _build_instance(
     definition: SweepDefinition, x, x_index: int, rep: int, seed: int
 ) -> TaskGraph:
-    """Draw, normalize and (when enabled) compile one instance."""
+    """Draw, normalize and compile one instance."""
     rng = np.random.default_rng([seed, x_index, rep])
     graph = definition.build_graph(x, rng)
     if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
         graph = graph.normalized()
-    if compiled_enabled():
-        # compile the instance once: the CSR arrays and the artifact
-        # cache (ranks, OCT, CP bound, ...) are shared by every
-        # scheduler in the set and by the metric functions
-        compile_graph(graph)
+    # compile the instance once: the CSR arrays and the artifact cache
+    # (ranks, OCT, CP bound, ...) are shared by every scheduler in the
+    # set and by the metric functions
+    compile_graph(graph)
     return graph
 
 
@@ -368,8 +367,8 @@ def run_replications(
     """Replications ``[rep_lo, rep_hi)`` of one x point, in rep order.
 
     Bit-identical to calling :func:`run_replication` per rep.  When the
-    active context allows it (``batch="auto"``, fast engine, compiled
-    layer on, no validation) the instances are grouped by
+    active context allows it (``batch="auto"``, fast engine, no
+    validation) the instances are grouped by
     ``(n_tasks, n_procs, entry)`` -- their structures may differ -- and
     each group runs through the batched multi-DAG kernel
     (:mod:`repro.core.batch`); groups too narrow to pay for the kernel
@@ -386,7 +385,6 @@ def run_replications(
         or ctx.batch != "auto"
         or validate
         or ctx.engine != "fast"
-        or not compiled_enabled()
         or not batchable
         or rep_hi - rep_lo < fewest
     ):

@@ -217,9 +217,9 @@ def sweep_pool(
     after the pool exists are invisible to it.  ``start_method`` (or
     ``context.start_method``) picks how workers start; under anything
     but ``fork`` every definition must be portable (declarative
-    ``graph`` spec, not a closure).  The shipped context is the active
-    one with the parent's *effective* observability state folded in, so
-    ``obs.enable()`` in the parent still reaches spawn-started workers.
+    ``graph`` spec, not a closure).  Workers adopt the active context
+    (observability flags included) with the pool's worker count and
+    start method filled in.
     """
     definitions = list(definitions)
     registry: Dict[str, SweepDefinition] = {
@@ -241,10 +241,7 @@ def sweep_pool(
                 "GraphSpec or use start_method='fork'"
             )
     n_workers = _default_workers(workers, ctx)
-    effective = ctx.with_(
-        metrics=obs.enabled(), workers=n_workers, start_method=method,
-        trace=obs.tracing(),
-    )
+    effective = ctx.with_(workers=n_workers, start_method=method)
     mp_context = multiprocessing.get_context(method)
     with mp_context.Pool(
         processes=n_workers,

@@ -61,15 +61,14 @@ def critical_path_min(graph: TaskGraph) -> Tuple[float, List[int]]:
 def cp_min_lower_bound(graph: TaskGraph) -> float:
     """Just the Eq. 10 denominator value.
 
-    Compiled layer enabled: computed once per graph instance (every
-    scheduler of a paired replication divides by the same bound, so the
-    longest-path pass runs once instead of once per scheduler).
+    Computed once per graph instance (every scheduler of a paired
+    replication divides by the same bound, so the longest-path pass runs
+    once instead of once per scheduler).  :func:`critical_path_min` is
+    the object-graph oracle for this kernel.
     """
-    from repro.model.compiled import compile_graph, compiled_enabled
+    from repro.model.compiled import compile_graph
 
-    if compiled_enabled():
-        return compile_graph(graph).cp_min_bound()
-    return critical_path_min(graph)[0]
+    return compile_graph(graph).cp_min_bound()
 
 
 def critical_path_mean(graph: TaskGraph) -> Tuple[float, List[int]]:

@@ -9,12 +9,7 @@ model every scheduler consumes.
 """
 
 from repro.model.task_graph import TaskGraph, Edge
-from repro.model.compiled import (
-    CompiledGraph,
-    compile_graph,
-    compiled_enabled,
-    use_compiled,
-)
+from repro.model.compiled import CompiledGraph, compile_graph
 from repro.model.platform import Platform, Workflow, compile_workflow
 from repro.model.attributes import (
     mean_execution_time,
@@ -37,8 +32,6 @@ __all__ = [
     "Edge",
     "CompiledGraph",
     "compile_graph",
-    "compiled_enabled",
-    "use_compiled",
     "Platform",
     "Workflow",
     "compile_workflow",

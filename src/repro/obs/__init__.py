@@ -11,8 +11,9 @@ A dependency-free measurement layer for the whole toolkit:
   streaming histograms in a named registry, snapshot-able to plain
   dicts and exactly mergeable across worker processes.
 * :mod:`repro.obs.profile` -- nested ``with phase("..."):`` timers and
-  an ``@instrumented`` decorator behind a global switch; disabled (the
-  default) they reduce to one bool test and a shared no-op context.
+  an ``@instrumented`` decorator behind the run context's ``metrics``
+  flag; disabled (the default) they reduce to one bool test and a
+  shared no-op context.
 
 Typical session (what ``repro profile`` does)::
 
@@ -42,8 +43,6 @@ from repro.obs.metrics import (
 from repro.obs.profile import (
     count,
     current_scope,
-    disable,
-    enable,
     enabled,
     enabled_scope,
     instrumented,
@@ -75,8 +74,6 @@ __all__ = [
     "scoped",
     "merge_snapshots",
     "format_metrics",
-    "enable",
-    "disable",
     "enabled",
     "enabled_scope",
     "phase",
@@ -130,9 +127,8 @@ class ObsSession:
             self._sink = JsonlSink(self._events_path)
             self._unsubscribe = get_bus().subscribe(self._sink)
         if self._metrics:
-            # force recording on for the block, restoring the previous
-            # override on exit (symmetric even when the active RunContext
-            # already has metrics=True)
+            # record for the block through a derived context, restoring
+            # the previous one on exit
             self._enabled_scope = enabled_scope(True)
             self._enabled_scope.__enter__()
             self._scope = scoped(merge_up=False)

@@ -1,4 +1,4 @@
-"""Profiling contexts: nested phase timers with a global on/off switch.
+"""Profiling contexts: nested phase timers with an on/off switch.
 
 ``with phase("eft_vector"):`` times a block into the current
 :class:`~repro.obs.metrics.MetricsRegistry` under the joined phase
@@ -11,13 +11,12 @@ allocation, no clock read, one cheap enabled test -- so the
 instrumented hot paths of the schedulers cost nothing in production
 runs.
 
-Whether recording is on resolves in two steps: an explicit module
-override (:func:`enable` / :func:`disable` -- the legacy process-global
-toggles, now deprecated shims) wins when set; otherwise the ``metrics``
-field of the active :class:`~repro.runtime.context.RunContext` decides.
-A CLI run therefore turns measurement on by *activating a context*, and
-the parallel sweep runner ships that context to worker processes --
-under any pool start method, not just ``fork``.
+Whether recording is on is the ``metrics`` field of the active
+:class:`~repro.runtime.context.RunContext` -- there is no other switch.
+A CLI run therefore turns measurement on by *activating a context*
+(:func:`enabled_scope` is shorthand for that), and the parallel sweep
+runner ships that context to worker processes -- under any pool start
+method, not just ``fork``.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from typing import Callable, Iterator, List, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
+from repro.runtime.context import activate as _activate
 from repro.runtime.context import current_context as _current_context
 
 __all__ = [
-    "enable",
-    "disable",
     "enabled",
     "enabled_scope",
     "phase",
@@ -43,59 +41,21 @@ __all__ = [
     "current_scope",
 ]
 
-#: explicit legacy override: None defers to the active RunContext
-_override: Optional[bool] = None
 _stack: List[str] = []
-
-
-def enable() -> None:
-    """Force phase timing and counter recording on (process-wide).
-
-    .. deprecated::
-        Prefer activating a :class:`~repro.runtime.context.RunContext`
-        with ``metrics=True``; this shim sets a process-global override
-        that wins over any context.
-    """
-    from repro.runtime.deprecation import warn_once
-
-    warn_once(
-        "obs.profile.enable",
-        "obs.enable() is deprecated; activate a RunContext with "
-        "metrics=True (or use obs.enabled_scope()) instead",
-    )
-    global _override
-    _override = True
-
-
-def disable() -> None:
-    """Clear the override set by :func:`enable`.
-
-    Recording then falls back to the active run context (off under the
-    default context) -- matching the legacy off-after-disable behavior
-    while staying composable with context activation.
-    """
-    global _override
-    _override = None
-    _stack.clear()
 
 
 def enabled() -> bool:
     """Whether the profiling layer is currently recording."""
-    if _override is not None:
-        return _override
     return _current_context().metrics
 
 
 @contextmanager
 def enabled_scope(flag: bool = True) -> Iterator[None]:
-    """Temporarily force the enabled state (restores the previous one)."""
-    global _override
-    previous = _override
-    _override = flag
+    """Scope a derived context with ``metrics=flag`` (restored on exit)."""
     try:
-        yield
+        with _activate(_current_context().with_(metrics=bool(flag))):
+            yield
     finally:
-        _override = previous
         if not enabled():
             _stack.clear()
 

@@ -11,7 +11,7 @@ unchanged, and the Chrome-trace exporter (:mod:`repro.obs.export`) is
 just another subscriber reading those records back.
 
 The quiet path follows the bus discipline: :func:`span` checks one
-flag (an explicit override, else the ``trace`` field of the active
+flag (the ``trace`` field of the active
 :class:`~repro.runtime.context.RunContext`) and returns a shared no-op
 handle when tracing is off -- no id allocation, no clock read.  Worker
 processes therefore start tracing simply by adopting a context with
@@ -40,10 +40,10 @@ import itertools
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.obs.events import Event, get_bus
-from repro.runtime.context import current_context
+from repro.runtime.context import activate, current_context
 
 __all__ = [
     "SPAN_TOPIC",
@@ -58,9 +58,6 @@ __all__ = [
 #: the event name span records are published under
 SPAN_TOPIC = "span.end"
 
-#: explicit override: None defers to the active RunContext's ``trace``
-_override: Optional[bool] = None
-
 #: per-decision-step phase spans (off unless explicitly scoped on)
 _phase_spans: bool = False
 
@@ -74,25 +71,17 @@ _ids = itertools.count(1)
 def tracing() -> bool:
     """Whether span tracing is currently on.
 
-    An explicit override (:func:`tracing_scope`) wins; otherwise the
-    ``trace`` field of the active run context decides -- which is how
-    pool workers inherit tracing under any start method.
+    The ``trace`` field of the active run context decides -- which is
+    how pool workers inherit tracing under any start method.
     """
-    if _override is not None:
-        return _override
     return current_context().trace
 
 
 @contextmanager
 def tracing_scope(flag: bool = True) -> Iterator[None]:
-    """Temporarily force tracing on/off (restores the previous state)."""
-    global _override
-    previous = _override
-    _override = flag
-    try:
+    """Scope a derived context with ``trace=flag`` (restored on exit)."""
+    with activate(current_context().with_(trace=bool(flag))):
         yield
-    finally:
-        _override = previous
 
 
 def phase_spans_enabled() -> bool:

@@ -17,7 +17,7 @@ reimplementing a scheduler:
   schedules;
 * :mod:`repro.qa.fuzz` -- the seeded campaign driver behind
   ``repro fuzz``: random DAGs x every registry scheduler x
-  {compiled, object-graph} x {fast, reference engine}, all invariants,
+  {fast, reference engine}, all invariants,
   exact branch-and-bound oracles on tiny instances, metamorphic
   relations, and shrinking of any failure to a minimal reproducer;
 * :mod:`repro.qa.shrink` -- greedy delta-debugging of a failing graph;

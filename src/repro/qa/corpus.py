@@ -8,7 +8,7 @@ caught bug into a permanent regression test.
 
 Three entry kinds:
 
-* ``violation`` -- a (graph, scheduler, combo) that once violated an
+* ``violation`` -- a (graph, scheduler, engine) that once violated an
   invariant; replay re-runs the full invariant registry and must come
   back clean;
 * ``golden`` -- a graph with pinned expected makespans per scheduler;
@@ -53,7 +53,6 @@ class CorpusEntry:
     id: str
     graph: Dict
     scheduler: Optional[str] = None
-    compiled: Optional[bool] = None
     engine: Optional[str] = None
     source: str = ""
     #: the problems observed when the entry was captured (context only;
@@ -70,7 +69,7 @@ class CorpusEntry:
     def to_dict(self) -> Dict:
         """JSON-ready form; unset optional fields are omitted."""
         data = {"kind": self.kind, "id": self.id, "graph": self.graph}
-        for key in ("scheduler", "compiled", "engine"):
+        for key in ("scheduler", "engine"):
             value = getattr(self, key)
             if value is not None:
                 data[key] = value
@@ -91,7 +90,6 @@ class CorpusEntry:
             id=data["id"],
             graph=data["graph"],
             scheduler=data.get("scheduler"),
-            compiled=data.get("compiled"),
             engine=data.get("engine"),
             source=data.get("source", ""),
             problems=list(data.get("problems", [])),
@@ -133,19 +131,14 @@ def read_corpus(path: Union[str, Path]) -> List[CorpusEntry]:
 
 
 def _build(entry: CorpusEntry, graph: TaskGraph, scheduler_name: str):
-    """(prepared graph, schedule) under the entry's recorded combo."""
+    """(prepared graph, schedule) under the entry's recorded engine."""
     from repro.baselines.registry import make_scheduler
-    from repro.model.compiled import compiled_enabled
-    from repro.runtime.context import activate, current_context
 
     scheduler = make_scheduler(scheduler_name)
     if entry.engine is not None and hasattr(scheduler, "engine"):
         scheduler.engine = entry.engine
-    compiled = entry.compiled if entry.compiled is not None else compiled_enabled()
-    with activate(current_context().with_(compiled=compiled)):
-        prepared = scheduler.prepare(graph)
-        schedule = scheduler.build_schedule(prepared)
-    return prepared, schedule
+    prepared = scheduler.prepare(graph)
+    return prepared, scheduler.build_schedule(prepared)
 
 
 def replay_entry(entry: CorpusEntry) -> List[str]:

@@ -2,12 +2,11 @@
 
 Each instance draws one random layered DAG (concrete per-instance seed
 ``[campaign_seed, instance]``, so any instance replays alone) and runs
-every configured scheduler through every engine/graph-representation
-combination it supports:
+every configured scheduler through every engine it supports:
 
 * the full invariant registry on every build;
-* bit-identity of the schedule across {compiled, object-graph} x
-  {fast, reference engine} -- the PR 2/PR 3 differential contract;
+* bit-identity of the schedule between the fast (production) and
+  reference (oracle) engines;
 * on tiny instances (<= ``exact_max_tasks`` tasks), no-duplication
   schedules are compared against the branch-and-bound optimum: a
   heuristic "beating" the optimum means somebody's makespan is a lie;
@@ -44,7 +43,6 @@ from repro.qa.corpus import CorpusEntry, append_entries
 from repro.qa.invariants import invariants_for, run_invariants
 from repro.qa.metamorphic import run_metamorphic, schedule_signature
 from repro.qa.shrink import shrink_graph
-from repro.runtime.context import activate, current_context
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import FEASIBILITY_EPS
 
@@ -79,7 +77,7 @@ class FuzzConfig:
     ga_max_tasks: int = 12
     #: where shrunk reproducers are appended (``None`` = don't write)
     corpus_path: Optional[str] = None
-    #: also pin every instance's default-combo makespans here
+    #: also pin every instance's fast-engine makespans here
     golden_path: Optional[str] = None
     #: corrupt every schedule post-build ("wrong-duration"/"early-start")
     #: to prove the oracles catch it
@@ -107,7 +105,6 @@ class FuzzViolation:
     instance: int
     scheduler: str
     stage: str  # "build" | "invariant" | "differential" | "exact" | "metamorphic"
-    compiled: Optional[bool]
     engine: Optional[str]
     problems: List[str]
     graph_tasks: int
@@ -116,12 +113,7 @@ class FuzzViolation:
 
     def format(self) -> str:
         """One human-readable block: header plus the first problems."""
-        combo = []
-        if self.compiled is not None:
-            combo.append("compiled" if self.compiled else "object-graph")
-        if self.engine is not None:
-            combo.append(f"engine={self.engine}")
-        where = f" [{', '.join(combo)}]" if combo else ""
+        where = f" [engine={self.engine}]" if self.engine is not None else ""
         shrunk = (
             f" (shrunk {self.graph_tasks}->{self.shrunk_tasks} tasks)"
             if self.shrunk_tasks is not None
@@ -193,28 +185,21 @@ def _draw_graph(
     return generate_random_graph(cfg, rng)
 
 
-def _combos(name: str) -> List[Tuple[bool, Optional[str]]]:
-    """(compiled, engine) grid a scheduler supports."""
-    probe = make_scheduler(name)
-    engines: Tuple[Optional[str], ...] = (
-        ("fast", "reference") if hasattr(probe, "engine") else (None,)
-    )
-    return [(compiled, engine) for compiled in (True, False) for engine in engines]
+def _engines(name: str) -> Tuple[Optional[str], ...]:
+    """The engines a scheduler supports (``None``: it has no engine)."""
+    if hasattr(make_scheduler(name), "engine"):
+        return ("fast", "reference")
+    return (None,)
 
 
 def _build(
-    name: str,
-    graph: TaskGraph,
-    compiled: bool,
-    engine: Optional[str],
+    name: str, graph: TaskGraph, engine: Optional[str]
 ) -> Tuple[TaskGraph, Schedule]:
     scheduler = make_scheduler(name)
     if engine is not None:
         scheduler.engine = engine
-    with activate(current_context().with_(compiled=compiled)):
-        prepared = scheduler.prepare(graph)
-        schedule = scheduler.build_schedule(prepared)
-    return prepared, schedule
+    prepared = scheduler.prepare(graph)
+    return prepared, scheduler.build_schedule(prepared)
 
 
 # ----------------------------------------------------------------------
@@ -278,24 +263,20 @@ def _inject(mode: str, graph: TaskGraph, schedule: Schedule) -> bool:
 # ----------------------------------------------------------------------
 def _still_violates(
     name: str,
-    compiled: bool,
     engine: Optional[str],
     invariant_names: Optional[Sequence[str]],
 ) -> Callable[[TaskGraph], bool]:
     """Predicate: does the scheduler still violate these invariants?"""
 
     def predicate(candidate: TaskGraph) -> bool:
-        prepared, schedule = _build(name, candidate, compiled, engine)
-        with activate(current_context().with_(compiled=compiled)):
-            report = run_invariants(prepared, schedule, invariant_names)
-        return not report.ok
+        prepared, schedule = _build(name, candidate, engine)
+        return not run_invariants(prepared, schedule, invariant_names).ok
 
     return predicate
 
 
 def _still_caught_injected(
     name: str,
-    compiled: bool,
     engine: Optional[str],
     mode: str,
     invariant_names: Sequence[str],
@@ -303,22 +284,20 @@ def _still_caught_injected(
     """Predicate: can we still corrupt a schedule AND catch it here?"""
 
     def predicate(candidate: TaskGraph) -> bool:
-        prepared, schedule = _build(name, candidate, compiled, engine)
+        prepared, schedule = _build(name, candidate, engine)
         if not _inject(mode, prepared, schedule):
             return False
-        with activate(current_context().with_(compiled=compiled)):
-            report = run_invariants(prepared, schedule, invariant_names)
-        return not report.ok
+        return not run_invariants(prepared, schedule, invariant_names).ok
 
     return predicate
 
 
 def _still_crashes(
-    name: str, compiled: bool, engine: Optional[str]
+    name: str, engine: Optional[str]
 ) -> Callable[[TaskGraph], bool]:
     def predicate(candidate: TaskGraph) -> bool:
         try:
-            _build(name, candidate, compiled, engine)
+            _build(name, candidate, engine)
         except Exception:
             return True
         return False
@@ -463,7 +442,6 @@ def _run_stream_campaign(
                         instance=instance,
                         scheduler=policy,
                         stage="build",
-                        compiled=None,
                         engine=None,
                         problems=[f"stream run crashed: {err!r}"],
                         graph_tasks=n_tasks,
@@ -480,7 +458,6 @@ def _run_stream_campaign(
                         instance=instance,
                         scheduler=policy,
                         stage="invariant",
-                        compiled=None,
                         engine=None,
                         problems=inv.all_problems(),
                         graph_tasks=n_tasks,
@@ -503,7 +480,6 @@ def _run_stream_campaign(
                         instance=instance,
                         scheduler=policy,
                         stage="differential",
-                        compiled=None,
                         engine=None,
                         problems=problems,
                         graph_tasks=lone.jobs[0].graph.n_tasks,
@@ -545,7 +521,7 @@ def run_campaign(
             f"unknown inject mode {config.inject!r}; known: {INJECT_MODES}"
         )
     names = config.scheduler_names()
-    combos = {name: _combos(name) for name in names}
+    engines = {name: _engines(name) for name in names}
     report = FuzzReport(config=config)
     bus = obs.get_bus()
     ga_skips = 0
@@ -564,29 +540,25 @@ def run_campaign(
             )
         shrunk = graph
         if config.shrink and violation.stage in ("build", "invariant"):
-            compiled = bool(violation.compiled)
             inv_names = (
                 config.invariants
                 if config.invariants is not None
                 else invariants_for(violation.scheduler)
             )
             if violation.stage == "build":
-                predicate = _still_crashes(
-                    violation.scheduler, compiled, violation.engine
-                )
+                predicate = _still_crashes(violation.scheduler, violation.engine)
             elif config.inject is not None:
                 # an injected failure shrinks toward the smallest graph
                 # on which the corruption still exists AND is still seen
                 predicate = _still_caught_injected(
                     violation.scheduler,
-                    compiled,
                     violation.engine,
                     config.inject,
                     inv_names,
                 )
             else:
                 predicate = _still_violates(
-                    violation.scheduler, compiled, violation.engine, inv_names
+                    violation.scheduler, violation.engine, inv_names
                 )
             shrunk = shrink_graph(
                 graph, predicate, max_attempts=config.max_shrink_attempts
@@ -602,7 +574,6 @@ def run_campaign(
                 id=entry_id,
                 graph=graph_to_dict(shrunk),
                 scheduler=violation.scheduler,
-                compiled=violation.compiled,
                 engine=violation.engine,
                 source=(
                     f"repro fuzz --seed {config.seed} "
@@ -633,16 +604,15 @@ def run_campaign(
                 else invariants_for(name)
             )
             signatures = []
-            for compiled, engine in combos[name]:
+            for engine in engines[name]:
                 try:
-                    prepared, schedule = _build(name, graph, compiled, engine)
+                    prepared, schedule = _build(name, graph, engine)
                 except Exception as err:
                     caught(
                         FuzzViolation(
                             instance=instance,
                             scheduler=name,
                             stage="build",
-                            compiled=compiled,
                             engine=engine,
                             problems=[f"build crashed: {err!r}"],
                             graph_tasks=graph.n_tasks,
@@ -659,15 +629,13 @@ def run_campaign(
                             "task (degenerate schedule)"
                         )
                         continue
-                with activate(current_context().with_(compiled=compiled)):
-                    inv = run_invariants(prepared, schedule, inv_names)
+                inv = run_invariants(prepared, schedule, inv_names)
                 if not inv.ok:
                     caught(
                         FuzzViolation(
                             instance=instance,
                             scheduler=name,
                             stage="invariant",
-                            compiled=compiled,
                             engine=engine,
                             problems=inv.all_problems(),
                             graph_tasks=graph.n_tasks,
@@ -677,7 +645,7 @@ def run_campaign(
                     continue
                 if config.inject is not None:
                     continue  # corrupted schedules prove nothing below
-                signatures.append((compiled, engine, schedule_signature(schedule)))
+                signatures.append((engine, schedule_signature(schedule)))
 
                 # exact oracle: no-duplication schedules cannot beat the
                 # no-duplication optimum
@@ -707,7 +675,6 @@ def run_campaign(
                                     instance=instance,
                                     scheduler=name,
                                     stage="exact",
-                                    compiled=compiled,
                                     engine=engine,
                                     problems=[
                                         f"makespan {schedule.makespan!r} beats "
@@ -718,17 +685,13 @@ def run_campaign(
                                 graph,
                             )
 
-                if (
-                    config.golden_path is not None
-                    and compiled
-                    and engine in (None, "fast")
-                ):
+                if config.golden_path is not None and engine in (None, "fast"):
                     golden_makespans[name] = schedule.makespan
 
-            # all supported combos must agree bit for bit
+            # all supported engines must agree bit for bit
             if len(signatures) > 1:
-                base_compiled, base_engine, base_sig = signatures[0]
-                for compiled, engine, sig in signatures[1:]:
+                base_engine, base_sig = signatures[0]
+                for engine, sig in signatures[1:]:
                     if sig != base_sig:
                         diff = sorted(
                             t
@@ -740,12 +703,10 @@ def run_campaign(
                                 instance=instance,
                                 scheduler=name,
                                 stage="differential",
-                                compiled=compiled,
                                 engine=engine,
                                 problems=[
-                                    f"schedule differs from combo "
-                                    f"(compiled={base_compiled}, "
-                                    f"engine={base_engine}) on tasks "
+                                    f"schedule differs from engine "
+                                    f"{base_engine} on tasks "
                                     f"{diff[:8]}"
                                 ],
                                 graph_tasks=graph.n_tasks,
@@ -781,7 +742,6 @@ def run_campaign(
                             instance=instance,
                             scheduler=name,
                             stage="metamorphic",
-                            compiled=None,
                             engine=None,
                             problems=problems,
                             graph_tasks=graph.n_tasks,

@@ -9,7 +9,7 @@ minimal reproducer the fuzz campaign writes to the golden corpus: small
 enough to read, concrete enough to replay forever.
 
 The predicate owns all judgement: it rebuilds the failing scenario
-(scheduler, engine/compiled combo, invariant subset) on the candidate
+(scheduler, engine, invariant subset) on the candidate
 graph and answers "does it still fail?".  ``shrink_graph`` treats a
 predicate exception as "does not fail" so a crash introduced *by
 shrinking* never masquerades as the original bug.

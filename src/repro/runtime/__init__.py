@@ -3,7 +3,7 @@
 Two pieces (see docs/architecture.md):
 
 * :mod:`repro.runtime.context` -- the frozen :class:`RunContext`
-  (seed, engine, compiled layer, validation, observability flags,
+  (seed, engine, validation, observability flags,
   worker decomposition) held in a context variable.  Readers across the
   model/obs/experiments layers consult it instead of process-global
   toggles; the parallel runner ships it to workers explicitly, which is

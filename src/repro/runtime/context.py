@@ -1,14 +1,13 @@
 """The run context: one frozen, picklable description of *how* to run.
 
 Every knob that used to live in scattered process-global toggles --
-``repro.model.compiled._ENABLED``, the :mod:`repro.obs` enable flag, the
-engine default baked into each scheduler's signature, worker counts
-threaded through function arguments -- is a field of one immutable
-:class:`RunContext`.  The active context lives in a :mod:`contextvars`
-variable, so
+the :mod:`repro.obs` enable flags, the engine default baked into each
+scheduler's signature, worker counts threaded through function
+arguments -- is a field of one immutable :class:`RunContext`.  The
+active context lives in a :mod:`contextvars` variable, so
 
-* readers (``compiled_enabled()``, ``obs.enabled()``, engine
-  resolution) cost one ``ContextVar.get`` on the hot path,
+* readers (``obs.enabled()``, ``obs.tracing()``, engine resolution)
+  cost one ``ContextVar.get`` on the hot path,
 * :func:`activate` scopes an override exactly like the old context
   managers did, and
 * a context **pickles**: the parallel sweep runner ships it to worker
@@ -17,9 +16,10 @@ variable, so
   bit-identical results to ``fork`` -- workers no longer depend on
   fork-inherited module state.
 
-The old global toggles (``use_compiled()``, ``obs.enable()``/
-``obs.disable()``) survive as thin deprecated shims over this module;
-see docs/architecture.md for the migration path.
+There is no other override: ``obs.enabled_scope``/``obs.tracing_scope``
+are themselves :func:`activate` calls.  The compiled CSR layer is not a
+field -- every run goes through it; ``engine="reference"`` is the one
+oracle arm (see docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ class RunContext:
     #: default EFT engine for schedulers constructed without an explicit
     #: ``engine=`` argument ("fast" or "reference")
     engine: str = "fast"
-    #: route consumers through the compiled CSR graph layer
-    compiled: bool = True
     #: feasibility-check every schedule produced by the harness
     validate: bool = False
     #: record observability metrics (counters/timers/phases)
@@ -118,7 +116,7 @@ class RunContext:
             )
 
     def with_(self, **kwargs) -> "RunContext":
-        """Functional update, e.g. ``ctx.with_(compiled=False)``."""
+        """Functional update, e.g. ``ctx.with_(engine="reference")``."""
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
@@ -131,7 +129,16 @@ class RunContext:
 
         Unknown keys raise: a manifest written by a newer version with
         semantics this version cannot honor must not be half-applied.
+        The retired ``compiled`` field is read for old manifests: ``true``
+        (every run now takes the compiled path) is dropped, ``false``
+        names a path that no longer exists and raises.
         """
+        data = dict(data)
+        if data.pop("compiled", True) is not True:
+            raise ValueError(
+                "RunContext field 'compiled' is retired: only the compiled "
+                "path exists (use engine='reference' for the oracle arm)"
+            )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -138,6 +138,24 @@ class TestStartMethods:
         _assert_same_stats(fork, serial)
         _assert_same_stats(spawn, serial)
 
+    def test_spawn_workers_inherit_enabled_scope(self):
+        """Workers adopt the active context as-is: metrics scoped on in
+        the parent reach spawn-started workers, and their merged
+        counters equal the serial run's."""
+        from repro import obs
+
+        definition = tiny_sweep()
+        with obs.enabled_scope(True):
+            with obs.scoped(merge_up=False):
+                serial = run_sweep(definition, reps=4, seed=2)
+            with obs.scoped(merge_up=False):
+                spawn = run_sweep_parallel(
+                    definition, reps=4, seed=2, workers=2, chunk_size=1,
+                    start_method="spawn",
+                )
+        assert serial.metrics["counters"]
+        assert spawn.metrics["counters"] == serial.metrics["counters"]
+
     def test_serial_start_method_never_pools(self, monkeypatch):
         import multiprocessing
 

@@ -5,58 +5,19 @@ import pytest
 
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
-from repro.model.compiled import (
-    CompiledGraph,
-    compile_graph,
-    compiled_enabled,
-    use_compiled,
-)
+from repro.model.compiled import CompiledGraph, compile_graph
 from repro.model.ranking import (
     downward_rank_reference,
     optimistic_cost_table_reference,
     upward_rank_reference,
 )
 from repro.model.task_graph import TaskGraph
-from repro.runtime import deprecation
-from repro.runtime.context import activate, current_context
 
 
 def random_graph(seed, v=60, ccr=2.0, **kw):
     return generate_random_graph(
         GeneratorConfig(v=v, ccr=ccr, **kw), np.random.default_rng(seed)
     )
-
-
-class TestSwitch:
-    """The deprecated ``use_compiled`` shim still scopes the switch."""
-
-    @pytest.fixture
-    def shim_warns(self):
-        # re-arm the warn-once registry so each test sees (and asserts)
-        # the shim's deprecation instead of leaking it to the run summary
-        deprecation.reset()
-        with pytest.deprecated_call(match="use_compiled"):
-            yield
-        deprecation.reset()
-
-    def test_enabled_by_default(self):
-        assert compiled_enabled()
-
-    @pytest.mark.usefixtures("shim_warns")
-    def test_scoped_disable_restores(self):
-        with use_compiled(False):
-            assert not compiled_enabled()
-            with use_compiled(True):
-                assert compiled_enabled()
-            assert not compiled_enabled()
-        assert compiled_enabled()
-
-    @pytest.mark.usefixtures("shim_warns")
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_compiled(False):
-                raise RuntimeError("boom")
-        assert compiled_enabled()
 
 
 class TestStructure:
@@ -175,12 +136,11 @@ class TestArtifactCache:
         )
 
     def test_cp_min_matches_reference(self):
-        from repro.metrics.critical_path import cp_min_lower_bound
+        from repro.metrics.critical_path import critical_path_min
 
         for seed in range(4):
             graph = random_graph(seed, v=40)
-            with activate(current_context().with_(compiled=False)):
-                reference = cp_min_lower_bound(graph)
+            reference = critical_path_min(graph)[0]
             assert compile_graph(graph).cp_min_bound() == reference
 
 

@@ -1,58 +1,32 @@
-"""Unit tests for the profiling contexts and the enable switch."""
+"""Unit tests for the profiling contexts and the run-context switch."""
 
 import pytest
 
 from repro import obs
 from repro.obs import profile as prof
 from repro.obs.metrics import scoped
-from repro.runtime import deprecation
 from repro.runtime.context import activate, current_context
-
-
-@pytest.fixture(autouse=True)
-def _clean_switch():
-    """Every test starts and ends with profiling disabled."""
-    prof.disable()
-    yield
-    prof.disable()
 
 
 @pytest.fixture
 def metrics_on():
-    """Profiling on through the run context, the non-deprecated switch."""
+    """Profiling on through the run context."""
     with activate(current_context().with_(metrics=True)):
         yield
-
-
-@pytest.fixture
-def enable_warns():
-    """Re-arm the warn-once registry and assert the ``enable()`` shim's
-    deprecation instead of leaking it to the run summary."""
-    deprecation.reset()
-    with pytest.deprecated_call(match="obs.enable"):
-        yield
-    deprecation.reset()
 
 
 class TestSwitch:
     def test_disabled_by_default(self):
         assert not prof.enabled()
 
-    @pytest.mark.usefixtures("enable_warns")
-    def test_enable_disable(self):
-        prof.enable()
-        assert prof.enabled()
-        prof.disable()
-        assert not prof.enabled()
-
     def test_enabled_scope_restores(self):
         with prof.enabled_scope():
             assert prof.enabled()
+            assert current_context().metrics
         assert not prof.enabled()
 
-    @pytest.mark.usefixtures("enable_warns")
+    @pytest.mark.usefixtures("metrics_on")
     def test_enabled_scope_nested_restore(self):
-        prof.enable()
         with prof.enabled_scope(False):
             assert not prof.enabled()
         assert prof.enabled()
@@ -148,9 +122,11 @@ class TestInstrumented:
 
 
 def test_obs_package_reexports():
-    for attr in ("phase", "enable", "get_bus", "get_metrics", "session",
-                 "JsonlSink", "MetricsRegistry", "format_metrics"):
+    for attr in ("phase", "enabled_scope", "get_bus", "get_metrics",
+                 "session", "JsonlSink", "MetricsRegistry", "format_metrics"):
         assert hasattr(obs, attr)
+    # the process-global toggles are gone: the run context is the switch
+    assert not hasattr(obs, "enable") and not hasattr(obs, "disable")
 
 
 def test_session_collects_events_and_metrics(tmp_path):

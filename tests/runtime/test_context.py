@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro.runtime import deprecation
 from repro.runtime.context import (
     DEFAULT_CONTEXT,
     ENGINE_CHOICES,
@@ -21,13 +20,13 @@ class TestRunContext:
         ctx = RunContext()
         assert ctx.seed == 0
         assert ctx.engine == "fast"
-        assert ctx.compiled is True
         assert ctx.validate is False
         assert ctx.metrics is False
         assert ctx.events is None
         assert ctx.workers == 1
         assert ctx.chunk_size == 5
         assert ctx.start_method is None
+        assert "compiled" not in ctx.to_dict()
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -35,9 +34,9 @@ class TestRunContext:
 
     def test_with_returns_new_instance(self):
         base = RunContext()
-        derived = base.with_(compiled=False, seed=7)
-        assert derived.compiled is False and derived.seed == 7
-        assert base.compiled is True and base.seed == 0
+        derived = base.with_(engine="reference", seed=7)
+        assert derived.engine == "reference" and derived.seed == 7
+        assert base.engine == "fast" and base.seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="engine"):
@@ -53,7 +52,7 @@ class TestRunContext:
 
     def test_pickle_round_trip(self):
         ctx = RunContext(
-            seed=11, engine="reference", compiled=False, validate=True,
+            seed=11, engine="reference", validate=True,
             metrics=True, events="ev.jsonl", workers=4, chunk_size=2,
             start_method="spawn",
         )
@@ -69,6 +68,21 @@ class TestRunContext:
         with pytest.raises(ValueError, match="unknown RunContext fields"):
             RunContext.from_dict({"seed": 0, "turbo": True})
 
+    def test_from_dict_drops_legacy_compiled_true(self):
+        # manifests, campaign manifests and service job rows written
+        # before the field was retired all carry "compiled": true
+        ctx = RunContext(seed=3, workers=2)
+        legacy = {**ctx.to_dict(), "compiled": True}
+        assert RunContext.from_dict(legacy) == ctx
+
+    def test_from_dict_refuses_compiled_false(self):
+        legacy = {**RunContext().to_dict(), "compiled": False}
+        with pytest.raises(ValueError, match="'compiled'"):
+            RunContext.from_dict(legacy)
+        # a retired field does not open the door to unknown ones
+        with pytest.raises(ValueError, match="unknown RunContext fields"):
+            RunContext.from_dict({"compiled": True, "turbo": True})
+
 
 class TestActivation:
     def test_default_active(self):
@@ -78,7 +92,7 @@ class TestActivation:
 
     def test_activate_scopes_and_restores(self):
         before = current_context()
-        ctx = RunContext(seed=5, compiled=False)
+        ctx = RunContext(seed=5, engine="reference")
         with activate(ctx) as active:
             assert active is ctx
             assert current_context() is ctx
@@ -116,24 +130,7 @@ class TestResolveEngine:
 
 
 class TestConsumers:
-    """The legacy global toggles now read/write the context."""
-
-    def test_compiled_enabled_follows_context(self):
-        from repro.model.compiled import compiled_enabled
-
-        assert compiled_enabled()
-        with activate(current_context().with_(compiled=False)):
-            assert not compiled_enabled()
-        assert compiled_enabled()
-
-    def test_use_compiled_shim_still_scopes(self):
-        from repro.model.compiled import compiled_enabled, use_compiled
-
-        deprecation.reset()
-        with pytest.deprecated_call(match="use_compiled"):
-            with use_compiled(False):
-                assert not compiled_enabled()
-        assert compiled_enabled()
+    """Every switch reads the context; the obs scopes derive one."""
 
     def test_obs_enabled_follows_context(self):
         from repro import obs
@@ -143,17 +140,18 @@ class TestConsumers:
             assert obs.enabled()
         assert not obs.enabled()
 
-    def test_obs_enable_shim_overrides_context(self):
+    def test_obs_scopes_derive_the_context(self):
         from repro import obs
 
-        deprecation.reset()
-        with pytest.deprecated_call(match="obs.enable"):
-            obs.enable()
-        try:
-            assert obs.enabled()
-        finally:
-            obs.disable()
-        assert not obs.enabled()
+        before = current_context()
+        with obs.enabled_scope(True), obs.tracing_scope(True):
+            assert current_context() == before.with_(metrics=True, trace=True)
+            assert obs.enabled() and obs.tracing()
+            # an inner activation is the innermost word: no override
+            # outlives the scope that set it
+            with activate(before):
+                assert not obs.enabled() and not obs.tracing()
+        assert current_context() == before
 
     def test_scheduler_engine_defaults_from_context(self):
         from repro.core.hdlts import HDLTS

@@ -201,6 +201,37 @@ class TestRunResume:
         assert main(["resume", str(run_dir)]) == 0
         assert capsys.readouterr().out == first
 
+    def _parent_format_run(self, tmp_path, capsys, compiled):
+        """A partial run dir whose manifest context still carries the
+        retired ``compiled`` field, as older versions wrote it."""
+        import json
+
+        run_dir = tmp_path / "run"
+        args = [
+            "run", "fig13", "--reps", "2", "--seed", "4", "--chunk-size", "1",
+            "--run-dir", str(run_dir),
+        ]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        manifest = run_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["context"]["compiled"] = compiled
+        manifest.write_text(json.dumps(doc))
+        ledger = run_dir / "chunks.jsonl"
+        lines = ledger.read_text().splitlines(keepends=True)
+        ledger.write_text("".join(lines[: len(lines) // 2]))
+        return run_dir, first
+
+    def test_resume_parent_format_manifest(self, tmp_path, capsys):
+        run_dir, first = self._parent_format_run(tmp_path, capsys, True)
+        assert main(["resume", str(run_dir)]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_resume_refuses_compiled_false_manifest(self, tmp_path, capsys):
+        run_dir, _ = self._parent_format_run(tmp_path, capsys, False)
+        assert main(["resume", str(run_dir)]) == 2
+        assert "'compiled'" in capsys.readouterr().err
+
     def test_resume_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path / "nope")]) == 2
         assert "manifest" in capsys.readouterr().err

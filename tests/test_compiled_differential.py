@@ -1,17 +1,21 @@
-"""Differential suite: compiled layer vs the object-graph code paths.
+"""Differential suite: the production path against its oracles.
 
-``compiled=False`` in the active run context reproduces the
-pre-compiled paths exactly
-(per-run ``cost_matrix()`` copies, scalar rank recursions, dict-based
-parent walks).  Every scheduler in the registry must produce a
-bit-identical schedule -- same CPU, same start, same finish for every
-task copy -- with the layer on and off, on:
+Production is the compiled CSR layer with the fast EFT engines (and the
+batched kernel where a sweep is eligible); it is the only path figures
+run on.  Two oracles check it:
 
-* the paper's Fig. 1 worked example,
-* every realized ``workflows/`` topology,
-* Hypothesis-driven random DAGs across sizes / CCRs / shapes,
+* the per-node recursions over the object graph, called directly --
+  rank, OCT, mean/std cost, CP_MIN, sequential time and PETS ranks must
+  come out of the compiled kernels bit for bit;
+* ``engine="reference"`` in the active run context -- the seed-faithful
+  EFT loops.  Every scheduler in the registry must produce a
+  bit-identical schedule -- same CPU, same start, same finish for every
+  task copy -- on both arms, on:
 
-and the dispatching rank functions must return bit-identical vectors.
+  * the paper's Fig. 1 worked example,
+  * every realized ``workflows/`` topology,
+  * Hypothesis-driven random DAGs across sizes / CCRs / shapes.
+
 At the top of the stack, a whole ``run_sweep`` must agree between arms:
 identical means, stds, replication counts and observability counters.
 """
@@ -23,10 +27,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.pets import PETS
 from repro.baselines.registry import SCHEDULER_FACTORIES, make_scheduler
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
-from repro.model.ranking import downward_rank, oct_rank, optimistic_cost_table, upward_rank
+from repro.metrics.critical_path import cp_min_lower_bound, critical_path_min
+from repro.metrics.metrics import sequential_time
+from repro.model.attributes import mean_execution_times, std_execution_times
+from repro.model.levels import level_decomposition
+from repro.model.ranking import (
+    downward_rank,
+    downward_rank_reference,
+    oct_rank,
+    optimistic_cost_table,
+    optimistic_cost_table_reference,
+    upward_rank,
+    upward_rank_reference,
+)
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import activate, current_context
 from repro.workflows import (
@@ -67,62 +84,109 @@ def workflow_graphs():
     ]
 
 
-def compiled_arm_context(enabled: bool):
-    """Scope the compiled layer on or off for one arm."""
-    return activate(current_context().with_(compiled=enabled))
+def oracle_context():
+    """Scope the reference EFT engine as every scheduler's default."""
+    return activate(current_context().with_(engine="reference"))
 
 
 def assert_arms_identical(name: str, graph: TaskGraph, label: str = "") -> None:
-    """Build with the compiled layer on and off; demand exact equality."""
-    with compiled_arm_context(True):
-        compiled_arm = make_scheduler(name).build_schedule(graph)
-    with compiled_arm_context(False):
-        object_arm = make_scheduler(name).build_schedule(graph)
+    """Build on the production path and the oracle; demand exact equality."""
+    production = make_scheduler(name).build_schedule(graph)
+    with oracle_context():
+        oracle = make_scheduler(name).build_schedule(graph)
     context = f"{name} on {label or 'graph'}"
-    assert schedule_signature(compiled_arm) == schedule_signature(
-        object_arm
-    ), context
-    assert compiled_arm.makespan == object_arm.makespan, context
+    assert schedule_signature(production) == schedule_signature(oracle), context
+    assert production.makespan == oracle.makespan, context
+
+
+def pets_ranks_reference(graph: TaskGraph, variant: str) -> np.ndarray:
+    """PETS ranks by the per-edge/per-level loops over the object graph."""
+    acc = graph.cost_matrix().mean(axis=1)
+    dtc = np.zeros(graph.n_tasks)
+    for edge in graph.edges():
+        dtc[edge.src] += edge.cost
+    rank = np.zeros(graph.n_tasks)
+    for level in level_decomposition(graph):
+        for task in level:
+            if variant == "drc":
+                extra = max(
+                    (graph.comm_cost(p, task) for p in graph.predecessors(task)),
+                    default=0.0,
+                )
+            else:
+                extra = max(
+                    (rank[p] for p in graph.predecessors(task)), default=0.0
+                )
+            rank[task] = round(acc[task] + dtc[task] + extra)
+    return rank
+
+
+def all_graphs():
+    yield "fig1", paper_example_graph()
+    for label, graph in workflow_graphs():
+        yield label, graph
+    for seed in range(3):
+        yield f"random-{seed}", random_graph(
+            seed, v=35 + 20 * seed, ccr=(0.5, 3.0)[seed % 2]
+        )
 
 
 # --------------------------------------------------------------------------
-# rank vectors
+# compiled kernels against the object-graph recursions
 # --------------------------------------------------------------------------
 class TestRankVectors:
-    """The dispatching rank functions agree between arms bit for bit."""
-
-    def graphs(self):
-        yield "fig1", paper_example_graph()
-        for label, graph in workflow_graphs():
-            yield label, graph
-        for seed in range(3):
-            yield f"random-{seed}", random_graph(
-                seed, v=35 + 20 * seed, ccr=(0.5, 3.0)[seed % 2]
-            )
+    """The compiled rank kernels equal the named recursions bit for bit."""
 
     @pytest.mark.parametrize(
-        "func", [upward_rank, downward_rank, optimistic_cost_table, oct_rank]
+        "func, reference",
+        [
+            (upward_rank, upward_rank_reference),
+            (downward_rank, downward_rank_reference),
+            (optimistic_cost_table, optimistic_cost_table_reference),
+            (oct_rank, lambda g: oct_rank(g, optimistic_cost_table_reference(g))),
+        ],
+        ids=["upward_rank", "downward_rank", "optimistic_cost_table", "oct_rank"],
     )
-    def test_bit_identical_between_arms(self, func):
-        for label, graph in self.graphs():
-            with compiled_arm_context(True):
-                compiled_arm = func(graph)
-            with compiled_arm_context(False):
-                object_arm = func(graph)
-            assert np.array_equal(compiled_arm, object_arm), (
+    def test_bit_identical_between_arms(self, func, reference):
+        for label, graph in all_graphs():
+            assert np.array_equal(func(graph), reference(graph)), (
                 f"{func.__name__} on {label}"
             )
 
     def test_custom_weights_between_arms(self):
-        from repro.model.attributes import std_execution_times
+        for label, graph in all_graphs():
+            weights = graph.cost_matrix().std(axis=1, ddof=1)
+            assert np.array_equal(
+                upward_rank(graph, weights), upward_rank_reference(graph, weights)
+            ), label
+            assert np.array_equal(
+                downward_rank(graph, weights),
+                downward_rank_reference(graph, weights),
+            ), label
 
-        for label, graph in self.graphs():
-            weights = np.asarray(std_execution_times(graph))
-            with compiled_arm_context(True):
-                compiled_arm = upward_rank(graph, weights)
-            with compiled_arm_context(False):
-                object_arm = upward_rank(graph, weights)
-            assert np.array_equal(compiled_arm, object_arm), label
+    def test_cost_vectors_match_object_graph(self):
+        for label, graph in all_graphs():
+            w = graph.cost_matrix()
+            assert np.array_equal(mean_execution_times(graph), w.mean(axis=1)), label
+            for ddof in (0, 1):
+                assert np.array_equal(
+                    std_execution_times(graph, ddof=ddof), w.std(axis=1, ddof=ddof)
+                ), (label, ddof)
+
+    def test_cp_min_and_sequential_time_match_object_graph(self):
+        for label, graph in all_graphs():
+            assert cp_min_lower_bound(graph) == critical_path_min(graph)[0], label
+            assert sequential_time(graph) == float(
+                graph.cost_matrix().sum(axis=0).min()
+            ), label
+
+    @pytest.mark.parametrize("variant", ["drc", "rpt"])
+    def test_pets_ranks_match_object_graph(self, variant):
+        for label, graph in all_graphs():
+            assert np.array_equal(
+                PETS(variant=variant).ranks(graph),
+                pets_ranks_reference(graph, variant),
+            ), label
 
 
 # --------------------------------------------------------------------------
@@ -175,18 +239,17 @@ class TestSweepEquivalence:
         from repro.experiments.harness import run_sweep
         from tests.experiments.test_harness import tiny_sweep
 
-        with compiled_arm_context(True):
-            compiled_arm = run_sweep(tiny_sweep(), reps=reps, seed=seed)
-        with compiled_arm_context(False):
-            object_arm = run_sweep(tiny_sweep(), reps=reps, seed=seed)
-        return compiled_arm, object_arm
+        production = run_sweep(tiny_sweep(), reps=reps, seed=seed)
+        with oracle_context():
+            oracle = run_sweep(tiny_sweep(), reps=reps, seed=seed)
+        return production, oracle
 
     def test_sweep_stats_bit_identical(self):
-        compiled_arm, object_arm = self.run_arms()
-        for x in object_arm.definition.x_values:
-            for name in object_arm.definition.schedulers:
-                a = compiled_arm.stats[x][name]
-                b = object_arm.stats[x][name]
+        production, oracle = self.run_arms()
+        for x in oracle.definition.x_values:
+            for name in oracle.definition.schedulers:
+                a = production.stats[x][name]
+                b = oracle.stats[x][name]
                 assert a.mean == b.mean
                 assert a.std == b.std
                 assert a.n == b.n
@@ -196,8 +259,6 @@ class TestSweepEquivalence:
 
         with activate(current_context().with_(metrics=True)):
             with obs.scoped(merge_up=False):
-                compiled_arm, object_arm = self.run_arms()
-        assert object_arm.metrics["counters"]
-        assert (
-            compiled_arm.metrics["counters"] == object_arm.metrics["counters"]
-        )
+                production, oracle = self.run_arms()
+        assert oracle.metrics["counters"]
+        assert production.metrics["counters"] == oracle.metrics["counters"]

@@ -59,7 +59,6 @@ class TestCorpusPlumbing:
     def test_roundtrip_through_dict(self):
         entry = self._entry(
             scheduler="HDLTS",
-            compiled=True,
             engine="fast",
             source="hand-pinned",
             problems=["was: off by one"],
