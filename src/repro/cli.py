@@ -88,7 +88,8 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=["auto", "off"],
         help="batched multi-DAG kernel: 'auto' batches each x point's "
-        "replications of one task/CPU count, 'off' forces the scalar "
+        "replications of one task/CPU count (stream sweeps: the point's "
+        "Static/<Name> admission schedules), 'off' forces the scalar "
         "path (bit-identical results either way)",
     )
 

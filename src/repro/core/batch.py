@@ -54,6 +54,7 @@ __all__ = [
     "BATCHABLE",
     "BatchResult",
     "CompiledBatch",
+    "batch_groups",
     "batch_key",
     "batchable_schedulers",
     "hdlts_dup_batchable",
@@ -203,6 +204,32 @@ def batch_key(compiled: CompiledGraph) -> Tuple[int, int, int]:
     :func:`instance_batchable` first, which guarantees one entry.
     """
     return (compiled.n_tasks, compiled.n_procs, int(compiled.entry_ids[0]))
+
+
+def batch_groups(
+    instances: Sequence[CompiledGraph],
+    schedulers: Sequence[str],
+    fewest: int,
+) -> List[List[int]]:
+    """Indices of ``instances`` packed into kernel-sized sub-batches.
+
+    Instances passing :func:`instance_batchable` for ``schedulers`` are
+    grouped by :func:`batch_key` (first-seen order), each group is split
+    into runs of at most :func:`max_lanes` lanes, and runs narrower than
+    ``fewest`` are dropped: their instances take the scalar path.
+    """
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for idx, instance in enumerate(instances):
+        if instance_batchable(instance, schedulers):
+            groups.setdefault(batch_key(instance), []).append(idx)
+    subs: List[List[int]] = []
+    for (n_tasks, n_procs, _), idxs in groups.items():
+        cap = max_lanes(n_tasks, n_procs)
+        for lo in range(0, len(idxs), cap):
+            sub = idxs[lo:lo + cap]
+            if len(sub) >= fewest:
+                subs.append(sub)
+    return subs
 
 
 def _union_csr(

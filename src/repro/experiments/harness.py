@@ -20,9 +20,7 @@ from repro.baselines.registry import PAPER_SET, make_scheduler
 from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
-    batch_key,
-    instance_batchable,
-    max_lanes,
+    batch_groups,
     min_lanes,
     run_batch,
 )
@@ -241,20 +239,24 @@ def run_replication(
     rep: int,
     seed: int,
     validate: bool = False,
-    graph: Optional[TaskGraph] = None,
+    instance: Optional[object] = None,
+    queues: Optional[Dict[str, list]] = None,
 ) -> Dict[str, float]:
     """One replication of one x point: every scheduler on one instance.
 
     The RNG stream is keyed by ``(seed, x_index, rep)`` so replications
     are independent and the work can be chunked across processes without
-    changing any result.  ``graph`` short-circuits the instance build
+    changing any result.  ``instance`` short-circuits the instance build
     when the caller already materialized it from the same stream (the
     batched dispatcher's scalar fallback).
 
-    Stream definitions take the same protocol: the workload instance is
-    materialized from the identical RNG key and every *policy* executes
-    the same realization (with ``validate`` running the stream
-    invariants instead of the schedule validator).
+    Stream definitions take the same protocol: the workload instance (a
+    :class:`~repro.stream.arena.StreamInstance`) is materialized from
+    the identical RNG key and every *policy* executes the same
+    realization (with ``validate`` running the stream invariants
+    instead of the schedule validator).  ``queues`` carries the
+    instance's precomputed admission queues per ``Static/<Name>``
+    policy (see :func:`run_replications`).
     """
     bus = obs.get_bus()
     observing = obs.enabled() or bus.active
@@ -266,10 +268,12 @@ def run_replication(
             from repro.stream.spec import run_stream_replication
 
             values = run_stream_replication(
-                definition, x, x_index, rep, seed, validate=validate
+                definition, x, x_index, rep, seed, validate=validate,
+                instance=instance, queues=queues,
             )
         else:
             metric_fn = _METRICS[definition.metric]
+            graph = instance
             if graph is None:
                 graph = _build_instance(definition, x, x_index, rep, seed)
             values = {}
@@ -355,6 +359,53 @@ def _run_batched_group(
             results[idx] = values
 
 
+def _stream_replications(
+    definition: SweepDefinition,
+    x,
+    x_index: int,
+    reps: range,
+    seed: int,
+    validate: bool,
+) -> List[Dict[str, float]]:
+    """Stream replications with the admission schedules precomputed."""
+    from repro.stream.arena import (
+        STATIC_PREFIX,
+        admission_queues,
+        normalize_policy,
+    )
+
+    if validate:
+        return [
+            run_replication(definition, x, x_index, rep, seed, validate)
+            for rep in reps
+        ]
+    instances = [
+        definition.stream.build(x, np.random.default_rng([seed, x_index, rep]))
+        for rep in reps
+    ]
+    graphs = [job.graph for instance in instances for job in instance.jobs]
+    point_queues = {}
+    for name in definition.schedulers:
+        policy = normalize_policy(name)
+        if policy.startswith(STATIC_PREFIX):
+            point_queues[name] = admission_queues(
+                graphs, policy[len(STATIC_PREFIX):]
+            )
+    results = []
+    lo = 0
+    for rep, instance in zip(reps, instances):
+        hi = lo + len(instance.jobs)
+        results.append(
+            run_replication(
+                definition, x, x_index, rep, seed,
+                instance=instance,
+                queues={name: q[lo:hi] for name, q in point_queues.items()},
+            )
+        )
+        lo = hi
+    return results
+
+
 def run_replications(
     definition: SweepDefinition,
     x,
@@ -375,14 +426,22 @@ def run_replications(
     (:func:`~repro.core.batch.min_lanes`), non-batchable schedulers and
     instances outside the kernel's duplication-window gate fall back to
     the scalar path.
+
+    Stream definitions build every replication's workload first and
+    compute the admission queues of each ``Static/<Name>`` policy once
+    over all their jobs (:func:`~repro.stream.arena.admission_queues`,
+    which batches under the same context rules); each replication then
+    only replays its jobs' frozen queues.  ``batch="off"`` and
+    validation keep every admission schedule scalar.
     """
     reps = range(rep_lo, rep_hi)
+    if definition.stream is not None:
+        return _stream_replications(definition, x, x_index, reps, seed, validate)
     ctx = current_context()
     batchable = [n for n in definition.schedulers if n in BATCHABLE]
     fewest = min(map(min_lanes, batchable), default=0)
     if (
-        definition.stream is not None
-        or ctx.batch != "auto"
+        ctx.batch != "auto"
         or validate
         or ctx.engine != "fast"
         or not batchable
@@ -398,25 +457,17 @@ def run_replications(
         _build_instance(definition, x, x_index, rep, seed) for rep in reps
     ]
     compiled = [compile_graph(graph) for graph in built]
-    groups: Dict[Tuple[int, int, int], List[int]] = {}
-    for idx, instance in enumerate(compiled):
-        if instance_batchable(instance, batchable):
-            groups.setdefault(batch_key(instance), []).append(idx)
     results: List[Optional[Dict[str, float]]] = [None] * len(built)
-    for (n_tasks, n_procs, _), idxs in groups.items():
-        cap = max_lanes(n_tasks, n_procs)
-        for lo in range(0, len(idxs), cap):
-            sub = idxs[lo:lo + cap]
-            if len(sub) < fewest:
-                continue  # too few lanes to pay for the kernel
-            batch = CompiledBatch([compiled[i] for i in sub])
-            _run_batched_group(
-                definition, x, [(i, built[i]) for i in sub], batch, results
-            )
+    for sub in batch_groups(compiled, batchable, fewest):
+        batch = CompiledBatch([compiled[i] for i in sub])
+        _run_batched_group(
+            definition, x, [(i, built[i]) for i in sub], batch, results
+        )
     for idx, rep in enumerate(reps):
         if results[idx] is None:
             results[idx] = run_replication(
-                definition, x, x_index, rep, seed, validate, graph=built[idx]
+                definition, x, x_index, rep, seed, validate,
+                instance=built[idx],
             )
     return results
 

@@ -38,6 +38,7 @@ directly (the ``*_reference`` rank/OCT functions in
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,10 +85,14 @@ class CompiledGraph:
     Do not construct directly in scheduler code; go through
     :func:`compile_graph` so the instance (and its artifacts) are shared
     across the scheduler set.
+
+    The source graph is held weakly: the graph's derived cache owns its
+    compiled view, so a strong back-reference would make every instance
+    a reference cycle that only the cyclic garbage collector frees.
     """
 
     def __init__(self, graph: TaskGraph) -> None:
-        self.graph = graph
+        self._graph = weakref.ref(graph)
         n, p = graph.n_tasks, graph.n_procs
         self.n_tasks = n
         self.n_procs = p
@@ -386,6 +391,18 @@ class CompiledGraph:
             )
             dist[nodes] = np.maximum.reduceat(candidates, offsets)
         return float(dist.max())
+
+    @property
+    def graph(self) -> TaskGraph:
+        """The source graph; raises ``ReferenceError`` once it is freed."""
+        graph = self._graph()
+        if graph is None:
+            raise ReferenceError(
+                "the TaskGraph this CompiledGraph was built from has been "
+                "freed; keep a reference to the graph while using its "
+                "compiled view"
+            )
+        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

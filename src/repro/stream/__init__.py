@@ -14,6 +14,7 @@ from repro.stream.arena import (
     StreamInstance,
     StreamJob,
     StreamResult,
+    admission_queues,
     normalize_policy,
     run_stream,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "StreamJob",
     "StreamResult",
     "StreamSpec",
+    "admission_queues",
     "fleet_energy",
     "instance_from_dict",
     "instance_to_dict",

@@ -12,10 +12,13 @@ policy.  Two policy families exist:
   semantics.  With a single job arriving at time zero it reduces to the
   offline online scheduler *bit-identically* (the differential tests
   pin this).
-* ``"Static/<Name>"`` -- each job's schedule is computed in isolation at
-  admission time by a registry scheduler (placement and per-CPU order
-  frozen), then the queues of all admitted jobs are replayed on the
-  shared platform with the same global-time commit loop as
+* ``"Static/<Name>"`` -- each job's schedule depends on its own graph
+  only, so every job's is computed in isolation before the event loop
+  runs by a registry scheduler (placement and per-CPU order frozen;
+  :func:`admission_queues` batches them through the multi-DAG kernel
+  when the run context allows it), then the queues of all admitted jobs
+  are replayed on the shared platform with the same global-time commit
+  loop as
   :meth:`~repro.schedule.simulator.ScheduleSimulator.run_queues`.  A
   single job at time zero replays exactly like
   :func:`~repro.dynamic.online.replay_static`.
@@ -54,9 +57,11 @@ __all__ = [
     "JobRecord",
     "JobResult",
     "JobStream",
+    "Queues",
     "StreamInstance",
     "StreamJob",
     "StreamResult",
+    "admission_queues",
     "normalize_policy",
     "run_stream",
 ]
@@ -65,6 +70,10 @@ _EPS = 1e-9
 
 ONLINE_POLICY = "OnlineHDLTS"
 STATIC_PREFIX = "Static/"
+
+#: one job's frozen static schedule as the arena replays it: per CPU,
+#: the ``(task, is_duplicate)`` dispatches in start order
+Queues = List[List[Tuple[int, bool]]]
 
 
 def normalize_policy(name: str) -> str:
@@ -441,6 +450,71 @@ class _AdmittedJob:
                 self.ready_at.pop((child, p), None)
 
 
+def _queues_of(schedule) -> Queues:
+    """A schedule's per-CPU dispatch order, as the arena replays it."""
+    return [
+        [
+            (s.task, s.duplicate)
+            for s in sorted(timeline.slots(), key=lambda s: (s.start, s.end))
+        ]
+        for timeline in schedule.timelines
+    ]
+
+
+def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
+    """Every job's frozen per-CPU queues under registry scheduler ``name``.
+
+    A static schedule depends on its job's graph alone, so all of them
+    can be computed before any event loop runs.  When the active context
+    allows it (``batch="auto"``, fast engine) the graphs are grouped by
+    :func:`~repro.core.batch.batch_key` -- structures may differ -- and
+    each group of at least :func:`~repro.core.batch.min_lanes` lanes runs
+    as one :func:`~repro.core.batch.run_batch` call, replaying each lane
+    with :meth:`~repro.core.batch.BatchResult.schedule_for`.  Narrower
+    groups, graphs the kernel does not cover and non-batchable
+    schedulers run ``make_scheduler(name).run(graph)``.  Both routes
+    give the same queues and the same counter totals.
+    """
+    from repro.baselines.registry import make_scheduler
+    from repro.core.batch import (
+        BATCHABLE,
+        CompiledBatch,
+        batch_groups,
+        min_lanes,
+        run_batch,
+    )
+    from repro.model.compiled import compile_graph
+    from repro.runtime.context import current_context
+
+    queues: List[Optional[Queues]] = [None] * len(graphs)
+    ctx = current_context()
+    if ctx.batch == "auto" and ctx.engine == "fast" and name in BATCHABLE:
+        compiled = [compile_graph(graph) for graph in graphs]
+        bus = obs.get_bus()
+        for sub in batch_groups(compiled, [name], min_lanes(name)):
+            batch = CompiledBatch([compiled[i] for i in sub])
+            with obs.span(
+                "stream.batch", scheduler=name, size=batch.n_lanes,
+                key=batch.label,
+            ):
+                if bus.active:
+                    bus.emit(
+                        "stream.batch", scheduler=name,
+                        size=batch.n_lanes, key=batch.label,
+                    )
+                batched = run_batch(batch, name)
+                # the counter totals the scalar runs would have recorded
+                # (no-ops while profiling is off)
+                for key, total in batched.counters.items():
+                    obs.count(key, total)
+                for lane, idx in enumerate(sub):
+                    queues[idx] = _queues_of(batched.schedule_for(lane))
+    for idx, graph in enumerate(graphs):
+        if queues[idx] is None:
+            queues[idx] = _queues_of(make_scheduler(name).run(graph).schedule)
+    return queues
+
+
 class JobStream:
     """Event-driven arena executing a :class:`StreamInstance`."""
 
@@ -453,10 +527,27 @@ class JobStream:
         self.failures = tuple(failures) if failures else ()
 
     # ------------------------------------------------------------------
-    def run(self, policy: str) -> StreamResult:
-        """Execute the stream under ``policy``; returns the realization."""
+    def run(
+        self, policy: str, queues: Optional[Sequence[Queues]] = None
+    ) -> StreamResult:
+        """Execute the stream under ``policy``; returns the realization.
+
+        ``queues`` are the jobs' precomputed :func:`admission_queues`
+        (one entry per job, in job order) for a ``Static/<Name>``
+        policy; without them the static policy computes its own.
+        """
         policy = normalize_policy(policy)
         instance = self.instance
+        if queues is not None:
+            if policy == ONLINE_POLICY:
+                raise ValueError(
+                    "precomputed queues only apply to Static/<Name> policies"
+                )
+            if len(queues) != len(instance.jobs):
+                raise ValueError(
+                    f"got queues for {len(queues)} jobs, the instance has "
+                    f"{len(instance.jobs)}"
+                )
         with obs.span(
             "stream.run",
             policy=policy,
@@ -470,7 +561,7 @@ class JobStream:
                     "static stream policies cannot survive CPU failures; "
                     "use the OnlineHDLTS policy"
                 )
-            return self._run_static(policy)
+            return self._run_static(policy, queues)
 
     # ------------------------------------------------------------------
     # shared plumbing
@@ -776,13 +867,17 @@ class JobStream:
     # ------------------------------------------------------------------
     # static policies: per-job frozen schedules, shared global-time replay
     # ------------------------------------------------------------------
-    def _run_static(self, policy: str) -> StreamResult:
-        from repro.baselines.registry import make_scheduler
-
-        name = policy[len(STATIC_PREFIX):]
+    def _run_static(
+        self, policy: str, job_queues: Optional[Sequence[Queues]]
+    ) -> StreamResult:
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
+        if job_queues is None:
+            job_queues = admission_queues(
+                [job.graph for job in instance.jobs],
+                policy[len(STATIC_PREFIX):],
+            )
         state = self._setup()
         avail: np.ndarray = state["avail"]
         # admitted jobs with queued dispatches left, in admission order
@@ -790,16 +885,7 @@ class JobStream:
 
         def admit_static() -> None:
             st = self._admit(state)
-            schedule = make_scheduler(name).run(st.graph).schedule
-            st.queues = [
-                [
-                    (s.task, s.duplicate)
-                    for s in sorted(
-                        timeline.slots(), key=lambda s: (s.start, s.end)
-                    )
-                ]
-                for timeline in schedule.timelines
-            ]
+            st.queues = job_queues[state["next_ix"] - 1]
             st.heads = [0] * n_procs
             st.left = sum(len(q) for q in st.queues)
             active.append(st)
@@ -880,6 +966,7 @@ def run_stream(
     instance: StreamInstance,
     policy: str,
     failures: Optional[Iterable[FailStop]] = None,
+    queues: Optional[Sequence[Queues]] = None,
 ) -> StreamResult:
     """Execute ``instance`` under ``policy``; convenience wrapper."""
-    return JobStream(instance, failures).run(policy)
+    return JobStream(instance, failures).run(policy, queues)

@@ -31,7 +31,8 @@ import numpy as np
 
 from repro.dynamic.noise import gaussian_noise, uniform_noise
 from repro.experiments.graphspec import GraphSpec
-from repro.stream.arena import StreamInstance, StreamJob, run_stream
+from repro.runtime.context import activate, current_context
+from repro.stream.arena import Queues, StreamInstance, StreamJob, run_stream
 from repro.stream.arrivals import ArrivalSpec
 
 __all__ = [
@@ -183,7 +184,14 @@ class StreamSpec:
 
 # ----------------------------------------------------------------------
 def run_stream_replication(
-    definition, x, x_index: int, rep: int, seed: int, validate: bool = False
+    definition,
+    x,
+    x_index: int,
+    rep: int,
+    seed: int,
+    validate: bool = False,
+    instance: Optional[StreamInstance] = None,
+    queues: Optional[Dict[str, List[Queues]]] = None,
 ) -> Dict[str, float]:
     """One paired stream replication for the sweep harness.
 
@@ -191,23 +199,35 @@ def run_stream_replication(
     (``default_rng([seed, x_index, rep])``): the workload is
     materialized once, then every policy executes the identical
     realization -- a paired comparison, bit-identical across serial,
-    fork, spawn and campaign shards.  ``validate`` runs the stream
-    invariant registry on every execution (the stream analogue of the
-    schedule validator).
+    fork, spawn and campaign shards.  ``instance`` skips the build when
+    the caller already materialized it from the same key, and
+    ``queues`` maps a ``Static/<Name>`` policy to the instance's
+    precomputed :func:`~repro.stream.arena.admission_queues`.
+
+    ``validate`` runs the stream invariant registry on every execution
+    (the stream analogue of the schedule validator) and computes every
+    admission schedule with the scalar schedulers, so a validated run
+    stays an independent check of the batched kernel.
     """
     from repro.stream.metrics import STREAM_METRICS
 
-    spec: StreamSpec = definition.stream
-    rng = np.random.default_rng([seed, x_index, rep])
-    instance = spec.build(x, rng)
+    if instance is None:
+        spec: StreamSpec = definition.stream
+        instance = spec.build(x, np.random.default_rng([seed, x_index, rep]))
     metric_fn = STREAM_METRICS[definition.metric]
     values: Dict[str, float] = {}
-    for name in definition.schedulers:
-        result = run_stream(instance, name)
-        if validate:
-            from repro.qa.invariants import run_stream_invariants
+    if validate:
+        from repro.qa.invariants import run_stream_invariants
 
-            run_stream_invariants(instance, result).raise_if_failed()
+        with activate(current_context().with_(batch="off")):
+            for name in definition.schedulers:
+                result = run_stream(instance, name)
+                run_stream_invariants(instance, result).raise_if_failed()
+                values[name] = metric_fn(result)
+        return values
+    queues = queues or {}
+    for name in definition.schedulers:
+        result = run_stream(instance, name, queues=queues.get(name))
         values[name] = metric_fn(result)
     return values
 

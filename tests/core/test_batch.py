@@ -16,6 +16,7 @@ from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
     _BatchTimelines,
+    batch_groups,
     batch_key,
     batchable_schedulers,
     hdlts_dup_batchable,
@@ -162,6 +163,20 @@ def test_compiled_batch_rejects_mixed_batch_keys():
         assert batch_key(a) != batch_key(b)
         with pytest.raises(ValueError, match="n_tasks, n_procs, entry"):
             CompiledBatch([a, b])
+
+
+def test_batch_groups_split_by_key_gate_and_width():
+    same = [_fixed_random_graph(s, structure_seed=s) for s in range(4)]
+    wider = [_fixed_random_graph(s, v=24) for s in range(2)]
+    order = [same[0], wider[0], same[1], wider[1], same[2], same[3]]
+    instances = [compile_graph(g) for g in order]
+    # index 2: an instance that fails the HDLTS duplication gate
+    instances.insert(2, _entry_cost_graph([0.0, 0.0], 1.0))
+    assert batch_groups(instances, ["HEFT"], 2) == [[0, 3, 5, 6], [1, 4]]
+    # narrower runs than ``fewest`` are dropped, gated instances skipped
+    assert batch_groups(instances, ["HEFT"], 3) == [[0, 3, 5, 6]]
+    assert 2 not in sum(batch_groups(instances, ["HDLTS"], 1), [])
+    assert [2] in batch_groups(instances, ["HEFT"], 1)
 
 
 def test_union_level_batches_match_per_lane():

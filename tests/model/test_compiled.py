@@ -1,5 +1,8 @@
 """Unit tests for the compiled CSR graph view and its artifact cache."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -231,6 +234,36 @@ class TestKernelsBitIdentical:
         assert np.array_equal(
             compiled.oct_rank(), compiled.oct_table().mean(axis=1)
         )
+
+
+class TestLifetime:
+    """The compiled view holds its graph weakly: no reference cycle."""
+
+    def test_dropping_the_graph_frees_it_without_the_cyclic_gc(self):
+        graph = random_graph(3, v=30)
+        compiled = compile_graph(graph)
+        compiled.upward_rank()  # populate the artifact cache too
+        graph_ref = weakref.ref(graph)
+        compiled_ref = weakref.ref(compiled)
+        del compiled
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del graph
+            assert graph_ref() is None
+            assert compiled_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_graph_property_raises_once_the_graph_is_freed(self):
+        graph = random_graph(4, v=12)
+        compiled = CompiledGraph(graph)
+        assert compiled.graph is graph
+        del graph
+        gc.collect()
+        with pytest.raises(ReferenceError, match="has been freed"):
+            compiled.graph
 
 
 class TestConstructionPaths:
