@@ -1,12 +1,15 @@
-"""Fast incremental EFT engine vs the reference scalar path.
+"""Fast HDLTS path vs the reference scalar path.
 
-The vectorized engine (``engine="fast"``, the default) must produce
+The fast path (``engine="fast"``, the default) must produce
 bit-identical schedules to the reference path while being substantially
 faster.  This bench times both paths on a size sweep in append mode and
 on the headline configuration of the perf work -- 1000 tasks on 8 CPUs
 with insertion-based mapping, where the reference pays |ITQ| x CPUs
 scalar gap scans per step -- asserts the schedules match exactly, and
-enforces the >=3x speedup acceptance bar on the headline run.
+enforces the >=3x speedup acceptance bar on the headline run.  The
+fig13 molecular-dynamics instance keeps the ready set under the PV
+crossover (Python-float route) and v=100 on 16 CPUs crosses it (the
+vectorized route), so both sides of the crossover are checked.
 """
 
 import time
@@ -16,6 +19,7 @@ import numpy as np
 from conftest import emit
 from repro import obs
 from repro.core import HDLTS
+from repro.experiments.figures import get_figure
 from repro.experiments.report import format_table
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
@@ -54,6 +58,8 @@ def test_engine_scaling(benchmark):
     rows = []
     headline_speedup = None
     cases = (
+        ("md", 4, False),
+        (100, 16, False),
         (250, 4, False),
         (500, 8, False),
         (1000, 8, False),
@@ -63,10 +69,16 @@ def test_engine_scaling(benchmark):
     # (enabled suite-wide by benchmarks/conftest.py) stays off here
     with obs.enabled_scope(False):
         for v, n_procs, insertion in cases:
-            graph = generate_random_graph(
-                GeneratorConfig(v=v, n_procs=n_procs),
-                np.random.default_rng(0),
-            ).normalized()
+            if v == "md":
+                # fig13's 41-task molecular-dynamics graph, CCR 3
+                graph = get_figure("fig13").build_graph(
+                    3.0, np.random.default_rng(0)
+                )
+            else:
+                graph = generate_random_graph(
+                    GeneratorConfig(v=v, n_procs=n_procs),
+                    np.random.default_rng(0),
+                ).normalized()
             ref_s, ref = _time_scheduler(
                 lambda: HDLTS(engine="reference", use_insertion=insertion),
                 graph,

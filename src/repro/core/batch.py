@@ -135,9 +135,11 @@ def batchable_schedulers() -> List[str]:
 #: kernel pays a fixed numpy dispatch cost per scheduling step that its
 #: lanes must amortize; since both sides scale with the task count, the
 #: break-even width barely moves with size.  Measured on random DAGs of
-#: 30-200 tasks on 2-8 CPUs: HDLTS breaks even at 3-4 lanes, the static
-#: list schedulers at 12-16 (at 2 lanes they run ~5x slower batched).
-_MIN_LANES = {_StaticConfig: 16, _DynamicConfig: 4}
+#: 30-200 tasks on 2-8 CPUs: HDLTS breaks even at 6-10 lanes against
+#: its Python-float scalar path (it wins at 8 on 8 and 4 CPUs, 0.9x on
+#: 2), the static list schedulers at 12-16 (at 2 lanes they run ~5x
+#: slower batched).
+_MIN_LANES = {_StaticConfig: 16, _DynamicConfig: 8}
 
 
 def min_lanes(scheduler: str) -> int:
@@ -715,8 +717,8 @@ def _gather_ready(
     ``lane * n + task``, lane-local ids), ``n`` being ``fin_of``'s width.
 
     Per pair: ``max over parents of min(LF[parent], BF[parent] + comm)``
-    floored at 0 -- bit-identical to ``StaticEFTEngine.ready_vector`` /
-    ``EFTEngine._ready_row`` (min/max reductions are order-free and the
+    floored at 0 -- bit-identical to ``StaticEFTEngine.ready_vector``
+    (min/max reductions are order-free and the
     single ``BF + comm`` addition per parent edge is preserved).
 
     Parents here are single-copy tasks (never the duplicable entry), so

@@ -1,299 +1,92 @@
-"""Incremental vectorized EFT engine shared by HDLTS and the baselines.
+"""Scalar EFT engine shared by HDLTS and the static-list baselines.
 
 Every list scheduler in this repository evaluates the same kernel at
 each decision: *when can task ``t`` start on CPU ``p`` given the
 schedule built so far?* (Definitions 5-7).  The reference
 implementations answer it with Python loops over ``parents x copies x
-CPUs``; this engine answers it from persistent per-task arrays that are
-updated incrementally as assignments are committed:
+CPUs``; this engine answers it from per-task state updated
+incrementally as assignments are committed:
 
-* ``local_finish[t, p]`` -- earliest finish of a copy of ``t`` *on*
+* ``local_finish[t][p]`` -- earliest finish of a copy of ``t`` *on*
   CPU ``p`` (``inf`` when none), and ``best_finish[t]`` -- earliest
   finish of any copy.  The arrival of the edge ``t -> c`` on CPU ``p``
-  (Definition 5) is then one vectorized expression::
+  (Definition 5) is then::
 
-      arrival(t, c) = minimum(local_finish[t], best_finish[t] + comm(t, c))
+      arrival(t, c, p) = min(local_finish[t][p], best_finish[t] + comm(t, c))
 
   which is exactly ``min over copies of finish + (0 | comm)`` because
   communication costs are non-negative.
-* ``avail[p]`` -- Definition 3, mirrored from the timelines.
 * a per-CPU memo of Algorithm 1's entry-duplication window test
-  (``fits(0, W(entry, p))``), invalidated only when CPU ``p``'s
-  timeline actually changes, so the hypothetical-duplicate arrival of
-  the entry's output is evaluated once per (child, CPU) *invalidation*
-  instead of once per scheduling step.
+  (``fits(0, W(entry, p))``), invalidated only when a commit lands on
+  CPU ``p``, so HDLTS's hypothetical-duplicate arrival of the entry's
+  output costs one timeline scan per invalidation, not per query.
 
-Copies are immutable once committed, so an arrival computed from these
-arrays is bit-identical to the reference loops: ``min``/``max`` over
-the same float64 values reassociate freely, and ``best_finish + comm``
+Copies are immutable once committed, so an arrival computed from this
+state is bit-identical to the reference loops: ``min``/``max`` over the
+same float64 values reassociate freely, and ``best_finish + comm``
 equals ``min over copies of (finish + comm)`` exactly because IEEE
 addition of a common non-negative term is monotone.
 
-The engine is advisory: it never mutates the :class:`Schedule`.  Feed
-it every committed :class:`~repro.schedule.schedule.Assignment` through
-:meth:`notify` (construction ingests whatever is already placed).
+The state lives in plain Python lists and floats: the queries have
+small fan-in and a handful of CPUs, where numpy's per-call dispatch
+costs more than the arithmetic.
+
+The engine is advisory: apart from :meth:`StaticEFTEngine.place_best`
+it never mutates the :class:`Schedule`.  Feed it every committed
+:class:`~repro.schedule.schedule.Assignment` through ``notify``
+(construction ingests whatever is already placed).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.model.compiled import compile_graph
 from repro.schedule.schedule import Assignment, Schedule
 from repro.schedule.timeline import _EPS, Slot
 
-__all__ = ["EFTEngine", "StaticEFTEngine"]
-
-
-class EFTEngine:
-    """Incremental EFT evaluation state for one schedule under construction.
-
-    Parameters
-    ----------
-    schedule:
-        The schedule being built; existing assignments are ingested.
-    entry:
-        The graph's entry task, required for the Algorithm-1 aware
-        queries (:meth:`entry_arrival_vector`, :meth:`entry_plan`).
-    hypothetical_entry_dup:
-        When True, entry arrivals account for a *hypothetical* entry
-        duplicate wherever Algorithm 1 would still accept one (HDLTS
-        pillar 1); when False they use committed copies only.
-    """
-
-    def __init__(
-        self,
-        schedule: Schedule,
-        entry: Optional[int] = None,
-        hypothetical_entry_dup: bool = False,
-    ) -> None:
-        self.schedule = schedule
-        graph = schedule.graph
-        self.graph = graph
-        n, p = graph.n_tasks, graph.n_procs
-        # share the compiled instance's read-only cost matrix and CSR
-        # parent arrays instead of rebuilding them per engine
-        compiled = compile_graph(graph)
-        self._compiled = compiled
-        self.w = compiled.w
-        self.local_finish = np.full((n, p), np.inf)
-        self.best_finish = np.full(n, np.inf)
-        self.avail = np.zeros(p)
-        self.entry = entry
-        self.hypothetical_entry_dup = bool(hypothetical_entry_dup)
-        # Algorithm-1 window memo: does a duplicate still fit over
-        # [0, W(entry, p))?  Recomputed lazily per dirty CPU.
-        self._dup_fits = np.zeros(p, dtype=bool)
-        self._dup_dirty = np.ones(p, dtype=bool)
-        # per-task (parent ids, edge costs, ids sans entry, costs sans
-        # entry), resolved once per task
-        self._parents: List[
-            Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-        ] = [None] * n
-        # entry -> child communication costs, pre-resolved for the
-        # per-step dirty-column refresh
-        self._entry_comm = (
-            compiled.entry_comm_vector(entry)
-            if entry is not None
-            else np.zeros(n)
-        )
-        # ingest whatever is already committed (order-free: notify is
-        # all min/max updates), without scanning the full task set
-        for assignment in schedule.assignments():
-            self.notify(assignment)
-        for duplicate in schedule.duplicates():
-            self.notify(duplicate)
-
-    # ------------------------------------------------------------------
-    # state maintenance
-    # ------------------------------------------------------------------
-    def notify(self, assignment: Assignment) -> None:
-        """Fold a committed assignment into the incremental arrays."""
-        task, proc, finish = assignment.task, assignment.proc, assignment.finish
-        if finish < self.local_finish[task, proc]:
-            self.local_finish[task, proc] = finish
-        if finish < self.best_finish[task]:
-            self.best_finish[task] = finish
-        self.avail[proc] = self.schedule.timelines[proc].avail
-        self._dup_dirty[proc] = True
-
-    def _parent_arrays(
-        self, task: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        cached = self._parents[task]
-        if cached is None:
-            cached = self._compiled.parent_arrays(task, self.entry)
-            self._parents[task] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # Definition 5: data arrival / ready times
-    # ------------------------------------------------------------------
-    def arrival_vector(self, parent: int, child: int) -> np.ndarray:
-        """Arrival of the edge ``parent -> child`` data on every CPU."""
-        if not np.isfinite(self.best_finish[parent]):
-            raise ValueError(f"parent {parent} of {child} is not scheduled")
-        comm = self.graph.comm_cost(parent, child)
-        return np.minimum(
-            self.local_finish[parent], self.best_finish[parent] + comm
-        )
-
-    def ready_vector(self, task: int, exclude_entry: bool = False) -> np.ndarray:
-        """Definition 5 on every CPU: when the task's inputs are present.
-
-        ``exclude_entry=True`` drops the entry parent's contribution
-        (HDLTS recombines it with the hypothetical-duplicate arrival).
-        """
-        all_ids, _, ids_ne, comms_ne = self._parent_arrays(task)
-        parents = ids_ne if exclude_entry else all_ids
-        if parents.size:
-            best = self.best_finish[parents]
-            if not np.all(np.isfinite(best)):
-                missing = int(parents[np.argmax(~np.isfinite(best))])
-                raise ValueError(
-                    f"parent {missing} of {task} is not scheduled"
-                )
-        return self._ready_row(task, exclude_entry)
-
-    def _ready_row(self, task: int, exclude_entry: bool) -> np.ndarray:
-        """:meth:`ready_vector` without the scheduled-parents check.
-
-        The HDLTS hot loop only asks about tasks the ITQ has released,
-        whose parents are committed by construction.
-        """
-        ids, comms, ids_ne, comms_ne = self._parent_arrays(task)
-        if exclude_entry:
-            ids, comms = ids_ne, comms_ne
-        if not ids.size:
-            return np.zeros(self.graph.n_procs)
-        arrivals = np.minimum(
-            self.local_finish[ids], (self.best_finish[ids] + comms)[:, None]
-        )
-        return np.maximum(arrivals.max(axis=0), 0.0)
-
-    # ------------------------------------------------------------------
-    # Algorithm 1: hypothetical entry duplication
-    # ------------------------------------------------------------------
-    def _dup_window_free(self) -> np.ndarray:
-        """Per-CPU: an entry duplicate at time 0 still fits (memoized)."""
-        if self._dup_dirty.any():
-            entry = self.entry
-            for proc in np.flatnonzero(self._dup_dirty):
-                self._dup_fits[proc] = self.schedule.timelines[proc].fits(
-                    0.0, self.w[entry, proc]
-                )
-            self._dup_dirty[:] = False
-        return self._dup_fits
-
-    def entry_arrival_vector(self, child: int) -> np.ndarray:
-        """Entry-output arrival on every CPU, hypothetical dup included."""
-        assert self.entry is not None, "engine built without an entry task"
-        via_network = self.arrival_vector(self.entry, child)
-        if not self.hypothetical_entry_dup:
-            return via_network
-        w_entry = self.w[self.entry]
-        dup_ok = self._dup_window_free() & np.isinf(
-            self.local_finish[self.entry]
-        )
-        return np.where(
-            dup_ok & (w_entry < via_network), w_entry, via_network
-        )
-
-    def entry_arrival_column(
-        self, children: Sequence[int], proc: int
-    ) -> np.ndarray:
-        """Entry-output arrival on one CPU for a batch of children."""
-        assert self.entry is not None
-        entry = self.entry
-        comms = self._entry_comm[np.asarray(children, dtype=np.intp)]
-        via = np.minimum(
-            self.local_finish[entry, proc], self.best_finish[entry] + comms
-        )
-        if not self.hypothetical_entry_dup:
-            return via
-        if not (
-            self._dup_window_free()[proc]
-            and np.isinf(self.local_finish[entry, proc])
-        ):
-            return via
-        w_entry = self.w[entry, proc]
-        return np.where(w_entry < via, w_entry, via)
-
-    def entry_plan(self, child: int, proc: int) -> Tuple[bool, float]:
-        """Algorithm 1 for one (child, CPU) pair: (duplicate?, arrival).
-
-        Matches :func:`repro.core.duplication.entry_duplication_plan`
-        decision-for-decision against the live schedule.
-        """
-        assert self.entry is not None
-        entry = self.entry
-        comm = self.graph.comm_cost(entry, child)
-        via = min(
-            float(self.local_finish[entry, proc]),
-            float(self.best_finish[entry]) + comm,
-        )
-        if not self.hypothetical_entry_dup:
-            return False, via
-        if np.isfinite(self.local_finish[entry, proc]):
-            return False, via  # a copy is already local
-        if not self._dup_window_free()[proc]:
-            return False, via
-        dup_finish = float(self.w[entry, proc])
-        if dup_finish < via:
-            return True, dup_finish
-        return False, via
-
-    # ------------------------------------------------------------------
-    # EST / EFT for the static-list baselines
-    # ------------------------------------------------------------------
-    def est_eft(
-        self, task: int, insertion: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(EST, EFT) of ``task`` on every CPU against the live schedule."""
-        ready = self.ready_vector(task)
-        costs = self.w[task]
-        timelines = self.schedule.timelines
-        starts = np.array(
-            [
-                timelines[proc].earliest_start_fast(
-                    float(ready[proc]), float(costs[proc]), insertion
-                )
-                for proc in range(len(timelines))
-            ]
-        )
-        return starts, starts + costs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        placed = int(np.isfinite(self.best_finish).sum())
-        return f"EFTEngine(placed={placed}/{self.graph.n_tasks})"
+__all__ = ["StaticEFTEngine"]
 
 
 _INF = float("inf")
 
 
 class StaticEFTEngine:
-    """Scalar EFT engine for the static-list baselines (compiled path).
+    """Scalar EFT engine over the compiled graph's Python-list mirrors.
 
-    The static baselines (HEFT, PETS, PEFT, SDBATS, ...) issue exactly
-    one query shape: ``est_eft(task)`` across *all* CPUs for a task
-    whose parents are already committed, with small fan-in.  At that
-    scale numpy's per-call dispatch overhead exceeds the arithmetic, so
-    this engine walks the compiled graph's plain-Python list mirrors
-    with float scalars instead.  Every value is bit-identical to
-    :class:`EFTEngine`: the same IEEE-754 float64 operations run in the
+    The static baselines (HEFT, PETS, PEFT, SDBATS, ...) ask
+    ``est_eft(task)`` / :meth:`place_best` across *all* CPUs for a task
+    whose parents are already committed.  HDLTS asks for whole ready
+    rows (:meth:`ready_vector`) and, given ``entry``, for Algorithm 1's
+    hypothetical-duplicate arrival of the entry's output
+    (:meth:`entry_plan`).  Every value is bit-identical to the
+    reference loops: the same IEEE-754 float64 operations run in the
     same order (``min``/``max`` reductions are order-free, and the
     single ``best_finish + comm`` addition per parent is preserved).
 
-    Like :class:`EFTEngine` it is advisory -- feed committed
-    assignments through :meth:`notify`; construction ingests whatever
-    the schedule already holds (SDBATS pre-places entry duplicates).
+    Parameters
+    ----------
+    schedule:
+        The schedule being built; existing assignments are ingested
+        (SDBATS pre-places entry duplicates).
+    compiled:
+        The graph's compiled instance (looked up when omitted).
+    entry:
+        The graph's entry task, required by :meth:`entry_plan` and
+        ``ready_vector(..., exclude_entry=True)``.
+    hypothetical_entry_dup:
+        When True, :meth:`entry_plan` accounts for an entry duplicate
+        wherever Algorithm 1 would still accept one (HDLTS pillar 1);
+        when False it uses committed copies only.
     """
 
     def __init__(
-        self, schedule: Schedule, compiled: Optional[object] = None
+        self,
+        schedule: Schedule,
+        compiled: Optional[object] = None,
+        entry: Optional[int] = None,
+        hypothetical_entry_dup: bool = False,
     ) -> None:
         self.schedule = schedule
         graph = schedule.graph
@@ -311,6 +104,19 @@ class StaticEFTEngine:
         # == no copy anywhere == a row of +inf)
         self.local_finish: List[Optional[List[float]]] = [None] * n
         self.best_finish: List[float] = [_INF] * n
+        self.entry = entry
+        self.hypothetical_entry_dup = bool(hypothetical_entry_dup)
+        # Algorithm-1 window memo: does an entry duplicate still fit
+        # over [0, W(entry, p))?  Recomputed lazily per dirty CPU.
+        self._dup_fits = [False] * self._n_procs
+        self._dup_dirty = [True] * self._n_procs
+        # entry -> child edge costs and the parent lists sans the entry
+        # (resolved per task on first use)
+        self._entry_comm: Dict[int, float] = {}
+        self._parents_ne: Dict[int, Tuple[List[int], List[float]]] = {}
+        if entry is not None:
+            children, comms = self.compiled.succ_slice(entry)
+            self._entry_comm = dict(zip(children.tolist(), comms.tolist()))
         # ingest whatever is already committed (order-free: notify is
         # all min/max updates), without scanning the full task set
         for assignment in schedule.assignments():
@@ -328,10 +134,20 @@ class StaticEFTEngine:
             row[proc] = finish
         if finish < self.best_finish[task]:
             self.best_finish[task] = finish
+        self._dup_dirty[proc] = True
 
-    def ready_vector(self, task: int) -> List[float]:
-        """Definition 5 on every CPU: when the task's inputs are present."""
-        parents, comms = self._parents[task]
+    def ready_vector(
+        self, task: int, exclude_entry: bool = False
+    ) -> List[float]:
+        """Definition 5 on every CPU: when the task's inputs are present.
+
+        ``exclude_entry=True`` drops the entry parent's contribution
+        (HDLTS recombines it with :meth:`entry_plan`'s arrival).
+        """
+        if exclude_entry:
+            parents, comms = self._parents_sans_entry(task)
+        else:
+            parents, comms = self._parents[task]
         n_procs = self._n_procs
         ready = [0.0] * n_procs
         if parents:
@@ -362,6 +178,47 @@ class StaticEFTEngine:
                     f"parent {missing} of {task} is not scheduled"
                 )
         return ready
+
+    def _parents_sans_entry(self, task: int) -> Tuple[List[int], List[float]]:
+        cached = self._parents_ne.get(task)
+        if cached is None:
+            entry = self.entry
+            pairs = [pc for pc in zip(*self._parents[task]) if pc[0] != entry]
+            cached = self._parents_ne[task] = (
+                [parent for parent, _ in pairs],
+                [comm for _, comm in pairs],
+            )
+        return cached
+
+    # ------------------------------------------------------------------
+    # Algorithm 1: hypothetical entry duplication
+    # ------------------------------------------------------------------
+    def entry_plan(self, child: int, proc: int) -> Tuple[bool, float]:
+        """Algorithm 1 for one (child, CPU) pair: (duplicate?, arrival).
+
+        Matches :func:`repro.core.duplication.entry_duplication_plan`
+        decision-for-decision against the live schedule.
+        """
+        entry = self.entry
+        assert entry is not None, "engine built without an entry task"
+        via = self.best_finish[entry] + self._entry_comm[child]
+        row = self.local_finish[entry]
+        if row is not None and row[proc] < _INF:
+            # a copy is already local
+            local = row[proc]
+            return False, (local if local < via else via)
+        if not self.hypothetical_entry_dup:
+            return False, via
+        if self._dup_dirty[proc]:
+            self._dup_fits[proc] = self._timelines[proc].fits(
+                0.0, self._w_rows[entry][proc]
+            )
+            self._dup_dirty[proc] = False
+        if self._dup_fits[proc]:
+            dup_finish = self._w_rows[entry][proc]
+            if dup_finish < via:
+                return True, dup_finish
+        return False, via
 
     def est_eft(
         self, task: int, insertion: bool = True

@@ -14,13 +14,19 @@ ablated:
 
 Two interchangeable execution paths implement the identical algorithm:
 
-* ``engine="fast"`` (the default) runs on the incremental vectorized
-  EFT engine (:mod:`repro.core.engine`): one persistent
-  ``(n_tasks x n_procs)`` ready-time matrix updated only where the last
-  commit could have changed it (the released tasks' rows, and -- because
-  a commit on CPU ``p`` may close Algorithm 1's duplication window there
-  -- the entry children's ``p`` column), vectorized arrival computation,
-  and a batch insertion-gap scan;
+* ``engine="fast"`` (the default) keeps its per-decision state on
+  Python floats through the scalar EFT engine
+  (:class:`~repro.core.engine.StaticEFTEngine`): each ITQ task's ready
+  row is computed once, when the ITQ releases it, and afterwards only
+  the committed CPU's column of the entry children's rows is refreshed
+  (a commit there may close Algorithm 1's duplication window).  While
+  ``|ITQ| x CPUs`` is below a measured crossover the EFT rows and the
+  penalty values are Python floats too
+  (:func:`~repro.model.attributes.penalty_value`); wider ready sets,
+  insertion mode (a persistent EST matrix and a batch gap scan) and
+  the ablation priority rules run the vectorized kernel over a
+  persistent ready matrix.  The route is picked from the input size;
+  there is no option;
 * ``engine="reference"`` is the original loop-per-parent/CPU
   implementation, kept as the differential-testing oracle.
 
@@ -41,14 +47,23 @@ import numpy as np
 from repro import obs
 from repro.core.base import Scheduler
 from repro.core.duplication import entry_duplication_plan
-from repro.core.engine import EFTEngine
+from repro.core.engine import StaticEFTEngine
 from repro.core.itq import IndependentTaskQueue
 from repro.core.trace import TraceRecorder, TraceStep
+from repro.model.attributes import penalty_value, penalty_values
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import resolve_engine
 from repro.schedule.schedule import Schedule
 
 __all__ = ["HDLTS", "PriorityRule"]
+
+#: |ITQ| x CPUs from which the PV selection leaves Python floats for the
+#: vectorized kernel over the persistent ready matrix, below 8 CPUs.
+#: From 8 CPUs on, the Python kernel replays numpy's pairwise blocks at
+#: about twice the per-row cost, and the crossover halves.  Measured on
+#: the figure instances and random DAGs of 100-1000 tasks on 2-32 CPUs
+#: (best thresholds 48-128 cells below 8 CPUs and 16-48 from 8 on).
+_PV_VECTOR_MIN_CELLS = 64
 
 
 class PriorityRule(str, enum.Enum):
@@ -85,7 +100,7 @@ class HDLTS(Scheduler):
         Keep a per-step :class:`~repro.core.trace.TraceStep` record
         (costs memory on big graphs; required to print Table I).
     engine:
-        ``"fast"`` (incremental vectorized engine) or ``"reference"``
+        ``"fast"`` (the scalar EFT engine, see above) or ``"reference"``
         (the original per-parent/CPU loops); ``None`` (the default)
         defers to the active :class:`~repro.runtime.context.RunContext`
         (``"fast"`` unless overridden).  Both produce bit-identical
@@ -140,74 +155,76 @@ class HDLTS(Scheduler):
         return schedule
 
     # ------------------------------------------------------------------
-    # fast path: incremental vectorized EFT engine
+    # fast path: scalar EFT engine, size-selected PV route
     # ------------------------------------------------------------------
     def _build_fast(self, graph: TaskGraph, entry: int, bus) -> Schedule:
         n_tasks, n_procs = graph.n_tasks, graph.n_procs
         schedule = Schedule(graph)
         itq = IndependentTaskQueue(graph)
-        engine = EFTEngine(
+        engine = StaticEFTEngine(
             schedule, entry=entry, hypothetical_entry_dup=self.duplicate_entry
         )
-        w = engine.w
-        avail = engine.avail
+        entry_plan = engine.entry_plan
+        w = engine.compiled.w
+        w_rows = engine.compiled.w_rows
         timelines = schedule.timelines
         insertion = self.use_insertion
         entry_children = set(graph.successors(entry))
-        # the paper's PV rule gets a hand-expanded sample-std kernel
-        # below (same ufunc sequence numpy's ``std`` runs, an order of
-        # magnitude less call overhead); every other rule goes through
-        # ``_priorities`` unchanged
-        pv_rule = (
-            self.priority is PriorityRule.PENALTY_VALUE and n_procs > 1
+        # only the paper's PV rule in append mode has a scalar route;
+        # insertion's EST matrix and the ablation rules stay vectorized
+        scalar_ok = (
+            self.priority is PriorityRule.PENALTY_VALUE and not insertion
         )
-        # counter keys, built once: the hot loop increments thousands of
-        # times and f-string assembly would dominate the disabled path
-        c_eft = f"{self.name}/eft_evaluations"
-        c_scan = f"{self.name}/insertion_scans"
-        c_rows = f"{self.name}/ready_rows_recomputed"
-        c_cols = f"{self.name}/entry_child_col_refreshes"
-        c_decide = f"{self.name}/decisions"
-        c_dup_yes = f"{self.name}/duplication_accepted"
-        c_dup_no = f"{self.name}/duplication_rejected"
+        min_cells = _PV_VECTOR_MIN_CELLS
+        if n_procs >= 8:
+            min_cells //= 2
+        # the per-step counters accumulate here and reach obs once, at
+        # the end of the run (same totals, no per-step obs calls)
+        n_eft = n_rows = n_cols = n_dup_yes = n_dup_no = 0
 
-        # the persistent ready-time matrix (Definition 5 per CPU,
-        # including the hypothetical entry duplicate of Algorithm 1);
-        # rows are valid only for tasks currently in the ITQ
+        # Definition 5 per CPU, including the hypothetical entry
+        # duplicate of Algorithm 1, for every task in the ITQ; entry
+        # children also keep their (immutable) non-entry component so a
+        # dirty-column refresh only recombines the entry arrival
+        rows: Dict[int, List[float]] = {}
+        non_entry: Dict[int, List[float]] = {}
+        avail = [0.0] * n_procs
+        # the vectorized route's mirrors of ``rows`` and ``avail``,
+        # written through only while ``live``.  Insertion mode adds a
+        # persistent EST matrix: a row depends only on the task's ready
+        # row and the timelines, so a commit on CPU ``p`` invalidates
+        # exactly column ``p`` -- one batch gap scan per step.
         ready = np.zeros((n_tasks, n_procs))
-        # for entry children: the stable non-entry parents' component,
-        # so a dirty-column refresh only recombines the entry arrival
-        non_entry = np.zeros((n_tasks, n_procs))
-        # insertion mode: persistent EST matrix.  A row depends only on
-        # the task's ready row and the per-CPU timelines, so a commit on
-        # CPU ``p`` invalidates exactly column ``p`` (plus the released
-        # tasks' fresh rows) -- one batch gap scan per step instead of
-        # |ITQ| x CPUs scalar scans.
+        avail_arr = np.zeros(n_procs)
         est_mat = np.zeros((n_tasks, n_procs)) if insertion else None
+        live = False
 
         # the ITQ frontier as a sorted id list (ascending id is the
         # reference tie-break order) and its entry-children subset
         ready_ids: List[int] = []
         pending_entry: List[int] = []
+        rl_arr = None
 
         def refresh_row(task: int) -> None:
             if task in entry_children:
-                non_entry[task] = engine._ready_row(task, True)
-                np.maximum(
-                    non_entry[task],
-                    engine.entry_arrival_vector(task),
-                    out=ready[task],
-                )
-            else:
-                ready[task] = engine._ready_row(task, False)
-            if insertion:
-                row = ready[task]
-                costs = w[task]
-                dest = est_mat[task]
+                base = non_entry[task] = engine.ready_vector(task, True)
+                row = []
                 for q in range(n_procs):
-                    dest[q] = timelines[q].earliest_start_fast(
+                    arrival = entry_plan(task, q)[1]
+                    row.append(arrival if arrival > base[q] else base[q])
+            else:
+                row = engine.ready_vector(task)
+            rows[task] = row
+            if live:
+                ready[task] = row
+            if insertion:
+                costs = w_rows[task]
+                est_mat[task] = [
+                    timelines[q].earliest_start_fast(
                         row[q], costs[q], insertion=True
                     )
+                    for q in range(n_procs)
+                ]
 
         for task in itq.ready_tasks():
             ready_ids.append(task)
@@ -216,37 +233,50 @@ class HDLTS(Scheduler):
             refresh_row(task)
 
         step = 0
-        rl_arr = np.array(ready_ids, dtype=np.intp)
         while ready_ids:
             step += 1
+            cells = len(ready_ids) * n_procs
+            vectorized = not scalar_ok or cells >= min_cells
             with obs.phase("eft_vector"):
-                if insertion:
-                    est = est_mat[rl_arr]
-                    obs.count(c_scan, est.size)
+                if vectorized:
+                    if rl_arr is None:
+                        rl_arr = np.fromiter(
+                            ready_ids, dtype=np.intp, count=len(ready_ids)
+                        )
+                    if not live:
+                        ready[rl_arr] = [rows[t] for t in ready_ids]
+                        avail_arr[:] = avail
+                        live = True
+                    if insertion:
+                        est = est_mat[rl_arr]
+                    else:
+                        est = np.maximum(ready[rl_arr], avail_arr[None, :])
+                    # est is a fresh array either way (fancy indexing
+                    # copies), so the add can run in place
+                    eft = est
+                    eft += w[rl_arr]
                 else:
-                    est = np.maximum(ready[rl_arr], avail[None, :])
-                # est is a fresh array either way (fancy indexing
-                # copies), so the add can run in place: same ufunc,
-                # same operand order, one allocation less per step
-                eft = est
-                eft += w[rl_arr]
-                obs.count(c_eft, eft.size)
+                    live = False
+                    eft = [
+                        [
+                            (r if r > a else a) + c
+                            for r, a, c in zip(rows[t], avail, w_rows[t])
+                        ]
+                        for t in ready_ids
+                    ]
+                n_eft += cells
 
-            if pv_rule:
-                # eft.std(axis=1, ddof=1) expanded into the identical
-                # ufunc sequence (bit-equal results, ~2.5x cheaper)
-                mean = np.add.reduce(eft, axis=1, keepdims=True)
-                mean /= n_procs
-                dev = eft - mean
-                dev *= dev
-                var = np.add.reduce(dev, axis=1)
-                var /= n_procs - 1
-                priorities = np.sqrt(var)
-            else:
+            if vectorized:
                 priorities = self._priorities(eft, ready_ids)
-            index = int(priorities.argmax())  # first max -> lowest task id
+                index = int(priorities.argmax())  # first max -> lowest id
+                eft_row = eft[index]
+                proc = int(eft_row.argmin())  # first min -> lowest CPU
+            else:
+                priorities = [penalty_value(row) for row in eft]
+                index = priorities.index(max(priorities))
+                eft_row = eft[index]
+                proc = eft_row.index(min(eft_row))
             task = ready_ids[index]
-            proc = int(eft[index].argmin())  # first min -> lowest CPU
 
             duplicated_on: Tuple[int, ...] = ()
             if (
@@ -255,14 +285,14 @@ class HDLTS(Scheduler):
                 and task in entry_children
             ):
                 with obs.phase("duplication_check"):
-                    duplicate, arrival = engine.entry_plan(task, proc)
+                    duplicate, arrival = entry_plan(task, proc)
                     if duplicate:
                         engine.notify(
                             schedule.place(entry, proc, 0.0, duplicate=True)
                         )
                         duplicated_on = (proc,)
                 if duplicate:
-                    obs.count(c_dup_yes)
+                    n_dup_yes += 1
                     if bus.active:
                         bus.emit(
                             "scheduler.duplication",
@@ -273,15 +303,15 @@ class HDLTS(Scheduler):
                             arrival=arrival,
                         )
                 else:
-                    obs.count(c_dup_no)
+                    n_dup_no += 1
 
-            # the committed start comes from live state; the ready matrix
-            # cell already equals it (a materialized duplicate realizes
-            # exactly the hypothetical arrival the cell was built from)
+            # the committed start comes from live state; the ready row
+            # already equals it (a materialized duplicate realizes
+            # exactly the hypothetical arrival the row was built from)
             with obs.phase("commit"):
                 timeline = timelines[proc]
-                cost = float(w[task, proc])
-                r = float(ready[task, proc])
+                cost = w_rows[task][proc]
+                r = rows[task][proc]
                 if insertion:
                     start = timeline.earliest_start_fast(
                         r, cost, insertion=True
@@ -291,11 +321,13 @@ class HDLTS(Scheduler):
                     # max(ready, Avail) on the chosen CPU
                     avail_p = timeline._max_end
                     start = r if r > avail_p else avail_p
-                # w mirrors the graph's cost table bit-for-bit, so the
-                # duration pass-through skips place()'s own lookup
+                # w_rows mirrors the graph's cost table bit-for-bit, so
+                # the duration pass-through skips place()'s own lookup
                 assignment = schedule.place(task, proc, start, cost)
                 engine.notify(assignment)
-            obs.count(c_decide)
+                avail[proc] = timeline.avail
+                if live:
+                    avail_arr[proc] = avail[proc]
 
             if bus.active:
                 bus.emit(
@@ -305,7 +337,7 @@ class HDLTS(Scheduler):
                     ready_tasks=tuple(ready_ids),
                     priorities=tuple(float(v) for v in priorities),
                     selected=task,
-                    eft=tuple(float(v) for v in eft[index]),
+                    eft=tuple(float(v) for v in eft_row),
                     chosen_proc=proc,
                     start=assignment.start,
                     finish=assignment.finish,
@@ -315,6 +347,7 @@ class HDLTS(Scheduler):
             with obs.phase("ready_update"):
                 released = itq.complete(task)
                 del ready_ids[index]
+                del rows[task]
                 if task in entry_children:
                     pending_entry.remove(task)
                 for fresh in released:
@@ -322,25 +355,29 @@ class HDLTS(Scheduler):
                     if fresh in entry_children:
                         bisect.insort(pending_entry, fresh)
                     refresh_row(fresh)
+                rl_arr = None
 
                 # the commit (and any duplicate) only touched ``proc``;
                 # the hypothetical-duplication window of pending entry
                 # children may have changed there, so refresh that
                 # dirty column (their non-entry component is immutable).
                 if pending_entry:
-                    arrivals = engine.entry_arrival_column(
-                        pending_entry, proc
-                    )
-                    ready[pending_entry, proc] = np.maximum(
-                        arrivals, non_entry[pending_entry, proc]
-                    )
-                rl_arr = np.fromiter(
-                    ready_ids, dtype=np.intp, count=len(ready_ids)
-                )
+                    column = []
+                    for child in pending_entry:
+                        arrival = entry_plan(child, proc)[1]
+                        base = non_entry[child][proc]
+                        value = arrival if arrival > base else base
+                        rows[child][proc] = value
+                        column.append(value)
+                    if live:
+                        ready[pending_entry, proc] = column
                 if insertion and ready_ids:
                     # CPU ``proc``'s timeline changed (and the pending
                     # entry children's ready column with it): one batch
                     # gap scan re-derives the whole EST column
+                    rl_arr = np.fromiter(
+                        ready_ids, dtype=np.intp, count=len(ready_ids)
+                    )
                     with obs.phase("insertion_scan"):
                         est_mat[rl_arr, proc] = timelines[
                             proc
@@ -348,8 +385,20 @@ class HDLTS(Scheduler):
                             ready[rl_arr, proc], w[rl_arr, proc],
                             insertion=True,
                         )
-            obs.count(c_rows, len(released))
-            obs.count(c_cols, len(pending_entry))
+            n_rows += len(released)
+            n_cols += len(pending_entry)
+
+        name = self.name
+        if insertion:
+            obs.count(f"{name}/insertion_scans", n_eft)
+        obs.count(f"{name}/eft_evaluations", n_eft)
+        obs.count(f"{name}/decisions", step)
+        obs.count(f"{name}/ready_rows_recomputed", n_rows)
+        obs.count(f"{name}/entry_child_col_refreshes", n_cols)
+        if n_dup_yes:
+            obs.count(f"{name}/duplication_accepted", n_dup_yes)
+        if n_dup_no:
+            obs.count(f"{name}/duplication_rejected", n_dup_no)
         return schedule
 
     # ------------------------------------------------------------------
@@ -522,9 +571,7 @@ class HDLTS(Scheduler):
         if self.priority is PriorityRule.UPWARD_RANK:
             return self._rank_u[ready_list]
         if self.priority is PriorityRule.PENALTY_VALUE:
-            if eft.shape[1] <= 1:
-                return np.zeros(eft.shape[0])
-            return eft.std(axis=1, ddof=1)
+            return penalty_values(eft)
         if self.priority is PriorityRule.EFT_RANGE:
             return eft.max(axis=1) - eft.min(axis=1)
         if self.priority is PriorityRule.MEAN_EFT:

@@ -9,7 +9,8 @@ live with the timeline substrate in :mod:`repro.schedule`.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +21,8 @@ __all__ = [
     "mean_execution_time",
     "mean_execution_times",
     "communication_cost",
+    "penalty_value",
+    "penalty_values",
     "sample_std",
     "std_execution_times",
 ]
@@ -77,7 +80,86 @@ def sample_std(values: np.ndarray) -> float:
     (see DESIGN.md).  Degenerates to 0.0 for a single value so that a
     1-CPU platform still yields a total order.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size <= 1:
+    return penalty_value(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _pairwise_sum(values: List[float], lo: int, n: int) -> float:
+    """numpy's float64 ``add.reduce`` over ``values[lo:lo + n]``, bit for bit.
+
+    Below 8 terms numpy adds left to right; up to 128 it keeps 8
+    interleaved accumulators combined as a balanced tree, then adds the
+    tail; beyond that it splits at a multiple of 8 and recurses.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[lo : lo + 8]
+        i, end = lo + 8, lo + n - n % 8
+        while i < end:
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+            i += 8
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(
+        values, lo + half, n - half
+    )
+
+
+def penalty_value(eft: Sequence[float]) -> float:
+    """The penalty value of one EFT row (Eq. 8) on Python floats.
+
+    Bit-identical to ``np.std(row, ddof=1)``: the same operations in
+    numpy's summation order (:func:`_pairwise_sum`).  On the narrow
+    ready sets of Algorithm 2 this beats a numpy dispatch per ufunc.
+    A single CPU gives 0.0.
+    """
+    n = len(eft)
+    if n <= 1:
         return 0.0
-    return float(arr.std(ddof=1))
+    if n < 8:
+        # the common row width, inlined: numpy sums it left to right
+        total = 0.0
+        for value in eft:
+            total += value
+        mean = total / n
+        total = 0.0
+        for value in eft:
+            dev = value - mean
+            total += dev * dev
+        return math.sqrt(total / (n - 1))
+    mean = _pairwise_sum(eft, 0, n) / n
+    squares = [dev * dev for dev in [value - mean for value in eft]]
+    return math.sqrt(_pairwise_sum(squares, 0, n) / (n - 1))
+
+
+def penalty_values(eft: np.ndarray) -> np.ndarray:
+    """Row-wise penalty values of an EFT matrix (Eq. 8).
+
+    ``eft.std(axis=1, ddof=1)`` expanded into the identical ufunc
+    sequence -- bit-equal, about half the call overhead.  A single
+    column gives zeros.
+    """
+    rows, n = eft.shape
+    if n <= 1:
+        return np.zeros(rows)
+    mean = np.add.reduce(eft, axis=1, keepdims=True)
+    mean /= n
+    dev = eft - mean
+    dev *= dev
+    var = np.add.reduce(dev, axis=1)
+    var /= n - 1
+    return np.sqrt(var)

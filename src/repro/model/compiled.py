@@ -136,10 +136,6 @@ class CompiledGraph:
         ]
 
         self._artifacts: Dict[object, object] = {}
-        self._parent_arrays: Dict[
-            Tuple[int, Optional[int]],
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
         self._up_batches_cache: Optional[List[Tuple]] = None
         self._down_batches_cache: Optional[List[Tuple]] = None
 
@@ -188,39 +184,6 @@ class CompiledGraph:
         """(parent ids, edge costs) of ``task`` as read-only views."""
         lo, hi = self.pred_indptr[task], self.pred_indptr[task + 1]
         return self.pred_ids[lo:hi], self.pred_costs[lo:hi]
-
-    def parent_arrays(
-        self, task: int, entry: Optional[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, costs, ids sans entry, costs sans entry) for one task.
-
-        The shape the :class:`~repro.core.engine.EFTEngine` keys its
-        arrival expressions on; cached here so every engine built over
-        the same instance shares one resolution pass.
-        """
-        key = (task, entry)
-        cached = self._parent_arrays.get(key)
-        if cached is None:
-            ids, costs = self.pred_slice(task)
-            if entry is not None and ids.size and bool((ids == entry).any()):
-                keep = ids != entry
-                ids_ne, costs_ne = ids[keep], costs[keep]
-            else:
-                ids_ne, costs_ne = ids, costs
-            cached = (ids, costs, ids_ne, costs_ne)
-            self._parent_arrays[key] = cached
-        return cached
-
-    def entry_comm_vector(self, entry: int) -> np.ndarray:
-        """Dense ``entry -> child`` communication costs (0 elsewhere)."""
-
-        def build() -> np.ndarray:
-            out = np.zeros(self.n_tasks)
-            ids, costs = self.succ_slice(entry)
-            out[ids] = costs
-            return _readonly(out)
-
-        return self._artifact(("entry_comm", entry), build)
 
     # ------------------------------------------------------------------
     # artifact cache

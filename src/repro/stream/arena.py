@@ -50,6 +50,7 @@ from repro import obs
 from repro.core.itq import IndependentTaskQueue
 from repro.dynamic.failures import FailStop, failure_times
 from repro.dynamic.noise import DurationFn
+from repro.model.attributes import penalty_values
 from repro.model.task_graph import TaskGraph
 from repro.schedule.simulator import DeadlockError
 
@@ -813,10 +814,7 @@ class JobStream:
             est = np.maximum(np.array(rows), avail[None, :])
             eft = est + np.array(costs)
             eft[:, sorted(dead)] = np.inf
-            if len(alive) > 1:
-                priorities = np.asarray(eft[:, alive]).std(axis=1, ddof=1)
-            else:
-                priorities = np.zeros(len(ready))
+            priorities = penalty_values(eft[:, alive])
             index = int(np.argmax(priorities))
             st, task = ready[index]
 

@@ -67,10 +67,10 @@ def test_min_lanes_by_kernel_family():
     # HDLTS amortizes its per-step cost over a few lanes, the static
     # list schedulers need a wider batch
     for name in ("HDLTS", "HDLTS-nodup", "HDLTS-rank"):
-        assert min_lanes(name) == 4
+        assert min_lanes(name) == 8
     for name in ("HEFT", "HEFT-noinsertion", "PEFT", "SDBATS"):
         assert min_lanes(name) == 16
-    assert {min_lanes(name) for name in BATCHABLE} == {4, 16}
+    assert {min_lanes(name) for name in BATCHABLE} == {8, 16}
     with pytest.raises(KeyError):
         min_lanes("PETS")
 

@@ -1,4 +1,4 @@
-"""Unit tests for the incremental vectorized EFT engine.
+"""Unit tests for the scalar EFT engine and the timeline batch scan.
 
 The engine's contract is *bit-identity* with the reference scalar
 queries against any live schedule, so every test here compares engine
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.duplication import entry_duplication_plan
-from repro.core.engine import EFTEngine
+from repro.core.engine import StaticEFTEngine
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import ProcessorTimeline
 from tests.conftest import make_random_graph
@@ -45,7 +45,7 @@ class TestReadyVector:
         rng = np.random.default_rng(seed)
         graph = make_random_graph(seed=seed, v=40, n_procs=3)
         schedule, placed = _partial_schedule(graph, rng)
-        engine = EFTEngine(schedule)
+        engine = StaticEFTEngine(schedule)
         placed_set = set(placed)
         for task in graph.tasks():
             if not all(p in placed_set for p in graph.predecessors(task)):
@@ -57,7 +57,7 @@ class TestReadyVector:
     def test_unscheduled_parent_raises(self):
         graph = make_random_graph(seed=1, v=20)
         schedule = Schedule(graph)
-        engine = EFTEngine(schedule)
+        engine = StaticEFTEngine(schedule)
         child = next(
             t for t in graph.tasks() if graph.in_degree(t) > 0
         )
@@ -68,14 +68,14 @@ class TestReadyVector:
         graph = make_random_graph(seed=2, v=30, n_procs=3)
         rng = np.random.default_rng(0)
         schedule, placed = _partial_schedule(graph, rng, entry_dups=2)
-        engine = EFTEngine(schedule)  # built *after* the placements
+        engine = StaticEFTEngine(schedule)  # built *after* the placements
         for task in placed:
             copies = schedule.copies(task)
             assert engine.best_finish[task] == min(c.finish for c in copies)
             for proc in graph.procs():
                 local = [c.finish for c in copies if c.proc == proc]
                 expected = min(local) if local else np.inf
-                assert engine.local_finish[task, proc] == expected
+                assert engine.local_finish[task][proc] == expected
 
 
 class TestEntryPlan:
@@ -88,9 +88,10 @@ class TestEntryPlan:
         schedule, placed = _partial_schedule(
             graph, rng, entry_dups=seed % graph.n_procs
         )
-        engine = EFTEngine(
+        engine = StaticEFTEngine(
             schedule, entry=entry, hypothetical_entry_dup=allow
         )
+        placed_set = set(placed)
         for child in graph.successors(entry):
             for proc in graph.procs():
                 plan = entry_duplication_plan(
@@ -99,17 +100,28 @@ class TestEntryPlan:
                 duplicate, arrival = engine.entry_plan(child, proc)
                 assert duplicate == plan.duplicate, (child, proc)
                 assert arrival == plan.arrival, (child, proc)
-                vec = engine.entry_arrival_vector(child)
-                assert vec[proc] == plan.arrival
-                col = engine.entry_arrival_column([child], proc)
-                assert col[0] == plan.arrival
+            if all(p in placed_set for p in graph.predecessors(child)):
+                # the non-entry component HDLTS recombines with the plan
+                sans_entry = engine.ready_vector(child, exclude_entry=True)
+                for proc in graph.procs():
+                    expected = max(
+                        [0.0]
+                        + [
+                            schedule.arrival_time(parent, child, proc)
+                            for parent in graph.predecessors(child)
+                            if parent != entry
+                        ]
+                    )
+                    assert sans_entry[proc] == expected
 
     def test_memo_invalidated_by_commits(self):
         graph = make_random_graph(seed=7, v=30, n_procs=3, single_entry=True)
         entry = graph.entry_task
         schedule = Schedule(graph)
         schedule.place(entry, 0, 0.0)
-        engine = EFTEngine(schedule, entry=entry, hypothetical_entry_dup=True)
+        engine = StaticEFTEngine(
+            schedule, entry=entry, hypothetical_entry_dup=True
+        )
         child = graph.successors(entry)[0]
         before = engine.entry_plan(child, 1)
         # block CPU 1's duplication window, then re-query: the memo must
@@ -131,7 +143,7 @@ class TestEstEft:
         rng = np.random.default_rng(3)
         graph = make_random_graph(seed=3, v=40, n_procs=4)
         schedule, placed = _partial_schedule(graph, rng)
-        engine = EFTEngine(schedule)
+        engine = StaticEFTEngine(schedule)
         placed_set = set(placed)
         for task in graph.tasks():
             if task in placed_set or not all(

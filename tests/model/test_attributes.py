@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.attributes import (
     communication_cost,
     mean_execution_time,
     mean_execution_times,
+    penalty_value,
+    penalty_values,
     sample_std,
     std_execution_times,
 )
@@ -74,3 +78,52 @@ class TestSampleStd:
 
     def test_constant_vector_is_zero(self):
         assert sample_std(np.array([3.0, 3.0, 3.0])) == 0.0
+
+
+@st.composite
+def eft_matrices(draw):
+    """EFT-like matrices: 1-40 CPUs (both sides of numpy's 8-term
+    pairwise block), adversarial magnitudes and exact ties."""
+    n_procs = draw(st.integers(min_value=1, max_value=40))
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    value = st.one_of(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.integers(min_value=0, max_value=50).map(float),
+        st.floats(min_value=0.0, max_value=1e-3, allow_nan=False),
+    )
+    cells = draw(
+        st.lists(value, min_size=n_rows * n_procs, max_size=n_rows * n_procs)
+    )
+    return np.array(cells, dtype=float).reshape(n_rows, n_procs)
+
+
+class TestPenaltyValueKernel:
+    """The Python PV kernel replays numpy's summation order exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(eft=eft_matrices())
+    def test_bit_identical_to_numpy_std(self, eft):
+        n_rows, n_procs = eft.shape
+        if n_procs == 1:
+            expected = np.zeros(n_rows)
+        else:
+            expected = eft.std(axis=1, ddof=1)
+        scalar = [penalty_value(row) for row in eft.tolist()]
+        assert scalar == expected.tolist()
+        assert penalty_values(eft).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n_procs", [7, 8, 9, 15, 16, 17, 128, 129, 300])
+    def test_pairwise_block_boundaries(self, n_procs):
+        rng = np.random.default_rng(n_procs)
+        eft = rng.uniform(0.0, 1e4, size=(5, n_procs))
+        expected = eft.std(axis=1, ddof=1).tolist()
+        assert [penalty_value(row) for row in eft.tolist()] == expected
+
+    def test_single_cpu_is_zero(self):
+        assert penalty_value([5.0]) == 0.0
+        assert penalty_values(np.array([[5.0], [7.0]])).tolist() == [0.0, 0.0]
+
+    def test_table1_step2(self):
+        row = [27.0, 35.0, 27.0]
+        assert penalty_value(row) == float(np.std(row, ddof=1))
+        assert penalty_value(row) == pytest.approx(4.6, abs=0.05)

@@ -22,12 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.hdlts as hdlts_module
+from repro import obs
 from repro.baselines.dls import DLS
 from repro.baselines.heft import HEFT
 from repro.baselines.peft import PEFT
 from repro.baselines.pets import PETS
 from repro.baselines.sdbats import SDBATS
 from repro.core.hdlts import HDLTS, PriorityRule
+from repro.experiments.figures import get_figure
 from repro.generator import GeneratorConfig, generate_random_graph
 from repro.model.task_graph import TaskGraph
 from repro.workflows.paper_example import paper_example_graph
@@ -123,6 +126,21 @@ def test_hdlts_fast_matches_reference(graph, duplicate, insertion, priority):
 
 
 @settings(max_examples=40, deadline=None)
+@given(graph=task_graphs(), duplicate=st.booleans())
+def test_hdlts_vectorized_pv_route_matches_reference(graph, duplicate):
+    """The tiny graphs above stay under the PV crossover; pin it to 0 so
+    the vectorized route sees the same adversarial ties and costs."""
+    saved = hdlts_module._PV_VECTOR_MIN_CELLS
+    hdlts_module._PV_VECTOR_MIN_CELLS = 0
+    try:
+        assert_identical(
+            lambda eng: HDLTS(duplicate_entry=duplicate, engine=eng), graph
+        )
+    finally:
+        hdlts_module._PV_VECTOR_MIN_CELLS = saved
+
+
+@settings(max_examples=40, deadline=None)
 @given(graph=task_graphs(), insertion=st.booleans())
 def test_heft_fast_matches_reference(graph, insertion):
     assert_identical(
@@ -175,6 +193,81 @@ def test_fidelity_shapes_identical(shape, name):
             config, np.random.default_rng(seed)
         ).normalized()
         assert_identical(_BASELINES[name], graph)
+
+
+# --------------------------------------------------------------------------
+# HDLTS's size-selected PV route: both sides of the crossover
+# --------------------------------------------------------------------------
+
+def _route_cases():
+    fig13 = get_figure("fig13")
+    yield "fig13-md", fig13.build_graph(3.0, np.random.default_rng(0))
+    for v, n_procs in ((500, 8), (100, 16), (60, 1)):
+        yield f"v{v}-p{n_procs}", generate_random_graph(
+            GeneratorConfig(v=v, n_procs=n_procs), np.random.default_rng(1)
+        ).normalized()
+    # a commit closes Algorithm 1's window on a CPU under a pending
+    # entry child, so the dirty-column refresh changes its ready row
+    yield "window-closes", generate_random_graph(
+        GeneratorConfig(v=20, n_procs=4, ccr=5.0, beta=2.0, single_entry=True),
+        np.random.default_rng(74),
+    ).normalized()
+
+
+_ROUTE_CASES = dict(_route_cases())
+
+
+def _observed_run(engine, graph, insertion):
+    """Schedule, decision/duplication events and HDLTS counters of one run."""
+    events = []
+    unsubscribe = obs.get_bus().subscribe(
+        events.append,
+        topics=("scheduler.decision", "scheduler.duplication"),
+    )
+    try:
+        with obs.session(metrics=True) as sess:
+            scheduler = HDLTS(
+                use_insertion=insertion, record_trace=True, engine=engine
+            )
+            schedule = scheduler.build_schedule(graph)
+    finally:
+        unsubscribe()
+    counters = {
+        key: value
+        for key, value in sess.snapshot["counters"].items()
+        if key.startswith("HDLTS/")
+    }
+    return (
+        schedule_signature(schedule),
+        [(e.name, e.payload) for e in events],
+        scheduler.last_trace,
+        counters,
+    )
+
+
+@pytest.mark.parametrize("crossover", ["default", "scalar", "vectorized"])
+@pytest.mark.parametrize("insertion", [False, True])
+@pytest.mark.parametrize("case", sorted(_ROUTE_CASES))
+def test_hdlts_pv_routes_match_reference(case, insertion, crossover, monkeypatch):
+    """Every PV route reproduces the oracle's schedule, events and counters.
+
+    ``default`` switches routes mid-run as the ready set widens and
+    narrows; the other two pin one route for the whole run.
+    """
+    if crossover != "default":
+        monkeypatch.setattr(
+            hdlts_module,
+            "_PV_VECTOR_MIN_CELLS",
+            0 if crossover == "vectorized" else 10**9,
+        )
+    graph = _ROUTE_CASES[case]
+    fast = _observed_run("fast", graph, insertion)
+    ref = _observed_run("reference", graph, insertion)
+    assert fast[0] == ref[0]
+    assert fast[1] == ref[1]
+    assert fast[2] == ref[2]
+    assert fast[3] == ref[3]
+    assert fast[3]["HDLTS/decisions"] == graph.n_tasks
 
 
 # --------------------------------------------------------------------------
