@@ -57,8 +57,8 @@ ROUNDS = 4
 #: replication-batch width for the throughput measure (one x point)
 BATCH_LANES = 512
 
-#: the batchable paper set (PETS/CPOP always take the scalar path)
-SCHEDULERS = ("HDLTS", "HEFT", "PEFT", "SDBATS")
+#: the paper set, all batchable (CPOP always takes the scalar path)
+SCHEDULERS = ("HDLTS", "HEFT", "PETS", "PEFT", "SDBATS")
 
 
 def _definition(factory, params, x_values=(1.0, 3.0, 5.0)):

@@ -29,7 +29,47 @@ from repro.model.task_graph import TaskGraph
 from repro.runtime.context import resolve_engine
 from repro.schedule.schedule import Schedule
 
-__all__ = ["PETS"]
+__all__ = ["PETS", "pets_priorities"]
+
+
+def _data_transfer_costs(
+    succ_indptr: np.ndarray, succ_costs: np.ndarray
+) -> np.ndarray:
+    """DTC of every CSR row: the sum of its outgoing edge costs.
+
+    ``np.add.at`` accumulates unbuffered in flat CSR order -- each
+    source's edge insertion order -- so every sum adds its terms in the
+    sequential order, from ``0.0``.
+    """
+    counts = np.diff(succ_indptr)
+    dtc = np.zeros(counts.size)
+    np.add.at(dtc, np.repeat(np.arange(counts.size), counts), succ_costs)
+    return dtc
+
+
+def pets_priorities(
+    succ_indptr: np.ndarray,
+    succ_costs: np.ndarray,
+    pred_indptr: np.ndarray,
+    pred_costs: np.ndarray,
+    acc: np.ndarray,
+) -> np.ndarray:
+    """``round(ACC + DTC + DRC)`` of every row of a CSR graph.
+
+    DRC is the row's largest incoming edge cost (``0.0`` without
+    predecessors), an order-free ``np.maximum.reduceat``.  ``np.rint``
+    rounds half to even like Python's ``round``.  The rows may be one
+    compiled graph or a batch's block-diagonal union of them: each row
+    reduces only its own edges, so a union row equals the same row in
+    its lane's graph bit for bit.
+    """
+    drc = np.zeros(acc.size)
+    has_pred = np.diff(pred_indptr) > 0
+    if has_pred.any():
+        drc[has_pred] = np.maximum.reduceat(
+            pred_costs, pred_indptr[:-1][has_pred]
+        )
+    return np.rint(acc + _data_transfer_costs(succ_indptr, succ_costs) + drc)
 
 
 class PETS(Scheduler):
@@ -51,30 +91,23 @@ class PETS(Scheduler):
 
     # ------------------------------------------------------------------
     def ranks(self, graph: TaskGraph) -> np.ndarray:
-        """Compute the PETS rank of every task (level by level).
+        """Compute the PETS rank of every task.
 
-        ACC and DTC come from the compiled CSR arrays: ``np.add.at``
-        accumulates unbuffered in flat CSR order -- each source's edge
-        insertion order -- so every DTC sum adds its terms in the
-        sequential order, and the drc max is an order-free reduction.
+        The drc ranks are :func:`pets_priorities` over the compiled CSR
+        arrays (a one-lane batch); rpt ranks recurse level by level.
         """
         compiled = compile_graph(graph)
-        n = graph.n_tasks
         acc = compiled.mean_costs()
-        dtc = np.zeros(n)
-        counts = np.diff(compiled.succ_indptr)
-        np.add.at(dtc, np.repeat(np.arange(n), counts), compiled.succ_costs)
         if self.variant == "drc":
-            drc = np.zeros(n)
-            pred_indptr = compiled.pred_indptr
-            has_pred = np.diff(pred_indptr) > 0
-            if has_pred.any():
-                drc[has_pred] = np.maximum.reduceat(
-                    compiled.pred_costs, pred_indptr[:-1][has_pred]
-                )
-            total = acc + dtc + drc
-            return np.array([float(round(value)) for value in total])
-        rank = np.zeros(n)
+            return pets_priorities(
+                compiled.succ_indptr,
+                compiled.succ_costs,
+                compiled.pred_indptr,
+                compiled.pred_costs,
+                acc,
+            )
+        dtc = _data_transfer_costs(compiled.succ_indptr, compiled.succ_costs)
+        rank = np.zeros(graph.n_tasks)
         for level in level_decomposition(graph):
             for task in level:
                 # rpt: predecessors live in earlier levels, already ranked
@@ -93,10 +126,10 @@ class PETS(Scheduler):
         # bind the fused compiled-path placement once per build
         place_best = getattr(engine, "place_best", None)
         insertion = self.insertion
+        acc = mean_execution_times(graph)
         for level in level_decomposition(graph):
             # highest rank first; ties by smaller average computation
             # cost, then task id (the paper leaves ties unspecified)
-            acc = mean_execution_times(graph)
             ordered: List[int] = sorted(
                 level, key=lambda t: (-rank[t], acc[t], t)
             )

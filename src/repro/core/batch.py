@@ -10,15 +10,18 @@ structures may all differ -- into one struct-of-arrays program:
 * the lanes' graphs are packed as the block-diagonal union of their
   CSR structures (global node ``lane * n + task``), with per-lane
   ``(batch, n, p)`` cost tensors;
-* the rank kernels (mean/std costs, upward rank, OCT) are the
-  level-``reduceat`` kernels of :mod:`repro.model.compiled` run over the
-  union -- a disjoint union's heights above the sinks are each lane's
-  own heights, so every node reduces exactly the operands it reduces
-  in its own graph;
-* the static-priority baselines (HEFT, PEFT, SDBATS and their
-  registered ablations) compute per-lane task orders up front and then
-  place one task per lane per step in lockstep, with a vectorized
-  timeline gap scan (:class:`_BatchTimelines`) replicating
+* the rank kernels (mean/std costs, upward rank, OCT, the PETS
+  priority, the Eq. 10 ``CP_MIN`` bound) are the level-``reduceat``
+  kernels of :mod:`repro.model.compiled` run over the union -- one
+  Kahn peel gives the union's heights above the sinks, its mirror the
+  depths below the sources, and in a disjoint union both are each
+  lane's own, so every node reduces exactly the operands it reduces in
+  its own graph;
+* the static-priority baselines (HEFT, PEFT, PETS, SDBATS and their
+  registered ablations) compute per-lane task orders up front -- PETS's
+  level-sorted order is one lexsort over (lane, depth, -rank, ACC) --
+  and then place one task per lane per step in lockstep, with a
+  vectorized timeline gap scan (:class:`_BatchTimelines`) replicating
   ``ProcessorTimeline.earliest_start_fast`` and the 1e-12
   strict-improvement CPU selection of ``StaticEFTEngine.place_best``;
 * HDLTS runs a batched ready-list step: the union of the lanes' ITQ
@@ -45,6 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.pets import pets_priorities
 from repro.core.hdlts import PriorityRule
 from repro.model.compiled import CompiledGraph, _ragged_indices
 from repro.schedule.schedule import Schedule
@@ -73,7 +77,7 @@ class _StaticConfig:
     """One static-list baseline as the batch kernel sees it."""
 
     obs_name: str  # Scheduler.name (counter prefix), not the registry key
-    rank: str  # "mean" | "std" | "oct"
+    rank: str  # "mean" | "std" | "oct" | "pets"
     insertion: bool = True
     sdbats: bool = False  # entry pre-placement (primary + mirrors)
     duplicate_entry: bool = True  # SDBATS only
@@ -89,13 +93,16 @@ class _DynamicConfig:
     duplicate_entry: bool
 
 
-#: registry name -> batch kernel configuration.  Schedulers absent here
-#: (PETS, CPOP, ``HDLTS-insertion``, ``engine="reference"`` variants,
-#: ...) always take the scalar path.
+#: registry name -> batch kernel configuration: the whole paper set
+#: (HDLTS, HEFT, PETS, PEFT, SDBATS) and their batchable ablations.
+#: Schedulers absent here (``PETS-rpt``, whose rank recurses over the
+#: predecessors' ranks, CPOP, ``HDLTS-insertion``, ``engine="reference"``
+#: variants, ...) always take the scalar path.
 _CONFIGS: Dict[str, object] = {
     "HEFT": _StaticConfig("HEFT", rank="mean", insertion=True),
     "HEFT-noinsertion": _StaticConfig("HEFT", rank="mean", insertion=False),
     "PEFT": _StaticConfig("PEFT", rank="oct", insertion=True, peft=True),
+    "PETS": _StaticConfig("PETS", rank="pets", insertion=True),
     "SDBATS": _StaticConfig(
         "SDBATS", rank="std", insertion=True, sdbats=True, duplicate_entry=True
     ),
@@ -137,8 +144,9 @@ def batchable_schedulers() -> List[str]:
 #: break-even width barely moves with size.  Measured on random DAGs of
 #: 30-200 tasks on 2-8 CPUs: HDLTS breaks even at 6-10 lanes against
 #: its Python-float scalar path (it wins at 8 on 8 and 4 CPUs, 0.9x on
-#: 2), the static list schedulers at 12-16 (at 2 lanes they run ~5x
-#: slower batched).
+#: 2), the static list schedulers at 12-16 (PETS at 16-20: 0.88-1.11x
+#: at 16 lanes, 1.11-1.24x at 24; at 2 lanes they run ~5x slower
+#: batched).
 _MIN_LANES = {_StaticConfig: 16, _DynamicConfig: 8}
 
 
@@ -317,8 +325,7 @@ class CompiledBatch:
         )
         self.ne_ids = self.pred_ids[keep]
         self.ne_costs = self.pred_costs[keep]
-        self._up_batches_cache: Optional[List[Tuple]] = None
-        self._cache: Dict[str, np.ndarray] = {}
+        self._cache: Dict[str, object] = {}
 
     @property
     def label(self) -> str:
@@ -338,44 +345,98 @@ class CompiledBatch:
             lambda: self._global_ids(self.succ_indptr, self.succ_ids),
         )
 
+    def _pred_global(self) -> np.ndarray:
+        """Union predecessor ids as global nodes (cached)."""
+        return self._cached(
+            "pred_global",
+            lambda: self._global_ids(self.pred_indptr, self.pred_ids),
+        )
+
+    def _peel(
+        self, out_indptr: np.ndarray, in_indptr: np.ndarray, in_global: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized Kahn peel: every union node's level.
+
+        Level 0 holds the nodes without ``out`` edges; a node joins
+        level ``l`` once the ``l - 1`` peel removed its last ``out``
+        neighbour, so its level is its longest hop path to level 0.
+        ``in_indptr``/``in_global`` is the mirror CSR each peeled node
+        walks to reach the nodes pointing at it.  In a disjoint union
+        every node's level is its level in its own lane's graph.
+        """
+        total = self.n_lanes * self.n_tasks
+        remaining = np.diff(out_indptr)
+        level = np.zeros(total, dtype=np.intp)
+        frontier = np.flatnonzero(remaining == 0)
+        step = 0
+        while frontier.size:
+            level[frontier] = step
+            s0 = in_indptr[frontier]
+            flat, _ = _ragged_indices(s0, in_indptr[frontier + 1] - s0)
+            peeled = np.bincount(in_global[flat], minlength=total)
+            remaining = remaining - peeled
+            frontier = np.flatnonzero((peeled > 0) & (remaining == 0))
+            step += 1
+        return level
+
+    @staticmethod
+    def _level_batches(level: np.ndarray, indptr: np.ndarray) -> List[Tuple]:
+        """``(nodes, flat, offsets, counts)`` per level ``>= 1`` over ``indptr``."""
+        order = np.argsort(level, kind="stable")
+        top = int(level.max(initial=0))
+        bounds = np.searchsorted(level[order], np.arange(1, top + 2))
+        batches: List[Tuple] = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            nodes = order[lo:hi]
+            starts = indptr[nodes]
+            counts = indptr[nodes + 1] - starts
+            flat, offsets = _ragged_indices(starts, counts)
+            batches.append((nodes, flat, offsets, counts))
+        return batches
+
     def up_batches(self) -> List[Tuple]:
-        """Union nodes grouped by height above the sinks.
+        """Union nodes grouped by height above the sinks (cached).
 
         The layout of :meth:`CompiledGraph._up_batches`, over the union:
         ``(nodes, flat, offsets, counts)`` per height ``h >= 1``, with
         global ``nodes`` in ascending order and ``flat`` indexing the
-        union successor CSR.  Heights come from a vectorized Kahn peel
-        from the sinks; in a disjoint union they equal each lane's own
-        heights, so lane ``b``'s slice of batch ``h`` is exactly batch
+        union successor CSR.  Heights come from :meth:`_peel` from the
+        sinks, so lane ``b``'s slice of batch ``h`` is exactly batch
         ``h`` of its own compiled graph.
         """
-        if self._up_batches_cache is not None:
-            return self._up_batches_cache
-        total = self.n_lanes * self.n_tasks
-        pred_global = self._global_ids(self.pred_indptr, self.pred_ids)
-        remaining = np.diff(self.succ_indptr)
-        height = np.zeros(total, dtype=np.intp)
-        frontier = np.flatnonzero(remaining == 0)
-        level = 0
-        while frontier.size:
-            height[frontier] = level
-            s0 = self.pred_indptr[frontier]
-            flat, _ = _ragged_indices(s0, self.pred_indptr[frontier + 1] - s0)
-            peeled = np.bincount(pred_global[flat], minlength=total)
-            remaining = remaining - peeled
-            frontier = np.flatnonzero((peeled > 0) & (remaining == 0))
-            level += 1
-        order = np.argsort(height, kind="stable")
-        bounds = np.searchsorted(height[order], np.arange(1, level + 1))
-        batches: List[Tuple] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            nodes = order[lo:hi]
-            starts = self.succ_indptr[nodes]
-            counts = self.succ_indptr[nodes + 1] - starts
-            flat, offsets = _ragged_indices(starts, counts)
-            batches.append((nodes, flat, offsets, counts))
-        self._up_batches_cache = batches
-        return batches
+
+        def build() -> List[Tuple]:
+            height = self._peel(
+                self.succ_indptr, self.pred_indptr, self._pred_global()
+            )
+            return self._level_batches(height, self.succ_indptr)
+
+        return self._cached("up_batches", build)
+
+    def depths(self) -> np.ndarray:
+        """(B * n,) each union node's depth below the sources (cached).
+
+        The forward mirror of the height peel: the longest hop path
+        from an entry task, which is
+        :func:`~repro.model.levels.task_levels` of the node's lane.
+        """
+        return self._cached(
+            "depths",
+            lambda: self._peel(
+                self.pred_indptr, self.succ_indptr, self._succ_global()
+            ),
+        )
+
+    def down_batches(self) -> List[Tuple]:
+        """Union nodes grouped by depth, over the predecessor CSR (cached).
+
+        The layout of :meth:`CompiledGraph._down_batches`, over the
+        union: ``flat`` indexes the union predecessor CSR.
+        """
+        return self._cached(
+            "down_batches",
+            lambda: self._level_batches(self.depths(), self.pred_indptr),
+        )
 
     # ------------------------------------------------------------------
     # batched rank kernels (per-lane bit-identical to CompiledGraph's)
@@ -451,6 +512,41 @@ class CompiledBatch:
         return self._cached(
             "oct_rank", lambda: self.oct_table().mean(axis=2)
         )
+
+    def pets_rank(self) -> np.ndarray:
+        """(B, n) PETS priority ``round(ACC + DTC + DRC)`` (cached)."""
+        return self._cached(
+            "pets_rank",
+            lambda: pets_priorities(
+                self.succ_indptr,
+                self.succ_costs,
+                self.pred_indptr,
+                self.pred_costs,
+                self.mean_costs().reshape(-1),
+            ).reshape(self.n_lanes, self.n_tasks),
+        )
+
+    def cp_min_bounds(self) -> np.ndarray:
+        """(B,) Eq. 10 denominators, :meth:`CompiledGraph.cp_min_bound` per lane.
+
+        The compiled kernel's longest min-cost chain over the union's
+        depth batches, term for term: entries start at their minimum
+        cost, every other node takes the max over its predecessors of
+        ``(dist[pred] + 0.0) + min_cost``.
+        """
+
+        def build() -> np.ndarray:
+            min_costs = self.W.min(axis=2).reshape(-1)
+            dist = np.where(self.depths() == 0, min_costs, -np.inf)
+            preds = self._pred_global()
+            for nodes, flat, offsets, counts in self.down_batches():
+                candidates = (dist[preds[flat]] + 0.0) + np.repeat(
+                    min_costs[nodes], counts
+                )
+                dist[nodes] = np.maximum.reduceat(candidates, offsets)
+            return dist.reshape(self.n_lanes, self.n_tasks).max(axis=1)
+
+        return self._cached("cp_min", build)
 
 
 # ----------------------------------------------------------------------
@@ -820,25 +916,35 @@ class BatchResult:
 # ----------------------------------------------------------------------
 def _static_orders(batch: CompiledBatch, cfg: _StaticConfig) -> np.ndarray:
     """(B, n) per-lane task orders, exactly the scalar derivations."""
-    n = batch.n_tasks
-    if cfg.rank == "mean":
-        ranks = batch.mean_upward_rank()
-    elif cfg.rank == "std":
-        ranks = batch.std_upward_rank()
-    else:  # "oct": PEFT's dynamic heap order, simulated per lane
-        ranks = batch.oct_rank()
-        return _peft_orders(batch, ranks)
+    if cfg.rank == "oct":  # PEFT's dynamic heap order, simulated per lane
+        return _peft_orders(batch, batch.oct_rank())
     # one lexsort over all lanes: with the lane index as the primary
     # (last) key, the stable within-lane order is exactly the per-lane
-    # ``np.lexsort((position, -ranks[lane]))`` permutation
-    n_lanes = batch.n_lanes
-    flat = np.lexsort(
-        (
+    # sort of the scalar scheduler
+    n_lanes, n = batch.n_lanes, batch.n_tasks
+    lane_key = np.repeat(np.arange(n_lanes), n)
+    if cfg.rank == "pets":
+        # PETS: level by level, rank descending, then smaller ACC; full
+        # ties keep ascending task ids (lexsort is stable)
+        keys = (
+            batch.mean_costs().ravel(),
+            np.negative(batch.pets_rank()).ravel(),
+            batch.depths(),
+            lane_key,
+        )
+    else:
+        # HEFT/SDBATS: rank descending, ties in topological position
+        ranks = (
+            batch.mean_upward_rank()
+            if cfg.rank == "mean"
+            else batch.std_upward_rank()
+        )
+        keys = (
             batch.topo_position.ravel(),
             np.negative(ranks).ravel(),
-            np.repeat(np.arange(n_lanes), n),
+            lane_key,
         )
-    )
+    flat = np.lexsort(keys)
     return flat.reshape(n_lanes, n) - np.arange(n_lanes)[:, None] * n
 
 

@@ -311,13 +311,16 @@ def _run_batched_group(
 ) -> None:
     """One ``(n_tasks, n_procs, entry)`` group through the batched kernel.
 
-    Batchable schedulers run once over the whole group
-    (:func:`repro.core.batch.run_batch`) when it has at least
-    :func:`~repro.core.batch.min_lanes` lanes for them; anything else in
-    the set (PETS, reference-only ablations, statics in a narrow
-    group, ...) runs scalar per instance.
-    Per-instance metric values land in ``results`` at the caller's
-    replication positions, bit-identical to the scalar path.
+    Batchable schedulers -- the whole paper set -- run once over the
+    whole group (:func:`repro.core.batch.run_batch`) when it has at
+    least :func:`~repro.core.batch.min_lanes` lanes for them; anything
+    else in the set (``PETS-rpt``, CPOP, reference-only ablations,
+    statics in a narrow group, ...) runs scalar per instance.  For the
+    ``slr`` metric the group's Eq. 10 denominators come from one
+    :meth:`~repro.core.batch.CompiledBatch.cp_min_bounds` pass, cached
+    on each lane's compiled graph before :func:`~repro.metrics.slr`
+    reads them.  Per-instance metric values land in ``results`` at the
+    caller's replication positions, bit-identical to the scalar path.
     """
     metric_fn = _METRICS[definition.metric]
     bus = obs.get_bus()
@@ -346,6 +349,10 @@ def _run_batched_group(
             # would have recorded (no-ops while profiling is off)
             for key, total in batched.counters.items():
                 obs.count(key, total)
+        if definition.metric == "slr":
+            bounds = batch.cp_min_bounds().tolist()
+            for instance, bound in zip(batch.instances, bounds):
+                instance.prime_cp_min_bound(bound)
         if obs.enabled():
             obs.get_metrics().counter("sweep/replications").inc(batch.n_lanes)
         for lane, (idx, graph) in enumerate(members):
@@ -422,10 +429,11 @@ def run_replications(
     validation) the instances are grouped by
     ``(n_tasks, n_procs, entry)`` -- their structures may differ -- and
     each group runs through the batched multi-DAG kernel
-    (:mod:`repro.core.batch`); groups too narrow to pay for the kernel
-    (:func:`~repro.core.batch.min_lanes`), non-batchable schedulers and
-    instances outside the kernel's duplication-window gate fall back to
-    the scalar path.
+    (:mod:`repro.core.batch`), which covers the paper's whole scheduler
+    set and, for SLR sweeps, the Eq. 10 denominators; groups too narrow
+    to pay for the kernel (:func:`~repro.core.batch.min_lanes`),
+    non-batchable schedulers and instances outside the kernel's
+    duplication-window gate fall back to the scalar path.
 
     Stream definitions build every replication's workload first and
     compute the admission queues of each ``Static/<Name>`` policy once

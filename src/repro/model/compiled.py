@@ -243,6 +243,15 @@ class CompiledGraph:
         """Eq. 10 denominator: longest min-cost chain (cached)."""
         return self._artifact("cp_min", self._cp_min_kernel)
 
+    def prime_cp_min_bound(self, value: float) -> None:
+        """Cache a :meth:`cp_min_bound` computed elsewhere.
+
+        The batch kernel's
+        :meth:`~repro.core.batch.CompiledBatch.cp_min_bounds` gives every
+        lane's bound bit-equal to this kernel's in one pass.
+        """
+        self._artifacts.setdefault("cp_min", value)
+
     def sequential_time(self) -> float:
         """Eq. 11 numerator: best single-CPU column sum (cached)."""
         return self._artifact(

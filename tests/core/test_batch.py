@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.pets import PETS
 from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
@@ -25,9 +26,12 @@ from repro.core.batch import (
     min_lanes,
     run_batch,
 )
+from repro.experiments.graphspec import GraphSpec, graph_factory_names
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
+from repro.metrics.critical_path import critical_path_min
 from repro.model.compiled import compile_graph
+from repro.model.levels import task_levels
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import BATCH_CHOICES, current_context
 from repro.schedule.timeline import ProcessorTimeline
@@ -49,18 +53,19 @@ def _fixed_random_graph(cost_seed: int, structure_seed: int = 7, v: int = 20):
 def test_batchable_scheduler_set():
     names = batchable_schedulers()
     assert set(names) == BATCHABLE
-    for required in ("HEFT", "PEFT", "SDBATS", "HDLTS", "HDLTS-nodup"):
+    for required in ("HEFT", "PETS", "PEFT", "SDBATS", "HDLTS", "HDLTS-nodup"):
         assert required in BATCHABLE
     # scalar-only schedulers must never be claimed by the kernel
-    for excluded in ("PETS", "CPOP", "HDLTS-insertion"):
+    for excluded in ("PETS-rpt", "CPOP", "HDLTS-insertion"):
         assert excluded not in BATCHABLE
 
 
 def test_run_batch_rejects_unknown_scheduler():
     compiled = compile_graph(paper_example_graph())
     batch = CompiledBatch([compiled])
-    with pytest.raises(KeyError):
-        run_batch(batch, "PETS")
+    for name in ("PETS-rpt", "CPOP"):
+        with pytest.raises(KeyError):
+            run_batch(batch, name)
 
 
 def test_min_lanes_by_kernel_family():
@@ -68,11 +73,12 @@ def test_min_lanes_by_kernel_family():
     # list schedulers need a wider batch
     for name in ("HDLTS", "HDLTS-nodup", "HDLTS-rank"):
         assert min_lanes(name) == 8
-    for name in ("HEFT", "HEFT-noinsertion", "PEFT", "SDBATS"):
+    for name in ("HEFT", "HEFT-noinsertion", "PETS", "PEFT", "SDBATS"):
         assert min_lanes(name) == 16
     assert {min_lanes(name) for name in BATCHABLE} == {8, 16}
-    with pytest.raises(KeyError):
-        min_lanes("PETS")
+    for name in ("PETS-rpt", "CPOP"):
+        with pytest.raises(KeyError):
+            min_lanes(name)
 
 
 def test_max_lanes_bounds():
@@ -179,18 +185,21 @@ def test_batch_groups_split_by_key_gate_and_width():
     assert [2] in batch_groups(instances, ["HEFT"], 1)
 
 
-def test_union_level_batches_match_per_lane():
-    """Each lane's slice of the union level batches is its own batches."""
-    compiled = [
-        compile_graph(_fixed_random_graph(seed, structure_seed=seed))
-        for seed in range(5)
+def _ragged_batch(lanes=5):
+    """(graphs, compiled, batch) of one structure per lane."""
+    graphs = [
+        _fixed_random_graph(seed, structure_seed=seed) for seed in range(lanes)
     ]
+    compiled = [compile_graph(g) for g in graphs]
     assert len({batch_key(g) for g in compiled}) == 1
-    batch = CompiledBatch(compiled)
+    return graphs, compiled, CompiledBatch(compiled)
+
+
+def _assert_union_batches_per_lane(batch, compiled, union, own_batches, csr):
+    """Lane ``b``'s slice of every union batch is its own batch."""
     n = batch.n_tasks
-    union = batch.up_batches()
     for lane, g in enumerate(compiled):
-        own = g._up_batches()
+        own = own_batches(g)
         assert len(own) <= len(union)
         for h, (nodes, flat, offsets, counts) in enumerate(union):
             mine = nodes // n == lane
@@ -205,12 +214,31 @@ def test_union_level_batches_match_per_lane():
             got_flat = np.concatenate(
                 [f for f, m in zip(got_flat, mine) if m]
             )
-            assert np.array_equal(
-                batch.succ_ids[got_flat], g.succ_ids[want_flat]
-            ), (lane, h)
-            assert np.array_equal(
-                batch.succ_costs[got_flat], g.succ_costs[want_flat]
-            ), (lane, h)
+            for array in (f"{csr}_ids", f"{csr}_costs"):
+                assert np.array_equal(
+                    getattr(batch, array)[got_flat],
+                    getattr(g, array)[want_flat],
+                ), (lane, h, array)
+
+
+def test_union_level_batches_match_per_lane():
+    """Each lane's slice of the union level batches is its own batches."""
+    _, compiled, batch = _ragged_batch()
+    _assert_union_batches_per_lane(
+        batch, compiled, batch.up_batches(), lambda g: g._up_batches(), "succ"
+    )
+
+
+def test_union_depth_batches_match_per_lane():
+    """The forward peel: depths and depth batches are each lane's own."""
+    graphs, compiled, batch = _ragged_batch()
+    depths = batch.depths().reshape(batch.n_lanes, batch.n_tasks)
+    for lane, graph in enumerate(graphs):
+        assert depths[lane].tolist() == task_levels(graph), lane
+    _assert_union_batches_per_lane(
+        batch, compiled, batch.down_batches(), lambda g: g._down_batches(),
+        "pred",
+    )
 
 
 def test_run_context_batch_validation():
@@ -227,12 +255,16 @@ def test_run_context_batch_validation():
 def test_batch_rank_kernels_match_per_instance():
     """Same-shape and ragged (one structure per lane) batches alike."""
     for structure_seeds in ([7] * 4, range(4)):
-        compiled = [
-            compile_graph(_fixed_random_graph(seed, structure_seed=s))
+        graphs = [
+            _fixed_random_graph(seed, structure_seed=s)
             for seed, s in enumerate(structure_seeds)
         ]
+        compiled = [compile_graph(g) for g in graphs]
         batch = CompiledBatch(compiled)
         for lane, g in enumerate(compiled):
+            assert np.array_equal(
+                batch.pets_rank()[lane], PETS().ranks(graphs[lane])
+            )
             assert np.array_equal(batch.mean_costs()[lane], g.mean_costs())
             assert np.array_equal(batch.std_costs()[lane], g.std_costs())
             assert np.array_equal(
@@ -243,6 +275,57 @@ def test_batch_rank_kernels_match_per_instance():
             )
             assert np.array_equal(batch.oct_table()[lane], g.oct_table())
             assert np.array_equal(batch.oct_rank()[lane], g.oct_rank())
+
+
+def _factory_instances(factory, params, x, reps=6):
+    """One x point's replications of ``factory``, built like the harness."""
+    spec = GraphSpec(factory, params)
+    graphs = []
+    for rep in range(reps):
+        graph = spec.build(x, np.random.default_rng([0, rep]))
+        if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
+            graph = graph.normalized()  # zero-cost pseudo entry/exit
+        graphs.append(graph)
+    return graphs
+
+
+#: every registered GraphSpec factory, at small sizes
+_FACTORY_CASES = {
+    "random": ({"axis": "ccr", "v": 24}, 1.0),
+    "random-fixed": ({"axis": "ccr", "v": 24, "structure_seed": 5}, 5.0),
+    "table2": (
+        {"configs": [{"v": 20, "ccr": 0.5, "n_procs": 3, "alpha": 2.0}]},
+        0,
+    ),
+    "fft": ({"axis": "m", "n_procs": 3}, 4),
+    "montage": ({"axis": "ccr", "sizes": [20]}, 1.0),
+    "molecular": ({"axis": "ccr", "n_procs": 3}, 3.0),
+}
+
+
+def test_factory_cases_cover_every_graph_factory():
+    assert set(_FACTORY_CASES) == set(graph_factory_names())
+
+
+@pytest.mark.parametrize("factory", sorted(_FACTORY_CASES))
+def test_cp_min_bounds_match_compiled_and_oracle(factory):
+    """Batched Eq. 10 denominators equal the per-graph kernel and oracle."""
+    params, x = _FACTORY_CASES[factory]
+    graphs = _factory_instances(factory, params, x)
+    compiled = [compile_graph(g) for g in graphs]
+    groups = {}
+    for idx, instance in enumerate(compiled):
+        groups.setdefault(batch_key(instance), []).append(idx)
+    pseudo = 0
+    for idxs in groups.values():
+        bounds = CompiledBatch([compiled[i] for i in idxs]).cp_min_bounds()
+        for lane, idx in enumerate(idxs):
+            pseudo += not compiled[idx].w[compiled[idx].entry_ids[0]].any()
+            got = bounds[lane]
+            assert got == compiled[idx].cp_min_bound(), (factory, idx)
+            assert got == critical_path_min(graphs[idx])[0], (factory, idx)
+    if factory == "random":
+        assert pseudo, "no lane with a zero-cost pseudo entry"
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from tests.stream.conftest import build_workload, small_spec
 
 #: every batchable registry scheduler a ``Static/<Name>`` policy can name
 #: (SDBATS places its entry mirrors, SDBATS-nodup does not)
-STATIC_NAMES = ("HDLTS", "HEFT", "PEFT", "SDBATS", "SDBATS-nodup")
+STATIC_NAMES = ("HDLTS", "HEFT", "PETS", "PEFT", "SDBATS", "SDBATS-nodup")
 
 
 def _graph(v: int, n_procs: int, ccr: float, seed: int) -> TaskGraph:
@@ -152,7 +152,7 @@ def test_graphs_outside_the_kernel_fall_back():
         assert lanes == expected, name
 
 
-@pytest.mark.parametrize("name", ("HDLTS", "HEFT"))
+@pytest.mark.parametrize("name", ("HDLTS", "HEFT", "PETS"))
 def test_precomputed_queues_replay_like_own_admission(name):
     instance = build_workload(3, n_jobs=8, sigma=0.2)
     queues = admission_queues([job.graph for job in instance.jobs], name)
@@ -190,7 +190,10 @@ def test_harness_stream_auto_vs_off():
         "stream_batch_diff",
         small_spec(n_jobs=4, v=8, sigma=0.2),
         (0.01, 0.05),
-        policies=("OnlineHDLTS", "Static/HDLTS", "Static/HEFT", "Static/PEFT"),
+        policies=(
+            "OnlineHDLTS", "Static/HDLTS", "Static/HEFT", "Static/PETS",
+            "Static/PEFT",
+        ),
     )
     with obs.enabled_scope(True):
         off, off_counters = _sweep_arm(definition, 4, "off")
@@ -203,10 +206,11 @@ def test_harness_stream_auto_vs_off():
             assert (a.mean, a.std, a.n) == (b.mean, b.std, b.n), (x, name)
     assert off_counters == auto_counters
     for key in ("HDLTS/decisions", "HEFT/eft_evaluations", "HEFT/runs",
-                "stream/jobs", "stream/dispatches"):
+                "PETS/eft_evaluations", "stream/jobs", "stream/dispatches"):
         assert auto_counters.get(key), key
     sizes = {e.payload["scheduler"]: e.payload["size"] for e in batches}
     assert sizes.get("HEFT", 0) >= min_lanes("HEFT"), sizes
+    assert sizes.get("PETS", 0) >= min_lanes("PETS"), sizes
     assert sizes.get("HDLTS", 0) >= min_lanes("HDLTS"), sizes
 
 

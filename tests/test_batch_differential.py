@@ -50,6 +50,7 @@ from repro.experiments.harness import SweepDefinition, run_sweep
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
 from repro.model.compiled import compile_graph
+from repro.model.task_graph import TaskGraph
 from repro.qa.corpus import read_corpus
 from repro.runtime.context import activate, current_context
 from repro.workflows import paper_example_graph
@@ -201,6 +202,70 @@ def test_hypothesis_ragged_batches(
             assert schedule_signature(result.schedule_for(lane)) == (
                 schedule_signature(scalar)
             ), (name, lane)
+
+
+# ----------------------------------------------------------------------
+# PETS: rank rounding and tie-breaks
+# ----------------------------------------------------------------------
+def _pets_fan(rows, entry_comm, exit_comm):
+    """Entry -> one middle task per row -> exit, on two CPUs."""
+    graph = TaskGraph(2)
+    entry = graph.add_task([2.0, 2.0])
+    mids = [graph.add_task(row) for row in rows]
+    exit_ = graph.add_task([1.0, 1.0])
+    for mid, into, out in zip(mids, entry_comm, exit_comm):
+        graph.add_edge(entry, mid, into)
+        graph.add_edge(mid, exit_, out)
+    return graph
+
+
+def test_pets_rank_ties_round_half_to_even():
+    """Exact ``.5`` ranks round to even; equal ranks order by ACC, then id.
+
+    Middle tasks 1-4 (ACC + DTC + DRC): 1.5 + 0.5 + 0.5 = 2.5 -> 2,
+    1.0 + 0.5 + 0.5 = 2.0 -> 2, 1.0 + 0.75 + 0.25 = 2.0 -> 2 and
+    3.5 + 0 + 0 = 3.5 -> 4.  Rounding half up would move task 1 first.
+    """
+    rows = [[1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [3.0, 4.0]]
+    graphs = [
+        _pets_fan(rows, [0.5, 0.5, 0.25, 0.0], [0.5, 0.5, 0.75, 0.0]),
+        # second lane: the same ranks on reversed ids
+        _pets_fan(rows[::-1], [0.0, 0.25, 0.5, 0.5], [0.0, 0.75, 0.5, 0.5]),
+    ]
+    assert make_scheduler("PETS").ranks(graphs[0]).tolist() == [
+        3.0, 2.0, 2.0, 2.0, 4.0, 2.0,
+    ]
+    batch = CompiledBatch([compile_graph(g) for g in graphs])
+    result = run_batch(batch, "PETS")
+    assert result.tasks.tolist() == [[0, 4, 2, 3, 1, 5], [0, 1, 2, 3, 4, 5]]
+    assert_batch_matches_scalar(graphs, schedulers=("PETS",))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=14),
+    n_procs=st.integers(min_value=1, max_value=4),
+    lanes=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_hypothesis_pets_ragged_tie_heavy_batches(n, n_procs, lanes, seed):
+    """Half-unit costs make rank and ACC ties (and exact ``.5``) common.
+
+    Every lane draws its own wiring over tasks ``0..n-1``; task 0 feeds
+    every task left without a predecessor, so lanes share one entry.
+    """
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(lanes):
+        graph = TaskGraph(n_procs)
+        for _ in range(n):
+            graph.add_task(rng.integers(0, 6, size=n_procs) / 2.0)
+        for dst in range(1, n):
+            parents = [src for src in range(1, dst) if rng.random() < 0.3]
+            for src in parents or [0]:
+                graph.add_edge(src, dst, float(rng.integers(0, 4)) / 2.0)
+        graphs.append(graph)
+    assert_batch_matches_scalar(graphs, schedulers=("PETS",))
 
 
 # ----------------------------------------------------------------------
