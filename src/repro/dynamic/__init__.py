@@ -7,11 +7,13 @@ to future work.  This package builds it:
 * :mod:`repro.dynamic.noise` -- execution-time perturbation models
   (multiplicative gaussian / uniform noise over the estimated ``W``);
 * :mod:`repro.dynamic.failures` -- fail-stop CPU failures;
-* :mod:`repro.dynamic.online` -- :class:`OnlineHDLTS`, which re-runs the
+* :mod:`repro.dynamic.online` -- :class:`OnlineHDLTS`, which runs the
   ITQ/penalty-value loop *at runtime*: decisions use estimated costs, but
-  the platform state they see is the realized one.  Compared against
-  executing a statically computed schedule under the same perturbations
-  (via :class:`~repro.schedule.simulator.ScheduleSimulator`).
+  the platform state they see is the realized one.  It is the job-stream
+  arena (:mod:`repro.stream.arena`) holding a lone job, and with exact
+  durations it dispatches exactly offline HDLTS's schedule.  Compared
+  against executing a statically computed schedule under the same
+  perturbations (via :class:`~repro.schedule.simulator.ScheduleSimulator`).
 """
 
 from repro.dynamic.noise import exact_durations, gaussian_noise, uniform_noise

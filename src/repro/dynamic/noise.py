@@ -4,9 +4,11 @@ Each factory returns a ``duration_fn(task, proc) -> float`` suitable for
 :class:`~repro.schedule.simulator.ScheduleSimulator` and
 :class:`~repro.dynamic.online.OnlineHDLTS`.  Draws are memoized per
 ``(task, proc)`` so the *same* realized duration is observed no matter
-how many times or in which order a run queries it -- this is what makes
-"static schedule under noise" and "online scheduling under noise"
-comparable on identical realizations.
+how many times a run queries it -- this is what makes "static schedule
+under noise" and "online scheduling under noise" comparable on
+identical realizations.  Which draw a pair receives depends on the
+order pairs are first asked for, so ``OnlineHDLTS`` asks lazily, in
+dispatch order, and never pre-draws a matrix.
 """
 
 from __future__ import annotations

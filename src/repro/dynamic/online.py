@@ -8,6 +8,11 @@ CPUs may fail-stop mid-run.  A task caught on a failing CPU is lost and
 re-dispatched when the failure is detected; the dead CPU is excluded
 from then on.
 
+There is one online loop, the job-stream arena's
+(:mod:`repro.stream.arena`): ``OnlineHDLTS`` runs the workflow as a
+stream's lone job arriving at time zero.  Its oracle is offline HDLTS,
+whose schedule slots the records equal under exact durations.
+
 ``replay_static`` is the comparison arm: a schedule computed offline by
 any static scheduler, executed under the same realized durations.
 """
@@ -17,15 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from repro import obs
-from repro.core.itq import IndependentTaskQueue
-from repro.dynamic.failures import FailStop, failure_times
-from repro.dynamic.noise import DurationFn, exact_durations
+from repro.dynamic.failures import FailStop
+from repro.dynamic.noise import DurationFn
 from repro.model.task_graph import TaskGraph
 from repro.schedule.schedule import Schedule
 from repro.schedule.simulator import ScheduleSimulator
+from repro.stream.arena import StreamInstance, StreamJob, run_stream
 
 __all__ = ["OnlineHDLTS", "OnlineResult", "OnlineRecord", "replay_static"]
 
@@ -62,15 +64,27 @@ class AllProcessorsFailed(RuntimeError):
     """Every CPU died before the workflow finished."""
 
 
+@dataclass(frozen=True)
+class _LoneJob(StreamJob):
+    """A stream job asking the caller's ``DurationFn`` lazily, in
+    dispatch order: memoized noise gives each draw to the ``(task,
+    proc)`` pair that asks first, so a pre-drawn matrix would differ."""
+
+    realized: Optional[DurationFn] = None
+
+    @property
+    def exact(self) -> bool:
+        return self.realized is None
+
+    def duration_fn(self) -> DurationFn:
+        return self.realized or self.graph.cost
+
+
 class OnlineHDLTS:
     """Runtime HDLTS under uncertainty (the paper's future-work mode)."""
 
     name = "OnlineHDLTS"
 
-    def __init__(self, duplicate_entry: bool = True) -> None:
-        self.duplicate_entry = duplicate_entry
-
-    # ------------------------------------------------------------------
     def execute(
         self,
         graph: TaskGraph,
@@ -80,202 +94,27 @@ class OnlineHDLTS:
         """Run the workflow online; returns the realized execution."""
         if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
             graph = graph.normalized()
-        if duration_fn is None:
-            duration_fn = exact_durations(graph)
-        entry = graph.entry_task
-        n_procs = graph.n_procs
-        w = graph.cost_matrix()
-        fail_at = failure_times(failures, n_procs)
-
-        avail = np.zeros(n_procs)
-        # an entry duplicate executes over [0, W(entry, k)) exactly like
-        # offline Algorithm 1; dup_free[k] is the largest window still
-        # idle at time zero, mirroring the timeline's fits(0, duration)
-        # semantics (zero-duration slots at t=0 occupy nothing)
-        dup_free = np.full(n_procs, np.inf)
-        dead: set = set()
-
-        def note_interval(proc: int, start: float, finish: float) -> None:
-            if finish - start <= 1e-9:  # point slot blocks only beyond it
-                if start > 0.0:
-                    dup_free[proc] = min(dup_free[proc], start)
-            elif start <= 0.0:
-                dup_free[proc] = 0.0
-            else:
-                dup_free[proc] = min(dup_free[proc], start)
-
-        def dup_fits(proc: int, duration: float) -> bool:
-            return duration <= 1e-9 or duration <= dup_free[proc] + 1e-9
-        # realized copies of each task's output: task -> [(proc, finish)]
-        copies: Dict[int, List[Tuple[int, float]]] = {}
-        finish_times: Dict[int, float] = {}
-        proc_of: Dict[int, int] = {}
-        records: List[OnlineRecord] = []
-        n_lost = 0
-
-        def arrival(parent: int, child: int, proc: int) -> float:
-            comm = graph.comm_cost(parent, child)
-            return min(
-                fin + (0.0 if cproc == proc else comm)
-                for cproc, fin in copies[parent]
-            )
-
-        def ready_row(task: int, floor: float) -> np.ndarray:
-            row = np.full(n_procs, floor)
-            for parent in graph.predecessors(task):
-                for proc in range(n_procs):
-                    t = arrival(parent, task, proc)
-                    # effective entry duplication, online flavour: a copy
-                    # of the entry can start *now* (at avail) on this CPU
-                    if (
-                        self.duplicate_entry
-                        and parent == entry
-                        and not any(c == proc for c, _ in copies[entry])
-                        and dup_fits(proc, w[entry, proc])
-                    ):
-                        t = min(t, w[entry, proc])
-                    if t > row[proc]:
-                        row[proc] = t
-            return row
-
-        bus = obs.get_bus()
-
-        def record(entry_record: OnlineRecord) -> None:
-            records.append(entry_record)
-            if bus.active:
-                bus.emit(
-                    "dynamic.dispatch",
-                    task=entry_record.task,
-                    proc=entry_record.proc,
-                    start=entry_record.start,
-                    finish=entry_record.finish,
-                    duplicate=entry_record.duplicate,
-                    lost=entry_record.lost,
-                )
-            if entry_record.lost:
-                obs.count("online/lost")
-            else:
-                obs.count("online/dispatches")
-
-        def try_dispatch(task: int, proc: int, ready: float) -> Optional[float]:
-            """Run ``task`` on ``proc``; returns realized finish or None
-            (lost to a failure, with the CPU marked dead)."""
-            nonlocal n_lost
-            # materialize an entry duplicate first when it is what makes
-            # this CPU attractive (same strict-improvement rule as offline)
-            if (
-                self.duplicate_entry
-                and task != entry
-                and entry in graph.predecessors(task)
-                and not any(c == proc for c, _ in copies[entry])
-            ):
-                via_network = arrival(entry, task, proc)
-                # Algorithm 1's window: the duplicate runs over [0, W)
-                # and must strictly beat the network (estimate-driven,
-                # like every other online decision)
-                if w[entry, proc] < via_network and dup_fits(
-                    proc, w[entry, proc]
-                ):
-                    # run the duplicate (it may itself be lost)
-                    dup_start = 0.0
-                    dup_finish = dup_start + duration_fn(entry, proc)
-                    tau = fail_at.get(proc, np.inf)
-                    if dup_finish > tau:
-                        dead.add(proc)
-                        avail[proc] = max(avail[proc], tau)
-                        note_interval(proc, dup_start, tau)
-                        record(
-                            OnlineRecord(entry, proc, dup_start, tau, True, True)
-                        )
-                        n_lost += 1
-                        return None
-                    avail[proc] = max(avail[proc], dup_finish)
-                    note_interval(proc, dup_start, dup_finish)
-                    copies[entry].append((proc, dup_finish))
-                    record(
-                        OnlineRecord(entry, proc, dup_start, dup_finish, True)
-                    )
-                    # the local copy may tighten the task's ready time
-                    ready = self._ready_on(graph, task, proc, arrival)
-            start = max(avail[proc], ready)
-            duration = duration_fn(task, proc)
-            finish = start + duration
-            tau = fail_at.get(proc, np.inf)
-            if finish > tau:
-                dead.add(proc)
-                avail[proc] = tau
-                note_interval(proc, start, max(start, tau))
-                record(
-                    OnlineRecord(task, proc, start, max(start, tau), False, True)
-                )
-                n_lost += 1
-                return None
-            avail[proc] = finish
-            note_interval(proc, start, finish)
-            copies.setdefault(task, []).append((proc, finish))
-            finish_times[task] = finish
-            proc_of[task] = proc
-            record(OnlineRecord(task, proc, start, finish))
-            return finish
-
-        itq = IndependentTaskQueue(graph)
-        while itq:
-            ready_list = itq.ready_tasks()
-            alive = [p for p in range(n_procs) if p not in dead]
-            if not alive:
-                raise AllProcessorsFailed(
-                    f"all CPUs failed with {graph.n_tasks - len(finish_times)} tasks left"
-                )
-            rows = np.array([ready_row(t, 0.0) for t in ready_list])
-            est = np.maximum(rows, avail[None, :])
-            eft = est + w[ready_list]
-            eft[:, sorted(dead)] = np.inf
-            if len(alive) > 1:
-                priorities = np.asarray(eft[:, alive]).std(axis=1, ddof=1)
-            else:
-                priorities = np.zeros(len(ready_list))
-            index = int(np.argmax(priorities))
-            task = ready_list[index]
-
-            floor = 0.0
-            excluded: set = set(dead)
-            while True:
-                candidates = [p for p in range(n_procs) if p not in excluded]
-                if not candidates:
-                    raise AllProcessorsFailed(
-                        f"no CPU left for task {task}"
-                    )
-                row = ready_row(task, floor)
-                scores = {
-                    p: max(row[p], avail[p]) + w[task, p] for p in candidates
-                }
-                proc = min(scores, key=lambda p: (scores[p], p))
-                finish = try_dispatch(task, proc, row[proc])
-                if finish is not None:
-                    break
-                # failure detected: re-dispatch no earlier than detection
-                floor = max(floor, avail[proc])
-                excluded = set(dead)
-            itq.complete(task)
-
-        makespan = max(finish_times.values(), default=0.0)
-        return OnlineResult(
-            makespan=makespan,
-            finish_times=finish_times,
-            proc_of=proc_of,
-            records=records,
-            n_lost=n_lost,
-            dead_procs=tuple(sorted(dead)),
+        job = _LoneJob(0, 0.0, graph, realized=duration_fn)
+        result = run_stream(
+            StreamInstance((job,), graph.n_procs), self.name, failures
         )
-
-    @staticmethod
-    def _ready_on(graph, task, proc, arrival) -> float:
-        best = 0.0
-        for parent in graph.predecessors(task):
-            t = arrival(parent, task, proc)
-            if t > best:
-                best = t
-        return best
+        (done,) = result.jobs
+        if done.lost:
+            left = done.n_tasks - len(done.finish_times)
+            raise AllProcessorsFailed(f"all CPUs failed with {left} tasks left")
+        return OnlineResult(
+            makespan=done.finish,
+            finish_times=done.finish_times,
+            proc_of=done.proc_of,
+            records=[
+                OnlineRecord(
+                    r.task, r.proc, r.start, r.finish, r.duplicate, r.lost
+                )
+                for r in result.records
+            ],
+            n_lost=result.n_lost_dispatches,
+            dead_procs=result.dead_procs,
+        )
 
 
 def replay_static(
@@ -291,16 +130,10 @@ def replay_static(
     online arm).
     """
     sim = ScheduleSimulator(graph).run(schedule, duration_fn)
-    # one record per committed *copy*: duplicates carry their own
-    # realized interval and flag (a task with a duplicate used to be
-    # reported twice with the primary's times and no flag)
-    records = [
-        OnlineRecord(task, proc, start, finish, duplicate)
-        for task, proc, start, finish, duplicate in sim.copies
-    ]
+    # one record per committed copy, duplicates with their own interval
     return OnlineResult(
         makespan=sim.makespan,
         finish_times=sim.finish_times,
         proc_of=sim.proc_of,
-        records=records,
+        records=[OnlineRecord(*copy) for copy in sim.copies],
     )

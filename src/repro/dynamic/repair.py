@@ -31,6 +31,7 @@ from repro.dynamic.noise import DurationFn, exact_durations
 from repro.dynamic.online import OnlineRecord, OnlineResult
 from repro.model.task_graph import TaskGraph
 from repro.schedule.schedule import Schedule
+from repro.schedule.simulator import schedule_queues
 
 __all__ = ["repair_after_failure"]
 
@@ -50,15 +51,7 @@ def _replay_until_failure(
     """Execute the static plan in min-start order until a dispatch is
     lost to the failure; returns (copies, cpu clocks, executed tasks,
     primary placements, records)."""
-    position = {t: i for i, t in enumerate(graph.topological_order())}
-    queues: List[List[Tuple[int, bool]]] = []
-    for timeline in schedule.timelines:
-        slots = sorted(
-            timeline.slots(),
-            key=lambda s: (s.start, s.end, position[s.task]),
-        )
-        queues.append([(s.task, s.duplicate) for s in slots])
-
+    queues = schedule_queues(schedule)
     n_procs = graph.n_procs
     heads = [0] * n_procs
     clocks = [0.0] * n_procs

@@ -14,7 +14,10 @@ Event taxonomy (see ``docs/observability.md`` for the payload schemas):
 ``scheduler.decision``      one mapping decision (a Table-I row)
 ``scheduler.duplication``   an entry duplicate was materialized
 ``sim.task_finish``         the simulator committed one task copy
-``dynamic.dispatch``        an online dispatch (successful or lost)
+``stream.arrival``          a job joined the stream arena
+``stream.dispatch``         an arena dispatch (successful or lost),
+                            ``OnlineHDLTS`` runs included
+``stream.job_finish``       a stream job completed
 ``sweep.point``             one x point of a sweep started
 ``sweep.replication``       one replication of one x point finished
 ``sweep.chunk``             one parallel worker chunk finished

@@ -14,15 +14,16 @@ Three entry kinds:
 * ``golden`` -- a graph with pinned expected makespans per scheduler;
   replay rebuilds each schedule and compares makespans to 1e-9 relative
   tolerance (plus the invariant registry);
-* ``online_offline`` -- a graph on which the online executor's realized
-  makespan must equal offline HDLTS's analytic one (the PR 1
-  entry-duplication regression family);
+* ``online_offline`` -- a graph on which the online executor's dispatch
+  records must equal offline HDLTS's schedule slots under both EFT
+  engines (the entry-duplication regression family);
 * ``stream`` -- a fully materialized job-stream workload (jobs,
   arrivals, realized durations in ``expected["stream"]``); replay
   re-executes the pinned policy through the arena, runs the stream
   invariant registry, optionally re-asserts the single-job rate->0
-  differential against ``OnlineHDLTS``/``replay_static``
-  (``expected["differential"]``), and checks a pinned horizon.
+  differential against offline HDLTS (online policy, exact durations)
+  or ``replay_static`` (static policies) (``expected["differential"]``),
+  and checks a pinned horizon.
 """
 
 from __future__ import annotations
@@ -187,13 +188,9 @@ def replay_entry(entry: CorpusEntry) -> List[str]:
         prepared = offline.prepare(graph)
         schedule = offline.build_schedule(prepared)
         online = OnlineHDLTS().execute(graph)
-        if not math.isclose(
-            online.makespan, schedule.makespan, rel_tol=REL_TOL, abs_tol=REL_TOL
-        ):
-            problems.append(
-                f"online makespan {online.makespan!r} != offline "
-                f"{schedule.makespan!r}"
-            )
+        problems.extend(
+            _offline_hdlts_divergence(graph, online.records, "online")
+        )
         pinned = entry.expected.get("makespan")
         if pinned is not None and not math.isclose(
             schedule.makespan, pinned, rel_tol=REL_TOL, abs_tol=REL_TOL
@@ -253,20 +250,40 @@ def _replay_stream(entry: CorpusEntry) -> List[str]:
     return problems
 
 
+def _offline_hdlts_divergence(graph, records, label: str) -> List[str]:
+    """Exact-duration online ``records`` against their oracle: the slots
+    of offline HDLTS's schedule, under both EFT engines."""
+    from repro.core import HDLTS
+
+    got = sorted(
+        (r.task, r.proc, r.start, r.finish, r.duplicate) for r in records
+    )
+    problems: List[str] = []
+    for engine in ("fast", "reference"):
+        schedule = HDLTS(engine=engine).run(graph).schedule
+        if got != sorted([*schedule.assignments(), *schedule.duplicates()]):
+            problems.append(
+                f"{label} records diverge from offline HDLTS ({engine} engine)"
+            )
+    return problems
+
+
 def _stream_differential(instance, policy: str, result) -> List[str]:
-    """Compare a single-job arena run against the offline executors."""
+    """Compare a single-job arena run against its offline oracle: offline
+    HDLTS for the online policy (exact durations only), ``replay_static``
+    for a static one."""
     from repro.baselines.registry import make_scheduler
-    from repro.dynamic.online import OnlineHDLTS, OnlineRecord, replay_static
+    from repro.dynamic.online import OnlineRecord, replay_static
     from repro.stream.arena import STATIC_PREFIX
 
     job = instance.jobs[0]
-    duration_fn = job.duration_fn()
-    if policy.startswith(STATIC_PREFIX):
-        scheduler = make_scheduler(policy[len(STATIC_PREFIX):])
-        schedule = scheduler.run(job.graph).schedule
-        reference = replay_static(job.graph, schedule, duration_fn)
-    else:
-        reference = OnlineHDLTS().execute(job.graph, duration_fn)
+    if not policy.startswith(STATIC_PREFIX):
+        if not job.exact:
+            return [f"{policy} differential needs exact durations"]
+        return _offline_hdlts_divergence(job.graph, result.records, policy)
+    scheduler = make_scheduler(policy[len(STATIC_PREFIX):])
+    schedule = scheduler.run(job.graph).schedule
+    reference = replay_static(job.graph, schedule, job.duration_fn())
     got = [
         OnlineRecord(r.task, r.proc, r.start, r.finish, r.duplicate, r.lost)
         for r in result.records

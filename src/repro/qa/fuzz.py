@@ -23,8 +23,10 @@ oracles can actually see.
 instance draws a small random workload (interleaved DAG jobs, Poisson or
 deterministic arrivals, optionally noisy durations), runs every stream
 policy through the stream invariant registry, and re-asserts the
-single-job rate->0 differential against the offline executors.  Caught
-failures are pinned as fully materialized ``stream`` corpus entries.
+single-job rate->0 differential against the offline executors (offline
+HDLTS on exact durations for the online policy, ``replay_static`` for
+the static ones).  Caught failures are pinned as fully materialized
+``stream`` corpus entries.
 """
 
 from __future__ import annotations
@@ -371,7 +373,7 @@ def _run_stream_campaign(
 
     from repro.qa.corpus import _stream_differential
     from repro.qa.invariants import run_stream_invariants
-    from repro.stream.arena import StreamInstance, run_stream
+    from repro.stream.arena import STATIC_PREFIX, StreamInstance, run_stream
     from repro.stream.spec import DEFAULT_POLICIES, instance_to_dict
 
     policies = [
@@ -428,10 +430,7 @@ def _run_stream_campaign(
         obs.count("fuzz/instances")
         n_tasks = sum(job.graph.n_tasks for job in workload.jobs)
         # the rate->0 sub-workload: the first job alone, arriving at 0
-        lone = StreamInstance(
-            jobs=(dc_replace(workload.jobs[0], index=0, arrival=0.0),),
-            n_procs=workload.n_procs,
-        )
+        first = dc_replace(workload.jobs[0], index=0, arrival=0.0)
 
         for policy in policies:
             try:
@@ -466,7 +465,10 @@ def _run_stream_campaign(
                 )
                 continue
             # rate->0 differential: a lone job must replay the offline
-            # executors bit for bit
+            # executors bit for bit (offline HDLTS knows no noise)
+            exact = not policy.startswith(STATIC_PREFIX)
+            lone_job = dc_replace(first, durations=None) if exact else first
+            lone = StreamInstance(jobs=(lone_job,), n_procs=workload.n_procs)
             try:
                 lone_result = run_stream(lone, policy)
                 problems = _stream_differential(lone, policy, lone_result)

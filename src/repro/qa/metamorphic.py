@@ -306,10 +306,10 @@ class CcrRescale:
 
     def check(self, graph, schedule, graph2, schedule2, aux) -> List[str]:
         """Replaying schedule1's queues on graph2 cannot speed up."""
-        from repro.schedule.simulator import ScheduleSimulator
+        from repro.schedule.simulator import ScheduleSimulator, schedule_queues
 
         base_sim = ScheduleSimulator(graph)
-        queues = base_sim._extract_queues(schedule)
+        queues = schedule_queues(schedule)
         before = base_sim.run_queues(queues).makespan
         after = ScheduleSimulator(graph2).run_queues(queues).makespan
         if after < before - REL_TOL * (1.0 + abs(before)):

@@ -25,7 +25,7 @@ from repro import obs
 from repro.model.task_graph import TaskGraph
 from repro.schedule.schedule import Schedule
 
-__all__ = ["ScheduleSimulator", "SimulationResult"]
+__all__ = ["ScheduleSimulator", "SimulationResult", "schedule_queues"]
 
 DurationFn = Callable[[int, int], float]  # (task, proc) -> execution time
 
@@ -54,6 +54,30 @@ class DeadlockError(RuntimeError):
     """The per-CPU orders are inconsistent with the precedence DAG."""
 
 
+def schedule_queues(schedule: Schedule) -> List[List[Tuple[int, bool]]]:
+    """A schedule's per-CPU execution order: ``(task, is_duplicate)``.
+
+    Sorted by (start, end), stably: zero-duration pseudo tasks that
+    share a start instant with a real task run first (they finish
+    immediately), and slots with *equal* keys keep their timeline
+    order -- which is placement order, and therefore the scheduler's
+    actual commit order.  (A topological tie-break here would be
+    wrong: two independent zero-duration tasks committed at the same
+    instant can sit in anti-topological commit order, and reordering
+    them lets the replay start one earlier than the analytic
+    bookkeeping did.  Placement order is dependency-consistent for
+    every scheduler in the registry: static lists are
+    precedence-safe and dynamic schedulers commit along precedence.)
+    """
+    return [
+        [
+            (s.task, s.duplicate)
+            for s in sorted(timeline.slots(), key=lambda s: (s.start, s.end))
+        ]
+        for timeline in schedule.timelines
+    ]
+
+
 class ScheduleSimulator:
     """Re-executes a schedule's placement + ordering decisions."""
 
@@ -72,8 +96,9 @@ class ScheduleSimulator:
         graph's costs, in which case the realized makespan must match the
         analytic one -- the cross-check used throughout the test suite).
         """
-        queues = self._extract_queues(schedule)
-        return self.run_queues(queues, duration_fn, release_time)
+        return self.run_queues(
+            schedule_queues(schedule), duration_fn, release_time
+        )
 
     def replay_violations(self, schedule: Schedule) -> List[str]:
         """Replay ``schedule``'s decisions; list every disagreement.
@@ -113,29 +138,6 @@ class ScheduleSimulator:
                     f"its analytic finish {analytic:.6f}"
                 )
         return problems
-
-    def _extract_queues(self, schedule: Schedule) -> List[List[Tuple[int, bool]]]:
-        """Per-CPU execution order.
-
-        Sorted by (start, end), stably: zero-duration pseudo tasks that
-        share a start instant with a real task run first (they finish
-        immediately), and slots with *equal* keys keep their timeline
-        order -- which is placement order, and therefore the scheduler's
-        actual commit order.  (A topological tie-break here would be
-        wrong: two independent zero-duration tasks committed at the same
-        instant can sit in anti-topological commit order, and reordering
-        them lets the replay start one earlier than the analytic
-        bookkeeping did.  Placement order is dependency-consistent for
-        every scheduler in the registry: static lists are
-        precedence-safe and dynamic schedulers commit along precedence.)
-        """
-        queues: List[List[Tuple[int, bool]]] = []
-        for timeline in schedule.timelines:
-            slots = sorted(
-                timeline.slots(), key=lambda s: (s.start, s.end)
-            )
-            queues.append([(s.task, s.duplicate) for s in slots])
-        return queues
 
     def run_queues(
         self,

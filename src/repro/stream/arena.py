@@ -5,13 +5,14 @@ arrival times, normalized task graphs, and (optionally) realized
 duration matrices -- and :class:`JobStream` executes it under an online
 policy.  Two policy families exist:
 
-* ``"OnlineHDLTS"`` -- the penalty-value loop of
-  :class:`~repro.dynamic.online.OnlineHDLTS` generalized to many jobs:
-  one merged ready set across all admitted jobs, shared CPU
-  availability, per-job entry duplication, and the same fail-stop
-  semantics.  With a single job arriving at time zero it reduces to the
-  offline online scheduler *bit-identically* (the differential tests
-  pin this).
+* ``"OnlineHDLTS"`` -- HDLTS's penalty-value loop run at execution
+  time over many jobs: one merged ready set across all admitted jobs,
+  shared CPU availability, per-job entry duplication, and fail-stop
+  semantics.  This is the only online loop:
+  :class:`~repro.dynamic.online.OnlineHDLTS` runs a workflow as the
+  lone job of a stream arriving at time zero.  With exact durations
+  that lone job dispatches exactly the slots of offline HDLTS's
+  schedule (the differential tests pin this under both EFT engines).
 * ``"Static/<Name>"`` -- each job's schedule depends on its own graph
   only, so every job's is computed in isolation before the event loop
   runs by a registry scheduler (placement and per-CPU order frozen;
@@ -42,17 +43,19 @@ lost) holds either way.  Static policies reject failures, exactly like
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.itq import IndependentTaskQueue
-from repro.dynamic.failures import FailStop, failure_times
-from repro.dynamic.noise import DurationFn
 from repro.model.attributes import penalty_values
 from repro.model.task_graph import TaskGraph
-from repro.schedule.simulator import DeadlockError
+from repro.schedule.simulator import DeadlockError, schedule_queues
+
+if TYPE_CHECKING:  # repro.dynamic.online imports this module
+    from repro.dynamic.failures import FailStop
+    from repro.dynamic.noise import DurationFn
 
 __all__ = [
     "JobRecord",
@@ -266,7 +269,8 @@ def _window_free(
     Mirrors ``ProcessorTimeline.fits`` semantics exactly (point slots
     block only strictly inside the window; a zero-duration window is
     blocked only strictly inside a real slot) so that at ``lo == 0`` the
-    decision matches ``OnlineHDLTS``'s ``dup_fits`` bit for bit.
+    decision matches offline HDLTS's Algorithm 1 window test bit for
+    bit.
     """
     if hi - lo <= _EPS:
         return not any(s < lo < e - _EPS for s, e in slots)
@@ -451,17 +455,6 @@ class _AdmittedJob:
                 self.ready_at.pop((child, p), None)
 
 
-def _queues_of(schedule) -> Queues:
-    """A schedule's per-CPU dispatch order, as the arena replays it."""
-    return [
-        [
-            (s.task, s.duplicate)
-            for s in sorted(timeline.slots(), key=lambda s: (s.start, s.end))
-        ]
-        for timeline in schedule.timelines
-    ]
-
-
 def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
     """Every job's frozen per-CPU queues under registry scheduler ``name``.
 
@@ -509,10 +502,11 @@ def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
                 for key, total in batched.counters.items():
                     obs.count(key, total)
                 for lane, idx in enumerate(sub):
-                    queues[idx] = _queues_of(batched.schedule_for(lane))
+                    queues[idx] = schedule_queues(batched.schedule_for(lane))
     for idx, graph in enumerate(graphs):
         if queues[idx] is None:
-            queues[idx] = _queues_of(make_scheduler(name).run(graph).schedule)
+            schedule = make_scheduler(name).run(graph).schedule
+            queues[idx] = schedule_queues(schedule)
     return queues
 
 
@@ -700,6 +694,8 @@ class JobStream:
     # online policy: merged-ready-set penalty-value loop
     # ------------------------------------------------------------------
     def _run_online(self, policy: str) -> StreamResult:
+        from repro.dynamic.failures import failure_times
+
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)

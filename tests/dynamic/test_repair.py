@@ -6,8 +6,19 @@ import pytest
 from repro.core import HDLTS
 from repro.dynamic.failures import FailStop
 from repro.dynamic.noise import gaussian_noise
+from repro.dynamic.online import replay_static
 from repro.dynamic.repair import repair_after_failure
+from repro.model.task_graph import TaskGraph
 from tests.conftest import make_random_graph
+
+
+def _build(n_procs, costs, edges):
+    graph = TaskGraph(n_procs)
+    for row in costs:
+        graph.add_task([float(c) for c in row])
+    for u, v, c in edges:
+        graph.add_edge(u, v, float(c))
+    return graph
 
 
 @pytest.fixture
@@ -49,11 +60,29 @@ class TestBasics:
             assert dst_start >= src_fin + comm - 1e-6
 
     def test_failure_after_completion_changes_nothing(self, fig1, plan):
-        result = repair_after_failure(
-            fig1, plan, FailStop(proc=2, at_time=10_000)
+        """A failure after the last finish replays the plan exactly as
+        ``replay_static`` does.  The second graph has zero-cost tasks
+        committed at one instant out of topological order: a
+        topological tie-break in the repair's queue extraction once
+        started task 3 at 1.0 instead of its planned 2.0."""
+        tied = _build(
+            3,
+            [[0, 2, 0], [1, 2, 1], [2, 0, 0], [0, 0, 1], [0, 2, 2],
+             [0, 2, 0], [0, 0, 0], [0, 0, 0]],
+            [(0, 1, 0), (0, 2, 0), (1, 2, 1), (0, 3, 0), (1, 3, 0),
+             (2, 5, 0), (6, 0, 0), (6, 4, 0), (3, 7, 0), (4, 7, 0),
+             (5, 7, 0)],
         )
-        assert result.makespan == pytest.approx(plan.makespan)
-        assert result.n_lost == 0
+        for graph, schedule in (
+            (fig1, plan),
+            (tied, HDLTS().run(tied).schedule),
+        ):
+            result = repair_after_failure(
+                graph, schedule, FailStop(proc=2, at_time=1e9)
+            )
+            assert result.records == replay_static(graph, schedule).records
+            assert result.makespan == schedule.makespan
+            assert result.n_lost == 0
 
     def test_failure_at_zero_replans_everything(self, fig1, plan):
         result = repair_after_failure(fig1, plan, FailStop(proc=2, at_time=0.0))

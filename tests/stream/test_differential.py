@@ -1,13 +1,17 @@
 """The rate->0 differential: a lone job must replay the offline paths.
 
 A stream holding exactly one job arriving at time zero is an offline
-problem wearing arena clothes.  ``OnlineHDLTS`` through the arena must
-reproduce :class:`repro.dynamic.online.OnlineHDLTS` bit for bit --
-every dispatch record, the makespan, the counters -- and every
-``Static/<Name>`` policy must reproduce ``replay_static`` of that
-scheduler's offline schedule.  These are the anchor tests that make the
-multi-job arena trustworthy: everything it adds (admission, hold-back,
-cross-job interleaving) must vanish exactly at rate -> 0.
+problem wearing arena clothes.  With exact durations the
+``OnlineHDLTS`` policy must reproduce offline :class:`HDLTS` -- every
+dispatch record equals a slot of the offline schedule, under both EFT
+engines -- and every ``Static/<Name>`` policy must reproduce
+``replay_static`` of that scheduler's offline schedule.  These are the
+anchor tests that make the multi-job arena trustworthy: everything it
+adds (admission, hold-back, cross-job interleaving) must vanish exactly
+at rate -> 0.  :class:`~repro.dynamic.online.OnlineHDLTS` *is* that
+lone-job run; noisy and fail-stop lone jobs, which have no offline
+counterpart, are pinned by digests taken from the retired standalone
+loop (``test_arena_golden.py``, the ``r0`` cases).
 """
 
 import math
@@ -16,13 +20,14 @@ import pytest
 
 from repro import obs
 from repro.baselines.registry import make_scheduler
+from repro.core import HDLTS
 from repro.dynamic.failures import FailStop
-from repro.dynamic.noise import exact_durations
 from repro.dynamic.online import OnlineHDLTS, OnlineRecord, replay_static
 from repro.stream import run_stream
 from tests.stream.conftest import lone_job_instance
 
 SEEDS = range(12)
+ENGINES = ("fast", "reference")
 
 
 def _as_online_records(result):
@@ -41,51 +46,76 @@ def _assert_identical(stream_result, online_result):
     assert job.proc_of == online_result.proc_of
 
 
+def _slots(schedule):
+    """Every copy of an offline schedule, primaries and duplicates, as
+    sorted ``(task, proc, start, finish, duplicate)`` tuples."""
+    return sorted([*schedule.assignments(), *schedule.duplicates()])
+
+
+def _keys(result):
+    return sorted(
+        (r.task, r.proc, r.start, r.finish, r.duplicate)
+        for r in result.records
+    )
+
+
 class TestOnlineDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_durations_bit_identical(self, seed):
+        """Lone-job records equal offline HDLTS's slots, both engines."""
         instance = lone_job_instance(seed)
         graph = instance.jobs[0].graph
-        offline = OnlineHDLTS().execute(graph, exact_durations(graph))
         result = run_stream(instance, "OnlineHDLTS")
-        _assert_identical(result, offline)
+        assert not any(r.lost for r in result.records)
+        for engine in ENGINES:
+            offline = HDLTS(engine=engine).run(graph)
+            assert _keys(result) == _slots(offline.schedule), engine
+            job = result.jobs[0]
+            assert job.finish == offline.makespan
+            assert job.proc_of == {
+                t: offline.schedule.proc_of(t) for t in graph.tasks()
+            }
+        _assert_identical(result, OnlineHDLTS().execute(graph))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_noisy_durations_bit_identical(self, seed):
+        """The adapter, fed the caller's duration function, reproduces
+        the arena run on the materialized matrix record for record."""
         instance = lone_job_instance(seed, sigma=0.3)
         job = instance.jobs[0]
-        offline = OnlineHDLTS().execute(job.graph, job.duration_fn())
+        online = OnlineHDLTS().execute(job.graph, job.duration_fn())
         result = run_stream(instance, "OnlineHDLTS")
-        _assert_identical(result, offline)
+        _assert_identical(result, online)
 
     @pytest.mark.parametrize("seed", (0, 3, 7))
     def test_failures_bit_identical(self, seed):
         failures = [FailStop(0, 15.0), FailStop(1, 40.0)]
         instance = lone_job_instance(seed, sigma=0.2)
         job = instance.jobs[0]
-        offline = OnlineHDLTS().execute(job.graph, job.duration_fn(), failures)
+        online = OnlineHDLTS().execute(job.graph, job.duration_fn(), failures)
         result = run_stream(instance, "OnlineHDLTS", failures=failures)
-        assert _as_online_records(result) == offline.records
-        assert result.n_lost_dispatches == offline.n_lost
-        assert result.dead_procs == offline.dead_procs
-        assert result.jobs[0].finish - 0.0 == offline.makespan
+        assert _as_online_records(result) == online.records
+        assert result.n_lost_dispatches == online.n_lost
+        assert result.dead_procs == online.dead_procs
+        assert result.jobs[0].finish - 0.0 == online.makespan
 
     def test_counters_match_offline(self):
+        """One stream/dispatches tick per offline slot, whether the lone
+        job runs through the arena or through ``OnlineHDLTS``."""
         instance = lone_job_instance(5)
         graph = instance.jobs[0].graph
-        with obs.session(metrics=True) as offline_sess:
-            OnlineHDLTS().execute(graph, exact_durations(graph))
+        n_slots = len(_slots(HDLTS().run(graph).schedule))
+        with obs.session(metrics=True) as adapter_sess:
+            OnlineHDLTS().execute(graph)
         with obs.session(metrics=True) as stream_sess:
             run_stream(instance, "OnlineHDLTS")
-        offline_counters = offline_sess.snapshot["counters"]
-        stream_counters = stream_sess.snapshot["counters"]
-        assert (
-            stream_counters["stream/dispatches"]
-            == offline_counters["online/dispatches"]
-        )
-        assert stream_counters["stream/jobs"] == 1
-        assert stream_counters["stream/job_finishes"] == 1
-        assert "stream/lost" not in stream_counters
+        for sess in (adapter_sess, stream_sess):
+            counters = sess.snapshot["counters"]
+            assert counters["stream/dispatches"] == n_slots
+            assert counters["stream/jobs"] == 1
+            assert counters["stream/job_finishes"] == 1
+            assert "stream/lost" not in counters
+            assert not any(k.startswith("online/") for k in counters)
 
     def test_nonzero_arrival_is_a_pure_time_shift(self):
         """Arrival at t>0 shifts the whole schedule rigidly (exact case)."""

@@ -390,7 +390,8 @@ class TestObservability:
             json.loads(line) for line in out_path.read_text().splitlines()
         ]
         kinds = {e["event"] for e in events}
-        assert "dynamic.dispatch" in kinds
+        assert "stream.dispatch" in kinds
+        assert "dynamic.dispatch" not in kinds
         assert "sim.task_finish" in kinds
 
     def test_profile_leaves_obs_disabled(self):

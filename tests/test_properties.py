@@ -230,11 +230,17 @@ def test_slack_reclamation_preserves_makespan_and_saves_energy(graph):
 @given(graph=task_graphs())
 @_SETTINGS
 def test_online_exact_matches_offline(graph):
+    """Record for record: every online dispatch is an offline slot."""
     from repro.dynamic.online import OnlineHDLTS
 
-    offline = HDLTS().run(graph).makespan
-    online = OnlineHDLTS().execute(graph).makespan
-    assert online == pytest.approx(offline)
+    offline = HDLTS().run(graph)
+    online = OnlineHDLTS().execute(graph)
+    schedule = offline.schedule
+    assert sorted(
+        (r.task, r.proc, r.start, r.finish, r.duplicate)
+        for r in online.records
+    ) == sorted([*schedule.assignments(), *schedule.duplicates()])
+    assert online.makespan == offline.makespan
 
 
 # ----------------------------------------------------------------------
