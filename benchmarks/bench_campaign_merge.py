@@ -3,10 +3,11 @@
 The campaign engine's merge (:func:`repro.experiments.campaign.merge`)
 streams fixed-dtype record batches out of the shard stores and folds
 them into Welford accumulators with the scalar recurrence vectorized
-across every ``(x point, scheduler)`` lane at once.  The incumbent it
-replaces is the ``chunks.jsonl`` replay path (``parallel._collect``):
-``json.loads`` per ledger line, then one Python-level
-``RunningStats.add`` per metric value.
+across every ``(x point, scheduler)`` lane at once.  The reference it
+is measured against is a row-wise JSONL ledger fold, self-contained in
+this file: ``json.loads`` per ledger line, then one Python-level
+``RunningStats.add`` per metric value -- the replay path run
+directories used before they became one-shard campaigns.
 
 This bench builds a 10^5-replication campaign's worth of synthetic
 results -- the *same* values landed both ways: a JSONL ledger in chunk
@@ -125,10 +126,9 @@ def _populate(campaign, ledger_path):
 
 
 def _rowwise_merge(ledger_path, definition):
-    """The incumbent path: JSONL replay into per-value Python Welford.
+    """The row-wise reference: JSONL replay into per-value Python Welford.
 
-    Mirrors ``parallel._collect``'s ledger replay exactly -- one
-    ``json.loads`` per chunk line (submission order), then
+    One ``json.loads`` per chunk line (submission order), then
     ``RunningStats.add`` per metric value.
     """
     stats = {

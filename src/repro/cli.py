@@ -5,10 +5,12 @@ Commands
 table1        reproduce Table I and the Fig. 1 makespan comparison
 figure KEY    run one evaluation figure (fig2..fig14) and print the table
 all-figures   run every figure (EXPERIMENTS.md is generated from this)
-run KEY       run a figure inside a resumable run directory (checkpointed)
-resume DIR    resume an interrupted ``run`` from its chunk ledger
-top DIR       live terminal view of a run or campaign directory
-status DIR    one-shot progress report over a run or campaign directory
+run KEY       run a figure into a resumable run directory (a one-shard
+              campaign, checkpointed per chunk)
+resume DIR    resume an interrupted ``run`` from its shard store
+top DIR       live terminal view of a run, campaign or service directory
+status DIR    one-shot progress report over a run, campaign or service
+              directory
 campaign      sharded parameter campaigns: init / tasks / run-shard /
               merge / status (columnar shard stores, streaming merge)
 submit DIR    enqueue a sweep job into a service directory, get a ticket
@@ -192,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_args(p_run)
     p_run.add_argument(
         "--run-dir", default=None, dest="run_dir", metavar="DIR",
-        help="run directory holding manifest + chunk ledger (default runs/KEY)",
+        help="run directory: a one-shard campaign (default runs/KEY)",
     )
     p_run.add_argument("--csv", default=None, metavar="FILE", help="also write tidy CSV to FILE")
     _add_run_obs_args(p_run)
 
     p_res = sub.add_parser(
-        "resume", help="resume an interrupted run from its chunk ledger"
+        "resume", help="resume an interrupted run from its shard store"
     )
     p_res.add_argument("run_dir", metavar="RUN_DIR", help="directory written by 'repro run'")
     p_res.add_argument("--csv", default=None, metavar="FILE", help="also write tidy CSV to FILE")
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument(
         "--json", action="store_true", dest="json_out",
         help="emit the machine-readable status document "
-        "(repro.status/1 or repro.campaign-status/1)",
+        "(repro.campaign-status/1 or repro.service-status/1)",
     )
 
     p_camp = sub.add_parser(
@@ -760,20 +762,6 @@ def _default_run_dir(key: str) -> str:
     return os.path.join("runs", key)
 
 
-def _finish_run(session, definition, result, csv_path=None) -> int:
-    """Print the sweep table (and optional CSV) for a completed run."""
-    from repro.experiments import format_sweep
-
-    print(format_sweep(result))
-    if csv_path:
-        from repro.experiments.export import sweep_to_csv
-
-        sweep_to_csv(result, csv_path)
-        print(f"(csv written to {csv_path})", file=sys.stderr)
-    print(f"(run directory: {session.path})", file=sys.stderr)
-    return 0
-
-
 def _run_dir_context(context, args, run_dir):
     """Fold the run-directory observability flags into ``context``.
 
@@ -856,11 +844,50 @@ def _run_with_telemetry(context, run_dir, command) -> int:
     return code
 
 
+def _drain_run_dir(campaign, context, csv_path=None) -> int:
+    """Run (or resume) a run directory's one shard through the pool.
+
+    Every sweep streams its chunks into shard 0 in submission order and
+    prints its table (and optional CSV) once complete.
+    """
+    from repro.experiments import format_sweep
+    from repro.experiments.parallel import run_sweep_parallel
+    from repro.runtime.context import activate
+    from repro.service.store import ColumnarStore
+
+    def execute() -> int:
+        with ColumnarStore(
+            campaign.shard_path(0), campaign.groups(), mode="a"
+        ) as store:
+            for definition in campaign.definitions:
+                result = run_sweep_parallel(
+                    definition,
+                    reps=campaign.reps,
+                    seed=context.seed,
+                    validate=context.validate,
+                    workers=context.workers,
+                    chunk_size=context.chunk_size,
+                    start_method=context.start_method,
+                    progress=_chunk_progress(definition.key),
+                    store=store,
+                )
+                print(format_sweep(result))
+                if csv_path:
+                    from repro.experiments.export import sweep_to_csv
+
+                    sweep_to_csv(result, csv_path)
+                    print(f"(csv written to {csv_path})", file=sys.stderr)
+        print(f"(run directory: {campaign.path})", file=sys.stderr)
+        return 0
+
+    with activate(context):
+        return _run_with_telemetry(context, campaign.path, execute)
+
+
 def _cmd_run(args) -> int:
     from repro.experiments import get_figure
-    from repro.experiments.parallel import run_sweep_parallel
-    from repro.runtime.context import activate, current_context
-    from repro.runtime.session import ExperimentSession
+    from repro.experiments.campaign import Campaign
+    from repro.runtime.context import current_context
 
     definition = (
         get_figure(args.key, full=args.full)
@@ -869,57 +896,18 @@ def _cmd_run(args) -> int:
     )
     run_dir = args.run_dir or _default_run_dir(args.key)
     context = _run_dir_context(current_context(), args, run_dir)
-    session = ExperimentSession.create(
-        run_dir, context, [definition], reps=args.reps
+    campaign = Campaign.create(
+        run_dir, [definition], args.reps, n_shards=1, context=context
     )
-
-    def execute() -> int:
-        result = run_sweep_parallel(
-            definition,
-            reps=args.reps,
-            seed=args.seed,
-            validate=args.validate,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            start_method=args.start_method,
-            progress=_chunk_progress(definition.key),
-            session=session,
-        )
-        return _finish_run(session, definition, result, csv_path=args.csv)
-
-    with activate(context), session:
-        return _run_with_telemetry(context, run_dir, execute)
+    return _drain_run_dir(campaign, context, csv_path=args.csv)
 
 
 def _cmd_resume(args) -> int:
-    from repro.experiments.parallel import run_sweep_parallel
-    from repro.runtime.context import activate
-    from repro.runtime.session import ExperimentSession
+    from repro.experiments.campaign import open_run_dir
 
-    session = ExperimentSession.open(args.run_dir)
-    context = _run_dir_context(session.context, args, args.run_dir)
-
-    def execute() -> int:
-        code = 0
-        for definition in session.definitions:
-            result = run_sweep_parallel(
-                definition,
-                reps=session.reps,
-                seed=context.seed,
-                validate=context.validate,
-                workers=context.workers,
-                chunk_size=context.chunk_size,
-                start_method=context.start_method,
-                progress=_chunk_progress(definition.key),
-                session=session,
-            )
-            code = _finish_run(
-                session, definition, result, csv_path=args.csv
-            ) or code
-        return code
-
-    with activate(context), session:
-        return _run_with_telemetry(context, args.run_dir, execute)
+    campaign = open_run_dir(args.run_dir)
+    context = _run_dir_context(campaign.context, args, args.run_dir)
+    return _drain_run_dir(campaign, context, csv_path=args.csv)
 
 
 def _cmd_top(args) -> int:

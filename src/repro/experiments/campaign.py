@@ -5,11 +5,11 @@ the paper's few-hundred-replication protocol: a declarative spec
 (:class:`~repro.experiments.harness.SweepDefinition`\\ s with portable
 :class:`~repro.experiments.graphspec.GraphSpec`\\ s, one
 :class:`~repro.runtime.context.RunContext`) is expanded into a
-deterministic list of **tasks** -- the exact chunk decomposition
-``repro run`` uses -- which are dealt round-robin onto ``n_shards``
-independent **shards**.  Any shard can run in any process on any
-machine at any time (``repro campaign run-shard DIR K``); its results
-land in an append-only columnar store
+deterministic list of **tasks** -- the exact chunk decomposition the
+parallel sweep runner uses -- which are dealt round-robin onto
+``n_shards`` independent **shards**.  Any shard can run in any process
+on any machine at any time (``repro campaign run-shard DIR K``); its
+results land in an append-only columnar store
 (:mod:`repro.io.columnar`), one fsynced record batch per task, with no
 timestamps or other nondeterminism in the file -- so a shard killed
 mid-task and resumed produces a byte-identical store.
@@ -22,6 +22,13 @@ Layout of a campaign directory::
     shards/shard-0001.colbin       (record batches keyed by task id)
     telemetry/heartbeat-<pid>.json live shard heartbeats (repro top)
     merged.npz                     merged long-form stats table
+
+A ``repro run`` directory is a one-shard campaign: ``repro run`` writes
+the manifest with ``n_shards=1`` and streams its pool's chunks into
+shard 0 in submission order (:func:`open_run_dir` re-opens it for
+``repro resume``), so the shard file is byte-identical to what
+:func:`run_shard` writes, and ``repro campaign run-shard DIR 0`` /
+``repro campaign merge DIR`` work on run directories too.
 
 The merge path (:func:`merge`) is streaming and memory-bounded: it
 never materializes all rows.  Record batches are folded into Welford
@@ -55,7 +62,6 @@ from repro.experiments.harness import (
 from repro.io.columnar import write_table
 from repro.metrics.stats import RunningStats
 from repro.runtime.context import RunContext, activate
-from repro.runtime.session import read_manifest, write_manifest
 from repro.runtime.telemetry import HeartbeatWriter, telemetry_dir
 from repro.service.store import (
     ColumnarStore,
@@ -70,6 +76,9 @@ __all__ = [
     "CampaignTask",
     "Campaign",
     "ShardReport",
+    "open_run_dir",
+    "read_manifest",
+    "write_manifest",
     "task_id",
     "run_shard",
     "merge",
@@ -85,6 +94,41 @@ CAMPAIGN_STATUS_SCHEMA = "repro.campaign-status/1"
 #: an incomplete shard with no evidence of life for this long is
 #: flagged as a straggler by :func:`campaign_status`
 _STRAGGLER_FLOOR_S = 10.0
+
+
+#: the manifest schema of the run directories older versions wrote (a
+#: ``manifest.json`` plus a JSONL chunk ledger); no longer readable
+_RETIRED_RUN_SCHEMA = "repro.run/1"
+
+
+def write_manifest(path: PathLike, doc: Dict) -> None:
+    """Write a manifest document atomically (tmp file + ``os.replace``).
+
+    A reader racing the write sees either the old manifest or the new
+    one, never a torn file.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_suffix(".json.tmp")
+    tmp.write_text(json.dumps(doc, indent=2) + "\n")
+    os.replace(tmp, path)
+
+
+def read_manifest(path: PathLike, schema: str) -> Dict:
+    """Load a manifest and check its schema tag, with pointed errors."""
+    path = pathlib.Path(path)
+    if not path.exists():
+        raise FileNotFoundError(
+            f"no {path.name} manifest in {path.parent} "
+            "(not a run or campaign directory)"
+        )
+    doc = json.loads(path.read_text())
+    found = doc.get("schema")
+    if found != schema:
+        raise ValueError(
+            f"unsupported manifest schema {found!r} in {path} "
+            f"(expected {schema!r})"
+        )
+    return doc
 
 
 #: campaign tasks *are* the service layer's task decomposition --
@@ -156,7 +200,9 @@ class Campaign:
         if manifest.exists():
             raise FileExistsError(
                 f"directory {campaign.path} already holds a campaign; "
-                f"run its shards or pick a new directory"
+                f"resume it (repro resume {campaign.path}, or repro "
+                f"campaign run-shard for a sharded one) or pick a new "
+                f"directory"
             )
         campaign.path.mkdir(parents=True, exist_ok=True)
         (campaign.path / cls.SHARDS_DIRNAME).mkdir(exist_ok=True)
@@ -165,8 +211,23 @@ class Campaign:
 
     @classmethod
     def open(cls, path: PathLike) -> "Campaign":
-        """Re-open a campaign directory from its manifest."""
+        """Re-open a campaign (or run) directory from its manifest.
+
+        A directory in the retired run format -- ``manifest.json`` with
+        schema ``repro.run/1`` and a JSONL chunk ledger -- is refused
+        with a message naming the format, not reported as missing.
+        """
         path = pathlib.Path(path)
+        legacy = path / "manifest.json"
+        if not (path / cls.MANIFEST).exists() and legacy.exists():
+            found = json.loads(legacy.read_text()).get("schema")
+            if found == _RETIRED_RUN_SCHEMA:
+                raise ValueError(
+                    f"{path} is a {_RETIRED_RUN_SCHEMA} run directory "
+                    "(manifest.json + JSONL chunk ledger), a format this "
+                    "version no longer reads; start the run again with "
+                    "`repro run`"
+                )
         doc = read_manifest(path / cls.MANIFEST, cls.SCHEMA)
         return cls(
             path,
@@ -232,6 +293,23 @@ class Campaign:
             raise ValueError(
                 f"shard must be in [0, {self.n_shards}), got {shard}"
             )
+
+
+def open_run_dir(path: PathLike) -> Campaign:
+    """Re-open a ``repro run`` directory: a campaign with one shard.
+
+    ``repro resume`` drives shard 0 through the parallel sweep runner,
+    which only makes sense when that shard owns every task; a sharded
+    campaign is refused with a pointer to the per-shard command.
+    """
+    campaign = Campaign.open(path)
+    if campaign.n_shards > 1:
+        raise ValueError(
+            f"{campaign.path} is a campaign with {campaign.n_shards} "
+            f"shards, not a run directory; resume each shard with "
+            f"`repro campaign run-shard {campaign.path} K`"
+        )
+    return campaign
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +634,12 @@ def campaign_status(
     on live, crashed and finished campaigns alike.  Per-shard progress
     makes stragglers visible: an incomplete shard whose newest evidence
     (heartbeat, then store mtime) is stale gets flagged.
+
+    ``eta_s`` divides the remaining tasks by the campaign's measured
+    rate: the sum, over incomplete shards whose newest heartbeat is
+    fresh, of the tasks that process computed per second since it
+    ``started``.  It is ``None`` while no such shard has finished a
+    task.
     """
     from repro.runtime.telemetry import load_heartbeats
 
@@ -637,6 +721,15 @@ def campaign_status(
         )
 
     tasks_done = len(done_ids)
+    rate = 0.0
+    for entry in shards:
+        beat = beat_by_shard.get(entry["shard"])
+        if beat is None or entry["complete"]:
+            continue
+        elapsed = float(beat["ts"]) - float(beat.get("started", beat["ts"]))
+        if beat["age_s"] <= _STRAGGLER_FLOOR_S and elapsed > 0.0:
+            rate += int(beat.get("chunks_done", 0)) / elapsed
+    eta_s = (len(tasks) - tasks_done) / rate if rate > 0.0 else None
     return {
         "schema": CAMPAIGN_STATUS_SCHEMA,
         "run_dir": str(path),
@@ -652,4 +745,5 @@ def campaign_status(
         "sweeps": sweeps,
         "shards": shards,
         "stragglers": [s["shard"] for s in shards if s["straggler"]],
+        "eta_s": eta_s,
     }

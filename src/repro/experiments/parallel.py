@@ -23,12 +23,14 @@ arrives -- identical accumulation order to the serial runner (hence
 bit-identical means/stds), without first materializing every chunk
 result like ``pool.map`` did.
 
-Checkpoint/resume: pass an :class:`~repro.runtime.session
-.ExperimentSession` and every completed chunk is appended durably to
-the session's ledger; on a later run the ledger's chunks are *replayed*
+Checkpoint/resume: pass a :class:`~repro.service.store.ColumnarStore`
+opened for append (shard 0 of a ``repro run`` directory, which is a
+one-shard campaign) and every completed chunk is appended durably to it
+in submission order; on a later run the stored chunks are *replayed*
 from disk in submission order, interleaved with freshly computed ones,
-so a killed sweep resumes bit-identically (JSON floats round-trip
-exactly).
+so a killed sweep resumes bit-identically (the store holds raw IEEE-754
+doubles), and the resumed store is byte-identical to one written
+without interruption.
 
 :func:`sweep_pool` creates one worker pool usable across *several*
 sweeps (``repro all-figures --workers N`` runs every figure through a
@@ -69,8 +71,8 @@ from repro.runtime.context import (
     adopt,
     current_context,
 )
-from repro.runtime.session import ExperimentSession
 from repro.runtime.telemetry import HeartbeatWriter
+from repro.service.store import ColumnarStore
 
 __all__ = ["chunk_plan", "run_sweep_parallel", "sweep_pool"]
 
@@ -268,7 +270,7 @@ def run_sweep_parallel(
     pool: Optional[multiprocessing.pool.Pool] = None,
     start_method: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    session: Optional[ExperimentSession] = None,
+    store: Optional[ColumnarStore] = None,
 ) -> SweepResult:
     """Parallel :func:`~repro.experiments.harness.run_sweep`.
 
@@ -282,11 +284,13 @@ def run_sweep_parallel(
     registered with that pool).
 
     ``progress`` is called as ``progress(done, total)`` after every
-    completed chunk.  ``session`` makes the run resumable: completed
-    chunks are appended durably to the session ledger, and chunks
-    already present in the ledger are replayed from disk instead of
-    recomputed -- in submission order, so the resumed result is
-    bit-identical to an uninterrupted run.
+    completed chunk.  ``store`` (a columnar store opened in mode
+    ``"a"``) makes the run resumable: completed chunks are appended
+    durably to it, and chunks already present in it are replayed from
+    disk instead of recomputed -- in submission order, so the resumed
+    result is bit-identical to an uninterrupted run.  Replayed chunks
+    carry no metrics snapshot or wall time, so metrics cover only the
+    chunks computed in this call.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -302,26 +306,26 @@ def run_sweep_parallel(
         n_workers = getattr(pool, "_processes", None) or os.cpu_count() or 1
         return _collect(
             definition, pool, n_workers, reps, seed, validate, chunk_size,
-            progress=progress, session=session,
+            progress=progress, store=store,
         )
     ctx = current_context()
     n_workers = _default_workers(workers, ctx)
     method = _resolve_start_method(start_method, ctx)
     if method == "serial" or n_workers == 1:
-        if session is None and progress is None:
+        if store is None and progress is None:
             return run_sweep(definition, reps, seed, validate)
         # in-process chunk execution: same chunk decomposition (so the
-        # ledger keys line up with any parallel run) without a pool
+        # stored task ids line up with any parallel run) without a pool
         return _collect(
             definition, None, 1, reps, seed, validate, chunk_size,
-            progress=progress, session=session,
+            progress=progress, store=store,
         )
     with sweep_pool(
         [definition], n_workers, start_method=method
     ) as own_pool:
         return _collect(
             definition, own_pool, n_workers, reps, seed, validate, chunk_size,
-            progress=progress, session=session,
+            progress=progress, store=store,
         )
 
 
@@ -332,7 +336,7 @@ def chunk_plan(
     """The sweep's chunk decomposition, in submission (= serial) order.
 
     This is the unit of scheduling everywhere: worker pools submit these
-    chunks, the session ledger keys completed work by them, and
+    chunks, run directories key completed work by them, and
     :mod:`repro.experiments.campaign` enumerates its shardable task ids
     from them -- one shared decomposition, so a campaign's tasks line up
     one-to-one with the chunks a checkpointed run would execute.
@@ -355,12 +359,12 @@ def _collect(
     validate: bool,
     chunk_size: int,
     progress: Optional[ProgressFn] = None,
-    session: Optional[ExperimentSession] = None,
+    store: Optional[ColumnarStore] = None,
 ) -> SweepResult:
-    """Stream-accumulate chunk results (live or ledger-replayed) in order."""
+    """Stream-accumulate chunk results (live or store-replayed) in order."""
     chunks = chunk_plan(definition, reps, seed, validate, chunk_size)
     completed = (
-        session.completed_chunks(definition.key) if session is not None else {}
+        store.completed_chunks(definition.key) if store is not None else {}
     )
     live = [c for c in chunks if (c[1], c[3], c[4]) not in completed]
 
@@ -372,15 +376,19 @@ def _collect(
     merged = MetricsRegistry()
     bus = obs.get_bus()
     ctx = current_context()
+    # the collector owns shard 0 of the run directory: its beat carries
+    # the shard and counts live chunks only, so chunks_done / (ts -
+    # started) is the rate `repro status` derives the ETA from
     heartbeat = (
-        HeartbeatWriter(ctx.telemetry, role="main") if ctx.telemetry else None
+        HeartbeatWriter(ctx.telemetry, role="main", extra={"shard": 0})
+        if ctx.telemetry else None
     )
     if pool is not None:
         live_iter = pool.imap(_run_chunk, live)
     else:
         live_iter = (_execute_chunk(definition, c) for c in live)
     # chunks are submitted in (x, rep) order and imap yields them in
-    # submission order; ledger-replayed chunks interleave at exactly the
+    # submission order; store-replayed chunks interleave at exactly the
     # position they were originally submitted.  Accumulating in this
     # order therefore feeds the Welford accumulators in exactly the
     # serial order, live and replayed runs alike.
@@ -393,26 +401,24 @@ def _collect(
             row = completed.get(key)
             replayed = row is not None
             if replayed:
-                values, snapshot, wall = (
-                    row["values"], row["metrics"], row["wall"]
-                )
+                values, wall = row["values"], 0.0
             else:
                 _x_index, values, snapshot, wall = next(live_iter)
+                if snapshot:
+                    merged.merge(snapshot)
+                if obs.enabled():
+                    merged.timer("sweep/chunk_wall").observe(wall)
             accumulators = sweep.stats[chunk[2]]
             for rep_values in values:
                 for name, value in rep_values.items():
                     accumulators[name].add(value)
-            if snapshot:
-                merged.merge(snapshot)
-            if obs.enabled():
-                merged.timer("sweep/chunk_wall").observe(wall)
-            if session is not None and not replayed:
-                # record_chunk emits the chunk's sweep.chunk event itself
-                session.record_chunk(
+            recorded = store is not None and not replayed
+            if recorded:
+                store.append_chunk(
                     definition.key, chunk[1], chunk[2], chunk[3], chunk[4],
-                    values, snapshot, wall,
+                    values,
                 )
-            elif bus.active:
+            if bus.active:
                 bus.emit(
                     "sweep.chunk",
                     figure=definition.key,
@@ -421,9 +427,10 @@ def _collect(
                     rep_hi=chunk[4],
                     wall_s=wall,
                     replayed=replayed,
+                    recorded=recorded,
                 )
             done += 1
-            if heartbeat is not None:
+            if heartbeat is not None and not replayed:
                 heartbeat.bump(last_event_ts=time.time())
             if progress is not None:
                 progress(done, total)

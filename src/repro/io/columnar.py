@@ -1,16 +1,15 @@
 """Columnar result store: framed, fixed-dtype record batches.
 
-Row-wise JSONL (the ``chunks.jsonl`` run ledger) is the right shape for
-a handful of chunks per figure: human-readable, append-only, trivially
-crash-safe.  It is the wrong shape for a million-instance campaign --
-every replication pays a ``json.loads`` plus per-value Python float
-handling on the merge path.  This module stores the same information as
-**record batches**: each completed campaign task appends one frame
-holding a fixed-dtype structured array (one float64 column per
-scheduler, one row per replication), so the merge path reads raw
-little-endian doubles straight into numpy and never parses text.
+Row-wise JSON lines are the wrong shape for a million-instance
+campaign: every replication pays a ``json.loads`` plus per-value Python
+float handling on the merge path.  This module stores completed work as
+**record batches**: each completed campaign task (or ``repro run``
+chunk) appends one frame holding a fixed-dtype structured array (one
+float64 column per scheduler, one row per replication), so the merge
+path reads raw little-endian doubles straight into numpy and never
+parses text.
 
-The file format keeps the ledger's two load-bearing properties:
+The file format has two load-bearing properties:
 
 append-only
     A writer only ever appends whole frames and fsyncs each one; bytes
@@ -136,8 +135,8 @@ class ColumnarWriter:
     ``header["groups"]`` maps group names to column lists; every frame
     appended via :meth:`write_batch` names its group and must match
     that group's dtype exactly.  Each frame is flushed and fsynced
-    before the call returns, mirroring the chunk ledger's durability
-    contract.
+    before the call returns: a batch the caller saw written survives
+    any subsequent crash.
     """
 
     def __init__(self, fh, header: Dict[str, object], path: PathLike) -> None:
@@ -280,7 +279,7 @@ def scan_frames(path: PathLike) -> Tuple[Dict[str, object], List[Frame], int]:
 
     ``valid_end`` is the file offset just past the last intact frame --
     everything after it is a torn tail (incomplete write or CRC
-    mismatch) and is ignored, exactly like the chunk ledger's reader.
+    mismatch) and is ignored.
     """
     frames: List[Frame] = []
     with open(path, "rb") as fh:

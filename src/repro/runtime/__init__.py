@@ -8,14 +8,13 @@ Two pieces (see docs/architecture.md):
   model/obs/experiments layers consult it instead of process-global
   toggles; the parallel runner ships it to workers explicitly, which is
   what makes ``spawn``/``forkserver`` pools bit-identical to ``fork``.
-* :mod:`repro.runtime.session` -- the :class:`ExperimentSession`: a run
-  directory with a ``manifest.json`` (config + resolved sweep specs)
-  and a crash-safe ``chunks.jsonl`` ledger that ``repro resume``
-  replays.
-* :mod:`repro.runtime.telemetry` -- live run observation over that
-  directory: per-process heartbeat files, the ``repro.status/1``
-  status document (:func:`run_status`), and the ``repro top`` terminal
-  view (:func:`format_top`).
+* :mod:`repro.runtime.telemetry` -- live observation of a run,
+  campaign or service directory: per-process heartbeat files, the
+  status document ``repro status`` prints (:func:`status_document`),
+  and the ``repro top`` terminal view (:func:`format_status`).
+
+A ``repro run`` directory itself is a one-shard campaign; see
+:mod:`repro.experiments.campaign`.
 """
 
 from repro.runtime.context import (
@@ -29,12 +28,11 @@ from repro.runtime.context import (
     current_context,
     resolve_engine,
 )
-from repro.runtime.session import ExperimentSession
 from repro.runtime.telemetry import (
     HeartbeatWriter,
-    format_top,
+    format_status,
     load_heartbeats,
-    run_status,
+    status_document,
     telemetry_dir,
 )
 
@@ -48,10 +46,9 @@ __all__ = [
     "adopt",
     "current_context",
     "resolve_engine",
-    "ExperimentSession",
     "HeartbeatWriter",
-    "format_top",
+    "format_status",
     "load_heartbeats",
-    "run_status",
+    "status_document",
     "telemetry_dir",
 ]

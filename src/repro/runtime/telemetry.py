@@ -1,37 +1,38 @@
-"""Run telemetry: heartbeat files and live status over a run directory.
+"""Run telemetry: heartbeat files and live status over a results directory.
 
 Everything ``repro top`` / ``repro status`` show is derived from files
 a run writes as it progresses, so the observer is a separate process
 that never touches the run itself:
 
-``<run_dir>/telemetry/heartbeat-<pid>.json``
-    One file per participating process (the main collector and every
-    pool worker), rewritten atomically after each chunk: pid, role,
-    resident set size, user/system CPU time, chunks done and the
-    wall-clock timestamp of the last event.  A vanished or stale
-    heartbeat is visible as exactly that.
+``<dir>/telemetry/heartbeat-<pid>.json``
+    One file per participating process (a shard process or the main
+    collector of ``repro run``, plus every pool worker), rewritten
+    atomically after each chunk: pid, role, shard (for the process that
+    owns one), resident set size, user/system CPU time, when it
+    started, chunks done and the wall-clock timestamp of the last
+    event.  A vanished or stale heartbeat is visible as exactly that.
 
-``<run_dir>/chunks.jsonl``
-    The crash-safe chunk ledger the session already appends
-    (:class:`~repro.runtime.session.ExperimentSession`); progress
-    counts, chunk throughput and the ETA come from here, so they are
-    correct even when every worker heartbeat is gone.
+``<dir>/shards/shard-*.colbin``
+    The crash-safe columnar shard stores
+    (:mod:`repro.experiments.campaign`); progress counts come from
+    here, so they are correct even when every heartbeat is gone.
 
-``<run_dir>/telemetry/spans-<pid>.jsonl`` / ``trace.json`` /
+``<dir>/telemetry/spans-<pid>.jsonl`` / ``trace.json`` /
 ``metrics.prom`` / ``events.jsonl``
     Written when tracing / metrics / event streaming are requested; see
     :mod:`repro.obs.export` and docs/observability.md.
 
-:func:`run_status` folds manifest + ledger + heartbeats into one plain
-dict (schema ``repro.status/1``) -- the machine-readable contract a
-future scheduling service publishes -- and :func:`format_top` renders
-that dict as the terminal frame ``repro top`` repaints.
+A ``repro run`` directory is a one-shard campaign, so
+:func:`status_document` knows two directory kinds: campaign directories
+(:func:`~repro.experiments.campaign.campaign_status`, schema
+``repro.campaign-status/1``) and service directories
+(:func:`~repro.service.api.service_status`).  :func:`format_status`
+renders either as the terminal frame ``repro top`` repaints.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import pathlib
 import resource
@@ -39,18 +40,13 @@ import sys
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.runtime.session import ExperimentSession
-
 __all__ = [
     "TELEMETRY_DIRNAME",
-    "STATUS_SCHEMA",
     "HEARTBEAT_SCHEMA",
     "telemetry_dir",
     "HeartbeatWriter",
     "load_heartbeats",
-    "run_status",
     "status_document",
-    "format_top",
     "format_campaign_top",
     "format_status",
 ]
@@ -58,17 +54,11 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 TELEMETRY_DIRNAME = "telemetry"
-STATUS_SCHEMA = "repro.status/1"
 HEARTBEAT_SCHEMA = "repro.heartbeat/1"
-
-#: a worker is flagged as a straggler when its heartbeat is older than
-#: ``max(_STRAGGLER_FACTOR * mean chunk wall, _STRAGGLER_FLOOR_S)``
-_STRAGGLER_FACTOR = 4.0
-_STRAGGLER_FLOOR_S = 10.0
 
 
 def telemetry_dir(run_dir: PathLike) -> pathlib.Path:
-    """The telemetry directory beside a run's manifest and ledger."""
+    """The telemetry directory beside a run's manifest and shard stores."""
     return pathlib.Path(run_dir) / TELEMETRY_DIRNAME
 
 
@@ -93,6 +83,9 @@ class HeartbeatWriter:
         self.pid = os.getpid()
         self.path = self.directory / f"heartbeat-{self.pid}.json"
         self.throttle_s = throttle_s
+        #: wall-clock start of this writer: chunk rates are measured
+        #: from here (the ETA of ``repro status``)
+        self.started = time.time()
         self.chunks_done = 0
         self.last_event_ts: Optional[float] = None
         self._last_write = 0.0
@@ -119,6 +112,7 @@ class HeartbeatWriter:
             "rss_kb": int(usage.ru_maxrss),
             "cpu_user_s": usage.ru_utime,
             "cpu_sys_s": usage.ru_stime,
+            "started": self.started,
             "chunks_done": self.chunks_done,
             "last_event_ts": self.last_event_ts,
             "ts": now,
@@ -165,117 +159,26 @@ def load_heartbeats(run_dir: PathLike) -> List[Dict[str, object]]:
     return beats
 
 
-def run_status(
-    run_dir: PathLike, now: Optional[float] = None
-) -> Dict[str, object]:
-    """One status document over a run directory (schema ``repro.status/1``).
-
-    Derived purely from the manifest, the chunk ledger and the
-    heartbeat files, so it is safe to call while the run is live, after
-    a crash, or on a finished directory -- chunk counts always agree
-    with the durable ledger.
-    """
-    session = ExperimentSession.open(run_dir)
-    context = session.context
-    now = time.time() if now is None else now
-
-    sweeps: List[Dict[str, object]] = []
-    walls: List[float] = []
-    stamps: List[float] = []
-    total_done = total_chunks = 0
-    per_x = max(1, math.ceil(session.reps / context.chunk_size))
-    for definition in session.definitions:
-        completed = session.completed_chunks(definition.key)
-        total = len(definition.x_values) * per_x
-        done = len(completed)
-        for row in completed.values():
-            walls.append(float(row.get("wall", 0.0)))
-            if row.get("ts") is not None:
-                stamps.append(float(row["ts"]))
-        sweeps.append(
-            {
-                "key": definition.key,
-                "title": definition.title,
-                "x_label": definition.x_label,
-                "points": len(definition.x_values),
-                "reps": session.reps,
-                "chunks_done": done,
-                "chunks_total": total,
-                "complete": done >= total,
-            }
-        )
-        total_done += done
-        total_chunks += total
-
-    complete = total_done >= total_chunks
-    mean_wall = sum(walls) / len(walls) if walls else None
-    throughput = None
-    if len(stamps) >= 2 and max(stamps) > min(stamps):
-        throughput = (len(stamps) - 1) / (max(stamps) - min(stamps))
-    eta_s = None
-    if not complete and mean_wall is not None:
-        eta_s = (total_chunks - total_done) * mean_wall / max(
-            1, context.workers
-        )
-
-    workers = load_heartbeats(run_dir)
-    stale_after = max(
-        _STRAGGLER_FACTOR * (mean_wall or 0.0), _STRAGGLER_FLOOR_S
-    )
-    stragglers: List[int] = []
-    if not complete:
-        for beat in workers:
-            age = now - float(beat.get("ts", now))
-            beat["age_s"] = age
-            if beat.get("role") == "worker" and age > stale_after:
-                stragglers.append(int(beat["pid"]))
-    else:
-        for beat in workers:
-            beat["age_s"] = now - float(beat.get("ts", now))
-
-    return {
-        "schema": STATUS_SCHEMA,
-        "run_dir": str(run_dir),
-        "created": session.created,
-        "complete": complete,
-        "chunks_done": total_done,
-        "chunks_total": total_chunks,
-        "reps": session.reps,
-        "workers_configured": context.workers,
-        "chunk_size": context.chunk_size,
-        "sweeps": sweeps,
-        "workers": workers,
-        "chunk_wall_mean_s": mean_wall,
-        "throughput_chunks_per_s": throughput,
-        "eta_s": eta_s,
-        "stragglers": stragglers,
-    }
-
-
 def status_document(
     run_dir: PathLike, now: Optional[float] = None
 ) -> Dict[str, object]:
-    """Status over *any* results directory: run or campaign.
+    """Status over *any* results directory: campaign (or run) or service.
 
-    Dispatches on what the directory holds -- ``manifest.json`` gets
-    :func:`run_status` (schema ``repro.status/1``), ``campaign.json``
-    gets :func:`repro.experiments.campaign.campaign_status` (schema
-    ``repro.campaign-status/1``), a ``store.sqlite`` gets
-    :func:`repro.service.api.service_status` (schema
-    ``repro.service-status/1``).  ``repro status`` / ``repro top``
-    call this, so both verbs work unchanged on sharded campaigns and
-    service directories.
+    A ``store.sqlite`` gets :func:`repro.service.api.service_status`
+    (schema ``repro.service-status/1``); anything else is opened as a
+    campaign -- ``repro run`` directories are one-shard campaigns --
+    by :func:`repro.experiments.campaign.campaign_status` (schema
+    ``repro.campaign-status/1``), which raises a pointed error for a
+    directory that is neither.  ``repro status`` / ``repro top`` call
+    this.
     """
-    path = pathlib.Path(run_dir)
-    if (path / "campaign.json").exists():
-        from repro.experiments.campaign import campaign_status
-
-        return campaign_status(path, now=now)
     from repro.service.api import is_service_dir, service_status
 
-    if is_service_dir(path):
-        return service_status(path, now=now)
-    return run_status(run_dir, now=now)
+    if is_service_dir(run_dir):
+        return service_status(run_dir, now=now)
+    from repro.experiments.campaign import campaign_status
+
+    return campaign_status(run_dir, now=now)
 
 
 def _bar(fraction: float, width: int = 24) -> str:
@@ -291,73 +194,12 @@ def _hms(seconds: float) -> str:
     return f"{seconds // 3600}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
 
 
-def format_top(status: Dict[str, object]) -> str:
-    """Render one ``repro top`` frame from a :func:`run_status` document."""
-    lines: List[str] = []
-    done = int(status["chunks_done"])
-    total = max(1, int(status["chunks_total"]))
-    state = "complete" if status["complete"] else "running"
-    lines.append(
-        f"repro top -- {status['run_dir']}  ({state}, "
-        f"{status['workers_configured']} worker(s) configured)"
-    )
-    lines.append(
-        f"chunks {_bar(done / total)} {done}/{status['chunks_total']}"
-        f"  ({100.0 * done / total:.1f}%)"
-    )
-    parts = []
-    if status.get("chunk_wall_mean_s") is not None:
-        parts.append(f"mean {status['chunk_wall_mean_s'] * 1e3:.1f} ms/chunk")
-    if status.get("throughput_chunks_per_s") is not None:
-        parts.append(f"{status['throughput_chunks_per_s']:.2f} chunks/s")
-    if status.get("eta_s") is not None:
-        parts.append(f"ETA {_hms(status['eta_s'])}")
-    if parts:
-        lines.append("  " + "  ".join(parts))
-    lines.append("")
-    for sweep in status["sweeps"]:
-        s_done = int(sweep["chunks_done"])
-        s_total = max(1, int(sweep["chunks_total"]))
-        lines.append(
-            f"  {sweep['key']:<6} {_bar(s_done / s_total, 18)} "
-            f"{s_done}/{sweep['chunks_total']} chunks  "
-            f"({sweep['points']} x {sweep['reps']} reps, "
-            f"{sweep['x_label']})"
-        )
-    workers = status.get("workers") or []
-    stragglers = set(status.get("stragglers") or [])
-    if workers:
-        lines.append("")
-        lines.append(
-            f"  {'pid':>7}  {'role':<6}  {'chunks':>6}  {'rss':>8}  "
-            f"{'cpu':>8}  {'beat':>8}"
-        )
-        for beat in workers:
-            cpu = float(beat.get("cpu_user_s", 0.0)) + float(
-                beat.get("cpu_sys_s", 0.0)
-            )
-            age = beat.get("age_s")
-            flag = "  STRAGGLER" if beat.get("pid") in stragglers else ""
-            lines.append(
-                f"  {beat.get('pid', '?'):>7}  {beat.get('role', '?'):<6}  "
-                f"{beat.get('chunks_done', 0):>6}  "
-                f"{float(beat.get('rss_kb', 0)) / 1024.0:>6.1f}MB  "
-                f"{cpu:>7.1f}s  "
-                f"{(f'{age:.1f}s ago' if age is not None else '?'):>8}"
-                f"{flag}"
-            )
-    elif not status["complete"]:
-        lines.append("")
-        lines.append("  (no heartbeats yet -- run starting, or crashed)")
-    return "\n".join(lines)
-
-
 def format_campaign_top(status: Dict[str, object]) -> str:
-    """Render one ``repro top`` frame for a sharded campaign directory.
+    """Render one ``repro top`` frame for a campaign or run directory.
 
     Takes a :func:`~repro.experiments.campaign.campaign_status`
-    document: campaign totals, per-sweep row progress, and a per-shard
-    table with straggler flags.
+    document: campaign totals and ETA, per-sweep row progress, and a
+    per-shard table with straggler flags.
     """
     lines: List[str] = []
     done = int(status["tasks_done"])
@@ -371,9 +213,12 @@ def format_campaign_top(status: Dict[str, object]) -> str:
         f"tasks  {_bar(done / total)} {done}/{status['tasks_total']}"
         f"  ({100.0 * done / total:.1f}%)"
     )
+    eta = ""
+    if status.get("eta_s") is not None and not status["complete"]:
+        eta = f"  ETA {_hms(status['eta_s'])}"
     lines.append(
         f"  {status['rows_done']}/{status['rows_total']} replications "
-        f"(chunk size {status['chunk_size']})"
+        f"(chunk size {status['chunk_size']}){eta}"
     )
     lines.append("")
     for sweep in status["sweeps"]:
@@ -415,13 +260,11 @@ def format_campaign_top(status: Dict[str, object]) -> str:
 
 def format_status(status: Dict[str, object]) -> str:
     """Render whatever :func:`status_document` produced, by schema."""
-    if status.get("schema") == "repro.campaign-status/1":
-        return format_campaign_top(status)
     if status.get("schema") == "repro.service-status/1":
         from repro.service.api import format_service_top
 
         return format_service_top(status)
-    return format_top(status)
+    return format_campaign_top(status)
 
 
 def watch(
@@ -432,9 +275,9 @@ def watch(
 ) -> int:
     """Drive ``repro top``: repaint until the run completes (or once).
 
-    Returns a process exit code.  Works on run directories and campaign
-    directories alike.  The live loop clears the terminal between
-    frames and stops on completion; Ctrl-C exits cleanly.
+    Returns a process exit code.  Works on every directory kind
+    :func:`status_document` knows.  The live loop clears the terminal
+    between frames and stops on completion; Ctrl-C exits cleanly.
     """
     stream = sys.stdout if stream is None else stream
     while True:

@@ -1,18 +1,17 @@
 """Scheduling-as-a-service: run store, work queue, workers, API.
 
-This package graduates the repo's ad-hoc persistence (run-dir ledgers,
-campaign shard stores) into a real service: a SQLite run store
-(:mod:`repro.service.store`), a lease-based work queue
-(:mod:`repro.service.queue`), daemon workers
+This package turns the repo's persistence into a service: the stores
+(:mod:`repro.service.store` -- the columnar shard store campaigns and
+run directories write, and the SQLite service database), a lease-based
+work queue (:mod:`repro.service.queue`), daemon workers
 (:mod:`repro.service.worker`) and a submission API
 (:mod:`repro.service.api`), surfaced on the CLI as ``repro serve`` /
 ``submit`` / ``ps`` / ``watch``.
 
-Only the store layer is imported eagerly -- it sits beneath
-:class:`~repro.runtime.session.ExperimentSession` and the campaign
-engine, so this ``__init__`` must stay free of imports that reach back
-into :mod:`repro.experiments` (queue/worker/api are imported on
-demand).
+Only the store layer is imported eagerly -- it sits beneath the
+parallel sweep runner and the campaign engine, so this ``__init__``
+must stay free of imports that reach back into
+:mod:`repro.experiments` (queue/worker/api are imported on demand).
 """
 
 from repro.service.store import (
@@ -22,9 +21,6 @@ from repro.service.store import (
     TASK_STATES,
     WORKER_STATES,
     ColumnarStore,
-    LedgerStore,
-    RunStore,
-    SqliteResultStore,
     SqliteStore,
     TaskSpec,
     enumerate_tasks,
@@ -39,9 +35,6 @@ __all__ = [
     "TASK_STATES",
     "WORKER_STATES",
     "ColumnarStore",
-    "LedgerStore",
-    "RunStore",
-    "SqliteResultStore",
     "SqliteStore",
     "TaskSpec",
     "enumerate_tasks",

@@ -27,12 +27,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.runtime.context import RunContext
-from repro.service.store import (
-    SERVICE_DB,
-    JobRow,
-    SqliteResultStore,
-    SqliteStore,
-)
+from repro.service.store import SERVICE_DB, JobRow, SqliteStore
 
 __all__ = [
     "SUBMIT_SCHEMA",
@@ -156,9 +151,10 @@ def result(
 
     ``strict`` requires the job to be ``done``; ``strict=False`` folds
     whatever tasks have committed (a live preview -- points missing
-    chunks simply have fewer samples).  Values replay through the
-    :class:`~repro.service.store.RunStore` view in chunk-plan order,
-    exactly like a resumed run-dir sweep, so the returned
+    chunks simply have fewer samples).  Committed values
+    (:meth:`~repro.service.store.SqliteStore.committed_values`) replay
+    in chunk-plan order, exactly like a resumed run-dir sweep, so the
+    returned
     :class:`~repro.experiments.harness.SweepResult`\\ s match a serial
     run of the same definitions bit for bit.
     """
@@ -175,11 +171,10 @@ def result(
                 + (f": {job.error}" if job.error else "")
             )
         context = RunContext.from_dict(job.context)
-        view = SqliteResultStore(store, job.id)
         results: Dict[str, SweepResult] = {}
         for entry in job.spec:
             definition = SweepDefinition.from_dict(entry)
-            completed = view.completed_chunks(definition.key)
+            completed = store.committed_values(job.id, definition.key)
             sweep = SweepResult(
                 definition=definition, reps=job.reps, seed=context.seed
             )
@@ -191,8 +186,8 @@ def result(
                 definition, job.reps, context.seed, context.validate,
                 context.chunk_size,
             ):
-                row = completed.get((chunk[1], chunk[3], chunk[4]))
-                if row is None:
+                values = completed.get((chunk[1], chunk[3], chunk[4]))
+                if values is None:
                     if strict:
                         raise ValueError(
                             f"job {ticket}: task "
@@ -201,7 +196,7 @@ def result(
                         )
                     continue
                 accumulators = sweep.stats[chunk[2]]
-                for rep_values in row["values"]:
+                for rep_values in values:
                     for name, value in rep_values.items():
                         accumulators[name].add(value)
             results[definition.key] = sweep

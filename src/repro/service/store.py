@@ -1,58 +1,37 @@
-"""The run store: one persistence interface, three backends.
+"""Persistence for the two run families: columnar shards and SQLite.
 
-Every run family in the repo persists the same thing -- *completed
-chunks of a deterministic task decomposition* -- but until this module
-each family grew its own ad-hoc format: run directories append JSON
-lines to ``chunks.jsonl``, campaigns write columnar record batches into
-shard stores, and the scheduling service keeps its queue in SQLite.
-:class:`RunStore` names the shared contract:
-
-``append_chunk``
-    durably record the per-replication metric values of one completed
-    chunk (one :func:`task_id` of the shared decomposition),
-
-``completed_chunks`` / ``completed_ids``
-    replay what already happened, in a form resume and merge can fold
-    bit-identically (JSON floats round-trip via ``repr``; columnar
-    payloads are raw IEEE-754 doubles),
-
-``read_matrix``
-    the merge-path fast lane: one task's values as a ``(reps,
-    schedulers)`` float64 matrix without materializing dicts.
-
-Backends:
-
-:class:`LedgerStore`
-    the ``chunks.jsonl`` append-only ledger behind
-    :class:`~repro.runtime.session.ExperimentSession` -- fsynced lines,
-    torn tails tolerated.
+Every run family persists the same thing -- *completed chunks of one
+deterministic task decomposition* -- in one of two stores:
 
 :class:`ColumnarStore`
-    one CRC-framed columnar shard store
-    (:mod:`repro.io.columnar`) as used by
-    :mod:`repro.experiments.campaign` -- byte-deterministic, resumable.
+    one CRC-framed columnar shard store (:mod:`repro.io.columnar`) of a
+    campaign directory (:mod:`repro.experiments.campaign`); a ``repro
+    run`` directory is a one-shard campaign, so its pool streams chunks
+    into shard 0 through the same class.  ``append_chunk`` records one
+    chunk's per-replication metric values durably (fsync per batch),
+    ``completed_chunks`` / ``completed_ids`` replay what already
+    happened bit-exactly (raw IEEE-754 doubles), and ``read_matrix`` is
+    the merge path's fast lane.  Byte-deterministic and resumable.
 
 :class:`SqliteStore`
     the scheduling service's database (schema ``repro.store/1``, WAL
     mode): ``jobs`` / ``tasks`` / ``workers`` / ``events`` tables with
-    status enums.  :meth:`SqliteStore.run_store` views one job's
-    completed tasks through the same :class:`RunStore` interface, so
-    the service merges results with exactly the machinery a resumed
-    run-dir sweep uses.
+    status enums.  Workers commit task values through
+    :class:`~repro.service.queue.WorkQueue`;
+    :meth:`SqliteStore.committed_values` reads them back for the
+    result fold, values round-tripping through JSON exactly.
 
-Task identity is shared across all of them: :func:`task_id` derives a
-stable name purely from ``(sweep key, x index, replication range)``,
-and :func:`enumerate_tasks` expands definitions through
+Task identity is shared across both: :func:`task_id` derives a stable
+name purely from ``(sweep key, x index, replication range)``, and
+:func:`enumerate_tasks` expands definitions through
 :func:`~repro.experiments.parallel.chunk_plan` -- the same chunks
-``repro run`` executes -- so any store's contents line up
+``repro run`` executes -- so either store's contents line up
 replication-for-replication with a serial run.
 """
 
 from __future__ import annotations
 
-import abc
 import json
-import os
 import pathlib
 import sqlite3
 import time
@@ -84,11 +63,8 @@ __all__ = [
     "enumerate_tasks",
     "values_matrix",
     "matrix_values",
-    "RunStore",
-    "LedgerStore",
     "ColumnarStore",
     "SqliteStore",
-    "SqliteResultStore",
     "JobRow",
     "TaskRow",
 ]
@@ -120,8 +96,8 @@ def task_id(sweep: str, x_index: int, rep_lo: int, rep_hi: int) -> str:
     Ids are derived purely from the spec (sweep key, x index,
     replication range), so re-enumerating the same workload -- on any
     machine, any number of times -- names every unit of work
-    identically.  This is what lets shard stores, run ledgers and the
-    service queue be resumed and merged without any coordination.
+    identically.  This is what lets shard stores and the service queue
+    be resumed and merged without any coordination.
     """
     return f"{sweep}:x{x_index:03d}:r{rep_lo:08d}-{rep_hi:08d}"
 
@@ -222,172 +198,10 @@ def _check_matrix(tid: str, matrix: np.ndarray, expect_rows: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the interface
+# columnar shards (campaigns and run directories)
 # ----------------------------------------------------------------------
-class RunStore(abc.ABC):
-    """Durable record of completed chunks of one task decomposition.
-
-    Implementations must be crash-safe on the append path (a chunk the
-    caller saw acknowledged survives any subsequent kill) and exact on
-    the read path (replayed values are bit-identical to what was
-    recorded).
-    """
-
-    #: short backend tag (``jsonl`` / ``columnar`` / ``sqlite``)
-    backend: str = "abstract"
-
-    @abc.abstractmethod
-    def append_chunk(
-        self,
-        sweep: str,
-        x_index: int,
-        x: object,
-        rep_lo: int,
-        rep_hi: int,
-        values: List[Dict[str, float]],
-        metrics: Optional[Dict] = None,
-        wall: float = 0.0,
-    ) -> None:
-        """Durably record one completed chunk."""
-
-    @abc.abstractmethod
-    def completed_chunks(self, sweep: str) -> Dict[ChunkKey, Dict]:
-        """Finished chunks of ``sweep``, keyed ``(x_index, lo, hi)``.
-
-        Rows carry at least ``values`` (per-replication metric dicts),
-        ``metrics`` and ``wall``; backends that do not persist an
-        observability snapshot report ``{}`` / ``0.0``.
-        """
-
-    def completed_ids(self) -> Set[str]:
-        """Task ids of every recorded chunk (any sweep)."""
-        raise NotImplementedError
-
-    def read_matrix(
-        self, tid: str, columns: Sequence[str], expect_rows: int
-    ) -> np.ndarray:
-        """One task's values as a checked ``(reps, k)`` float64 matrix.
-
-        The generic path replays :meth:`completed_chunks` (cached per
-        sweep); columnar and SQLite backends override with direct
-        payload reads.
-        """
-        cache = getattr(self, "_replay_cache", None)
-        if cache is None:
-            cache = self._replay_cache = {}
-        sweep, x_index, rep_lo, rep_hi = parse_task_id(tid)
-        if sweep not in cache:
-            cache[sweep] = self.completed_chunks(sweep)
-        row = cache[sweep].get((x_index, rep_lo, rep_hi))
-        if row is None:
-            raise KeyError(f"task {tid} has no recorded result")
-        return _check_matrix(
-            tid, values_matrix(row["values"], columns), expect_rows
-        )
-
-    def close(self) -> None:
-        """Release file handles / connections (safe to call repeatedly)."""
-
-    def __enter__(self) -> "RunStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# JSONL ledger backend (run directories)
-# ----------------------------------------------------------------------
-class LedgerStore(RunStore):
-    """The ``chunks.jsonl`` append-only ledger of a run directory.
-
-    One JSON line per completed chunk, flushed and fsynced before the
-    append returns; reading tolerates a torn tail (a crash mid-append)
-    by stopping at the first line that is not valid JSON.  Floats
-    round-trip through JSON exactly (``repr``-based serialization), so
-    a replayed chunk is bit-identical to the live one.
-    """
-
-    backend = "jsonl"
-
-    def __init__(self, path: PathLike) -> None:
-        self.path = pathlib.Path(path)
-        self._fh = None
-
-    def append_chunk(
-        self,
-        sweep: str,
-        x_index: int,
-        x: object,
-        rep_lo: int,
-        rep_hi: int,
-        values: List[Dict[str, float]],
-        metrics: Optional[Dict] = None,
-        wall: float = 0.0,
-    ) -> None:
-        """Append one row, durably (flush + fsync before returning)."""
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        row = {
-            "sweep": sweep,
-            "x_index": x_index,
-            "x": x,
-            "rep_lo": rep_lo,
-            "rep_hi": rep_hi,
-            "values": values,
-            "metrics": metrics if metrics is not None else {},
-            "wall": wall,
-            "ts": time.time(),
-        }
-        self._fh.write(json.dumps(row) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def _rows(self):
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    break
-
-    def completed_chunks(self, sweep: str) -> Dict[ChunkKey, Dict]:
-        """Finished chunks of ``sweep``; stops at the torn tail."""
-        completed: Dict[ChunkKey, Dict] = {}
-        for row in self._rows():
-            if row.get("sweep") != sweep:
-                continue
-            key = (int(row["x_index"]), int(row["rep_lo"]), int(row["rep_hi"]))
-            completed[key] = row
-        return completed
-
-    def completed_ids(self) -> Set[str]:
-        """Task ids of every intact ledger row, across all sweeps."""
-        return {
-            task_id(
-                str(row["sweep"]), int(row["x_index"]),
-                int(row["rep_lo"]), int(row["rep_hi"]),
-            )
-            for row in self._rows()
-        }
-
-    def close(self) -> None:
-        """Close the append handle (safe to call repeatedly)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-# ----------------------------------------------------------------------
-# columnar backend (campaign shards)
-# ----------------------------------------------------------------------
-class ColumnarStore(RunStore):
-    """One CRC-framed columnar store file as a :class:`RunStore`.
+class ColumnarStore:
+    """One CRC-framed columnar store file: a campaign shard.
 
     Mode ``"a"`` wraps :meth:`~repro.io.columnar.ColumnarWriter.append`
     (torn tail truncated, fsync per batch) and needs the record
@@ -397,8 +211,6 @@ class ColumnarStore(RunStore):
     to what :func:`repro.experiments.campaign.run_shard` always wrote:
     no timestamps, no nondeterminism.
     """
-
-    backend = "columnar"
 
     def __init__(
         self,
@@ -449,11 +261,9 @@ class ColumnarStore(RunStore):
         rep_lo: int,
         rep_hi: int,
         values: List[Dict[str, float]],
-        metrics: Optional[Dict] = None,
-        wall: float = 0.0,
     ) -> None:
-        """Write one record batch (``metrics``/``wall`` are not stored:
-        the columnar format is deliberately free of nondeterminism)."""
+        """Write one record batch, durably.  Only the values are stored
+        -- no metrics snapshot, wall time or other nondeterminism."""
         if self._writer is None:
             raise ValueError(f"store {self.path.name} is read-only")
         columns = self._groups.get(sweep)
@@ -474,8 +284,11 @@ class ColumnarStore(RunStore):
         self._appended_ids.add(task_id(sweep, x_index, rep_lo, rep_hi))
 
     def completed_chunks(self, sweep: str) -> Dict[ChunkKey, Dict]:
-        """Replay rows (``x`` is not persisted in frame metadata and
-        comes back ``None``; ``metrics``/``wall`` come back empty)."""
+        """Finished chunks of ``sweep``, keyed ``(x_index, lo, hi)``.
+
+        Rows carry the per-replication metric dicts as ``values``; ``x``
+        is not persisted in frame metadata and comes back ``None``.
+        """
         completed: Dict[ChunkKey, Dict] = {}
         cols = self._groups.get(sweep)
         if cols is None:
@@ -495,8 +308,6 @@ class ColumnarStore(RunStore):
                 "rep_lo": rep_lo,
                 "rep_hi": rep_hi,
                 "values": matrix_values(matrix, cols),
-                "metrics": {},
-                "wall": 0.0,
             }
         return completed
 
@@ -529,6 +340,12 @@ class ColumnarStore(RunStore):
         if self._read_fh is not None:
             self._read_fh.close()
             self._read_fh = None
+
+    def __enter__(self) -> "ColumnarStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -966,9 +783,21 @@ class SqliteStore:
         ]
 
     # -- results ---------------------------------------------------------
-    def run_store(self, ticket: str) -> "SqliteResultStore":
-        """One job's completed tasks as a :class:`RunStore` view."""
-        return SqliteResultStore(self, self.job(ticket).id)
+    def committed_values(
+        self, job_id: int, sweep: str
+    ) -> Dict[ChunkKey, List[Dict[str, float]]]:
+        """A job's committed chunks of ``sweep``: per-replication metric
+        dicts keyed ``(x_index, lo, hi)``, replayed through JSON exactly
+        (``repr``-based float round-trip)."""
+        return {
+            (int(row["x_index"]), int(row["rep_lo"]), int(row["rep_hi"])):
+                json.loads(row["result"])
+            for row in self.conn.execute(
+                "SELECT x_index, rep_lo, rep_hi, result FROM tasks"
+                " WHERE job = ? AND sweep = ? AND state = 'done' ORDER BY id",
+                (job_id, sweep),
+            )
+        }
 
 
 class _Transaction:
@@ -986,99 +815,3 @@ class _Transaction:
             self.conn.execute("COMMIT")
         else:
             self.conn.execute("ROLLBACK")
-
-
-class SqliteResultStore(RunStore):
-    """One job's slice of a :class:`SqliteStore` through the run-store
-    interface: replay and merge see exactly what a run-dir ledger would
-    hold, values round-tripping through JSON bit-exactly."""
-
-    backend = "sqlite"
-
-    def __init__(self, store: SqliteStore, job_id: int) -> None:
-        self.store = store
-        self.job_id = job_id
-
-    def append_chunk(
-        self,
-        sweep: str,
-        x_index: int,
-        x: object,
-        rep_lo: int,
-        rep_hi: int,
-        values: List[Dict[str, float]],
-        metrics: Optional[Dict] = None,
-        wall: float = 0.0,
-    ) -> None:
-        """Record one chunk's result against its task row (the row is
-        created on the fly when the job was not pre-enumerated)."""
-        tid = task_id(sweep, x_index, rep_lo, rep_hi)
-        payload = json.dumps(values)
-        metrics_json = json.dumps(metrics if metrics is not None else {})
-        with self.store.transaction():
-            cur = self.store.conn.execute(
-                "UPDATE tasks SET state = 'done', result = ?, metrics = ?,"
-                " wall = ? WHERE job = ? AND task = ?",
-                (payload, metrics_json, wall, self.job_id, tid),
-            )
-            if cur.rowcount == 0:
-                self.store.conn.execute(
-                    "INSERT INTO tasks (job, task, sweep, x_index, x,"
-                    " rep_lo, rep_hi, state, result, metrics, wall)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, 'done', ?, ?, ?)",
-                    (
-                        self.job_id, tid, sweep, x_index, json.dumps(x),
-                        rep_lo, rep_hi, payload, metrics_json, wall,
-                    ),
-                )
-
-    def completed_chunks(self, sweep: str) -> Dict[ChunkKey, Dict]:
-        """The job's committed chunks of ``sweep``, values replayed
-        through JSON exactly (``repr``-based float round-trip)."""
-        completed: Dict[ChunkKey, Dict] = {}
-        for row in self.store.conn.execute(
-            "SELECT * FROM tasks WHERE job = ? AND sweep = ? AND"
-            " state = 'done' ORDER BY id",
-            (self.job_id, sweep),
-        ):
-            key = (int(row["x_index"]), int(row["rep_lo"]), int(row["rep_hi"]))
-            completed[key] = {
-                "sweep": sweep,
-                "x_index": key[0],
-                "x": json.loads(row["x"]),
-                "rep_lo": key[1],
-                "rep_hi": key[2],
-                "values": json.loads(row["result"]),
-                "metrics": json.loads(row["metrics"] or "{}"),
-                "wall": float(row["wall"]),
-            }
-        return completed
-
-    def completed_ids(self) -> Set[str]:
-        """Task ids of the job's committed (``done``) tasks."""
-        return {
-            str(row["task"])
-            for row in self.store.conn.execute(
-                "SELECT task FROM tasks WHERE job = ? AND state = 'done'",
-                (self.job_id,),
-            )
-        }
-
-    def read_matrix(
-        self, tid: str, columns: Sequence[str], expect_rows: int
-    ) -> np.ndarray:
-        """One committed task's values as a checked ``(reps, k)`` matrix."""
-        row = self.store.conn.execute(
-            "SELECT result FROM tasks WHERE job = ? AND task = ? AND"
-            " state = 'done'",
-            (self.job_id, tid),
-        ).fetchone()
-        if row is None or row["result"] is None:
-            raise KeyError(f"task {tid} has no recorded result")
-        return _check_matrix(
-            tid, values_matrix(json.loads(row["result"]), columns),
-            expect_rows,
-        )
-
-    def close(self) -> None:
-        """The view does not own the connection; closing is a no-op."""

@@ -31,7 +31,7 @@ from repro.experiments.harness import run_sweep
 from repro.experiments.report import format_sweep
 from repro.io.columnar import scan_frames
 from repro.runtime.context import RunContext
-from repro.runtime.session import ExperimentSession
+from repro.runtime.telemetry import format_campaign_top
 from tests.experiments.test_harness import tiny_closure_sweep, tiny_sweep
 
 
@@ -291,9 +291,60 @@ def test_status_document_and_top_dispatch_on_dir_kind(tmp_path):
 
 
 def test_session_open_points_campaign_dirs_at_the_campaign_cli(tmp_path):
+    """A sharded campaign is not a run directory: opening it for
+    `repro resume` points at the per-shard command instead."""
+    from repro.experiments.campaign import open_run_dir
+
     _campaign(tmp_path / "camp")
-    with pytest.raises(FileNotFoundError, match="campaign directory"):
-        ExperimentSession.open(tmp_path / "camp")
+    with pytest.raises(ValueError, match="repro campaign run-shard"):
+        open_run_dir(tmp_path / "camp")
+
+
+def test_campaign_status_eta_from_shard_heartbeats(tmp_path):
+    """ETA = remaining tasks / the summed task rate of live shards."""
+    from repro.runtime.telemetry import HEARTBEAT_SCHEMA, telemetry_dir
+
+    campaign = _campaign(tmp_path / "camp")  # 6 tasks over 3 shards
+    run_shard(campaign, 0, max_tasks=1)
+    run_shard(campaign, 1, max_tasks=1)
+    tdir = telemetry_dir(campaign.path)
+    for path in tdir.glob("heartbeat-*.json"):
+        path.unlink()
+    now = 1000.0
+
+    def beat(pid, shard, started, ts, chunks_done):
+        (tdir / f"heartbeat-{pid}.json").write_text(json.dumps({
+            "schema": HEARTBEAT_SCHEMA, "pid": pid, "role": "shard",
+            "shard": shard, "started": started, "ts": ts,
+            "chunks_done": chunks_done,
+        }))
+
+    assert campaign_status(campaign.path, now=now)["eta_s"] is None
+    beat(11, 0, started=now - 11.0, ts=now - 1.0, chunks_done=1)  # 0.1/s
+    beat(12, 1, started=now - 5.0, ts=now, chunks_done=2)  # 0.4 task/s
+    doc = campaign_status(campaign.path, now=now)
+    assert doc["tasks_done"] == 2
+    assert doc["eta_s"] == pytest.approx(4 / 0.5)
+    # a stale shard beat (a dead process) stops counting toward the rate
+    beat(12, 1, started=now - 65.0, ts=now - 60.0, chunks_done=2)
+    assert campaign_status(campaign.path, now=now)["eta_s"] == (
+        pytest.approx(4 / 0.1)
+    )
+    assert "ETA 0:00:40" in format_campaign_top(
+        campaign_status(campaign.path, now=now)
+    )
+    # a shard's freshest beat (its resumed process) replaces older ones
+    beat(13, 0, started=now - 4.0, ts=now, chunks_done=1)  # 0.25/s
+    assert campaign_status(campaign.path, now=now)["eta_s"] == (
+        pytest.approx(4 / 0.25)
+    )
+    # a finished shard does no more work: its rate stops counting
+    run_shard(campaign, 0)
+    beat(13, 0, started=now - 4.0, ts=now, chunks_done=2)
+    beat(12, 1, started=now - 5.0, ts=now, chunks_done=2)  # 0.4/s
+    assert campaign_status(campaign.path, now=now)["eta_s"] == (
+        pytest.approx(3 / 0.4)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Checkpoint/resume and start-method parity tests for the sweep runner.
 
 The contract under test: a sweep interrupted after k chunks and resumed
-from its ledger is *bit-identical* to an uninterrupted serial run, and
+from its run directory -- a one-shard campaign whose shard 0 the pool
+streams into -- is *bit-identical* to an uninterrupted serial run, its
+shard file is byte-identical to the one :func:`run_shard` writes, and
 so is a sweep run under any pool start method (fork, spawn, serial
 in-process chunking).
 """
 
 import pytest
 
-from repro.experiments import get_figure
+from repro.experiments.campaign import Campaign, merge, run_shard
 from repro.experiments.harness import run_sweep
 from repro.experiments.parallel import run_sweep_parallel, sweep_pool
 from repro.runtime.context import RunContext
-from repro.runtime.session import ExperimentSession
+from repro.service.store import ColumnarStore
 from tests.experiments.test_harness import tiny_closure_sweep, tiny_sweep
 
 
@@ -22,6 +24,15 @@ def _assert_same_stats(result, serial):
             assert result.stats[x][name].mean == serial.stats[x][name].mean
             assert result.stats[x][name].std == serial.stats[x][name].std
             assert result.stats[x][name].n == serial.stats[x][name].n
+
+
+def _assert_bit_identical(result, serial):
+    for x in serial.definition.x_values:
+        for name in serial.definition.schedulers:
+            a, b = result.stats[x][name], serial.stats[x][name]
+            assert (a.n, a._mean, a._m2, a._min, a._max) == (
+                b.n, b._mean, b._m2, b._min, b._max
+            ), (x, name)
 
 
 class _StopAfter(Exception):
@@ -40,73 +51,94 @@ def _interrupt_after(k):
     return progress
 
 
+def _run_dir(path, definition, reps, **ctx_kwargs):
+    return Campaign.create(
+        path, [definition], reps=reps, n_shards=1,
+        context=RunContext(**ctx_kwargs),
+    )
+
+
+def _shard0(campaign):
+    return ColumnarStore(
+        campaign.shard_path(0), campaign.groups(), mode="a"
+    )
+
+
 class TestResume:
     @pytest.mark.parametrize("kill_after", [1, 3, 5])
     def test_interrupted_run_resumes_bit_identically(self, tmp_path, kill_after):
         definition = tiny_sweep()
-        context = RunContext(seed=3, workers=2, chunk_size=1)
-        session = ExperimentSession.create(
-            tmp_path / "run", context, [definition], reps=4
+        campaign = _run_dir(
+            tmp_path / "run", definition, 4, seed=3, workers=2, chunk_size=1
         )
-        with pytest.raises(_StopAfter):
+        with pytest.raises(_StopAfter), _shard0(campaign) as store:
             run_sweep_parallel(
                 definition, reps=4, seed=3, workers=2, chunk_size=1,
-                progress=_interrupt_after(kill_after), session=session,
+                progress=_interrupt_after(kill_after), store=store,
             )
-        session.close()
-        recorded = len(session.completed_chunks(definition.key))
-        assert kill_after <= recorded < 8  # partial, durable ledger
+        with ColumnarStore(campaign.shard_path(0)) as store:
+            recorded = len(store.completed_ids())
+        assert kill_after <= recorded < 8  # partial, durable shard
 
-        resumed_session = ExperimentSession.open(tmp_path / "run")
         live = {"n": 0}
 
         def count_progress(done, total):
             live["n"] += 1
 
-        with resumed_session:
+        with _shard0(Campaign.open(tmp_path / "run")) as store:
             resumed = run_sweep_parallel(
                 definition, reps=4, seed=3, workers=2, chunk_size=1,
-                progress=count_progress, session=resumed_session,
+                progress=count_progress, store=store,
             )
         assert live["n"] == 8  # every chunk reported, replayed or live
-        _assert_same_stats(resumed, run_sweep(definition, reps=4, seed=3))
+        serial = run_sweep(definition, reps=4, seed=3)
+        _assert_bit_identical(resumed, serial)
+        _assert_bit_identical(merge(campaign)[definition.key], serial)
+
+        # the resumed store is byte-identical to a shard process's
+        fresh = _run_dir(
+            tmp_path / "fresh", definition, 4, seed=3, workers=2, chunk_size=1
+        )
+        assert run_shard(fresh, 0).complete
+        assert (
+            campaign.shard_path(0).read_bytes()
+            == fresh.shard_path(0).read_bytes()
+        )
 
     def test_fully_completed_run_replays_without_recompute(self, tmp_path):
         definition = tiny_sweep()
-        context = RunContext(seed=1, chunk_size=2)
-        session = ExperimentSession.create(
-            tmp_path / "run", context, [definition], reps=4
-        )
-        with session:
+        campaign = _run_dir(tmp_path / "run", definition, 4, seed=1,
+                            chunk_size=2)
+        with _shard0(campaign) as store:
             first = run_sweep_parallel(
                 definition, reps=4, seed=1, workers=2, chunk_size=2,
-                session=session,
+                store=store,
             )
-        replay_session = ExperimentSession.open(tmp_path / "run")
+        before = campaign.shard_path(0).read_bytes()
 
         def fail_factory(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("replay recomputed a chunk")
 
-        with replay_session:
+        with _shard0(Campaign.open(tmp_path / "run")) as store:
             replayed = run_sweep_parallel(
                 SweepDefinitionProxy(definition, fail_factory), reps=4,
-                seed=1, workers=1, chunk_size=2, session=replay_session,
+                seed=1, workers=1, chunk_size=2, store=store,
             )
         _assert_same_stats(replayed, first)
+        assert campaign.shard_path(0).read_bytes() == before
 
     def test_serial_session_run_matches_parallel(self, tmp_path):
         definition = tiny_sweep()
-        context = RunContext(seed=5)
-        session = ExperimentSession.create(
-            tmp_path / "run", context, [definition], reps=3
-        )
-        with session:
+        campaign = _run_dir(tmp_path / "run", definition, 3, seed=5,
+                            chunk_size=2)
+        with _shard0(campaign) as store:
             serial = run_sweep_parallel(
                 definition, reps=3, seed=5, workers=1, chunk_size=2,
-                session=session,
+                store=store,
             )
         _assert_same_stats(serial, run_sweep(definition, reps=3, seed=5))
-        assert len(session.completed_chunks(definition.key)) == 4
+        with ColumnarStore(campaign.shard_path(0)) as store:
+            assert len(store.completed_chunks(definition.key)) == 4
 
 
 class SweepDefinitionProxy:

@@ -1,4 +1,8 @@
-"""Unit tests for run telemetry: heartbeats, run_status, repro top."""
+"""Unit tests for run telemetry: heartbeats, run-dir status, repro top.
+
+A ``repro run`` directory is a one-shard campaign, so its status is the
+``repro.campaign-status/1`` document and its frame the campaign frame.
+"""
 
 import json
 import time
@@ -6,19 +10,19 @@ import time
 import pytest
 
 from repro.experiments import get_figure
+from repro.experiments.campaign import CAMPAIGN_STATUS_SCHEMA, Campaign
 from repro.experiments.parallel import run_sweep_parallel
 from repro.runtime.context import RunContext
-from repro.runtime.session import ExperimentSession
 from repro.runtime.telemetry import (
     HEARTBEAT_SCHEMA,
-    STATUS_SCHEMA,
     HeartbeatWriter,
-    format_top,
+    format_status,
     load_heartbeats,
-    run_status,
+    status_document,
     telemetry_dir,
     watch,
 )
+from repro.service.store import ColumnarStore
 
 
 @pytest.fixture
@@ -26,11 +30,42 @@ def run_dir(tmp_path):
     return tmp_path / "run"
 
 
-def _new_session(run_dir, reps=4, chunk_size=2, **ctx_kwargs):
+def _new_run_dir(run_dir, reps=4, chunk_size=2, **ctx_kwargs):
     context = RunContext(chunk_size=chunk_size, **ctx_kwargs)
-    return ExperimentSession.create(
-        run_dir, context, [get_figure("fig13")], reps=reps
+    return Campaign.create(
+        run_dir, [get_figure("fig13")], reps=reps, n_shards=1,
+        context=context,
     )
+
+
+def _record(campaign, chunks):
+    """Append ``(x_index, lo, hi)`` chunks to shard 0 with dummy values."""
+    definition = campaign.definitions[0]
+    with ColumnarStore(
+        campaign.shard_path(0), campaign.groups(), mode="a"
+    ) as store:
+        for x_index, lo, hi in chunks:
+            values = [
+                {name: 1.0 + rep for name in definition.schedulers}
+                for rep in range(lo, hi)
+            ]
+            store.append_chunk(
+                definition.key, x_index, definition.x_values[x_index],
+                lo, hi, values,
+            )
+
+
+def _beat(run_dir, pid, ts, started, chunks_done, shard=0):
+    """Forge one shard heartbeat file (a process that is not this one)."""
+    tdir = telemetry_dir(run_dir)
+    tdir.mkdir(parents=True, exist_ok=True)
+    doc = {
+        "schema": HEARTBEAT_SCHEMA, "pid": pid, "role": "main",
+        "rss_kb": 1, "cpu_user_s": 0.0, "cpu_sys_s": 0.0,
+        "started": started, "chunks_done": chunks_done,
+        "last_event_ts": ts, "ts": ts, "shard": shard,
+    }
+    (tdir / f"heartbeat-{pid}.json").write_text(json.dumps(doc))
 
 
 class TestHeartbeatWriter:
@@ -44,6 +79,14 @@ class TestHeartbeatWriter:
         assert doc["rss_kb"] > 0
         assert doc["cpu_user_s"] >= 0.0
         assert doc["chunks_done"] == 0
+        assert doc["started"] == writer.started <= doc["ts"]
+
+    def test_started_is_recorded_once(self, tmp_path):
+        writer = HeartbeatWriter(tmp_path)
+        writer.bump()
+        first = json.loads(writer.path.read_text())["started"]
+        writer.bump()
+        assert json.loads(writer.path.read_text())["started"] == first
 
     def test_bump_counts_chunks_exactly(self, tmp_path):
         writer = HeartbeatWriter(tmp_path)
@@ -96,128 +139,114 @@ class TestLoadHeartbeats:
 
 class TestRunStatus:
     def test_fresh_run_dir(self, run_dir):
-        _new_session(run_dir).close()
-        status = run_status(run_dir)
-        assert status["schema"] == STATUS_SCHEMA
+        _new_run_dir(run_dir)
+        status = status_document(run_dir)
+        assert status["schema"] == CAMPAIGN_STATUS_SCHEMA
         assert status["complete"] is False
-        assert status["chunks_done"] == 0
-        # fig13 has 4 x values; reps=4 / chunk_size=2 -> 2 chunks per x
+        assert status["tasks_done"] == 0
+        assert status["n_shards"] == 1
+        # reps=4 / chunk_size=2 -> 2 chunks per x value
         definition = get_figure("fig13")
-        assert status["chunks_total"] == len(definition.x_values) * 2
-        assert status["eta_s"] is None  # no walls yet
+        assert status["tasks_total"] == len(definition.x_values) * 2
+        assert status["eta_s"] is None  # no heartbeat, no rate
 
     def test_interrupted_run_counts_ledger(self, run_dir):
-        session = _new_session(run_dir)
-        values = [{"HDLTS": 1.0}, {"HDLTS": 2.0}]
-        session.record_chunk("fig13", 0, 1.0, 0, 2, values, {}, 0.5)
-        session.record_chunk("fig13", 0, 1.0, 2, 4, values, {}, 0.7)
-        session.close()
-        status = run_status(run_dir)
-        assert status["chunks_done"] == 2
+        campaign = _new_run_dir(run_dir)
+        _record(campaign, [(0, 0, 2), (0, 2, 4)])
+        now = time.time()
+        # 2 live chunks in 4 s: 0.5 tasks/s, 8 of 10 tasks left -> 16 s
+        _beat(run_dir, pid=41, ts=now, started=now - 4.0, chunks_done=2)
+        status = status_document(run_dir, now=now)
+        assert (status["tasks_done"], status["tasks_total"]) == (2, 10)
         assert status["complete"] is False
-        assert status["chunk_wall_mean_s"] == pytest.approx(0.6)
-        assert status["eta_s"] is not None and status["eta_s"] > 0
+        assert status["eta_s"] == pytest.approx(16.0)
         (sweep,) = status["sweeps"]
-        assert sweep["chunks_done"] == 2 and sweep["complete"] is False
+        assert sweep["rows_done"] == 4 and sweep["complete"] is False
 
     def test_completed_run(self, run_dir):
-        session = _new_session(run_dir)
+        campaign = _new_run_dir(run_dir)
         definition = get_figure("fig13")
-        values = [{"HDLTS": 1.0}, {"HDLTS": 2.0}]
-        for i in range(len(definition.x_values)):
-            for lo in (0, 2):
-                session.record_chunk(
-                    "fig13", i, definition.x_values[i], lo, lo + 2,
-                    values, {}, 0.1,
-                )
-        session.close()
-        status = run_status(run_dir)
-        assert status["complete"] is True
-        assert status["chunks_done"] == status["chunks_total"]
-        assert status["eta_s"] is None
-        assert status["stragglers"] == []
-        assert status["throughput_chunks_per_s"] is None or (
-            status["throughput_chunks_per_s"] > 0
+        _record(
+            campaign,
+            [(i, lo, lo + 2) for i in range(len(definition.x_values))
+             for lo in (0, 2)],
         )
+        status = status_document(run_dir)
+        assert status["complete"] is True
+        assert status["tasks_done"] == status["tasks_total"]
+        assert status["stragglers"] == []
+        assert status["eta_s"] is None
 
     def test_straggler_flagging(self, run_dir):
-        session = _new_session(run_dir)
-        session.record_chunk(
-            "fig13", 0, 1.0, 0, 2, [{"HDLTS": 1.0}], {}, 0.5
-        )
-        session.close()
-        tdir = telemetry_dir(run_dir)
+        campaign = _new_run_dir(run_dir)
+        _record(campaign, [(0, 0, 2)])
         now = time.time()
-        stale = {
-            "schema": HEARTBEAT_SCHEMA, "pid": 41, "role": "worker",
-            "rss_kb": 1, "cpu_user_s": 0.0, "cpu_sys_s": 0.0,
-            "chunks_done": 1, "last_event_ts": None, "ts": now - 3600.0,
-        }
-        fresh = dict(stale, pid=42, ts=now)
-        tdir.mkdir(parents=True)
-        (tdir / "heartbeat-41.json").write_text(json.dumps(stale))
-        (tdir / "heartbeat-42.json").write_text(json.dumps(fresh))
-        status = run_status(run_dir, now=now)
-        assert status["stragglers"] == [41]
+        _beat(run_dir, pid=41, ts=now - 3600.0, started=now - 3700.0,
+              chunks_done=1)
+        status = status_document(run_dir, now=now + 3600.0)
+        assert status["stragglers"] == [0]
+        # a stale beat measures no rate: no ETA from a dead process
+        assert status["eta_s"] is None
 
     def test_agrees_with_real_run(self, run_dir):
-        session = _new_session(run_dir, reps=2, chunk_size=1)
-        definition = session.definitions[0]
-        with session:
+        campaign = _new_run_dir(run_dir, reps=2, chunk_size=1)
+        definition = campaign.definitions[0]
+        context = campaign.context.with_(telemetry=str(telemetry_dir(run_dir)))
+        from repro.runtime.context import activate
+
+        with activate(context), ColumnarStore(
+            campaign.shard_path(0), campaign.groups(), mode="a"
+        ) as store:
             run_sweep_parallel(
                 definition, reps=2, seed=0, workers=1, chunk_size=1,
-                session=session, start_method="serial",
+                store=store, start_method="serial",
             )
-        status = run_status(run_dir)
+        status = status_document(run_dir)
         assert status["complete"] is True
-        assert status["chunks_done"] == len(definition.x_values) * 2
+        assert status["tasks_done"] == len(definition.x_values) * 2
+        (beat,) = load_heartbeats(run_dir)
+        assert beat["shard"] == 0
+        assert beat["chunks_done"] == status["tasks_total"]
 
 
 class TestFormatTop:
     @pytest.fixture
     def status(self, run_dir):
-        session = _new_session(run_dir)
-        session.record_chunk(
-            "fig13", 0, 1.0, 0, 2, [{"HDLTS": 1.0}], {}, 0.5
-        )
-        session.close()
-        HeartbeatWriter(telemetry_dir(run_dir), role="main").beat(force=True)
-        return run_status(run_dir)
+        campaign = _new_run_dir(run_dir)
+        _record(campaign, [(0, 0, 2)])
+        now = time.time()
+        _beat(run_dir, pid=41, ts=now, started=now - 2.0, chunks_done=1)
+        return status_document(run_dir, now=now)
 
     def test_frame_contents(self, status):
-        frame = format_top(status)
+        frame = format_status(status)
         assert "repro top" in frame
         assert "[#" in frame  # progress bar
         assert "1/10" in frame
         assert "fig13" in frame
-        assert "main" in frame
-        assert "ETA" in frame
+        assert "ETA 0:00:18" in frame  # 9 tasks left at 0.5 tasks/s
+        assert "41" in frame  # the shard's pid
 
     def test_straggler_annotation(self, status):
-        status["stragglers"] = [status["workers"][0]["pid"]]
-        status["workers"][0]["role"] = "worker"
-        assert "STRAGGLER" in format_top(status)
+        status["shards"][0]["straggler"] = True
+        assert "STRAGGLER" in format_status(status)
 
     def test_complete_frame(self, status):
         status["complete"] = True
-        frame = format_top(status)
+        frame = format_status(status)
         assert "complete" in frame
+        assert "ETA" not in frame
 
 
 class TestWatch:
     def test_once_prints_one_frame(self, run_dir, capsys):
-        _new_session(run_dir).close()
+        _new_run_dir(run_dir)
         assert watch(run_dir, once=True) == 0
         out = capsys.readouterr().out
         assert "repro top" in out and "\x1b[2J" not in out
 
     def test_live_exits_on_complete(self, run_dir, capsys):
-        session = _new_session(run_dir, reps=2, chunk_size=2)
-        definition = session.definitions[0]
-        values = [{"HDLTS": 1.0}, {"HDLTS": 2.0}]
-        for i in range(len(definition.x_values)):
-            session.record_chunk(
-                "fig13", i, definition.x_values[i], 0, 2, values, {}, 0.1
-            )
-        session.close()
+        campaign = _new_run_dir(run_dir, reps=2, chunk_size=2)
+        definition = campaign.definitions[0]
+        _record(campaign, [(i, 0, 2) for i in range(len(definition.x_values))])
         assert watch(run_dir, interval_s=0.01) == 0

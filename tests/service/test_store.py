@@ -1,10 +1,10 @@
 """Unit tests for the unified run store layer.
 
 The headline contracts: task ids round-trip and enumeration matches
-the parallel harness's chunk plan exactly; every backend (JSONL
-ledger, columnar shard, SQLite service store) records chunks whose
-float values replay bit-identically; and the SQLite store's schema
-tag, job lifecycle and task bookkeeping behave under reopen.
+the parallel harness's chunk plan exactly; both stores (columnar shard,
+SQLite service store) record chunks whose float values replay
+bit-identically; and the SQLite store's schema tag, job lifecycle and
+task bookkeeping behave under reopen.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from repro.runtime.context import RunContext
 from repro.service.store import (
     STORE_SCHEMA,
     ColumnarStore,
-    LedgerStore,
-    SqliteResultStore,
     SqliteStore,
     TaskSpec,
     enumerate_tasks,
@@ -83,9 +81,9 @@ class TestEnumerate:
 
 
 # ----------------------------------------------------------------------
-# backends record and replay chunks bit-identically
+# stores record and replay chunks bit-identically
 # ----------------------------------------------------------------------
-def _roundtrip(store, reopen, has_x=True):
+def _roundtrip(store, reopen):
     store.append_chunk("tiny", 0, 1.0, 0, 2, VALUES)
     store = reopen(store)
     chunks = store.completed_chunks("tiny")
@@ -93,37 +91,8 @@ def _roundtrip(store, reopen, has_x=True):
     assert chunks[(0, 0, 2)]["values"] == VALUES
     # the columnar format stores only the x *index* (the value comes
     # from the campaign spec), so x is None there
-    assert chunks[(0, 0, 2)]["x"] == (1.0 if has_x else None)
+    assert chunks[(0, 0, 2)]["x"] is None
     store.close()
-
-
-class TestLedgerStore:
-    def test_round_trip_exact(self, tmp_path):
-        path = tmp_path / "chunks.jsonl"
-
-        def reopen(store):
-            store.close()
-            return LedgerStore(path)
-
-        _roundtrip(LedgerStore(path), reopen)
-
-    def test_torn_tail_discarded(self, tmp_path):
-        path = tmp_path / "chunks.jsonl"
-        with LedgerStore(path) as store:
-            store.append_chunk("tiny", 0, 1.0, 0, 2, VALUES)
-        with open(path, "a") as fh:
-            fh.write('{"sweep": "tiny", "x_index": 1, "trunc')
-        with LedgerStore(path) as store:
-            assert set(store.completed_chunks("tiny")) == {(0, 0, 2)}
-            assert store.completed_ids() == {task_id("tiny", 0, 0, 2)}
-
-    def test_completed_ids_spans_sweeps(self, tmp_path):
-        with LedgerStore(tmp_path / "chunks.jsonl") as store:
-            store.append_chunk("a", 0, 1.0, 0, 2, VALUES)
-            store.append_chunk("b", 1, 3.0, 2, 4, VALUES)
-            assert store.completed_ids() == {
-                task_id("a", 0, 0, 2), task_id("b", 1, 2, 4)
-            }
 
 
 class TestColumnarStore:
@@ -136,8 +105,7 @@ class TestColumnarStore:
             store.close()
             return ColumnarStore(path, self.GROUPS)
 
-        _roundtrip(ColumnarStore(path, self.GROUPS, mode="a"), reopen,
-                   has_x=False)
+        _roundtrip(ColumnarStore(path, self.GROUPS, mode="a"), reopen)
 
     def test_read_matrix_exact(self, tmp_path):
         path = tmp_path / "shard.col"
@@ -168,15 +136,18 @@ class TestColumnarStore:
 
 class TestSqliteStore:
     def test_round_trip_exact(self, tmp_path):
+        from repro.service.queue import WorkQueue
+
         store = SqliteStore.open(tmp_path / "svc")
         job = store.add_job([tiny_sweep()], 2, RunContext(seed=0))
-        view = SqliteResultStore(store, job.id)
-
-        def reopen(view):
-            view.store.close()
-            return SqliteResultStore(SqliteStore.open(tmp_path / "svc"), job.id)
-
-        _roundtrip(view, reopen)
+        lease = WorkQueue(store).claim("w1")
+        assert (lease.x_index, lease.rep_lo, lease.rep_hi) == (0, 0, 2)
+        assert WorkQueue(store).commit("w1", lease, VALUES)
+        store.close()
+        with SqliteStore.open(tmp_path / "svc") as store:
+            committed = store.committed_values(job.id, "tiny")
+            assert committed == {(0, 0, 2): VALUES}
+            assert store.committed_values(job.id, "other") == {}
 
     def test_schema_stamped_and_checked(self, tmp_path):
         store = SqliteStore.open(tmp_path / "svc")

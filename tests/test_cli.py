@@ -170,8 +170,9 @@ class TestRunResume:
             )
             == 0
         )
-        assert (run_dir / "manifest.json").exists()
-        assert (run_dir / "chunks.jsonl").exists()
+        # a run directory is a one-shard campaign
+        assert (run_dir / "campaign.json").exists()
+        assert (run_dir / "shards" / "shard-0000.colbin").exists()
         captured = capsys.readouterr()
         assert "Molecular Dynamics" in captured.out
         assert "chunk 10/10" in captured.err
@@ -203,8 +204,11 @@ class TestRunResume:
 
     def _parent_format_run(self, tmp_path, capsys, compiled):
         """A partial run dir whose manifest context still carries the
-        retired ``compiled`` field, as older versions wrote it."""
+        retired ``compiled`` field, as older versions wrote it, and
+        whose shard store was torn mid-frame by a crash."""
         import json
+
+        from repro.io.columnar import scan_frames
 
         run_dir = tmp_path / "run"
         args = [
@@ -213,13 +217,14 @@ class TestRunResume:
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        manifest = run_dir / "manifest.json"
+        manifest = run_dir / "campaign.json"
         doc = json.loads(manifest.read_text())
         doc["context"]["compiled"] = compiled
         manifest.write_text(json.dumps(doc))
-        ledger = run_dir / "chunks.jsonl"
-        lines = ledger.read_text().splitlines(keepends=True)
-        ledger.write_text("".join(lines[: len(lines) // 2]))
+        shard = run_dir / "shards" / "shard-0000.colbin"
+        _header, frames, _end = scan_frames(shard)
+        cut = frames[len(frames) // 2].payload_offset + 3
+        shard.write_bytes(shard.read_bytes()[:cut])
         return run_dir, first
 
     def test_resume_parent_format_manifest(self, tmp_path, capsys):
@@ -235,6 +240,23 @@ class TestRunResume:
     def test_resume_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path / "nope")]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["resume", "status", "top"])
+    def test_retired_run_dir_format_fails_loudly(
+        self, tmp_path, capsys, command
+    ):
+        import json
+
+        run_dir = tmp_path / "old-run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"schema": "repro.run/1", "reps": 2})
+        )
+        (run_dir / "chunks.jsonl").write_text("")
+        argv = [command, str(run_dir)] + (["--once"] if command == "top" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "repro.run/1" in err and "repro run" in err
 
     def test_figure_start_method_flag(self, capsys):
         assert (
@@ -402,6 +424,30 @@ class TestObservability:
         assert not obs.get_bus().active
 
 
+def _partial_run_dir(tmp_path, chunks):
+    """A fig13 run dir (reps=2, chunk 1) holding ``chunks`` in shard 0."""
+    from repro.experiments import get_figure
+    from repro.experiments.campaign import Campaign
+    from repro.runtime.context import RunContext
+    from repro.service.store import ColumnarStore
+
+    definition = get_figure("fig13")
+    campaign = Campaign.create(
+        tmp_path / "run", [definition], reps=2, n_shards=1,
+        context=RunContext(chunk_size=1),
+    )
+    with ColumnarStore(
+        campaign.shard_path(0), campaign.groups(), mode="a"
+    ) as store:
+        for x_index, lo, hi in chunks:
+            values = [{name: 1.0 for name in definition.schedulers}]
+            store.append_chunk(
+                "fig13", x_index, definition.x_values[x_index], lo, hi,
+                values,
+            )
+    return campaign.path
+
+
 class TestRunTelemetry:
     def _run(self, run_dir, *extra):
         return main(
@@ -492,30 +538,30 @@ class TestRunTelemetry:
         capsys.readouterr()
         assert main(["status", str(run_dir), "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
-        assert status["schema"] == "repro.status/1"
+        assert status["schema"] == "repro.campaign-status/1"
         assert status["complete"] is True
-        assert status["chunks_done"] == status["chunks_total"] == 10
+        assert status["tasks_done"] == status["tasks_total"] == 10
 
     def test_status_counts_interrupted_run(self, tmp_path, capsys):
         import json
+        import time
 
-        from repro.experiments import get_figure
-        from repro.runtime.context import RunContext
-        from repro.runtime.session import ExperimentSession
-
-        run_dir = tmp_path / "run"
-        session = ExperimentSession.create(
-            run_dir, RunContext(chunk_size=1), [get_figure("fig13")], reps=2
+        run_dir = _partial_run_dir(tmp_path, [(0, 0, 1), (0, 1, 2), (1, 0, 1)])
+        # the collector's shard-0 heartbeat: 3 live chunks in 3 s
+        now = time.time()
+        beat = {
+            "schema": "repro.heartbeat/1", "pid": 1, "role": "main",
+            "shard": 0, "started": now - 3.0, "ts": now, "chunks_done": 3,
+        }
+        (run_dir / "telemetry").mkdir()
+        (run_dir / "telemetry" / "heartbeat-1.json").write_text(
+            json.dumps(beat)
         )
-        session.record_chunk("fig13", 0, 1.0, 0, 1, [{"HDLTS": 1.0}], {}, 0.1)
-        session.record_chunk("fig13", 0, 1.0, 1, 2, [{"HDLTS": 1.1}], {}, 0.1)
-        session.record_chunk("fig13", 1, 2.0, 0, 1, [{"HDLTS": 1.2}], {}, 0.1)
-        session.close()
         assert main(["status", str(run_dir), "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["complete"] is False
-        assert status["chunks_done"] == 3
-        assert status["chunks_total"] == 10
+        assert status["tasks_done"] == 3
+        assert status["tasks_total"] == 10
         assert status["eta_s"] > 0
 
     def test_top_once_on_completed_run(self, tmp_path, capsys):
@@ -527,16 +573,7 @@ class TestRunTelemetry:
         assert "repro top" in out and "10/10" in out and "complete" in out
 
     def test_top_once_on_interrupted_run(self, tmp_path, capsys):
-        from repro.experiments import get_figure
-        from repro.runtime.context import RunContext
-        from repro.runtime.session import ExperimentSession
-
-        run_dir = tmp_path / "run"
-        session = ExperimentSession.create(
-            run_dir, RunContext(chunk_size=1), [get_figure("fig13")], reps=2
-        )
-        session.record_chunk("fig13", 0, 1.0, 0, 1, [{"HDLTS": 1.0}], {}, 0.1)
-        session.close()
+        run_dir = _partial_run_dir(tmp_path, [(0, 0, 1)])
         assert main(["top", str(run_dir), "--once"]) == 0
         out = capsys.readouterr().out
         assert "1/10" in out and "running" in out
