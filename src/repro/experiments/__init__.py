@@ -14,14 +14,9 @@ from repro.experiments.harness import (
     SweepDefinition,
     SweepResult,
     run_sweep,
-    run_single_point,
     run_replication,
 )
-from repro.experiments.parallel import (
-    chunk_plan,
-    run_sweep_parallel,
-    sweep_pool,
-)
+from repro.experiments.parallel import run_sweep_parallel, sweep_pool
 from repro.experiments.campaign import (
     Campaign,
     CampaignTask,
@@ -51,11 +46,9 @@ __all__ = [
     "SweepDefinition",
     "SweepResult",
     "run_sweep",
-    "run_single_point",
     "run_replication",
     "run_sweep_parallel",
     "sweep_pool",
-    "chunk_plan",
     "Campaign",
     "CampaignTask",
     "campaign_status",

@@ -31,14 +31,12 @@ shard 0 in submission order (:func:`open_run_dir` re-opens it for
 ``repro campaign merge DIR`` work on run directories too.
 
 The merge path (:func:`merge`) is streaming and memory-bounded: it
-never materializes all rows.  Record batches are folded into Welford
-accumulators **in exactly the serial harness's order** (per x point,
-replication 0..reps-1) with the scalar recurrence vectorized across
-``(x points, schedulers)`` lanes -- elementwise IEEE-754 double ops are
-bit-identical to the scalar Python-float sequence
-:class:`~repro.metrics.stats.RunningStats` executes, so a merged
-campaign reproduces ``repro figure`` output *bit for bit*, regardless
-of sharding, kills, or resume history.
+never materializes all rows.  It reads one replication stripe of every
+x point at a time and folds it into the one
+:class:`~repro.experiments.harness.ExactWelford` under the fold
+contract stated in ``docs/architecture.md``, so a merged campaign
+reproduces ``repro figure`` output *bit for bit*, regardless of
+sharding, kills, or resume history.
 """
 
 from __future__ import annotations
@@ -55,12 +53,12 @@ import numpy as np
 
 from repro import obs
 from repro.experiments.harness import (
+    ExactWelford,
     SweepDefinition,
     SweepResult,
     run_replications,
 )
 from repro.io.columnar import write_table
-from repro.metrics.stats import RunningStats
 from repro.runtime.context import RunContext, activate
 from repro.runtime.telemetry import HeartbeatWriter, telemetry_dir
 from repro.service.store import (
@@ -256,16 +254,14 @@ class Campaign:
     def tasks(self) -> List[CampaignTask]:
         """Every task of the campaign, in deterministic (spec) order.
 
-        The decomposition is exactly :func:`~repro.experiments.parallel
-        .chunk_plan` -- the same chunks ``repro run`` executes,
-        enumerated through the shared service-layer
-        :func:`~repro.service.store.enumerate_tasks` -- so campaign
-        results line up replication-for-replication with a checkpointed
-        or serial run of the same definitions.
+        The one task decomposition,
+        :func:`~repro.service.store.enumerate_tasks` -- the same chunks
+        ``repro run`` executes -- so campaign results line up
+        replication-for-replication with a checkpointed or serial run
+        of the same definitions.
         """
         return enumerate_tasks(
-            self.definitions, self.reps, self.context.seed,
-            self.context.validate, self.context.chunk_size,
+            self.definitions, self.reps, self.context.chunk_size
         )
 
     def shard_of(self, task: CampaignTask) -> int:
@@ -421,118 +417,46 @@ def _store_index(
     return index, stores
 
 
-class _ExactWelford:
-    """Sequential Welford over ``(lanes,)`` float64 lanes, vectorized.
-
-    Each lane executes *exactly* the scalar recurrence of
-    :class:`~repro.metrics.stats.RunningStats.add` -- same operations,
-    same order, same IEEE-754 double rounding -- so lane results are
-    bit-identical to feeding the lane's samples to ``RunningStats`` one
-    by one.  Vectorizing across lanes (x points x schedulers) is what
-    makes the merge fast; staying scalar *along* each lane is what
-    keeps it exact.
-    """
-
-    def __init__(self, shape: Tuple[int, ...]) -> None:
-        self.n = 0
-        self.mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
-        self.min = np.full(shape, math.inf)
-        self.max = np.full(shape, -math.inf)
-        self._delta = np.empty(shape)
-        self._tmp = np.empty(shape)
-
-    def add_rows(self, rows: np.ndarray) -> None:
-        """Fold ``rows[r]`` (one sample per lane) in row order."""
-        delta, tmp = self._delta, self._tmp
-        for r in range(len(rows)):
-            value = rows[r]
-            self.n += 1
-            np.subtract(value, self.mean, out=delta)
-            np.divide(delta, self.n, out=tmp)
-            np.add(self.mean, tmp, out=self.mean)
-            np.subtract(value, self.mean, out=tmp)
-            np.multiply(delta, tmp, out=tmp)
-            np.add(self.m2, tmp, out=self.m2)
-            np.minimum(self.min, value, out=self.min)
-            np.maximum(self.max, value, out=self.max)
-
-    def stats_at(self, lane: Tuple[int, ...]) -> RunningStats:
-        """Materialize one lane as a :class:`RunningStats` (exact)."""
-        acc = RunningStats()
-        acc.n = self.n
-        acc._mean = float(self.mean[lane])
-        acc._m2 = float(self.m2[lane])
-        acc._min = float(self.min[lane])
-        acc._max = float(self.max[lane])
-        return acc
-
-
 def _merge_sweep(
     campaign: Campaign,
     definition: SweepDefinition,
+    tasks: List[CampaignTask],
     index: Dict[str, ColumnarStore],
 ) -> SweepResult:
     """Fold one sweep's record batches into per-point stats, exactly.
 
-    Streams rep-stripes: for each chunk of the rep axis, the frames of
-    every x point are gathered into one ``(chunk, n_x, k)`` block and
-    folded row-by-row across all ``n_x * k`` lanes at once.  Memory is
-    bounded by one stripe; accumulation order per lane is replication
-    order -- the serial harness's order.
+    Streams replication stripes -- the sweep's tasks grouped by
+    replication range -- gathering the frames of every x point into one
+    ``(rows, n_x, k)`` block that folds across all ``n_x * k`` lanes at
+    once.  A point whose task has no frame is left out of that stripe's
+    fold, so a partial merge simply folds fewer rows there.  Memory is
+    bounded by one stripe.
     """
     cols = list(definition.schedulers)
-    xs = list(definition.x_values)
-    n_x, k = len(xs), len(cols)
-    reps, chunk = campaign.reps, campaign.context.chunk_size
-    welford = _ExactWelford((n_x, k))
-    block = np.empty((min(chunk, reps), n_x, k))
-    for rep_lo in range(0, reps, chunk):
-        rep_hi = min(rep_lo + chunk, reps)
+    n_x, k = len(definition.x_values), len(cols)
+    stripes: Dict[Tuple[int, int], List[CampaignTask]] = {}
+    for task in tasks:
+        stripes.setdefault((task.rep_lo, task.rep_hi), []).append(task)
+    fold = ExactWelford(n_x, k)
+    block = np.empty(
+        (min(campaign.context.chunk_size, campaign.reps), n_x, k)
+    )
+    present = np.empty(n_x, dtype=bool)
+    for (rep_lo, rep_hi), members in stripes.items():
         rows = rep_hi - rep_lo
-        for xi in range(n_x):
-            tid = task_id(definition.key, xi, rep_lo, rep_hi)
-            block[:rows, xi, :] = index[tid].read_matrix(tid, cols, rows)
-        welford.add_rows(block[:rows])
-    result = SweepResult(
-        definition=definition, reps=reps, seed=campaign.context.seed
-    )
-    for xi, x in enumerate(xs):
-        result.stats[x] = {
-            name: welford.stats_at((xi, ci)) for ci, name in enumerate(cols)
-        }
-    return result
-
-
-def _merge_sweep_partial(
-    campaign: Campaign,
-    definition: SweepDefinition,
-    index: Dict[str, ColumnarStore],
-) -> SweepResult:
-    """Preview merge over whatever tasks exist (per-x fold, gaps skipped).
-
-    Still exact Welford in rep order over the *available* chunks, but a
-    point missing chunks simply has fewer samples -- useful for
-    watching a live campaign converge, not for final figures.
-    """
-    cols = list(definition.schedulers)
-    reps, chunk = campaign.reps, campaign.context.chunk_size
-    result = SweepResult(
-        definition=definition, reps=reps, seed=campaign.context.seed
-    )
-    for xi, x in enumerate(definition.x_values):
-        welford = _ExactWelford((len(cols),))
-        for rep_lo in range(0, reps, chunk):
-            rep_hi = min(rep_lo + chunk, reps)
-            tid = task_id(definition.key, xi, rep_lo, rep_hi)
+        present.fill(False)
+        for task in members:
+            tid = task.task_id
             store = index.get(tid)
-            if store is None:
-                continue
-            welford.add_rows(store.read_matrix(tid, cols, rep_hi - rep_lo))
-        result.stats[x] = {
-            name: welford.stats_at((ci,)) for ci, name in enumerate(cols)
-        }
-    return result
+            if store is not None:
+                present[task.x_index] = True
+                block[:rows, task.x_index, :] = store.read_matrix(
+                    tid, cols, rows
+                )
+        fold.add_rows(block[:rows, present], present)
+    return SweepResult.from_fold(
+        definition, campaign.reps, campaign.context.seed, fold
+    )
 
 
 def merge(
@@ -558,14 +482,16 @@ def merge(
             f"(first missing: {missing[0].task_id}); run the remaining "
             "shards, or merge(strict=False) for a partial preview"
         )
-    fold = _merge_sweep if not missing else _merge_sweep_partial
     try:
         with obs.span(
             "campaign.merge", tasks=len(tasks) - len(missing),
             partial=bool(missing),
         ):
             return {
-                d.key: fold(campaign, d, index)
+                d.key: _merge_sweep(
+                    campaign, d, [t for t in tasks if t.sweep == d.key],
+                    index,
+                )
                 for d in campaign.definitions
             }
     finally:

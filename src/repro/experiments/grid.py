@@ -2,23 +2,21 @@
 
 The paper's headline protocol runs *every* parameter combination of
 Table II (its literal cross product is 150,000 configurations) many
-times and reports per-axis averages.  :func:`run_grid` executes either
-the full factorial or a uniform random subsample of it, accumulating
+times and reports per-axis averages.  :func:`grid_sweep_definition`
+expresses the full factorial, or a uniform random subsample of it, as
+an ordinary :class:`~repro.experiments.harness.SweepDefinition` (one x
+value per sampled configuration, a declarative ``"table2"`` graph
+spec), so the protocol runs through the sweep harness -- serial,
+parallel, or sharded through :mod:`repro.experiments.campaign`.
+:func:`marginals_from_sweep` folds the result into
 
 * overall per-scheduler statistics, and
 * per-axis *marginals*: for each value of each parameter, the mean
   metric of every scheduler over all sampled combinations having that
   value -- which is exactly what the paper's figures plot.
 
-Deterministic for a given seed; arbitrarily scalable via ``sample``.
-
-For production scale, :func:`grid_sweep_definition` re-expresses the
-same sampled factorial as an ordinary
-:class:`~repro.experiments.harness.SweepDefinition` (one x value per
-sampled configuration, a declarative ``"table2"`` graph spec), which
-makes the Table II protocol shardable through
-:mod:`repro.experiments.campaign`; :func:`marginals_from_sweep` folds
-the merged sweep back into the per-axis marginal view.
+:func:`run_grid` is both steps in-process.  Deterministic for a given
+seed; arbitrarily scalable via ``sample``.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.registry import PAPER_SET, make_scheduler
+from repro.baselines.registry import PAPER_SET
 from repro.experiments.graphspec import GraphSpec
-from repro.experiments.harness import SweepDefinition, SweepResult
+from repro.experiments.harness import SweepDefinition, SweepResult, run_sweep
 from repro.generator.parameters import TABLE_II, GeneratorConfig
-from repro.generator.random_dag import generate_random_graph
-from repro.metrics.metrics import efficiency, slr
 from repro.metrics.stats import RunningStats
 
 __all__ = [
@@ -45,7 +41,7 @@ __all__ = [
     "marginals_from_sweep",
 ]
 
-_METRICS = {"slr": slr, "efficiency": efficiency}
+_METRICS = ("efficiency", "slr")
 
 
 @dataclass
@@ -78,9 +74,8 @@ def sample_configs(
 
     ``sample=None`` (or >= the grid's cross product) enumerates the
     whole task-size-capped factorial; otherwise a uniform subsample
-    without replacement.  Both :func:`run_grid` and
-    :func:`grid_sweep_definition` draw their configurations here, so a
-    campaign sweeps exactly the combinations the in-process grid runs.
+    without replacement.  :func:`grid_sweep_definition` draws its
+    configurations here.
     """
     axes = list(grid)
     usable = dict(grid)
@@ -113,48 +108,18 @@ def run_grid(
     max_tasks: int = 500,
     grid: Optional[Dict[str, Tuple]] = None,
 ) -> GridResult:
-    """Run a (sub)factorial of Table II.
+    """Run a (sub)factorial of Table II through the sweep harness.
 
     ``sample=None`` runs the entire (task-size-capped) grid; ``reps``
     graphs are drawn per configuration.  ``max_tasks`` keeps the default
     laptop-scale (the 5000/10000-task rows multiply runtime by ~50).
+    This is :func:`marginals_from_sweep` of :func:`run_sweep` over
+    :func:`grid_sweep_definition`.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    metric_fn = _METRICS[metric]
-    rng = np.random.default_rng(seed)
-    configs = sample_configs(grid or TABLE_II, sample, rng, max_tasks)
-
-    result = GridResult(
-        metric=metric,
-        schedulers=tuple(schedulers),
-        n_configs=len(configs),
-        reps=reps,
+    definition = grid_sweep_definition(
+        metric, schedulers, sample, seed, max_tasks, grid
     )
-    result.overall = {name: RunningStats() for name in schedulers}
-    axes = list((grid or TABLE_II).keys())
-    for axis in axes:
-        result.marginals[axis] = {}
-
-    instances = [(name, make_scheduler(name)) for name in schedulers]
-    for ci, config in enumerate(configs):
-        for rep in range(reps):
-            graph_rng = np.random.default_rng([seed, ci, rep])
-            graph = generate_random_graph(config, graph_rng)
-            if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
-                graph = graph.normalized()
-            for name, scheduler in instances:
-                value = metric_fn(graph, scheduler.run(graph).makespan)
-                result.overall[name].add(value)
-                for axis in axes:
-                    axis_value = getattr(config, axis)
-                    bucket = result.marginals[axis].setdefault(
-                        axis_value, {n: RunningStats() for n in schedulers}
-                    )
-                    bucket[name].add(value)
-    return result
+    return marginals_from_sweep(run_sweep(definition, reps=reps, seed=seed))
 
 
 def grid_sweep_definition(
@@ -168,19 +133,14 @@ def grid_sweep_definition(
 ) -> SweepDefinition:
     """The Table II protocol as a shardable sweep definition.
 
-    Samples the factorial exactly like :func:`run_grid` (same RNG, same
-    configurations for the same ``seed``), then re-expresses it as one
-    sweep whose x-axis is the configuration index and whose graph spec
-    is the declarative ``"table2"`` factory carrying the sampled
-    configurations.  The definition serializes into run manifests and
-    campaign specs, so a 150,000-configuration factorial can be sharded
-    across machines with :mod:`repro.experiments.campaign` and merged
-    back into marginals with :func:`marginals_from_sweep`.
-
-    Replication RNG streams are keyed ``(seed, x_index, rep)`` by the
-    harness -- identical to :func:`run_grid`'s ``(seed, ci, rep)`` --
-    so per-instance metric values match the in-process grid bit for
-    bit.
+    Samples the factorial (:func:`sample_configs`, seeded by ``seed``),
+    then expresses it as one sweep whose x-axis is the configuration
+    index and whose graph spec is the declarative ``"table2"`` factory
+    carrying the sampled configurations.  The definition serializes
+    into run manifests and campaign specs, so a 150,000-configuration
+    factorial can be sharded across machines with
+    :mod:`repro.experiments.campaign` and merged back into marginals
+    with :func:`marginals_from_sweep`.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {sorted(_METRICS)}")
@@ -230,9 +190,9 @@ def marginals_from_sweep(result: SweepResult) -> GridResult:
     The inverse of :func:`grid_sweep_definition`: per-configuration
     statistics (one x point each -- e.g. from a merged campaign) are
     combined pairwise into the overall and per-axis marginal
-    accumulators.  Statistically identical to :func:`run_grid` over the
-    same samples; not bit-identical, because pairwise combination
-    rounds differently than sample-by-sample accumulation.
+    accumulators.  Statistically identical to folding every sample
+    one by one; not bit-identical, because pairwise combination rounds
+    differently than sample-by-sample accumulation.
     """
     definition = result.definition
     spec = definition.graph

@@ -4,11 +4,13 @@ A sweep walks one x-axis (CCR, task count, CPU count, FFT points, ...).
 At every point it draws ``reps`` random problem instances and runs the
 whole scheduler set on *the same* instance (paired comparison -- the
 variance-reduction the paper's 1000-run averages rely on), accumulating
-the chosen metric per scheduler with a Welford accumulator.
+the chosen metric per scheduler with :class:`ExactWelford`, the one
+fold every route from replications to statistics shares.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -31,12 +33,13 @@ from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import current_context
 from repro.schedule.validation import validate_schedule
+from repro.service.store import values_matrix
 
 __all__ = [
     "SweepDefinition",
     "SweepResult",
+    "ExactWelford",
     "run_sweep",
-    "run_single_point",
     "run_replication",
     "run_replications",
 ]
@@ -209,12 +212,104 @@ class SweepResult:
                         "x_label": self.definition.x_label,
                         "metric": self.definition.metric,
                         "scheduler": name,
-                        "mean": acc.mean,
-                        "std": acc.std,
+                        # zero-sample lanes (partial merges) carry NaN
+                        "mean": acc.mean if acc.n else math.nan,
+                        "std": acc.std if acc.n else math.nan,
                         "n": acc.n,
                     }
                 )
         return rows
+
+    @classmethod
+    def from_fold(
+        cls,
+        definition: SweepDefinition,
+        reps: int,
+        seed: int,
+        fold: "ExactWelford",
+    ) -> "SweepResult":
+        """Name a fold's lanes: point ``i`` is ``x_values[i]``, column
+        ``j`` is ``schedulers[j]``."""
+        result = cls(definition=definition, reps=reps, seed=seed)
+        for i, x in enumerate(definition.x_values):
+            result.stats[x] = {
+                name: fold.stats_at(i, j)
+                for j, name in enumerate(definition.schedulers)
+            }
+        return result
+
+
+class ExactWelford:
+    """The one fold from per-replication values to statistics.
+
+    Welford's recurrence over ``(x point, scheduler)`` lanes, vectorized
+    across lanes and sequential along each: every lane executes exactly
+    the IEEE-754 operation sequence of
+    :meth:`~repro.metrics.stats.RunningStats.add` over its samples in
+    fold order, so :meth:`stats_at` is bit-identical to a
+    ``RunningStats`` fed the same samples one by one.  Each point keeps
+    its own sample count, so a point can fold fewer rows than another
+    (a partial merge) without a second code path.  The contract every
+    caller keeps -- fold each lane in replication order over the task
+    decomposition -- is stated in ``docs/architecture.md``.
+    """
+
+    def __init__(self, n_points: int, n_cols: int) -> None:
+        shape = (n_points, n_cols)
+        self.count = np.zeros((n_points, 1))
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
+        self.min = np.full(shape, math.inf)
+        self.max = np.full(shape, -math.inf)
+
+    def add_rows(self, rows: np.ndarray, points) -> None:
+        """Fold ``rows[0]``, ``rows[1]``, ... into the lanes of ``points``.
+
+        ``points`` is an x-point index or a boolean mask over the
+        points, and each row holds one sample per selected lane: shape
+        ``(n_cols,)`` for an index (one replication of that point),
+        ``(n_selected, n_cols)`` for a mask (one replication stripe
+        across the selected points).  Unselected lanes stay untouched.
+        Non-finite samples raise :class:`ValueError`.
+        """
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite sample in the folded values")
+        # the selected lanes, gathered (a view for an index, a copy for
+        # a mask), folded and scattered back
+        mean, m2, count = self.mean[points], self.m2[points], self.count[points]
+        low, high = self.min[points], self.max[points]
+        # row r's divisor: the selected points' counts after row r
+        counts = count + np.arange(1, len(rows) + 1).reshape(
+            (-1,) + (1,) * count.ndim
+        )
+        delta, tmp = np.empty_like(mean), np.empty_like(mean)
+        # values past 1e154 overflow m2 to inf (and on to nan) exactly
+        # as the scalar recurrence does; numpy would also warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for value, divisor in zip(rows, counts):
+                np.subtract(value, mean, out=delta)
+                np.divide(delta, divisor, out=tmp)
+                np.add(mean, tmp, out=mean)
+                np.subtract(value, mean, out=tmp)
+                np.multiply(delta, tmp, out=tmp)
+                np.add(m2, tmp, out=m2)
+                # the sample first: on a tie (0.0 vs -0.0) numpy returns
+                # its second argument, Python's min/max their first
+                np.minimum(value, low, out=low)
+                np.maximum(value, high, out=high)
+        self.mean[points], self.m2[points] = mean, m2
+        self.min[points], self.max[points] = low, high
+        self.count[points] = counts[-1]
+
+    def stats_at(self, point: int, col: int) -> RunningStats:
+        """One lane as a :class:`~repro.metrics.stats.RunningStats`."""
+        acc = RunningStats()
+        acc.n = int(self.count[point, 0])
+        acc._mean = float(self.mean[point, col])
+        acc._m2 = float(self.m2[point, col])
+        acc._min = float(self.min[point, col])
+        acc._max = float(self.max[point, col])
+        return acc
 
 
 def _build_instance(
@@ -480,24 +575,6 @@ def run_replications(
     return results
 
 
-def run_single_point(
-    definition: SweepDefinition,
-    x,
-    reps: int,
-    seed: int = 0,
-    x_index: int = 0,
-    validate: bool = False,
-) -> Dict[str, RunningStats]:
-    """All replications of one x point; returns per-scheduler stats."""
-    accumulators = {name: RunningStats() for name in definition.schedulers}
-    for values in run_replications(
-        definition, x, x_index, 0, reps, seed, validate
-    ):
-        for name, value in values.items():
-            accumulators[name].add(value)
-    return accumulators
-
-
 def run_sweep(
     definition: SweepDefinition,
     reps: int = 30,
@@ -513,7 +590,8 @@ def run_sweep(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    result = SweepResult(definition=definition, reps=reps, seed=seed)
+    columns = list(definition.schedulers)
+    fold = ExactWelford(len(definition.x_values), len(columns))
     bus = obs.get_bus()
     with obs.scoped() as registry, obs.span(
         "sweep.run", figure=definition.key, reps=reps
@@ -532,10 +610,11 @@ def run_sweep(
             with obs.span(
                 "sweep.point", figure=definition.key, x=x, reps=reps
             ):
-                result.stats[x] = run_single_point(
-                    definition, x, reps, seed=seed, x_index=i,
-                    validate=validate,
+                values = run_replications(
+                    definition, x, i, 0, reps, seed, validate
                 )
+                fold.add_rows(values_matrix(values, columns), i)
+        result = SweepResult.from_fold(definition, reps, seed, fold)
         if registry:
             result.metrics = registry.snapshot()
     return result

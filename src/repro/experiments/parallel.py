@@ -16,12 +16,11 @@ with bit-identical results.  Legacy closure-based definitions still
 work, but only under ``fork`` (the initializer arguments then travel
 through inherited memory instead of pickling).
 
-Results stream home through ``imap``: chunks are submitted in ``(x,
-rep)`` order and ``imap`` yields them in submission order, so the
-parent folds each chunk into the Welford accumulators the moment it
-arrives -- identical accumulation order to the serial runner (hence
-bit-identical means/stds), without first materializing every chunk
-result like ``pool.map`` did.
+The pool runs the tasks of :func:`~repro.service.store.enumerate_tasks`
+and ``imap`` yields them home in submission order, so the parent folds
+each chunk into the sweep's :class:`~repro.experiments.harness
+.ExactWelford` the moment it arrives, under the fold contract stated in
+``docs/architecture.md`` -- without first materializing every chunk.
 
 Checkpoint/resume: pass a :class:`~repro.service.store.ColumnarStore`
 opened for append (shard 0 of a ``repro run`` directory, which is a
@@ -54,16 +53,17 @@ import multiprocessing
 import os
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.experiments.harness import (
+    ExactWelford,
     SweepDefinition,
     SweepResult,
     run_replications,
     run_sweep,
 )
-from repro.metrics.stats import RunningStats
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.context import (
     START_METHODS,
@@ -72,9 +72,14 @@ from repro.runtime.context import (
     current_context,
 )
 from repro.runtime.telemetry import HeartbeatWriter
-from repro.service.store import ColumnarStore
+from repro.service.store import (
+    ColumnarStore,
+    TaskSpec,
+    enumerate_tasks,
+    values_matrix,
+)
 
-__all__ = ["chunk_plan", "run_sweep_parallel", "sweep_pool"]
+__all__ = ["run_sweep_parallel", "sweep_pool"]
 
 # worker-process state, installed by the pool initializer (never by
 # fork inheritance): the adopted context, the definition registry, and
@@ -82,11 +87,8 @@ __all__ = ["chunk_plan", "run_sweep_parallel", "sweep_pool"]
 # heartbeat writer and span sink.
 _WORKER_STATE: Dict[str, object] = {}
 
-#: one worker chunk:
-#: (definition key, x_index, x, rep_lo, rep_hi, seed, validate)
-Chunk = Tuple[str, int, object, int, int, int, bool]
-#: what a worker sends home: (x_index, values, metrics snapshot, wall)
-ChunkResult = Tuple[int, List[Dict[str, float]], Dict, float]
+#: what a worker sends home: (values, metrics snapshot, wall)
+ChunkResult = Tuple[List[Dict[str, float]], Dict, float]
 
 #: progress callback: (completed chunks, total chunks)
 ProgressFn = Callable[[int, int], None]
@@ -131,24 +133,27 @@ def _init_worker(
             sink.flush()
 
 
-def _execute_chunk(definition: SweepDefinition, chunk: Chunk) -> ChunkResult:
-    """Run replications [rep_lo, rep_hi) of x point ``x_index``."""
-    _key, x_index, x, rep_lo, rep_hi, seed, validate = chunk
+def _execute_chunk(
+    definition: SweepDefinition, task: TaskSpec, seed: int, validate: bool
+) -> ChunkResult:
+    """Run the task's replications [rep_lo, rep_hi) of its x point."""
     started = time.perf_counter()
     with obs.scoped(merge_up=False) as registry, obs.span(
-        "sweep.chunk", figure=_key, x=x, rep_lo=rep_lo, rep_hi=rep_hi
+        "sweep.chunk", figure=task.sweep, x=task.x, rep_lo=task.rep_lo,
+        rep_hi=task.rep_hi,
     ):
         values = run_replications(
-            definition, x, x_index, rep_lo, rep_hi, seed, validate
+            definition, task.x, task.x_index, task.rep_lo, task.rep_hi,
+            seed, validate,
         )
         snapshot = registry.snapshot() if registry else {}
-    return x_index, values, snapshot, time.perf_counter() - started
+    return values, snapshot, time.perf_counter() - started
 
 
-def _run_chunk(chunk: Chunk) -> ChunkResult:
-    """Worker entry point: resolve the definition, run the chunk."""
+def _run_chunk(task: TaskSpec, seed: int, validate: bool) -> ChunkResult:
+    """Worker entry point: resolve the definition, run the task."""
     definitions: Dict[str, SweepDefinition] = _WORKER_STATE["definitions"]  # type: ignore[assignment]
-    result = _execute_chunk(definitions[chunk[0]], chunk)
+    result = _execute_chunk(definitions[task.sweep], task, seed, validate)
     heartbeat = _WORKER_STATE.get("heartbeat")
     if heartbeat is not None:
         heartbeat.bump(last_event_ts=time.time())
@@ -329,27 +334,6 @@ def run_sweep_parallel(
         )
 
 
-def chunk_plan(
-    definition: SweepDefinition, reps: int, seed: int, validate: bool,
-    chunk_size: int,
-) -> List[Chunk]:
-    """The sweep's chunk decomposition, in submission (= serial) order.
-
-    This is the unit of scheduling everywhere: worker pools submit these
-    chunks, run directories key completed work by them, and
-    :mod:`repro.experiments.campaign` enumerates its shardable task ids
-    from them -- one shared decomposition, so a campaign's tasks line up
-    one-to-one with the chunks a checkpointed run would execute.
-    """
-    chunks: List[Chunk] = []
-    for i, x in enumerate(definition.x_values):
-        for lo in range(0, reps, chunk_size):
-            chunks.append(
-                (definition.key, i, x, lo, min(lo + chunk_size, reps), seed, validate)
-            )
-    return chunks
-
-
 def _collect(
     definition: SweepDefinition,
     pool,
@@ -361,18 +345,17 @@ def _collect(
     progress: Optional[ProgressFn] = None,
     store: Optional[ColumnarStore] = None,
 ) -> SweepResult:
-    """Stream-accumulate chunk results (live or store-replayed) in order."""
-    chunks = chunk_plan(definition, reps, seed, validate, chunk_size)
+    """Fold chunk results (live or store-replayed) in submission order."""
+    tasks = enumerate_tasks([definition], reps, chunk_size)
     completed = (
         store.completed_chunks(definition.key) if store is not None else {}
     )
-    live = [c for c in chunks if (c[1], c[3], c[4]) not in completed]
-
-    sweep = SweepResult(definition=definition, reps=reps, seed=seed)
-    for x in definition.x_values:
-        sweep.stats[x] = {
-            name: RunningStats() for name in definition.schedulers
-        }
+    live = [
+        t for t in tasks
+        if (t.x_index, t.rep_lo, t.rep_hi) not in completed
+    ]
+    columns = list(definition.schedulers)
+    fold = ExactWelford(len(definition.x_values), len(columns))
     merged = MetricsRegistry()
     bus = obs.get_bus()
     ctx = current_context()
@@ -384,47 +367,46 @@ def _collect(
         if ctx.telemetry else None
     )
     if pool is not None:
-        live_iter = pool.imap(_run_chunk, live)
+        live_iter = pool.imap(
+            partial(_run_chunk, seed=seed, validate=validate), live
+        )
     else:
-        live_iter = (_execute_chunk(definition, c) for c in live)
-    # chunks are submitted in (x, rep) order and imap yields them in
-    # submission order; store-replayed chunks interleave at exactly the
-    # position they were originally submitted.  Accumulating in this
-    # order therefore feeds the Welford accumulators in exactly the
-    # serial order, live and replayed runs alike.
-    done, total = 0, len(chunks)
+        live_iter = (
+            _execute_chunk(definition, t, seed, validate) for t in live
+        )
+    # imap yields live chunks in submission order and replayed chunks
+    # sit at their submission position, so each lane folds in
+    # replication order, live and replayed runs alike
+    done, total = 0, len(tasks)
     with obs.span(
         "sweep.run", figure=definition.key, reps=reps, workers=n_workers
     ):
-        for chunk in chunks:
-            key = (chunk[1], chunk[3], chunk[4])
-            row = completed.get(key)
-            replayed = row is not None
+        for task in tasks:
+            matrix = completed.get((task.x_index, task.rep_lo, task.rep_hi))
+            replayed = matrix is not None
             if replayed:
-                values, wall = row["values"], 0.0
+                wall = 0.0
             else:
-                _x_index, values, snapshot, wall = next(live_iter)
+                values, snapshot, wall = next(live_iter)
+                matrix = values_matrix(values, columns)
                 if snapshot:
                     merged.merge(snapshot)
                 if obs.enabled():
                     merged.timer("sweep/chunk_wall").observe(wall)
-            accumulators = sweep.stats[chunk[2]]
-            for rep_values in values:
-                for name, value in rep_values.items():
-                    accumulators[name].add(value)
+            fold.add_rows(matrix, task.x_index)
             recorded = store is not None and not replayed
             if recorded:
                 store.append_chunk(
-                    definition.key, chunk[1], chunk[2], chunk[3], chunk[4],
-                    values,
+                    definition.key, task.x_index, task.x, task.rep_lo,
+                    task.rep_hi, values,
                 )
             if bus.active:
                 bus.emit(
                     "sweep.chunk",
                     figure=definition.key,
-                    x=chunk[2],
-                    rep_lo=chunk[3],
-                    rep_hi=chunk[4],
+                    x=task.x,
+                    rep_lo=task.rep_lo,
+                    rep_hi=task.rep_hi,
                     wall_s=wall,
                     replayed=replayed,
                     recorded=recorded,
@@ -437,6 +419,7 @@ def _collect(
     if heartbeat is not None:
         heartbeat.beat(force=True)
 
+    sweep = SweepResult.from_fold(definition, reps, seed, fold)
     if obs.enabled():
         chunk_timer = merged.timer("sweep/chunk_wall")
         if chunk_timer.count and chunk_timer.mean > 0.0:

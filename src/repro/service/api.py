@@ -8,12 +8,12 @@ execution, get back a **ticket**; poll the ticket's status; cancel it;
 and, once the job is done, materialize the merged
 :class:`~repro.experiments.harness.SweepResult`\\ s.
 
-Result folding replays committed task values **in chunk-plan order**
--- the submission order the serial harness and the resume path use --
-through the same scalar :class:`~repro.metrics.stats.RunningStats`
-recurrence, with values round-tripping through JSON exactly.  A result
-merged from any number of workers, crashes and reclaims is therefore
-bit-identical to ``repro figure`` run serially.
+Result folding replays committed task values (round-tripped through
+JSON exactly) into the one :class:`~repro.experiments.harness
+.ExactWelford` under the fold contract stated in
+``docs/architecture.md``, so a result merged from any number of
+workers, crashes and reclaims is bit-identical to ``repro figure`` run
+serially.
 
 Ticket states are the job states of the store:
 ``queued -> running -> done`` with ``failed`` and ``cancelled``
@@ -27,7 +27,13 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.runtime.context import RunContext
-from repro.service.store import SERVICE_DB, JobRow, SqliteStore
+from repro.service.store import (
+    SERVICE_DB,
+    JobRow,
+    SqliteStore,
+    enumerate_tasks,
+    values_matrix,
+)
 
 __all__ = [
     "SUBMIT_SCHEMA",
@@ -153,14 +159,16 @@ def result(
     whatever tasks have committed (a live preview -- points missing
     chunks simply have fewer samples).  Committed values
     (:meth:`~repro.service.store.SqliteStore.committed_values`) replay
-    in chunk-plan order, exactly like a resumed run-dir sweep, so the
+    in task order, exactly like a resumed run-dir sweep, so the
     returned
     :class:`~repro.experiments.harness.SweepResult`\\ s match a serial
     run of the same definitions bit for bit.
     """
-    from repro.experiments.harness import SweepDefinition, SweepResult
-    from repro.experiments.parallel import chunk_plan
-    from repro.metrics.stats import RunningStats
+    from repro.experiments.harness import (
+        ExactWelford,
+        SweepDefinition,
+        SweepResult,
+    )
 
     store, owned = _open(store)
     try:
@@ -175,31 +183,25 @@ def result(
         for entry in job.spec:
             definition = SweepDefinition.from_dict(entry)
             completed = store.committed_values(job.id, definition.key)
-            sweep = SweepResult(
-                definition=definition, reps=job.reps, seed=context.seed
-            )
-            for x in definition.x_values:
-                sweep.stats[x] = {
-                    name: RunningStats() for name in definition.schedulers
-                }
-            for chunk in chunk_plan(
-                definition, job.reps, context.seed, context.validate,
-                context.chunk_size,
+            columns = list(definition.schedulers)
+            fold = ExactWelford(len(definition.x_values), len(columns))
+            for task in enumerate_tasks(
+                [definition], job.reps, context.chunk_size
             ):
-                values = completed.get((chunk[1], chunk[3], chunk[4]))
+                values = completed.get(
+                    (task.x_index, task.rep_lo, task.rep_hi)
+                )
                 if values is None:
                     if strict:
                         raise ValueError(
-                            f"job {ticket}: task "
-                            f"{definition.key}:x{chunk[1]:03d} "
-                            f"r{chunk[3]}-{chunk[4]} has no result"
+                            f"job {ticket}: task {task.task_id} has no "
+                            "result"
                         )
                     continue
-                accumulators = sweep.stats[chunk[2]]
-                for rep_values in values:
-                    for name, value in rep_values.items():
-                        accumulators[name].add(value)
-            results[definition.key] = sweep
+                fold.add_rows(values_matrix(values, columns), task.x_index)
+            results[definition.key] = SweepResult.from_fold(
+                definition, job.reps, context.seed, fold
+            )
         return results
     finally:
         if owned:

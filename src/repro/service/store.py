@@ -10,8 +10,8 @@ deterministic task decomposition* -- in one of two stores:
     into shard 0 through the same class.  ``append_chunk`` records one
     chunk's per-replication metric values durably (fsync per batch),
     ``completed_chunks`` / ``completed_ids`` replay what already
-    happened bit-exactly (raw IEEE-754 doubles), and ``read_matrix`` is
-    the merge path's fast lane.  Byte-deterministic and resumable.
+    happened bit-exactly (raw IEEE-754 doubles) and ``read_matrix``
+    reads one chunk.  Byte-deterministic and resumable.
 
 :class:`SqliteStore`
     the scheduling service's database (schema ``repro.store/1``, WAL
@@ -23,9 +23,9 @@ deterministic task decomposition* -- in one of two stores:
 
 Task identity is shared across both: :func:`task_id` derives a stable
 name purely from ``(sweep key, x index, replication range)``, and
-:func:`enumerate_tasks` expands definitions through
-:func:`~repro.experiments.parallel.chunk_plan` -- the same chunks
-``repro run`` executes -- so either store's contents line up
+:func:`enumerate_tasks` is the one task decomposition -- the chunks
+worker pools, run directories, campaign shards and the service queue
+all execute -- so either store's contents line up
 replication-for-replication with a serial run.
 """
 
@@ -62,7 +62,6 @@ __all__ = [
     "parse_task_id",
     "enumerate_tasks",
     "values_matrix",
-    "matrix_values",
     "ColumnarStore",
     "SqliteStore",
     "JobRow",
@@ -134,32 +133,27 @@ class TaskSpec:
 
 
 def enumerate_tasks(
-    definitions: Sequence,
-    reps: int,
-    seed: int,
-    validate: bool,
-    chunk_size: int,
+    definitions: Sequence, reps: int, chunk_size: int
 ) -> List[TaskSpec]:
-    """Expand definitions into the shared deterministic task list.
+    """Expand definitions into the one deterministic task list.
 
-    The decomposition is exactly :func:`~repro.experiments.parallel
-    .chunk_plan` -- the chunks ``repro run`` submits to its pool -- so
-    store contents line up one-to-one with the chunks a checkpointed or
-    serial run of the same definitions would execute.
+    Per definition, x point by x point, replications ``[0, reps)`` cut
+    into ``chunk_size`` runs -- the submission order of every run
+    family and the order the serial harness folds replications in.
+    Worker pools, run directories, campaign shards and the service
+    queue all execute exactly these tasks, so any store's contents line
+    up one-to-one with a serial run of the same definitions.
     """
-    from repro.experiments.parallel import chunk_plan
-
     out: List[TaskSpec] = []
     for definition in definitions:
-        for _key, i, x, lo, hi, _seed, _validate in chunk_plan(
-            definition, reps, seed, validate, chunk_size
-        ):
-            out.append(
-                TaskSpec(
-                    index=len(out), sweep=definition.key, x_index=i,
-                    x=x, rep_lo=lo, rep_hi=hi,
+        for i, x in enumerate(definition.x_values):
+            for lo in range(0, reps, chunk_size):
+                out.append(
+                    TaskSpec(
+                        index=len(out), sweep=definition.key, x_index=i,
+                        x=x, rep_lo=lo, rep_hi=min(lo + chunk_size, reps),
+                    )
                 )
-            )
     return out
 
 
@@ -175,16 +169,6 @@ def values_matrix(
         for col, name in enumerate(columns):
             matrix[row, col] = rep_values[name]
     return matrix
-
-
-def matrix_values(
-    matrix: np.ndarray, columns: Sequence[str]
-) -> List[Dict[str, float]]:
-    """Unpack a ``(reps, k)`` matrix back into per-replication dicts."""
-    return [
-        {name: float(matrix[row, col]) for col, name in enumerate(columns)}
-        for row in range(matrix.shape[0])
-    ]
 
 
 def _check_matrix(tid: str, matrix: np.ndarray, expect_rows: int) -> np.ndarray:
@@ -283,16 +267,14 @@ class ColumnarStore:
         )
         self._appended_ids.add(task_id(sweep, x_index, rep_lo, rep_hi))
 
-    def completed_chunks(self, sweep: str) -> Dict[ChunkKey, Dict]:
-        """Finished chunks of ``sweep``, keyed ``(x_index, lo, hi)``.
-
-        Rows carry the per-replication metric dicts as ``values``; ``x``
-        is not persisted in frame metadata and comes back ``None``.
-        """
-        completed: Dict[ChunkKey, Dict] = {}
+    def completed_chunks(self, sweep: str) -> Dict[ChunkKey, np.ndarray]:
+        """Finished chunks of ``sweep`` as checked ``(reps, k)`` matrices
+        (columns in the group's scheduler order), keyed
+        ``(x_index, lo, hi)``."""
         cols = self._groups.get(sweep)
         if cols is None:
             raise KeyError(f"unknown record group {sweep!r}")
+        completed: Dict[ChunkKey, np.ndarray] = {}
         for frame in self._frames:
             if str(frame.meta.get("group")) != sweep:
                 continue
@@ -300,15 +282,9 @@ class ColumnarStore:
             rep_lo = int(frame.meta["rep_lo"])
             rep_hi = int(frame.meta["rep_hi"])
             tid = task_id(sweep, x_index, rep_lo, rep_hi)
-            matrix = self.read_matrix(tid, cols, rep_hi - rep_lo)
-            completed[(x_index, rep_lo, rep_hi)] = {
-                "sweep": sweep,
-                "x_index": x_index,
-                "x": None,
-                "rep_lo": rep_lo,
-                "rep_hi": rep_hi,
-                "values": matrix_values(matrix, cols),
-            }
+            completed[(x_index, rep_lo, rep_hi)] = self.read_matrix(
+                tid, cols, rep_hi - rep_lo
+            )
         return completed
 
     def completed_ids(self) -> Set[str]:
@@ -603,10 +579,7 @@ class SqliteStore:
                 f"definitions {closures} use make_graph closures and cannot "
                 "be submitted to the service; give them a GraphSpec"
             )
-        tasks = enumerate_tasks(
-            definitions, reps, context.seed, context.validate,
-            context.chunk_size,
-        )
+        tasks = enumerate_tasks(definitions, reps, context.chunk_size)
         kind = "stream" if any(d.stream is not None for d in definitions) else "sweep"
         ticket = uuid.uuid4().hex[:12]
         now = time.time()

@@ -401,3 +401,30 @@ def test_cli_campaign_partial_merge_and_errors(tmp_path, capsys):
     assert main(["resume", camp]) == 2
     err = capsys.readouterr().err
     assert "campaign" in err
+
+
+def test_cli_campaign_partial_merge_writes_csv(tmp_path, capsys):
+    """Points with no folded replication land in the CSV as NaN rows."""
+    camp = str(tmp_path / "camp")
+    assert main([
+        "campaign", "init", camp, "--figures", "fig13",
+        "--reps", "4", "--shards", "2", "--chunk-size", "2",
+    ]) == 0
+    assert main(["campaign", "run-shard", camp, "0", "--max-tasks", "1"]) == 0
+    capsys.readouterr()
+
+    csv_path = tmp_path / "partial.csv"
+    assert main([
+        "campaign", "merge", camp, "--partial", "--csv", str(csv_path),
+    ]) == 0
+    total = 4 * len(get_figure("fig13").x_values)
+    assert f"fig13: partial merge, 2/{total} replications folded" in (
+        capsys.readouterr().out
+    )
+    rows = csv_path.read_text().splitlines()[1:]
+    assert len(rows) == total // 4 * len(get_figure("fig13").schedulers)
+    folded = [r for r in rows if r.endswith(",2")]
+    empty = [r for r in rows if r.endswith(",0")]
+    assert len(folded) + len(empty) == len(rows)
+    assert folded and empty
+    assert all(",nan,nan," in r for r in empty)

@@ -1,5 +1,6 @@
 """Unit tests for the Table II factorial grid runner."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.grid import (
@@ -19,6 +20,44 @@ _SMALL_GRID = {
     "w_dag": (50,),
     "beta": (1.0,),
 }
+
+
+def _scalar_grid(definition, reps, seed):
+    """In-test oracle for a ``table2`` sweep: the scalar loop
+    ``run_grid`` used to run, one sample at a time."""
+    from repro.baselines.registry import make_scheduler
+    from repro.experiments.grid import GridResult
+    from repro.generator.parameters import GeneratorConfig
+    from repro.generator.random_dag import generate_random_graph
+    from repro.metrics.metrics import slr
+    from repro.metrics.stats import RunningStats
+
+    schedulers = definition.schedulers
+    configs = [
+        GeneratorConfig(**c) for c in definition.graph.params["configs"]
+    ]
+    result = GridResult(
+        metric="slr", schedulers=schedulers, n_configs=len(configs),
+        reps=reps,
+    )
+    result.overall = {name: RunningStats() for name in schedulers}
+    for ci, config in enumerate(configs):
+        for rep in range(reps):
+            graph = generate_random_graph(
+                config, np.random.default_rng([seed, ci, rep])
+            )
+            if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
+                graph = graph.normalized()
+            for name in schedulers:
+                value = slr(graph, make_scheduler(name).run(graph).makespan)
+                result.overall[name].add(value)
+                for axis in _SMALL_GRID:
+                    bucket = result.marginals.setdefault(axis, {}).setdefault(
+                        getattr(config, axis),
+                        {n: RunningStats() for n in schedulers},
+                    )
+                    bucket[name].add(value)
+    return result
 
 
 class TestRunGrid:
@@ -116,17 +155,25 @@ class TestGridAsSweep:
         ]
 
     def test_roundtrip_matches_run_grid(self):
-        """Sweep the definition, fold back: same marginals as the
-        in-process grid (same n everywhere, means to ~1 ulp -- pairwise
-        combination rounds differently than one-by-one folding)."""
+        """Sweep the definition, fold back: the same marginals as a
+        scalar oracle -- one ``make_scheduler(...).run`` per instance,
+        folded sample by sample into ``RunningStats`` (same n
+        everywhere, means to ~1 ulp: pairwise combination rounds
+        differently than one-by-one folding)."""
         schedulers = ("HDLTS", "HEFT")
-        direct = run_grid(
-            grid=_SMALL_GRID, sample=None, reps=2, schedulers=schedulers
-        )
         definition = grid_sweep_definition(
             grid=_SMALL_GRID, sample=None, schedulers=schedulers
         )
+        direct = _scalar_grid(definition, reps=2, seed=0)
         folded = marginals_from_sweep(run_sweep(definition, reps=2, seed=0))
+        grid = run_grid(
+            grid=_SMALL_GRID, sample=None, reps=2, schedulers=schedulers
+        )
+        for name in schedulers:
+            a, b = grid.overall[name], folded.overall[name]
+            assert (a.n, a._mean, a._m2, a._min, a._max) == (
+                b.n, b._mean, b._m2, b._min, b._max
+            )
 
         assert folded.n_configs == direct.n_configs == 4
         for name in schedulers:

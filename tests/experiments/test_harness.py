@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.graphspec import GraphSpec
-from repro.experiments.harness import SweepDefinition, run_single_point, run_sweep
+from repro.experiments.harness import (
+    SweepDefinition,
+    run_replications,
+    run_sweep,
+)
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
 
@@ -131,15 +135,24 @@ class TestRun:
         assert set(result.stats[1.0]) == {"HDLTS", "HDLTS-nodup"}
 
     def test_single_point_runs_standalone(self):
-        stats = run_single_point(tiny_sweep(), 1.0, reps=2, seed=0)
-        assert stats["HDLTS"].n == 2
+        values = run_replications(tiny_sweep(), 1.0, 0, 0, 2, seed=0)
+        assert len(values) == 2
+        assert all(set(v) == {"HDLTS", "HEFT"} for v in values)
 
     def test_single_point_matches_sweep(self):
+        """The sweep's fold equals a scalar RunningStats fold of the
+        point's replications, field for field."""
+        from repro.metrics.stats import RunningStats
+
         sweep = run_sweep(tiny_sweep(), reps=3, seed=9)
-        point = run_single_point(
-            tiny_sweep(), 3.0, reps=3, seed=9, x_index=1
-        )
-        assert point["HDLTS"].mean == sweep.stats[3.0]["HDLTS"].mean
+        values = run_replications(tiny_sweep(), 3.0, 1, 0, 3, seed=9)
+        for name in ("HDLTS", "HEFT"):
+            oracle = RunningStats()
+            oracle.extend(v[name] for v in values)
+            acc = sweep.stats[3.0][name]
+            assert (acc.n, acc._mean, acc._m2, acc._min, acc._max) == (
+                oracle.n, oracle._mean, oracle._m2, oracle._min, oracle._max
+            )
 
     def test_slr_values_at_least_one(self):
         result = run_sweep(tiny_sweep(), reps=3, seed=0)

@@ -33,6 +33,12 @@ def _values(*hdlts):
     return [{name: h + i for i, name in enumerate(names)} for h in hdlts]
 
 
+def _rows(values):
+    """Per-replication dicts as the store's matrix rows (list form)."""
+    names = get_figure("fig13").schedulers
+    return [[rep_values[name] for name in names] for rep_values in values]
+
+
 class TestManifest:
     def test_create_writes_schema_version_context_and_sweeps(self, tmp_path):
         run_dir = _new_run_dir(tmp_path, reps=6, seed=3, workers=2)
@@ -97,7 +103,7 @@ class TestLedger:
         with _shard0(run_dir, mode="r") as store:
             completed = store.completed_chunks("fig13")
         assert set(completed) == {(0, 0, 1), (0, 1, 2)}
-        assert completed[(0, 0, 1)]["values"] == values
+        assert completed[(0, 0, 1)].tolist() == _rows(values)
 
     def test_floats_round_trip_exactly(self, tmp_path):
         run_dir = _new_run_dir(tmp_path)
@@ -106,7 +112,7 @@ class TestLedger:
             store.append_chunk("fig13", 0, 1.0, 0, 1, values)
         with _shard0(run_dir) as store:
             replayed = store.completed_chunks("fig13")[(0, 0, 1)]
-        assert replayed["values"] == values
+        assert replayed.tolist() == _rows(values)
 
     def test_other_sweeps_filtered_out(self, tmp_path):
         run_dir = Campaign.create(

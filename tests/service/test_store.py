@@ -1,7 +1,7 @@
 """Unit tests for the unified run store layer.
 
-The headline contracts: task ids round-trip and enumeration matches
-the parallel harness's chunk plan exactly; both stores (columnar shard,
+The headline contracts: task ids round-trip and enumeration is the
+serial fold order (x point by x point, replication chunks); both stores (columnar shard,
 SQLite service store) record chunks whose float values replay
 bit-identically; and the SQLite store's schema tag, job lifecycle and
 task bookkeeping behave under reopen.
@@ -15,7 +15,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import chunk_plan
 from repro.runtime.context import RunContext
 from repro.service.store import (
     STORE_SCHEMA,
@@ -56,26 +55,24 @@ class TestTaskIds:
 
 
 class TestEnumerate:
-    def test_matches_chunk_plan(self):
+    def test_plan_is_x_major_rep_chunks(self):
         definition = tiny_sweep()
-        tasks = enumerate_tasks([definition], 6, seed=3, validate=False,
-                                chunk_size=2)
-        chunks = chunk_plan(definition, 6, 3, False, 2)
-        assert len(tasks) == len(chunks)
-        for task, chunk in zip(tasks, chunks):
-            assert isinstance(task, TaskSpec)
-            assert (task.sweep, task.x_index, task.rep_lo, task.rep_hi) == (
-                chunk[0], chunk[1], chunk[3], chunk[4]
-            )
-            assert task.x == chunk[2]
+        tasks = enumerate_tasks([definition], 5, chunk_size=2)
+        assert all(isinstance(task, TaskSpec) for task in tasks)
+        assert [
+            (t.sweep, t.x_index, t.x, t.rep_lo, t.rep_hi) for t in tasks
+        ] == [
+            ("tiny", i, x, lo, hi)
+            for i, x in enumerate(definition.x_values)
+            for lo, hi in ((0, 2), (2, 4), (4, 5))
+        ]
 
     def test_indices_are_global_across_sweeps(self):
         import dataclasses
 
         a = tiny_sweep()
         b = dataclasses.replace(a, key="tiny2", metric="makespan")
-        tasks = enumerate_tasks([a, b], 2, seed=0, validate=False,
-                                chunk_size=2)
+        tasks = enumerate_tasks([a, b], 2, chunk_size=2)
         assert [t.index for t in tasks] == list(range(len(tasks)))
         assert len({t.task_id for t in tasks}) == len(tasks)
 
@@ -88,10 +85,9 @@ def _roundtrip(store, reopen):
     store = reopen(store)
     chunks = store.completed_chunks("tiny")
     assert set(chunks) == {(0, 0, 2)}
-    assert chunks[(0, 0, 2)]["values"] == VALUES
-    # the columnar format stores only the x *index* (the value comes
-    # from the campaign spec), so x is None there
-    assert chunks[(0, 0, 2)]["x"] is None
+    assert chunks[(0, 0, 2)].tolist() == [
+        [row["HDLTS"], row["HEFT"]] for row in VALUES
+    ]
     store.close()
 
 
@@ -173,7 +169,7 @@ class TestSqliteStore:
             assert job.state == "queued"
             assert job.reps == 6
             tasks = store.tasks_for(job.id)
-            expected = enumerate_tasks([tiny_sweep()], 6, 3, False, 2)
+            expected = enumerate_tasks([tiny_sweep()], 6, 2)
             assert [t.task for t in tasks] == [t.task_id for t in expected]
             assert store.task_counts(job.id) == {
                 "pending": len(tasks), "leased": 0, "done": 0, "failed": 0
