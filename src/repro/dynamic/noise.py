@@ -8,7 +8,9 @@ how many times a run queries it -- this is what makes "static schedule
 under noise" and "online scheduling under noise" comparable on
 identical realizations.  Which draw a pair receives depends on the
 order pairs are first asked for, so ``OnlineHDLTS`` asks lazily, in
-dispatch order, and never pre-draws a matrix.
+dispatch order, and never pre-draws a matrix.  Each factory copies the
+graph's ``W`` into nested lists when it is called, so it perturbs the
+costs the graph had then.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ def _memoized(draw: Callable[[int, int], float]) -> DurationFn:
 
     def duration(task: int, proc: int) -> float:
         key = (task, proc)
-        if key not in cache:
-            cache[key] = draw(task, proc)
-        return cache[key]
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = draw(task, proc)
+        return value
 
     return duration
 
@@ -51,10 +54,11 @@ def gaussian_noise(
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    costs = graph.cost_matrix().tolist()
 
     def draw(task: int, proc: int) -> float:
         factor = max(0.05, rng.normal(1.0, sigma))
-        return graph.cost(task, proc) * factor
+        return costs[task][proc] * factor
 
     return _memoized(draw)
 
@@ -65,8 +69,9 @@ def uniform_noise(
     """Multiplicative uniform noise: ``d = W * U(1 - spread, 1 + spread)``."""
     if not 0 <= spread < 1:
         raise ValueError("spread must lie in [0, 1)")
+    costs = graph.cost_matrix().tolist()
 
     def draw(task: int, proc: int) -> float:
-        return graph.cost(task, proc) * rng.uniform(1.0 - spread, 1.0 + spread)
+        return costs[task][proc] * rng.uniform(1.0 - spread, 1.0 + spread)
 
     return _memoized(draw)

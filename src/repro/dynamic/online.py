@@ -77,7 +77,7 @@ class _LoneJob(StreamJob):
         return self.realized is None
 
     def duration_fn(self) -> DurationFn:
-        return self.realized or self.graph.cost
+        return self.realized or super().duration_fn()
 
 
 class OnlineHDLTS:

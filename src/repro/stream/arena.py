@@ -43,13 +43,14 @@ lost) holds either way.  Static policies reject failures, exactly like
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.itq import IndependentTaskQueue
-from repro.model.attributes import penalty_values
+from repro.model.attributes import penalty_value, penalty_values
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.schedule.simulator import DeadlockError, schedule_queues
 
@@ -74,6 +75,14 @@ _EPS = 1e-9
 
 ONLINE_POLICY = "OnlineHDLTS"
 STATIC_PREFIX = "Static/"
+
+#: ready tasks x alive CPUs from which OnlineHDLTS prices the merged
+#: ready set as one numpy EFT matrix instead of row by row on Python
+#: floats; halved from 8 alive CPUs on, where ``penalty_value`` replays
+#: numpy's pairwise blocks at about twice the per-row cost.  Measured on
+#: the pricing step alone, 2-64 CPUs x 1-128 ready tasks: the matrix
+#: pays from 96-128 cells below 8 CPUs and from 48-64 cells on 8-64.
+_PV_VECTOR_MIN_CELLS = 128
 
 #: one job's frozen static schedule as the arena replays it: per CPU,
 #: the ``(task, is_duplicate)`` dispatches in start order
@@ -119,13 +128,15 @@ class StreamJob:
         return self.durations is None
 
     def duration_fn(self) -> DurationFn:
-        """Realized execution time of ``(task, proc)``."""
+        """Realized execution time of ``(task, proc)``, read from nested
+        lists (``W``'s or the realized matrix's)."""
         if self.durations is None:
-            return self.graph.cost
-        matrix = self.durations
+            rows = compile_graph(self.graph).w_rows
+        else:
+            rows = self.durations.tolist()
 
         def duration(task: int, proc: int) -> float:
-            return float(matrix[task, proc])
+            return rows[task][proc]
 
         return duration
 
@@ -289,8 +300,11 @@ def _window_free(
 class _AdmittedJob:
     """Mutable per-job execution state inside the arena.
 
-    Data-ready times are cached rather than re-derived per dispatch
-    (see ``docs/streaming.md``, "Incremental ready times"):
+    Everything the event loops touch per dispatch is a Python float or a
+    list of them: ``w`` and ``parents`` are the compiled graph's list
+    mirrors of ``W`` and of each task's ``(parent ids, edge costs)``.
+    Data-ready times are cached rather than re-derived per dispatch (see
+    ``docs/streaming.md``, "Incremental ready times"):
 
     * online policy -- ``ready_base[task]`` is the part of a ready
       task's arrival row that is final once the task is ready (the max
@@ -298,9 +312,10 @@ class _AdmittedJob:
       and the entry-duplication window of each CPU is re-checked only
       against slots it has not seen yet, since a closed window stays
       closed;
-    * static policies -- ``ready_at[(task, proc)]`` is a queue head's
-      ready time, dropped whenever one of the task's parents gains a
-      copy.
+    * static policies -- ``ready_at[task]`` is a queue head's ready
+      time, dropped whenever one of the task's parents gains a copy.
+      A task queued on several CPUs (a duplicated parent) has a ready
+      time per CPU, so it is never cached.
 
     Every cached value is the same float64 expression the direct
     computation evaluates, combined only by ``min``/``max``, so cached
@@ -311,6 +326,8 @@ class _AdmittedJob:
         "job",
         "graph",
         "w",
+        "w_array",
+        "parents",
         "entry",
         "arrival",
         "duration_fn",
@@ -319,18 +336,23 @@ class _AdmittedJob:
         "finish_times",
         "proc_of",
         "ready_base",
+        "base_arrays",
         "window_open",
         "window_seen",
         "queues",
         "heads",
         "left",
         "ready_at",
+        "shared",
     )
 
     def __init__(self, job: StreamJob) -> None:
+        compiled = compile_graph(job.graph)
         self.job = job
         self.graph = job.graph
-        self.w = job.graph.cost_matrix()
+        self.w = compiled.w_rows
+        self.w_array = compiled.w
+        self.parents = compiled.pred_lists
         self.entry = job.graph.entry_task
         self.arrival = job.arrival
         self.duration_fn = job.duration_fn()
@@ -339,23 +361,28 @@ class _AdmittedJob:
         self.finish_times: Dict[int, float] = {}
         self.proc_of: Dict[int, int] = {}
         # online policy: task -> (base row, entry comm or None)
-        self.ready_base: Dict[int, Tuple[np.ndarray, Optional[float]]] = {}
+        self.ready_base: Dict[int, Tuple[List[float], Optional[float]]] = {}
+        # ... and its base rows as numpy, made when a wide ready set
+        # first prices the task
+        self.base_arrays: Dict[int, np.ndarray] = {}
         n_procs = job.graph.n_procs
         self.window_open = [True] * n_procs
         self.window_seen = [0] * n_procs
         # static policy: per-CPU (task, is_duplicate) queues + cursors,
-        # the number of queued dispatches left, and cached head readiness
-        self.queues: Optional[List[List[Tuple[int, bool]]]] = None
+        # the number of queued dispatches left, cached head readiness
+        # and the tasks queued on more than one CPU
+        self.queues: Optional[Queues] = None
         self.heads: Optional[List[int]] = None
         self.left = 0
-        self.ready_at: Dict[Tuple[int, int], float] = {}
+        self.ready_at: Dict[int, float] = {}
+        self.shared: Set[int] = set()
 
-    def arrival_of(self, parent: int, child: int, proc: int) -> float:
-        """Earliest availability of ``parent``'s output on ``proc``."""
+    def arrival_of(self, parent: int, comm: float, proc: int) -> float:
+        """Earliest availability on ``proc`` of ``parent``'s output over
+        an edge of cost ``comm``."""
         copies = self.copies.get(parent)
         if not copies:
             return float("inf")
-        comm = self.graph.comm_cost(parent, child)
         return min(
             fin + (0.0 if cproc == proc else comm) for cproc, fin in copies
         )
@@ -370,18 +397,20 @@ class _AdmittedJob:
         floored at the job's arrival; the entry parent's term, which
         moves as duplicates land and windows close, is kept apart.
         """
-        graph = self.graph
-        row = np.full(graph.n_procs, self.arrival)
+        n_procs = self.graph.n_procs
+        row = [self.arrival] * n_procs
         entry_comm: Optional[float] = None
-        for parent in graph.predecessors(task):
-            comm = graph.comm_cost(parent, task)
+        ids, comms = self.parents[task]
+        for parent, comm in zip(ids, comms):
             if parent == self.entry:
                 entry_comm = comm
                 continue
             ((proc, fin),) = self.copies[parent]
-            term = np.full(graph.n_procs, fin + comm)
-            term[proc] = fin
-            np.maximum(row, term, out=row)
+            remote = fin + comm
+            for p in range(n_procs):
+                term = fin if p == proc else remote
+                if term > row[p]:
+                    row[p] = term
         self.ready_base[task] = (row, entry_comm)
 
     def dup_window_open(
@@ -397,14 +426,14 @@ class _AdmittedJob:
             self.window_open[proc] = _window_free(
                 slots[self.window_seen[proc]:],
                 self.arrival,
-                self.arrival + self.w[self.entry, proc],
+                self.arrival + self.w[self.entry][proc],
             )
             self.window_seen[proc] = len(slots)
         return self.window_open[proc]
 
     def entry_terms(
         self, slots: Sequence[Sequence[Tuple[float, float]]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[List[float], List[float]]:
         """The entry output's availability per CPU, split by channel.
 
         Returns ``(near, remote)``: ``near`` is the finish of a copy on
@@ -415,44 +444,78 @@ class _AdmittedJob:
         :meth:`arrival_of` takes, because rounding ``fin + c`` is
         monotone in ``fin``.
         """
+        inf = float("inf")
         n_procs = self.graph.n_procs
         copies = self.copies[self.entry]
-        near = [np.inf] * n_procs
-        remote = [np.inf] * n_procs
+        near = [inf] * n_procs
+        remote = [inf] * n_procs
         for proc in range(n_procs):
             for cproc, fin in copies:
                 if cproc == proc:
                     near[proc] = min(near[proc], fin)
                 else:
                     remote[proc] = min(remote[proc], fin)
-            if near[proc] == np.inf and self.dup_window_open(
-                proc, slots[proc]
-            ):
-                near[proc] = self.arrival + self.w[self.entry, proc]
-        return np.array(near), np.array(remote)
+            if near[proc] == inf and self.dup_window_open(proc, slots[proc]):
+                near[proc] = self.arrival + self.w[self.entry][proc]
+        return near, remote
+
+    def ready_row(
+        self, task: int, terms: Optional[Tuple[List[float], List[float]]]
+    ) -> List[float]:
+        """``task``'s data-ready time per CPU: its cached base row, maxed
+        with the entry output's arrival when the entry is a parent
+        (``terms`` is then this step's :meth:`entry_terms`)."""
+        base, entry_comm = self.ready_base[task]
+        if entry_comm is None:
+            return base
+        near, remote = terms
+        row = []
+        for b, n, r in zip(base, near, remote):
+            r += entry_comm
+            if n < r:
+                r = n
+            row.append(b if b > r else r)
+        return row
+
+    def ready_array(
+        self, task: int, terms: Optional[Tuple[np.ndarray, np.ndarray]]
+    ) -> np.ndarray:
+        """:meth:`ready_row` on numpy rows (``terms`` as arrays)."""
+        base = self.base_arrays.get(task)
+        if base is None:
+            base = self.base_arrays[task] = np.array(self.ready_base[task][0])
+        entry_comm = self.ready_base[task][1]
+        if entry_comm is None:
+            return base
+        near, remote = terms
+        return np.maximum(base, np.minimum(near, remote + entry_comm))
 
     # -- static policies -----------------------------------------------
     def head_ready(self, task: int, proc: int) -> float:
         """When every input of ``task`` can be on ``proc``; fills
-        ``ready_at[(task, proc)]``, which callers consult first."""
+        ``ready_at[task]``, which callers consult first, unless the task
+        is queued on several CPUs."""
         ready = self.arrival
-        for parent in self.graph.predecessors(task):
-            t = self.arrival_of(parent, task, proc)
+        ids, comms = self.parents[task]
+        for parent, comm in zip(ids, comms):
+            t = self.arrival_of(parent, comm, proc)
             if t == float("inf"):
                 ready = t
                 break
             if t > ready:
                 ready = t
-        self.ready_at[(task, proc)] = ready
+        if task not in self.shared:
+            self.ready_at[task] = ready
         return ready
 
     def add_copy(self, task: int, proc: int, finish: float) -> None:
         """Record a (primary or duplicate) copy of ``task`` and drop the
         cached head readiness of its children, which it may advance."""
         self.copies.setdefault(task, []).append((proc, finish))
-        for child in self.graph.successors(task):
-            for p in range(self.graph.n_procs):
-                self.ready_at.pop((child, p), None)
+        ready_at = self.ready_at
+        # the adjacency list itself: successors() checks and copies it
+        for child in self.graph._succ[task]:
+            ready_at.pop(child, None)
 
 
 def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
@@ -477,7 +540,6 @@ def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
         min_lanes,
         run_batch,
     )
-    from repro.model.compiled import compile_graph
     from repro.runtime.context import current_context
 
     queues: List[Optional[Queues]] = [None] * len(graphs)
@@ -564,7 +626,6 @@ class JobStream:
     def _setup(self):
         instance = self.instance
         state: Dict[str, object] = {
-            "avail": np.zeros(instance.n_procs),
             "slots": [[] for _ in range(instance.n_procs)],
             "records": [],
             "first_start": {},
@@ -701,11 +762,13 @@ class JobStream:
         n_jobs = len(instance.jobs)
         fail_at = failure_times(self.failures or None, n_procs)
         state = self._setup()
-        avail: np.ndarray = state["avail"]
+        avail = [0.0] * n_procs
         slots: List[List[Tuple[float, float]]] = state["slots"]
         # admitted jobs with tasks left, in admission order
         active: List[_AdmittedJob] = []
-        dead: set = set()
+        dead: Set[int] = set()
+        alive = list(range(n_procs))
+        inf = float("inf")
 
         def admit_online() -> None:
             st = self._admit(state)
@@ -714,13 +777,72 @@ class JobStream:
                 st.cache_ready_base(task)
             active.append(st)
 
-        def ready_row(st: _AdmittedJob, task: int, floor: float) -> np.ndarray:
-            base, entry_comm = st.ready_base[task]
-            row = np.maximum(base, floor)
-            if entry_comm is not None:
-                near, remote = st.entry_terms(slots)
-                np.maximum(row, np.minimum(near, remote + entry_comm), out=row)
-            return row
+        def pick_next() -> Tuple[_AdmittedJob, int]:
+            """The merged ready set's task with the largest penalty value
+            (Eq. 8) over the alive CPUs; the first strict maximum wins,
+            as in ``np.argmax``.  Narrow sets are priced row by row on
+            Python floats, wide ones as one EFT matrix (see
+            ``_PV_VECTOR_MIN_CELLS``); both give the same floats."""
+            n_ready = 0
+            for st in active:
+                n_ready += len(st.itq)
+            width = len(alive)
+            min_cells = _PV_VECTOR_MIN_CELLS
+            if width >= 8:
+                min_cells //= 2
+            vectorized = n_ready * width >= min_cells
+            if not vectorized:
+                best = -1.0
+                pick = None
+                for st in active:
+                    terms = None
+                    w = st.w
+                    for t in st.itq.ready_tasks():
+                        base, entry_comm = st.ready_base[t]
+                        cost = w[t]
+                        if entry_comm is None:
+                            eft = [
+                                (base[p] if base[p] > avail[p] else avail[p])
+                                + cost[p]
+                                for p in alive
+                            ]
+                        else:
+                            # ready_row and the EFT fused: entry
+                            # children are most of a random DAG's
+                            # early ready set
+                            if terms is None:
+                                terms = st.entry_terms(slots)
+                            near, remote = terms
+                            eft = []
+                            for p in alive:
+                                ready = remote[p] + entry_comm
+                                if near[p] < ready:
+                                    ready = near[p]
+                                if base[p] > ready:
+                                    ready = base[p]
+                                if avail[p] > ready:
+                                    ready = avail[p]
+                                eft.append(ready + cost[p])
+                        priority = penalty_value(eft)
+                        if priority > best:
+                            best = priority
+                            pick = (st, t)
+                return pick
+            ready: List[Tuple[_AdmittedJob, int]] = []
+            rows: List[np.ndarray] = []
+            for st in active:
+                terms = None
+                for t in st.itq.ready_tasks():
+                    if terms is None and st.ready_base[t][1] is not None:
+                        near, remote = st.entry_terms(slots)
+                        terms = (np.array(near), np.array(remote))
+                    ready.append((st, t))
+                    rows.append(st.ready_array(t, terms))
+            eft = np.maximum(np.array(rows), np.array(avail))
+            eft += np.array([st.w_array[t] for st, t in ready])
+            if dead:
+                eft = eft[:, alive]
+            return ready[int(np.argmax(penalty_values(eft)))]
 
         def try_dispatch(
             st: _AdmittedJob, task: int, proc: int, ready: float
@@ -730,14 +852,14 @@ class JobStream:
             if entry_comm is not None and not any(
                 c == proc for c, _ in st.copies[entry]
             ):
-                via_network = st.arrival_of(entry, task, proc)
-                dup_end = st.arrival + st.w[entry, proc]
+                via_network = st.arrival_of(entry, entry_comm, proc)
+                dup_end = st.arrival + st.w[entry][proc]
                 if dup_end < via_network and st.dup_window_open(
                     proc, slots[proc]
                 ):
                     dup_start = st.arrival
                     dup_finish = dup_start + st.duration_fn(entry, proc)
-                    tau = fail_at.get(proc, np.inf)
+                    tau = fail_at.get(proc, inf)
                     if dup_finish > tau:
                         dead.add(proc)
                         avail[proc] = max(avail[proc], tau)
@@ -758,11 +880,13 @@ class JobStream:
                             dup_start, dup_finish, True,
                         ),
                     )
-                    ready = max(base[proc], st.arrival_of(entry, task, proc))
+                    ready = max(
+                        base[proc], st.arrival_of(entry, entry_comm, proc)
+                    )
             start = max(avail[proc], ready)
             duration = st.duration_fn(task, proc)
             finish = start + duration
-            tau = fail_at.get(proc, np.inf)
+            tau = fail_at.get(proc, inf)
             if finish > tau:
                 dead.add(proc)
                 avail[proc] = tau
@@ -787,50 +911,34 @@ class JobStream:
             if not active:
                 admit_online()
                 continue
-            alive = [p for p in range(n_procs) if p not in dead]
+            if len(alive) + len(dead) != n_procs:
+                alive = [p for p in range(n_procs) if p not in dead]
             if not alive:
                 break
-            ready: List[Tuple[_AdmittedJob, int]] = []
-            rows: List[np.ndarray] = []
-            costs: List[np.ndarray] = []
-            for st in active:
-                terms = None
-                for t in st.itq.ready_tasks():
-                    row, entry_comm = st.ready_base[t]
-                    if entry_comm is not None:
-                        if terms is None:
-                            terms = st.entry_terms(slots)
-                        near, remote = terms
-                        row = np.maximum(
-                            row, np.minimum(near, remote + entry_comm)
-                        )
-                    ready.append((st, t))
-                    rows.append(row)
-                    costs.append(st.w[t])
-            est = np.maximum(np.array(rows), avail[None, :])
-            eft = est + np.array(costs)
-            eft[:, sorted(dead)] = np.inf
-            priorities = penalty_values(eft[:, alive])
-            index = int(np.argmax(priorities))
-            st, task = ready[index]
+            st, task = pick_next()
 
             floor = st.arrival
-            excluded: set = set(dead)
+            cost = st.w[task]
             held = False
-            fleet_dead = False
             while True:
-                candidates = [
-                    p for p in range(n_procs) if p not in excluded
-                ]
-                if not candidates:
-                    fleet_dead = True
+                if len(dead) == n_procs:
                     break
-                row = ready_row(st, task, floor)
-                scores = {
-                    p: max(row[p], avail[p]) + st.w[task, p]
-                    for p in candidates
-                }
-                proc = min(scores, key=lambda p: (scores[p], p))
+                terms = (
+                    None if st.ready_base[task][1] is None
+                    else st.entry_terms(slots)
+                )
+                row = [
+                    r if r > floor else floor
+                    for r in st.ready_row(task, terms)
+                ]
+                proc = -1
+                score = inf
+                for p in range(n_procs):
+                    if p in dead:
+                        continue
+                    s = (row[p] if row[p] > avail[p] else avail[p]) + cost[p]
+                    if proc < 0 or s < score:
+                        proc, score = p, s
                 # hold-back admission: the next pending job arrives no
                 # later than this dispatch would start -> let it compete
                 if (
@@ -845,12 +953,12 @@ class JobStream:
                 if finish is not None:
                     break
                 floor = max(floor, avail[proc])
-                excluded = set(dead)
-            if fleet_dead:
+            if len(dead) == n_procs:
                 break
             if held:
                 continue
             del st.ready_base[task]
+            st.base_arrays.pop(task, None)
             for released in st.itq.complete(task):
                 st.cache_ready_base(released)
             if not st.itq:
@@ -873,7 +981,7 @@ class JobStream:
                 policy[len(STATIC_PREFIX):],
             )
         state = self._setup()
-        avail: np.ndarray = state["avail"]
+        avail = [0.0] * n_procs
         # admitted jobs with queued dispatches left, in admission order
         active: List[_AdmittedJob] = []
 
@@ -882,6 +990,12 @@ class JobStream:
             st.queues = job_queues[state["next_ix"] - 1]
             st.heads = [0] * n_procs
             st.left = sum(len(q) for q in st.queues)
+            seen: Set[int] = set()
+            for queue in st.queues:
+                for task, _ in queue:
+                    if task in seen:
+                        st.shared.add(task)
+                    seen.add(task)
             active.append(st)
 
         while state["next_ix"] < n_jobs or active:
@@ -897,10 +1011,10 @@ class JobStream:
                     if heads[proc] >= len(queue):
                         continue
                     task = queue[heads[proc]][0]
-                    ready = ready_at.get((task, proc))
+                    ready = ready_at.get(task)
                     if ready is None:
                         ready = st.head_ready(task, proc)
-                    start = max(avail[proc], ready)
+                    start = avail[proc] if avail[proc] > ready else ready
                     if start < best_start:
                         best_start = start
                         best = (st, proc)

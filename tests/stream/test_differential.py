@@ -132,7 +132,7 @@ class TestOnlineDifferential:
 
 
 class TestStaticDifferential:
-    @pytest.mark.parametrize("name", ("HDLTS", "HEFT", "PETS"))
+    @pytest.mark.parametrize("name", ("HDLTS", "HEFT", "PETS", "DHEFT"))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_matches_replay_static(self, name, seed):
         instance = lone_job_instance(seed, ccr=5.0)

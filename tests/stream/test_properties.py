@@ -1,6 +1,6 @@
 """Property suite for the job-stream arena.
 
-Three families:
+Four families:
 
 * **Conservation / feasibility** -- every arrived job finishes (or is
   explicitly lost under failures), no CPU runs two tasks at once across
@@ -10,6 +10,8 @@ Three families:
   over the workload knobs).
 * **Oracle sharpness** -- tampered executions (overlaps, precedence
   breaks, dropped finishes, over-unity utilization) must be *caught*.
+* **Static tie-break** -- a hand-built stream whose queue heads tie on
+  start time pins the replay's scan order.
 * **Determinism & monotonicity** -- the same RNG key materializes the
   same workload; mean sojourn is non-decreasing as deterministic
   arrivals tighten (FIFO admission), with only endpoint dominance
@@ -25,11 +27,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic.failures import FailStop
+from repro.model.task_graph import TaskGraph
 from repro.qa.invariants import (
     run_stream_invariants,
     stream_invariant_names,
 )
-from repro.stream import JobStream, normalize_policy, run_stream
+from repro.stream import (
+    JobStream,
+    StreamInstance,
+    StreamJob,
+    normalize_policy,
+    run_stream,
+)
 from repro.stream.metrics import STREAM_METRICS
 from tests.stream.conftest import ALL_POLICIES, build_workload, small_spec
 
@@ -261,3 +270,53 @@ class TestMonotonicity:
     def test_online_saturated_dominates_idle(self, seed):
         means = self._means("OnlineHDLTS", seed)
         assert means[-1] > means[0]
+
+
+# ----------------------------------------------------------------------
+# static replay tie-break
+# ----------------------------------------------------------------------
+class TestStaticTieBreak:
+    """Among queue heads with the same start time, the static replay
+    dispatches the earlier-admitted job first, then the lower CPU."""
+
+    @staticmethod
+    def _fork_join() -> TaskGraph:
+        # 0 -> {1, 2} -> 3 on 2 identical CPUs, free communication
+        graph = TaskGraph(2)
+        for cost in (1.0, 2.0, 2.0, 1.0):
+            graph.add_task([cost, cost])
+        for src, dst in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            graph.add_edge(src, dst, 0.0)
+        return graph
+
+    def test_ties_go_to_the_earlier_job_then_the_lower_cpu(self):
+        instance = StreamInstance(
+            jobs=(
+                StreamJob(0, 0.0, self._fork_join()),
+                StreamJob(1, 0.0, self._fork_join()),
+            ),
+            n_procs=2,
+        )
+        # mirrored placements: job 0 runs its entry on CPU 1, job 1 on
+        # CPU 0, so heads of different jobs tie on different CPUs
+        queues = [
+            [[(1, False)], [(0, False), (2, False), (3, False)]],
+            [[(0, False), (2, False), (3, False)], [(1, False)]],
+        ]
+        result = run_stream(instance, "Static/HEFT", queues=queues)
+        order = [(r.job, r.task, r.proc, r.start) for r in result.records]
+        assert order == [
+            # both entries start at 0: job 0 wins on CPU 1 over job 1's
+            # head on CPU 0
+            (0, 0, 1, 0.0),
+            (1, 0, 0, 0.0),
+            # four heads start at 1: job 0's, lower CPU first, then
+            # job 0 again over job 1 on CPU 1
+            (0, 1, 0, 1.0),
+            (0, 2, 1, 1.0),
+            # three heads start at 3: job 0 on CPU 1 beats job 1 on CPU 0
+            (0, 3, 1, 3.0),
+            (1, 2, 0, 3.0),
+            (1, 1, 1, 4.0),
+            (1, 3, 0, 6.0),
+        ]
