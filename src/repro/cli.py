@@ -1373,6 +1373,8 @@ def _cmd_dynamic(args) -> int:
     failures = []
     if args.fail_proc is not None:
         failures = [FailStop(args.fail_proc, args.fail_at or 0.0)]
+    elif args.fail_at is not None:
+        raise ValueError("--fail-at needs --fail-proc (the CPU that fails)")
     static_stats, online_stats = RunningStats(), RunningStats()
     completed_static = 0
     for rep in range(args.reps):

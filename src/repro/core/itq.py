@@ -10,7 +10,7 @@ tie-break order for equal penalty values).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
+from typing import Iterable, Iterator, List, Set
 
 from repro.model.task_graph import TaskGraph
 
@@ -27,6 +27,26 @@ class IndependentTaskQueue:
             t for t in graph.tasks() if self._remaining[t] == 0
         }
         self._done: Set[int] = set()
+
+    @classmethod
+    def resumed(
+        cls, graph: TaskGraph, done: Iterable[int]
+    ) -> "IndependentTaskQueue":
+        """The frontier once ``done`` are mapped, in whatever order they
+        ran.  A task may be done while a parent is not (it read a
+        duplicate of the parent); completing that parent later must not
+        release it again."""
+        itq = cls(graph)
+        remaining = itq._remaining
+        itq._done = set(done)
+        for task in itq._done:
+            for succ in graph._succ[task]:
+                remaining[succ] -= 1
+        for task in itq._done:
+            # one above its unmapped parents: never reaches zero
+            remaining[task] += 1
+        itq._ready = {t for t in graph.tasks() if remaining[t] == 0}
+        return itq
 
     def __len__(self) -> int:
         return len(self._ready)

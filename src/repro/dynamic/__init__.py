@@ -13,7 +13,10 @@ to future work.  This package builds it:
   arena (:mod:`repro.stream.arena`) holding a lone job, and with exact
   durations it dispatches exactly offline HDLTS's schedule.  Compared
   against executing a statically computed schedule under the same
-  perturbations (via :class:`~repro.schedule.simulator.ScheduleSimulator`).
+  perturbations (via :class:`~repro.schedule.simulator.ScheduleSimulator`);
+* :mod:`repro.dynamic.repair` -- checkpoint-and-replan recovery: the
+  static schedule runs until a CPU fail-stops, then the same arena's
+  online loop re-plans the rest on the survivors.
 """
 
 from repro.dynamic.noise import exact_durations, gaussian_noise, uniform_noise

@@ -24,8 +24,8 @@ class FailStop:
     def __post_init__(self) -> None:
         if self.proc < 0:
             raise ValueError("proc must be >= 0")
-        if self.at_time < 0:
-            raise ValueError("at_time must be >= 0")
+        if not self.at_time >= 0:  # NaN compares false and would never fire
+            raise ValueError(f"at_time must be >= 0, got {self.at_time!r}")
 
 
 def failure_times(

@@ -27,9 +27,11 @@ from repro.dynamic.noise import DurationFn
 from repro.model.task_graph import TaskGraph
 from repro.schedule.schedule import Schedule
 from repro.schedule.simulator import ScheduleSimulator
-from repro.stream.arena import StreamInstance, StreamJob, run_stream
+from repro.stream.arena import Queues, StreamInstance, StreamJob, run_stream
 
-__all__ = ["OnlineHDLTS", "OnlineResult", "OnlineRecord", "replay_static"]
+__all__ = [
+    "OnlineHDLTS", "OnlineResult", "OnlineRecord", "replay_static", "run_lone_job",
+]
 
 
 @dataclass(frozen=True)
@@ -94,27 +96,41 @@ class OnlineHDLTS:
         """Run the workflow online; returns the realized execution."""
         if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
             graph = graph.normalized()
-        job = _LoneJob(0, 0.0, graph, realized=duration_fn)
-        result = run_stream(
-            StreamInstance((job,), graph.n_procs), self.name, failures
-        )
-        (done,) = result.jobs
-        if done.lost:
-            left = done.n_tasks - len(done.finish_times)
-            raise AllProcessorsFailed(f"all CPUs failed with {left} tasks left")
-        return OnlineResult(
-            makespan=done.finish,
-            finish_times=done.finish_times,
-            proc_of=done.proc_of,
-            records=[
-                OnlineRecord(
-                    r.task, r.proc, r.start, r.finish, r.duplicate, r.lost
-                )
-                for r in result.records
-            ],
-            n_lost=result.n_lost_dispatches,
-            dead_procs=result.dead_procs,
-        )
+        return run_lone_job(graph, self.name, duration_fn, failures)
+
+
+def run_lone_job(
+    graph: TaskGraph,
+    policy: str,
+    duration_fn: Optional[DurationFn] = None,
+    failures: Optional[Iterable[FailStop]] = None,
+    queues: Optional[Queues] = None,
+) -> OnlineResult:
+    """Run normalized ``graph`` as a stream's lone job arriving at time
+    zero under ``policy`` (``queues``: a static plan's, see
+    :func:`~repro.stream.arena.run_stream`)."""
+    job = _LoneJob(0, 0.0, graph, realized=duration_fn)
+    result = run_stream(
+        StreamInstance((job,), graph.n_procs),
+        policy,
+        failures,
+        None if queues is None else [queues],
+    )
+    (done,) = result.jobs
+    if done.lost:
+        left = done.n_tasks - len(done.finish_times)
+        raise AllProcessorsFailed(f"all CPUs failed with {left} tasks left")
+    return OnlineResult(
+        makespan=done.finish,
+        finish_times=done.finish_times,
+        proc_of=done.proc_of,
+        records=[
+            OnlineRecord(r.task, r.proc, r.start, r.finish, r.duplicate, r.lost)
+            for r in result.records
+        ],
+        n_lost=result.n_lost_dispatches,
+        dead_procs=result.dead_procs,
+    )
 
 
 def replay_static(
@@ -125,9 +141,9 @@ def replay_static(
     """Execute a statically computed schedule under perturbed durations.
 
     The placement and per-CPU order are fixed; only timing floats.  This
-    is the baseline the online mode is compared against (a static
-    schedule cannot survive CPU failures, so failures apply only to the
-    online arm).
+    is the baseline the online mode is compared against.  A frozen
+    schedule cannot survive CPU failures; re-planning after one is
+    :func:`~repro.dynamic.repair.repair_after_failure`.
     """
     sim = ScheduleSimulator(graph).run(schedule, duration_fn)
     # one record per committed copy, duplicates with their own interval

@@ -33,11 +33,15 @@ the contest for every slot they could plausibly win.
 
 Failures follow :mod:`repro.dynamic.failures`: a dispatch that would
 run past a CPU's fail-stop instant is truncated and recorded as lost,
-the CPU goes dead, and the task is re-dispatched elsewhere.  If the
-whole fleet dies, remaining jobs are marked lost rather than raising --
-the conservation invariant (every arrived job finishes or is explicitly
-lost) holds either way.  Static policies reject failures, exactly like
-``replay_static``.
+and the CPU goes dead.  The online policy re-dispatches the task
+elsewhere.  A static policy replays its frozen queues only until that
+first lost dispatch, then hands every admitted job's remaining tasks
+to the online loop on the survivors, from the detection instant on
+(:meth:`JobStream._hand_off`); this is the checkpoint-and-replan
+recovery of :func:`~repro.dynamic.repair.repair_after_failure`.  If
+the whole fleet dies, remaining jobs are marked lost rather than
+raising -- the conservation invariant (every arrived job finishes or
+is explicitly lost) holds either way.
 """
 
 from __future__ import annotations
@@ -392,10 +396,13 @@ class _AdmittedJob:
         """Cache ``task``'s arrival row over its non-entry parents.
 
         Called once, when ``task`` enters the ready set: its parents are
-        all dispatched then, and a non-entry task has exactly one copy
-        under the online policy, so the row never changes.  The row is
-        floored at the job's arrival; the entry parent's term, which
-        moves as duplicates land and windows close, is kept apart.
+        all dispatched then, and the online policy never copies a
+        non-entry task, so the row never changes.  A parent with several
+        copies (a static plan's duplicates, handed off after a failure)
+        counts its earliest copy per CPU, as :meth:`arrival_of` does.
+        The row is floored at the job's arrival; the entry parent's
+        term, which moves as duplicates land and windows close, is kept
+        apart.
         """
         n_procs = self.graph.n_procs
         row = [self.arrival] * n_procs
@@ -405,7 +412,14 @@ class _AdmittedJob:
             if parent == self.entry:
                 entry_comm = comm
                 continue
-            ((proc, fin),) = self.copies[parent]
+            try:
+                ((proc, fin),) = self.copies[parent]
+            except ValueError:  # several copies: the earliest per CPU
+                for p in range(n_procs):
+                    term = self.arrival_of(parent, comm, p)
+                    if term > row[p]:
+                        row[p] = term
+                continue
             remote = fin + comm
             for p in range(n_procs):
                 term = fin if p == proc else remote
@@ -613,11 +627,6 @@ class JobStream:
         ):
             if policy == ONLINE_POLICY:
                 return self._run_online(policy)
-            if self.failures:
-                raise ValueError(
-                    "static stream policies cannot survive CPU failures; "
-                    "use the OnlineHDLTS policy"
-                )
             return self._run_static(policy, queues)
 
     # ------------------------------------------------------------------
@@ -626,6 +635,11 @@ class JobStream:
     def _setup(self):
         instance = self.instance
         state: Dict[str, object] = {
+            "avail": [0.0] * instance.n_procs,
+            "dead": set(),
+            # jobs arriving before this instant never duplicate their
+            # entry: a static replay's handoff moves it to the detection
+            "handoff": float("-inf"),
             "slots": [[] for _ in range(instance.n_procs)],
             "records": [],
             "first_start": {},
@@ -754,25 +768,35 @@ class JobStream:
     # ------------------------------------------------------------------
     # online policy: merged-ready-set penalty-value loop
     # ------------------------------------------------------------------
-    def _run_online(self, policy: str) -> StreamResult:
+    def _run_online(
+        self,
+        policy: str,
+        state: Optional[Dict[str, object]] = None,
+        active: Optional[List[_AdmittedJob]] = None,
+    ) -> StreamResult:
+        """The online loop, from an empty platform or from a static
+        replay's :meth:`_hand_off` (``state`` and ``active``)."""
         from repro.dynamic.failures import failure_times
 
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
         fail_at = failure_times(self.failures or None, n_procs)
-        state = self._setup()
-        avail = [0.0] * n_procs
+        if state is None:
+            state = self._setup()
+            # admitted jobs with tasks left, in admission order
+            active = []
+        avail: List[float] = state["avail"]
+        dead: Set[int] = state["dead"]
         slots: List[List[Tuple[float, float]]] = state["slots"]
-        # admitted jobs with tasks left, in admission order
-        active: List[_AdmittedJob] = []
-        dead: Set[int] = set()
         alive = list(range(n_procs))
         inf = float("inf")
 
         def admit_online() -> None:
             st = self._admit(state)
             st.itq = IndependentTaskQueue(st.graph)
+            if st.arrival < state["handoff"]:
+                st.window_open = [False] * n_procs
             for task in st.itq.ready_tasks():
                 st.cache_ready_base(task)
             active.append(st)
@@ -972,6 +996,8 @@ class JobStream:
     def _run_static(
         self, policy: str, job_queues: Optional[Sequence[Queues]]
     ) -> StreamResult:
+        from repro.dynamic.failures import failure_times
+
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
@@ -981,7 +1007,9 @@ class JobStream:
                 policy[len(STATIC_PREFIX):],
             )
         state = self._setup()
-        avail = [0.0] * n_procs
+        avail: List[float] = state["avail"]
+        fail_at = failure_times(self.failures or None, n_procs)
+        taus = [fail_at.get(p, float("inf")) for p in range(n_procs)]
         # admitted jobs with queued dispatches left, in admission order
         active: List[_AdmittedJob] = []
 
@@ -1038,6 +1066,19 @@ class JobStream:
             task, is_dup = st.queues[proc][st.heads[proc]]
             duration = st.duration_fn(task, proc)
             finish = best_start + duration
+            if finish > taus[proc]:
+                tau = taus[proc]
+                self._record(
+                    state,
+                    JobRecord(
+                        st.job.index, task, proc,
+                        best_start, max(best_start, tau), is_dup, True,
+                    ),
+                )
+                state["dead"].add(proc)
+                return self._run_online(
+                    policy, state, self._hand_off(state, active, tau)
+                )
             avail[proc] = finish
             st.add_copy(task, proc, finish)
             if not is_dup:
@@ -1067,7 +1108,35 @@ class JobStream:
                         f"{missing[:10]}"
                     )
                 self._finish_job(state, st)
-        return self._assemble(state, set(), policy)
+        return self._assemble(state, state["dead"], policy)
+
+    def _hand_off(
+        self, state, active: List[_AdmittedJob], detection: float
+    ) -> List[_AdmittedJob]:
+        """A static replay's state as the online loop's, at the instant
+        a fail-stop is detected.
+
+        Every CPU is floored at ``detection`` and every admitted job
+        resumes from the primaries it executed.  No job admitted or
+        arrived by then duplicates its entry: the plan placed it, and
+        that window lies in the past.  Returns the jobs with tasks left.
+        """
+        avail = state["avail"]
+        for proc, t in enumerate(avail):
+            if t < detection:
+                avail[proc] = detection
+        state["handoff"] = detection
+        resumed: List[_AdmittedJob] = []
+        for st in active:
+            st.itq = IndependentTaskQueue.resumed(st.graph, st.finish_times)
+            st.window_open = [False] * len(avail)
+            for task in st.itq.ready_tasks():
+                st.cache_ready_base(task)
+            if st.itq:
+                resumed.append(st)
+            else:  # only duplicates were left
+                self._finish_job(state, st)
+        return resumed
 
 
 def run_stream(

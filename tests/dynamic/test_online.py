@@ -100,6 +100,12 @@ class TestFailures:
         )
         assert all(proc != 0 for proc in result.proc_of.values())
 
+    def test_nan_failure_instant_rejected(self):
+        """A NaN instant compares false with every finish, so the
+        failure would silently never fire."""
+        with pytest.raises(ValueError, match="at_time"):
+            FailStop(proc=0, at_time=float("nan"))
+
     def test_all_failures_raise(self, fig1):
         failures = [FailStop(p, 1.0) for p in range(3)]
         with pytest.raises(AllProcessorsFailed):

@@ -121,6 +121,11 @@ class TestCommands:
         assert "failure of CPU 1" in out
         assert "cannot survive" in out
 
+    def test_dynamic_fail_at_without_proc_rejected(self, capsys):
+        """``--fail-at`` alone used to run failure-free without a word."""
+        assert main(["dynamic", "--reps", "1", "--fail-at", "5"]) == 2
+        assert "--fail-proc" in capsys.readouterr().err
+
 
 class TestExportAndDiagnose:
     def test_export_all_formats(self, tmp_path, capsys):
