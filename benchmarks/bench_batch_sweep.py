@@ -45,7 +45,6 @@ from repro.experiments.harness import (
     _build_instance,
     run_sweep,
 )
-from repro.model.compiled import compile_graph
 from repro.runtime.context import activate, current_context
 
 #: conservative CI floor for the paired throughput measure
@@ -102,12 +101,11 @@ def _build_batch(definition, x, lanes):
     graphs, compiled = [], []
     rep = 0
     while len(graphs) < lanes:
-        graph = _build_instance(definition, x, 0, rep, seed=0)
+        instance = _build_instance(definition, x, 0, rep, seed=0)
         rep += 1
-        instance = compile_graph(graph)
         if compiled and batch_key(instance) != batch_key(compiled[0]):
             continue  # a different task count after normalization
-        graphs.append(graph)
+        graphs.append(instance.graph)  # the scalar arm's input
         compiled.append(instance)
     return graphs, compiled
 

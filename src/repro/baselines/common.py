@@ -95,7 +95,10 @@ def place_min_eft(
         if place_best is not None:
             # the scalar engine fuses EST/EFT, the identical selection
             # loop and the commit into one call frame
-            return place_best(task, insertion, objective)
+            try:
+                return place_best(task, insertion, objective)
+            finally:
+                engine.flush_counts()
     graph = schedule.graph
     candidates = list(procs) if procs is not None else graph.procs()
     if not len(candidates):

@@ -45,8 +45,11 @@ class HEFT(Scheduler):
         place_best = getattr(engine, "place_best", None)
         if place_best is not None:
             insertion = self.insertion
-            for task in order:
-                place_best(task, insertion)
+            try:
+                for task in order:
+                    place_best(task, insertion)
+            finally:
+                engine.flush_counts()
         else:
             for task in order:
                 place_min_eft(

@@ -50,20 +50,24 @@ class PEFT(Scheduler):
         heap: List[tuple] = []
         for task in itq.ready_tasks():
             heapq.heappush(heap, (-rank[task], task))
-        while heap:
-            _, task = heapq.heappop(heap)
-            row = table[task]
-            objective = lambda proc, eft, row=row: eft + row[proc]
-            if place_best is not None:
-                place_best(task, insertion, objective)
-            else:
-                place_min_eft(
-                    schedule,
-                    task,
-                    insertion=insertion,
-                    objective=objective,
-                    engine=engine,
-                )
-            for released in itq.complete(task):
-                heapq.heappush(heap, (-rank[released], released))
+        try:
+            while heap:
+                _, task = heapq.heappop(heap)
+                row = table[task]
+                objective = lambda proc, eft, row=row: eft + row[proc]
+                if place_best is not None:
+                    place_best(task, insertion, objective)
+                else:
+                    place_min_eft(
+                        schedule,
+                        task,
+                        insertion=insertion,
+                        objective=objective,
+                        engine=engine,
+                    )
+                for released in itq.complete(task):
+                    heapq.heappush(heap, (-rank[released], released))
+        finally:
+            if engine is not None:
+                engine.flush_counts()
         return schedule

@@ -127,17 +127,21 @@ class PETS(Scheduler):
         place_best = getattr(engine, "place_best", None)
         insertion = self.insertion
         acc = mean_execution_times(graph)
-        for level in level_decomposition(graph):
-            # highest rank first; ties by smaller average computation
-            # cost, then task id (the paper leaves ties unspecified)
-            ordered: List[int] = sorted(
-                level, key=lambda t: (-rank[t], acc[t], t)
-            )
-            for task in ordered:
-                if place_best is not None:
-                    place_best(task, insertion)
-                else:
-                    place_min_eft(
-                        schedule, task, insertion=insertion, engine=engine
-                    )
+        try:
+            for level in level_decomposition(graph):
+                # highest rank first; ties by smaller average computation
+                # cost, then task id (the paper leaves ties unspecified)
+                ordered: List[int] = sorted(
+                    level, key=lambda t: (-rank[t], acc[t], t)
+                )
+                for task in ordered:
+                    if place_best is not None:
+                        place_best(task, insertion)
+                    else:
+                        place_min_eft(
+                            schedule, task, insertion=insertion, engine=engine
+                        )
+        finally:
+            if engine is not None:
+                engine.flush_counts()
         return schedule

@@ -72,8 +72,11 @@ class SDBATS(Scheduler):
         place_best = getattr(engine, "place_best", None)
         if place_best is not None:
             insertion = self.insertion
-            for task in order[1:]:
-                place_best(task, insertion)
+            try:
+                for task in order[1:]:
+                    place_best(task, insertion)
+            finally:
+                engine.flush_counts()
         else:
             for task in order[1:]:
                 place_min_eft(

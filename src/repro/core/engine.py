@@ -110,6 +110,8 @@ class StaticEFTEngine:
         # over [0, W(entry, p))?  Recomputed lazily per dirty CPU.
         self._dup_fits = [False] * self._n_procs
         self._dup_dirty = [True] * self._n_procs
+        # place_best calls not yet published (see flush_counts)
+        self._placed = 0
         # entry -> child edge costs and the parent lists sans the entry
         # (resolved per task on first use)
         self._entry_comm: Dict[int, float] = {}
@@ -272,8 +274,7 @@ class StaticEFTEngine:
                 best_proc = q
                 best_start = start
             q += 1
-        obs.scoped_count("eft_evaluations", self._n_procs)
-        obs.scoped_count("decisions")
+        self._placed += 1
         # inline commit: statics only place fresh primary copies, so
         # this is Schedule.place minus the duplicate branch, with the
         # duration read from the mirror row (exactly float(W[t, p]))
@@ -300,6 +301,17 @@ class StaticEFTEngine:
         schedule._primary[task] = assignment
         self.notify(assignment)
         return assignment
+
+    def flush_counts(self) -> None:
+        """Publish :meth:`place_best`'s counters, summed since the last
+        flush: one decision and one EFT evaluation per CPU per call,
+        under the running scheduler's phase.  Builders call it once per
+        run, also when the run raises, so the quiet path pays no
+        per-placement ``obs`` call."""
+        placed, self._placed = self._placed, 0
+        if placed:
+            obs.scoped_count("eft_evaluations", self._n_procs * placed)
+            obs.scoped_count("decisions", placed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         placed = sum(1 for f in self.best_finish if f < _INF)

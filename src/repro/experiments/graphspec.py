@@ -10,7 +10,13 @@ workers, and rebuild bit-identical graphs anywhere.
 
 Factories receive ``(x, rng, **params)`` where ``x`` is the sweep's
 current x-axis value; the ``axis`` parameter names which knob ``x``
-drives (``"ccr"``, ``"v"``, ``"n_procs"``, ``"m"``, ...).  Axis values
+drives (``"ccr"``, ``"v"``, ``"n_procs"``, ``"m"``, ...).  A factory
+returns a :class:`~repro.model.task_graph.TaskGraph` or its array form
+(:class:`~repro.model.task_graph.GraphArrays`, what the random
+generator emits): :meth:`GraphSpec.build` turns arrays into a graph,
+while :meth:`GraphSpec.instance` compiles them straight into the
+normalized :class:`~repro.model.compiled.CompiledGraph` the sweep
+harness carries, without a ``TaskGraph``.  Axis values
 are cast exactly as the original closures did (``int`` for counts,
 ``float`` otherwise), so spec-built graphs are bit-identical to the
 closure-built ones for the same RNG stream.
@@ -19,13 +25,14 @@ closure-built ones for the same RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
 from repro.generator.parameters import GeneratorConfig
-from repro.generator.random_dag import generate_random_graph
-from repro.model.task_graph import TaskGraph
+from repro.generator.random_dag import RandomDAGGenerator
+from repro.model.compiled import CompiledGraph, compile_instance
+from repro.model.task_graph import GraphArrays, TaskGraph
 from repro.workflows.fft import fft_topology
 from repro.workflows.molecular import molecular_dynamics_topology
 from repro.workflows.montage import montage_topology
@@ -37,7 +44,7 @@ __all__ = [
     "graph_factory_names",
 ]
 
-GraphFactoryFn = Callable[..., TaskGraph]
+GraphFactoryFn = Callable[..., Union[TaskGraph, GraphArrays]]
 
 _FACTORIES: Dict[str, GraphFactoryFn] = {}
 
@@ -51,7 +58,8 @@ def _cast_axis(axis: str, x) -> object:
 
 
 def register_graph_factory(name: str) -> Callable[[GraphFactoryFn], GraphFactoryFn]:
-    """Register ``fn(x, rng, **params) -> TaskGraph`` under ``name``."""
+    """Register ``fn(x, rng, **params)`` under ``name``; it returns a
+    :class:`TaskGraph` or a :class:`GraphArrays`."""
 
     def decorate(fn: GraphFactoryFn) -> GraphFactoryFn:
         if name in _FACTORIES:
@@ -78,8 +86,7 @@ class GraphSpec:
         # copy defensively; specs are treated as immutable values
         object.__setattr__(self, "params", dict(self.params))
 
-    def build(self, x, rng: np.random.Generator) -> TaskGraph:
-        """Materialize the graph for x-axis value ``x``."""
+    def _draw(self, x, rng: np.random.Generator) -> Union[TaskGraph, GraphArrays]:
         try:
             fn = _FACTORIES[self.factory]
         except KeyError:
@@ -88,6 +95,16 @@ class GraphSpec:
                 f"unknown graph factory {self.factory!r}; known: {known}"
             ) from None
         return fn(x, rng, **self.params)
+
+    def build(self, x, rng: np.random.Generator) -> TaskGraph:
+        """Materialize the graph for x-axis value ``x``."""
+        drawn = self._draw(x, rng)
+        return drawn.to_graph() if isinstance(drawn, GraphArrays) else drawn
+
+    def instance(self, x, rng: np.random.Generator) -> CompiledGraph:
+        """The normalized, compiled instance for ``x`` (the same draws
+        as :meth:`build`)."""
+        return compile_instance(self._draw(x, rng))
 
     def to_dict(self) -> Dict[str, object]:
         """Manifest form: ``{"factory": ..., "params": {...}}``."""
@@ -105,22 +122,22 @@ class GraphSpec:
 # the built-in factories (everything the paper's figures need)
 # ----------------------------------------------------------------------
 @register_graph_factory("random")
-def _random_graph(x, rng, *, axis: str, **config) -> TaskGraph:
+def _random_graph(x, rng, *, axis: str, **config) -> GraphArrays:
     """Table II random DAG with ``axis`` driven by the x value.
 
     ``config`` holds :class:`GeneratorConfig` field overrides (the
     figure's fixed parameters); the swept axis is applied on top.
     """
     base = GeneratorConfig(**config)
-    return generate_random_graph(
-        base.with_(**{axis: _cast_axis(axis, x)}), rng
+    return RandomDAGGenerator(base.with_(**{axis: _cast_axis(axis, x)})).arrays(
+        rng
     )
 
 
 @register_graph_factory("random-fixed")
 def _random_fixed_graph(
     x, rng, *, axis: str, structure_seed: int = 0, **config
-) -> TaskGraph:
+) -> GraphArrays:
     """Table II random DAG with a *fixed* structure per x point.
 
     Like ``"random"``, but level shape and edge wiring come from a
@@ -132,13 +149,13 @@ def _random_fixed_graph(
     """
     base = GeneratorConfig(**config)
     structure_rng = np.random.default_rng(structure_seed)
-    return generate_random_graph(
-        base.with_(**{axis: _cast_axis(axis, x)}), rng, structure_rng
+    return RandomDAGGenerator(base.with_(**{axis: _cast_axis(axis, x)})).arrays(
+        rng, structure_rng
     )
 
 
 @register_graph_factory("table2")
-def _table2_graph(x, rng, *, configs) -> TaskGraph:
+def _table2_graph(x, rng, *, configs) -> GraphArrays:
     """One sampled Table II configuration per x value.
 
     ``configs`` is a list of :class:`GeneratorConfig` field dicts (as
@@ -148,7 +165,7 @@ def _table2_graph(x, rng, *, configs) -> TaskGraph:
     that serializes into run manifests and campaign specs.
     """
     config = GeneratorConfig(**configs[int(x)])
-    return generate_random_graph(config, rng)
+    return RandomDAGGenerator(config).arrays(rng)
 
 
 def _topology_params(x, axis: str, fixed: Dict[str, object]) -> Dict[str, object]:

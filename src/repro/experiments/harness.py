@@ -29,7 +29,7 @@ from repro.core.batch import (
 from repro.experiments.graphspec import GraphSpec
 from repro.metrics.metrics import efficiency, slr
 from repro.metrics.stats import RunningStats
-from repro.model.compiled import compile_graph
+from repro.model.compiled import CompiledGraph, compile_instance
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import current_context
 from repro.schedule.validation import validate_schedule
@@ -47,10 +47,11 @@ __all__ = [
 GraphFactory = Callable[[object, np.random.Generator], TaskGraph]
 OptionalFactory = Optional[GraphFactory]
 
-_METRICS: Dict[str, Callable[[TaskGraph, float], float]] = {
+#: metric of one schedule, read from the compiled instance
+_METRICS: Dict[str, Callable[[CompiledGraph, float], float]] = {
     "slr": slr,
     "efficiency": efficiency,
-    "makespan": lambda graph, makespan: makespan,
+    "makespan": lambda instance, makespan: makespan,
 }
 
 
@@ -116,10 +117,18 @@ class SweepDefinition:
             )
 
     def build_graph(self, x, rng: np.random.Generator) -> TaskGraph:
-        """Materialize the instance for x point ``x`` from ``rng``."""
+        """Materialize the graph for x point ``x`` from ``rng``."""
         if self.graph is not None:
             return self.graph.build(x, rng)
         return self.make_graph(x, rng)
+
+    def build_instance(self, x, rng: np.random.Generator) -> CompiledGraph:
+        """The normalized, compiled instance for x point ``x``: the
+        draws of :meth:`build_graph`, and for array-producing factories
+        no ``TaskGraph`` until a scalar scheduler asks for one."""
+        if self.graph is not None:
+            return self.graph.instance(x, rng)
+        return compile_instance(self.make_graph(x, rng))
 
     @property
     def portable(self) -> bool:
@@ -314,17 +323,16 @@ class ExactWelford:
 
 def _build_instance(
     definition: SweepDefinition, x, x_index: int, rep: int, seed: int
-) -> TaskGraph:
-    """Draw, normalize and compile one instance."""
+) -> CompiledGraph:
+    """Draw, normalize and compile one instance.
+
+    The compiled instance is what the harness carries: its CSR arrays
+    and artifact cache (ranks, OCT, CP bound, ...) are shared by every
+    scheduler in the set and by the metric functions, and the batched
+    kernel reads nothing else.
+    """
     rng = np.random.default_rng([seed, x_index, rep])
-    graph = definition.build_graph(x, rng)
-    if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
-        graph = graph.normalized()
-    # compile the instance once: the CSR arrays and the artifact cache
-    # (ranks, OCT, CP bound, ...) are shared by every scheduler in the
-    # set and by the metric functions
-    compile_graph(graph)
-    return graph
+    return definition.build_instance(x, rng)
 
 
 def run_replication(
@@ -343,7 +351,8 @@ def run_replication(
     are independent and the work can be chunked across processes without
     changing any result.  ``instance`` short-circuits the instance build
     when the caller already materialized it from the same stream (the
-    batched dispatcher's scalar fallback).
+    batched dispatcher's scalar fallback): a compiled graph, whose
+    ``TaskGraph`` the scalar schedulers run on.
 
     Stream definitions take the same protocol: the workload instance (a
     :class:`~repro.stream.arena.StreamInstance`) is materialized from
@@ -368,9 +377,10 @@ def run_replication(
             )
         else:
             metric_fn = _METRICS[definition.metric]
-            graph = instance
-            if graph is None:
-                graph = _build_instance(definition, x, x_index, rep, seed)
+            compiled = instance
+            if compiled is None:
+                compiled = _build_instance(definition, x, x_index, rep, seed)
+            graph = compiled.graph
             values = {}
             # keyed by *registry* name so ablation variants of one class
             # coexist
@@ -378,7 +388,7 @@ def run_replication(
                 result = make_scheduler(name).run(graph)
                 if validate:
                     validate_schedule(graph, result.schedule)
-                values[name] = metric_fn(graph, result.makespan)
+                values[name] = metric_fn(compiled, result.makespan)
     if observing:
         elapsed = time.perf_counter() - started
         if obs.enabled():
@@ -400,7 +410,7 @@ def run_replication(
 def _run_batched_group(
     definition: SweepDefinition,
     x,
-    members: List[Tuple[int, TaskGraph]],
+    members: List[int],
     batch: CompiledBatch,
     results: List[Optional[Dict[str, float]]],
 ) -> None:
@@ -414,8 +424,10 @@ def _run_batched_group(
     ``slr`` metric the group's Eq. 10 denominators come from one
     :meth:`~repro.core.batch.CompiledBatch.cp_min_bounds` pass, cached
     on each lane's compiled graph before :func:`~repro.metrics.slr`
-    reads them.  Per-instance metric values land in ``results`` at the
-    caller's replication positions, bit-identical to the scalar path.
+    reads them.  Lane ``i``'s metric values land in ``results`` at
+    ``members[i]``, the caller's replication position, bit-identical to
+    the scalar path.
+    A lane's ``TaskGraph`` is built only if a scalar scheduler runs.
     """
     metric_fn = _METRICS[definition.metric]
     bus = obs.get_bus()
@@ -450,14 +462,17 @@ def _run_batched_group(
                 instance.prime_cp_min_bound(bound)
         if obs.enabled():
             obs.get_metrics().counter("sweep/replications").inc(batch.n_lanes)
-        for lane, (idx, graph) in enumerate(members):
+        for lane, (idx, instance) in enumerate(zip(members, batch.instances)):
             values: Dict[str, float] = {}
+            graph = None
             for name in definition.schedulers:
                 if name in makespans:
                     makespan = float(makespans[name][lane])
                 else:
+                    if graph is None:
+                        graph = instance.graph
                     makespan = make_scheduler(name).run(graph).makespan
-                values[name] = metric_fn(graph, makespan)
+                values[name] = metric_fn(instance, makespan)
             results[idx] = values
 
 
@@ -556,21 +571,20 @@ def run_replications(
         ]
     # materialize the whole chunk up front: replication RNG streams are
     # keyed independently, so build order cannot change any draw
-    built = [
+    compiled = [
         _build_instance(definition, x, x_index, rep, seed) for rep in reps
     ]
-    compiled = [compile_graph(graph) for graph in built]
-    results: List[Optional[Dict[str, float]]] = [None] * len(built)
+    results: List[Optional[Dict[str, float]]] = [None] * len(compiled)
     for sub in batch_groups(compiled, batchable, fewest):
         batch = CompiledBatch([compiled[i] for i in sub])
         _run_batched_group(
-            definition, x, [(i, built[i]) for i in sub], batch, results
+            definition, x, sub, batch, results
         )
     for idx, rep in enumerate(reps):
         if results[idx] is None:
             results[idx] = run_replication(
                 definition, x, x_index, rep, seed, validate,
-                instance=built[idx],
+                instance=compiled[idx],
             )
     return results
 

@@ -1,7 +1,7 @@
 """Generator parameters (the paper's Table II).
 
 ``TABLE_II`` reproduces the published grid verbatim; a full cross product
-is 125,000 combinations (8 x 5 x 5 x 5 x 5 x 6 x 5 / the paper quotes
+is 150,000 combinations (8 x 5 x 5 x 5 x 5 x 6 x 5; the paper quotes
 "125K unique application workflow graphs").  :func:`iter_table_ii` yields
 :class:`GeneratorConfig` objects for any sub-grid so the experiment
 harness can run the full factorial or a sliced version.

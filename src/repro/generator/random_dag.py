@@ -24,51 +24,89 @@ pseudo tasks exactly as Section III prescribes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.generator.parameters import GeneratorConfig
-from repro.model.task_graph import TaskGraph
+from repro.model.attributes import _pairwise_sum
+from repro.model.task_graph import GraphArrays, TaskGraph
 
 __all__ = ["RandomDAGGenerator", "generate_random_graph"]
 
 
+class _BufferedUniforms:
+    """``rng.random()`` draws served from one block, draw-exact.
+
+    ``take(m)`` returns the next ``m`` uniforms of ``rng``'s stream as
+    Python floats.  The block is drawn up front (``size`` uniforms,
+    topped up if it runs dry); :meth:`close` then restores the bit
+    generator's saved state and re-draws exactly the uniforms taken, so
+    ``rng`` ends where per-call ``rng.random()`` draws would have left
+    it and every later draw sees the same stream.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int) -> None:
+        self._rng = rng
+        self._state = rng.bit_generator.state
+        self._size = size
+        self._block = rng.random(self._size).tolist()
+        self._pos = 0
+
+    def take(self, m: int) -> List[float]:
+        lo, hi = self._pos, self._pos + m
+        while hi > len(self._block):
+            self._block.extend(self._rng.random(self._size).tolist())
+        self._pos = hi
+        return self._block[lo:hi]
+
+    def close(self) -> None:
+        if self._pos != len(self._block):
+            self._rng.bit_generator.state = self._state
+            self._rng.random(self._pos)
+
+
 def _weighted_sample_noreplace(
-    rng: np.random.Generator, k: int, cdf: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+    uniforms: _BufferedUniforms,
+    k: int,
+    cdf: List[float],
+    weights: List[float],
+) -> List[int]:
     """``rng.choice(n, size=k, replace=False, p=weights)``, draw-exact.
 
-    Re-implements numpy's weighted no-replacement branch on top of the
-    same ``rng.random()`` calls so the bit-generator stream (and with it
-    every downstream draw) is untouched, while letting the caller hoist
-    the cdf across calls that share one weight vector.  The dedupe is an
-    order-preserving set pass -- exactly what numpy's
-    ``unique(return_index=True)`` + ``take`` computes.  Guarded by an
-    oracle test against ``Generator.choice`` itself
+    Re-implements numpy's weighted no-replacement branch in Python
+    floats on the same uniforms, so the bit-generator stream (and with
+    it every downstream draw) is untouched, while letting the caller
+    hoist the cdf across calls that share one weight vector.  Each round
+    draws one uniform per missing sample and maps it through the cdf
+    with ``bisect_right`` (numpy's ``searchsorted(side="right")``); the
+    dedupe keeps first occurrences in draw order -- exactly what numpy's
+    ``unique(return_index=True)`` + ``take`` computes.  A collision
+    retry zeroes the weights already taken and rebuilds the cdf as
+    numpy does on its ``p`` copy: a sequential running sum (``cumsum``
+    is an ``add.accumulate``) divided by its last element.  Guarded by
+    an oracle test against ``Generator.choice`` itself
     (``tests/generator/test_random_dag.py``).
     """
-    found = np.zeros(k, dtype=np.int64)
-    n_uniq = 0
-    p = None
-    while n_uniq < k:
-        x = rng.random((k - n_uniq,))
-        if n_uniq > 0:
-            # collision retry: zero out what we already took and
-            # rebuild the cdf, exactly as numpy does on its p copy
-            if p is None:
-                p = weights.copy()
-            p[found[0:n_uniq]] = 0
-            cdf = np.cumsum(p)
-            cdf /= cdf[-1]
-        new = cdf.searchsorted(x, side="right")
-        lst = new.tolist()
-        if len(set(lst)) != len(lst):
-            seen: set = set()
-            kept = [v for v in lst if not (v in seen or seen.add(v))]
-            new = np.array(kept, dtype=np.int64)
-        found[n_uniq:n_uniq + new.size] = new
-        n_uniq += new.size
+    found = [bisect_right(cdf, u) for u in uniforms.take(k)]
+    taken = set(found)
+    if len(taken) == k:  # no collision: the common case
+        return found
+    found = list(dict.fromkeys(found))
+    p = list(weights)
+    while len(found) < k:
+        for t in found:
+            p[t] = 0.0
+        running = list(accumulate(p))
+        total = running[-1]
+        cdf = [c / total for c in running]
+        for u in uniforms.take(k - len(found)):
+            t = bisect_right(cdf, u)
+            if t not in taken:
+                taken.add(t)
+                found.append(t)
     return found
 
 
@@ -117,68 +155,79 @@ class RandomDAGGenerator:
 
     def _edges(
         self, levels: List[List[int]], rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
-        """Out-degree-driven wiring plus the orphan-repair pass."""
+    ) -> Tuple[List[int], List[int]]:
+        """Out-degree-driven wiring plus the orphan-repair pass.
+
+        Returns the edge list as ``(sources, targets)``.  Every source
+        in a level samples its targets from the same pool and weights,
+        so each level's cdf is built once; the sampler's uniforms come
+        from one buffered block (:class:`_BufferedUniforms`) that
+        leaves ``rng`` exactly where per-source ``rng.choice`` calls
+        would, before the repair pass draws.
+        """
         density = self.config.density
-        edges: List[Tuple[int, int]] = []
-        seen = set()
-
-        def later_pool(level_index: int) -> List[int]:
-            """Candidate targets: mostly next level, some further."""
-            pool = list(levels[level_index + 1])
-            # small tail from deeper levels lets long edges appear
-            for deeper in levels[level_index + 2 : level_index + 4]:
-                pool.extend(deeper)
-            return pool
-
+        plans = []
+        first_round = 0
         for li in range(len(levels) - 1):
-            # the candidate pool and its bias weights depend only on the
-            # level, so build them once and share across the level's
-            # sources (the rng.choice draw sequence is unchanged)
-            pool = later_pool(li)
+            # candidate targets: mostly the next level, plus a small
+            # tail from deeper levels so long edges appear
+            pool = list(levels[li + 1])
+            for deeper in levels[li + 2 : li + 4]:
+                pool.extend(deeper)
             k = min(density, len(pool))
             if k == 0:
                 continue
-            # bias: draw with 80% weight on the immediate next level
+            # bias: draw with 80% weight on the immediate next level;
+            # normalized and accumulated in Python floats with numpy's
+            # operation order (pairwise ``sum``, sequential ``cumsum``)
             next_n = len(levels[li + 1])
-            weights = np.full(len(pool), 0.2 / max(1, len(pool) - next_n))
-            weights[:next_n] = 0.8 / next_n
-            weights /= weights.sum()
-            # every source in the level samples with the same weight
-            # vector, so the cdf is hoisted too; the draw-exact sampler
-            # keeps the rng.choice bit stream unchanged
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            for src in levels[li]:
-                targets = _weighted_sample_noreplace(rng, k, cdf, weights)
-                for t in targets.tolist():
-                    key = (src, pool[t])
-                    if key not in seen:
-                        seen.add(key)
-                        edges.append(key)
+            tail = len(pool) - next_n
+            weights = [0.8 / next_n] * next_n + [0.2 / max(1, tail)] * tail
+            total = _pairwise_sum(weights, 0, len(weights))
+            weights = [w / total for w in weights]
+            running = list(accumulate(weights))
+            cdf = [c / running[-1] for c in running]
+            plans.append((levels[li], pool, k, cdf, weights))
+            first_round += k * len(levels[li])
+
+        src: List[int] = []
+        dst: List[int] = []
+        if plans:
+            # collision retries redraw a few more uniforms than the
+            # first round; the block is sized with room for them
+            uniforms = _BufferedUniforms(rng, first_round + first_round // 2)
+            for sources, pool, k, cdf, weights in plans:
+                for s in sources:
+                    # one source's targets are distinct, and a source
+                    # lives in one level, so no edge repeats
+                    targets = _weighted_sample_noreplace(uniforms, k, cdf, weights)
+                    src.extend([s] * len(targets))
+                    dst.extend([pool[t] for t in targets])
+            uniforms.close()
+        has_parent = set(dst)
 
         # repair: every non-entry-level task needs a parent
-        has_parent = {dst for _, dst in seen}
         for li in range(1, len(levels)):
-            for dst in levels[li]:
-                if dst not in has_parent:
-                    src = int(rng.choice(levels[li - 1]))
-                    key = (src, dst)
-                    if key not in seen:
-                        seen.add(key)
-                        edges.append(key)
-                    has_parent.add(dst)
-        return edges
+            for d in levels[li]:
+                if d not in has_parent:
+                    # ``rng.choice(parents)`` draws exactly
+                    # ``rng.integers(len(parents))``, without the list
+                    # to array conversion
+                    parents = levels[li - 1]
+                    src.append(parents[int(rng.integers(len(parents)))])
+                    dst.append(d)
+                    has_parent.add(d)
+        return src, dst
 
     # ------------------------------------------------------------------
     # costs
     # ------------------------------------------------------------------
-    def generate(
+    def arrays(
         self,
         rng: Optional[np.random.Generator] = None,
         structure_rng: Optional[np.random.Generator] = None,
-    ) -> TaskGraph:
-        """Draw one random task graph.
+    ) -> GraphArrays:
+        """Draw one random task graph as arrays: ``W`` and the edges.
 
         ``structure_rng`` (optional) feeds the *structure* draws -- level
         shape and edge wiring -- while ``rng`` keeps feeding the cost
@@ -199,7 +248,7 @@ class RandomDAGGenerator:
             levels.append(list(range(next_id, next_id + width)))
             next_id += width
 
-        edge_list = self._edges(levels, structure_rng)
+        src, dst = self._edges(levels, structure_rng)
 
         mean_costs = rng.uniform(0.0, 2.0 * cfg.w_dag, size=cfg.v)
         if cfg.heterogeneity == "consistent":
@@ -214,21 +263,19 @@ class RandomDAGGenerator:
             w = rng.uniform(
                 low[:, None], high[:, None], size=(cfg.v, cfg.n_procs)
             )
-
-        # bulk-build the graph: same rows, edges and insertion order the
-        # incremental add_task/add_edge path produced, without per-item
-        # validation.  No RNG draws happen past this point, so the draw
-        # sequence (and with it every sweep result) is unchanged.
-        edge_src = [src for src, _ in edge_list]
-        edge_dst = [dst for _, dst in edge_list]
-        if edge_list:
-            src_arr = np.fromiter(edge_src, dtype=np.intp, count=len(edge_src))
-            edge_costs = (mean_costs[src_arr] * cfg.ccr).tolist()
-        else:
-            edge_costs = []
-        return TaskGraph._bulk(
-            cfg.n_procs, list(w), None, edge_src, edge_dst, edge_costs
+        src_arr = np.array(src, dtype=np.intp)
+        return GraphArrays(
+            w, src_arr, np.array(dst, dtype=np.intp), mean_costs[src_arr] * cfg.ccr
         )
+
+    def generate(
+        self,
+        rng: Optional[np.random.Generator] = None,
+        structure_rng: Optional[np.random.Generator] = None,
+    ) -> TaskGraph:
+        """Draw one random task graph (:meth:`arrays` as a
+        :class:`TaskGraph`; the same draws)."""
+        return self.arrays(rng, structure_rng).to_graph()
 
 
 def generate_random_graph(

@@ -27,7 +27,11 @@ def sequential_time(graph: TaskGraph) -> float:
 
 
 def slr(graph: TaskGraph, makespan: float) -> float:
-    """Scheduling Length Ratio (Eq. 10). Values >= 1; lower is better."""
+    """Scheduling Length Ratio (Eq. 10). Values >= 1; lower is better.
+
+    Like :func:`speedup` and :func:`efficiency`, accepts the graph or
+    its :class:`~repro.model.compiled.CompiledGraph`.
+    """
     if makespan < 0:
         raise ValueError("makespan must be >= 0")
     bound = cp_min_lower_bound(graph)

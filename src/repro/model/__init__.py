@@ -8,8 +8,8 @@ data volumes) against a CPU/bandwidth description into the abstract cost
 model every scheduler consumes.
 """
 
-from repro.model.task_graph import TaskGraph, Edge
-from repro.model.compiled import CompiledGraph, compile_graph
+from repro.model.task_graph import TaskGraph, Edge, GraphArrays
+from repro.model.compiled import CompiledGraph, compile_graph, compile_instance
 from repro.model.platform import Platform, Workflow, compile_workflow
 from repro.model.attributes import (
     mean_execution_time,
@@ -30,8 +30,10 @@ from repro.model.profile import GraphProfile, graph_profile
 __all__ = [
     "TaskGraph",
     "Edge",
+    "GraphArrays",
     "CompiledGraph",
     "compile_graph",
+    "compile_instance",
     "Platform",
     "Workflow",
     "compile_workflow",

@@ -1,4 +1,4 @@
-"""Compiled array form of a :class:`TaskGraph` plus its artifact cache.
+"""Compiled array form of a task graph plus its artifact cache.
 
 A paired-comparison sweep runs *every* scheduler in the set on the same
 random instance.  The object graph (:class:`~repro.model.task_graph.TaskGraph`
@@ -12,7 +12,8 @@ of one graph that every consumer shares:
 * ``w`` -- the read-only ``(n, p)`` computation-cost matrix,
 * ``succ_indptr``/``succ_ids``/``succ_costs`` and the predecessor
   mirror -- CSR adjacency with the edge costs in parallel arrays, edge
-  order per node identical to the ``TaskGraph`` insertion order,
+  order per node identical to the edge insertion order (stable sorts
+  of the edge list),
 * topological order, entry/exit ids, and
 * a lazy **artifact cache**: upward rank, downward rank, mean/std cost
   vectors, the OCT table, the CP_MIN lower bound and the best
@@ -26,6 +27,10 @@ is bit-identical to the reference recursion in
 order-independent, and each kernel preserves the reference's addition
 order (``comm + rank``, ``(rank + w) + comm``, ...) term for term.
 
+An instance compiles from a :class:`TaskGraph` or straight from the
+random generator's arrays (:class:`~repro.model.task_graph.GraphArrays`,
+normalized by :func:`compile_instance`); the ``TaskGraph`` of an
+array-built instance is derived on first use (:attr:`CompiledGraph.graph`).
 Compiled views are cached on the graph through its version-keyed
 derived cache, so mutating the graph invalidates the compiled form
 automatically.  The layer is unconditional: every scheduler, metric and
@@ -39,29 +44,55 @@ directly (the ``*_reference`` rank/OCT functions in
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.model.task_graph import TaskGraph
+from repro.model.task_graph import GraphArrays, TaskGraph
 
-__all__ = ["CompiledGraph", "compile_graph"]
+__all__ = ["CompiledGraph", "compile_graph", "compile_instance"]
 
 
-def compile_graph(graph: TaskGraph) -> "CompiledGraph":
+def compile_graph(
+    graph: Union[TaskGraph, "CompiledGraph"]
+) -> "CompiledGraph":
     """The compiled view of ``graph``, built once per graph version.
 
     Cached through :meth:`TaskGraph.derived`, so every scheduler and
     metric asking for the same (unmutated) graph receives the same
     :class:`CompiledGraph` instance -- and with it the shared artifact
-    cache.
+    cache.  A compiled instance compiles to itself.
     """
+    if isinstance(graph, CompiledGraph):
+        return graph
     return graph.derived("compiled_graph", lambda: CompiledGraph(graph))
+
+
+def compile_instance(source: Union[TaskGraph, GraphArrays]) -> "CompiledGraph":
+    """The normalized, compiled instance the schedulers run on.
+
+    Array sources (the random generator's) are normalized and compiled
+    as arrays, so no :class:`TaskGraph` exists until
+    :attr:`CompiledGraph.graph` asks for one.  Object graphs with
+    several entries or exits are normalized first.
+    """
+    if isinstance(source, GraphArrays):
+        return CompiledGraph(source.normalized())
+    if len(source.entry_tasks()) != 1 or len(source.exit_tasks()) != 1:
+        source = source.normalized()
+    return compile_graph(source)
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _indptr(degree: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(degree) + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    return _readonly(indptr)
 
 
 def _ragged_indices(
@@ -80,97 +111,103 @@ def _ragged_indices(
 
 
 class CompiledGraph:
-    """Frozen CSR arrays + lazy artifact cache for one ``TaskGraph``.
+    """Frozen CSR arrays + lazy artifact cache for one task graph.
 
-    Do not construct directly in scheduler code; go through
-    :func:`compile_graph` so the instance (and its artifacts) are shared
-    across the scheduler set.
+    Built from a :class:`TaskGraph` or from its array form
+    (:class:`~repro.model.task_graph.GraphArrays`, what the random
+    generator emits).  Do not construct directly in scheduler code; go
+    through :func:`compile_graph` (or :func:`compile_instance`) so the
+    instance (and its artifacts) are shared across the scheduler set.
 
-    The source graph is held weakly: the graph's derived cache owns its
-    compiled view, so a strong back-reference would make every instance
-    a reference cycle that only the cyclic garbage collector frees.
+    :attr:`graph` is derived: the source graph while it lives, else a
+    :class:`TaskGraph` rebuilt from the arrays on first use, whose
+    derived cache holds this same instance (``compile_graph(c.graph) is
+    c``).  The graph is held weakly either way: the graph's derived
+    cache owns its compiled view, so a strong back-reference would make
+    every instance a reference cycle that only the cyclic garbage
+    collector frees.
     """
 
-    def __init__(self, graph: TaskGraph) -> None:
-        self._graph = weakref.ref(graph)
-        n, p = graph.n_tasks, graph.n_procs
+    def __init__(self, source: Union[TaskGraph, GraphArrays]) -> None:
+        if isinstance(source, TaskGraph):
+            self._graph: Optional[weakref.ref] = weakref.ref(source)
+            source = source.arrays()
+        else:
+            self._graph = None
+        n, p = source.w.shape
         self.n_tasks = n
         self.n_procs = p
-        costs = graph._costs
-        self.w = _readonly(
-            np.array(costs, dtype=float) if n else np.zeros((0, p))
-        )
+        self.w = _readonly(np.array(source.w, dtype=float))
+        src = np.asarray(source.src, dtype=np.intp)
+        dst = np.asarray(source.dst, dtype=np.intp)
+        cost = np.asarray(source.cost, dtype=float)
+        self._arrays = GraphArrays(self.w, src, dst, cost, source.names)
 
-        # CSR adjacency; per-node edge order matches TaskGraph insertion
-        # order so flat reductions see the same operand sequence as the
-        # reference loops.
-        comm = graph._comm
-        self.succ_indptr, self.succ_ids, self.succ_costs = self._csr(
-            graph._succ, comm, forward=True
-        )
-        self.pred_indptr, self.pred_ids, self.pred_costs = self._csr(
-            graph._pred, comm, forward=False
-        )
+        # CSR adjacency from stable sorts of the edge list, so per-node
+        # edge order is insertion order and flat reductions see the
+        # same operand sequence as the reference loops
+        out_degree = np.bincount(src, minlength=n)
+        in_degree = np.bincount(dst, minlength=n)
+        order = np.argsort(src, kind="stable")
+        self.succ_indptr = _indptr(out_degree)
+        self.succ_ids = _readonly(dst[order])
+        self.succ_costs = _readonly(cost[order])
+        order = np.argsort(dst, kind="stable")
+        self.pred_indptr = _indptr(in_degree)
+        self.pred_ids = _readonly(src[order])
+        self.pred_costs = _readonly(cost[order])
 
-        topo = graph.topological_order()
+        topo = self._kahn(in_degree.tolist())
         self._topo_tuple = topo
         self.topo = _readonly(np.asarray(topo, dtype=np.intp))
         position = np.empty(n, dtype=np.intp)
         position[self.topo] = np.arange(n, dtype=np.intp)
         self.topo_position = _readonly(position)
-        self.entry_ids = _readonly(
-            np.asarray(graph.entry_tasks(), dtype=np.intp)
-        )
-        self.exit_ids = _readonly(np.asarray(graph.exit_tasks(), dtype=np.intp))
-
-        # plain-Python mirrors for the scalar hot loops (list indexing
-        # beats ndarray scalar indexing on the small per-task slices the
-        # EFT engines touch)
-        self.w_rows: List[List[float]] = self.w.tolist()
-        pred_ids_list = self.pred_ids.tolist()
-        pred_costs_list = self.pred_costs.tolist()
-        ptr = self.pred_indptr.tolist()
-        self.pred_lists: List[Tuple[List[int], List[float]]] = [
-            (pred_ids_list[ptr[t] : ptr[t + 1]], pred_costs_list[ptr[t] : ptr[t + 1]])
-            for t in range(n)
-        ]
+        self.entry_ids = _readonly(np.flatnonzero(in_degree == 0))
+        self.exit_ids = _readonly(np.flatnonzero(out_degree == 0))
 
         self._artifacts: Dict[object, object] = {}
         self._up_batches_cache: Optional[List[Tuple]] = None
         self._down_batches_cache: Optional[List[Tuple]] = None
 
-    @staticmethod
-    def _csr(adjacency, comm, forward):
-        n = len(adjacency)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        if n:
-            np.cumsum(
-                np.fromiter(
-                    (len(row) for row in adjacency), dtype=np.intp, count=n
-                ),
-                out=indptr[1:],
-            )
-        # flat edge-major comprehensions: one pass instead of per-node
-        # extend calls; per-node edge order is the row order, unchanged
-        if forward:
-            ids = [other for row in adjacency for other in row]
-            costs = [
-                comm[(node, other)]
-                for node, row in enumerate(adjacency)
-                for other in row
-            ]
-        else:
-            ids = [other for row in adjacency for other in row]
-            costs = [
-                comm[(other, node)]
-                for node, row in enumerate(adjacency)
-                for other in row
-            ]
-        return (
-            _readonly(indptr),
-            _readonly(np.asarray(ids, dtype=np.intp)),
-            _readonly(np.asarray(costs, dtype=float)),
-        )
+    def _kahn(self, indegree: List[int]) -> Tuple[int, ...]:
+        """:meth:`TaskGraph.topological_order`'s LIFO Kahn walk on the
+        CSR (HEFT and SDBATS break rank ties on topological position,
+        so the order must be the same)."""
+        ptr = self.succ_indptr.tolist()
+        succ = self.succ_ids.tolist()
+        stack = [t for t, d in enumerate(indegree) if d == 0]
+        order: List[int] = []
+        while stack:
+            t = stack.pop()
+            order.append(t)
+            for s in succ[ptr[t] : ptr[t + 1]]:
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    stack.append(s)
+        if len(order) != self.n_tasks:
+            raise ValueError("task graph contains a cycle")
+        return tuple(order)
+
+    # plain-Python mirrors for the scalar hot loops (list indexing beats
+    # ndarray scalar indexing on the small per-task slices the EFT
+    # engines touch); built on first use, which the batched kernel
+    # never makes
+    @cached_property
+    def w_rows(self) -> List[List[float]]:
+        """``w`` as Python float rows."""
+        return self.w.tolist()
+
+    @cached_property
+    def pred_lists(self) -> List[Tuple[List[int], List[float]]]:
+        """Per task: (parent ids, edge costs) as Python lists."""
+        pred_ids_list = self.pred_ids.tolist()
+        pred_costs_list = self.pred_costs.tolist()
+        ptr = self.pred_indptr.tolist()
+        return [
+            (pred_ids_list[ptr[t] : ptr[t + 1]], pred_costs_list[ptr[t] : ptr[t + 1]])
+            for t in range(self.n_tasks)
+        ]
 
     # ------------------------------------------------------------------
     # adjacency views
@@ -366,14 +403,20 @@ class CompiledGraph:
 
     @property
     def graph(self) -> TaskGraph:
-        """The source graph; raises ``ReferenceError`` once it is freed."""
-        graph = self._graph()
+        """The task graph; rebuilt from the arrays once the source (or
+        the last rebuilt graph) is freed.  Hold the returned graph while
+        using it: each rebuild is a new object."""
+        graph = self._graph() if self._graph is not None else None
         if graph is None:
-            raise ReferenceError(
-                "the TaskGraph this CompiledGraph was built from has been "
-                "freed; keep a reference to the graph while using its "
-                "compiled view"
-            )
+            graph = self._arrays.to_graph()
+            # the rebuilt graph's derived cache starts with what is
+            # already known: this instance (and so its artifacts), the
+            # topological order and the terminals
+            graph.derived("compiled_graph", lambda: self)
+            graph.derived("topo", lambda: self._topo_tuple)
+            graph.derived("entries", lambda: tuple(self.entry_ids.tolist()))
+            graph.derived("exits", lambda: tuple(self.exit_ids.tolist()))
+            self._graph = weakref.ref(graph)
         return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,11 +15,20 @@ invalidated automatically on mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-__all__ = ["TaskGraph", "Edge"]
+__all__ = ["TaskGraph", "Edge", "GraphArrays"]
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ class TaskGraph:
         """Trusted bulk constructor (package-internal).
 
         Skips the per-element validation of ``add_task``/``add_edge``;
-        callers (the generator, ``normalized``, ``scaled_comm``)
+        callers (``GraphArrays.to_graph``, ``scaled_comm``)
         guarantee float64 ``(n_procs,)`` cost rows, valid acyclic edges
         and Python-float communication costs.  Edge order defines the
         same ``_succ``/``_pred``/``_comm`` insertion order the
@@ -326,35 +335,21 @@ class TaskGraph:
         as the paper's Section III prescribes.  Graphs that are already
         single-entry/single-exit are returned as a structural copy.
         """
-        entries = self.entry_tasks()
-        exits = self.exit_tasks()
-        rows = list(self._costs)
-        names = list(self._names)
-        edge_src: List[int] = []
-        edge_dst: List[int] = []
-        edge_costs: List[float] = []
-        for (src, dst), cost in self._comm.items():
-            edge_src.append(src)
-            edge_dst.append(dst)
-            edge_costs.append(cost)
-        if len(entries) > 1:
-            pseudo = len(rows)
-            rows.append(np.zeros(self._n_procs))
-            names.append("pseudo_entry")
-            for t in entries:
-                edge_src.append(pseudo)
-                edge_dst.append(t)
-                edge_costs.append(0.0)
-        if len(exits) > 1:
-            pseudo = len(rows)
-            rows.append(np.zeros(self._n_procs))
-            names.append("pseudo_exit")
-            for t in exits:
-                edge_src.append(t)
-                edge_dst.append(pseudo)
-                edge_costs.append(0.0)
-        return TaskGraph._bulk(
-            self._n_procs, rows, names, edge_src, edge_dst, edge_costs
+        return self.arrays().normalized().to_graph()
+
+    def arrays(self) -> "GraphArrays":
+        """The graph as flat arrays (:class:`GraphArrays`), edges in
+        insertion order."""
+        n, comm = self.n_tasks, self._comm
+        m = len(comm)
+        return GraphArrays(
+            np.array(self._costs, dtype=float)
+            if n
+            else np.zeros((0, self._n_procs)),
+            np.fromiter((src for src, _ in comm), dtype=np.intp, count=m),
+            np.fromiter((dst for _, dst in comm), dtype=np.intp, count=m),
+            np.fromiter(comm.values(), dtype=float, count=m),
+            tuple(self._names),
         )
 
     # ------------------------------------------------------------------
@@ -394,4 +389,81 @@ class TaskGraph:
         return (
             f"TaskGraph(n_tasks={self.n_tasks}, n_edges={self.n_edges}, "
             f"n_procs={self._n_procs})"
+        )
+
+
+class GraphArrays(NamedTuple):
+    """A task graph as flat arrays: the cost matrix and the edge list.
+
+    ``w`` is the ``(n, p)`` matrix ``W``; edge ``e`` runs ``src[e] ->
+    dst[e]`` at communication cost ``cost[e]``, in insertion order.
+    ``names`` holds the *trailing* task names: the tasks before them
+    keep the default ``T<id + 1>``, so ``None`` means every name is a
+    default and a pseudo task's name costs no string for the others.
+
+    This is the form the random generator produces and
+    :class:`~repro.model.compiled.CompiledGraph` compiles; a
+    :class:`TaskGraph` is derived from it (:meth:`to_graph`) only when
+    one is asked for.
+    """
+
+    w: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    cost: np.ndarray
+    names: Optional[Tuple[str, ...]] = None
+
+    def to_graph(self) -> TaskGraph:
+        """The :class:`TaskGraph` with these rows, edges and names."""
+        names = self.names
+        if names is not None:
+            lead = len(self.w) - len(names)
+            names = [f"T{i + 1}" for i in range(lead)] + list(names)
+        return TaskGraph._bulk(
+            self.w.shape[1],
+            list(self.w),
+            names,
+            self.src.tolist(),
+            self.dst.tolist(),
+            self.cost.tolist(),
+        )
+
+    def normalized(self) -> "GraphArrays":
+        """:meth:`TaskGraph.normalized` in array form.
+
+        The pseudo entry (then the pseudo exit) is appended as a zero
+        row, with zero-cost edges to every entry (from every exit) in
+        task-id order after the existing edges -- the ids, edge order
+        and costs the object form gives.  Returns ``self`` when the
+        graph already has one entry and one exit.
+        """
+        n, p = self.w.shape
+        has_parent = np.zeros(n, dtype=bool)
+        has_parent[self.dst] = True
+        has_child = np.zeros(n, dtype=bool)
+        has_child[self.src] = True
+        entries = np.flatnonzero(~has_parent)
+        exits = np.flatnonzero(~has_child)
+        src, dst, added = [self.src], [self.dst], []
+        pseudo = n
+        if len(entries) > 1:
+            src.append(np.full(len(entries), pseudo, dtype=np.intp))
+            dst.append(entries)
+            added.append("pseudo_entry")
+            pseudo += 1
+        if len(exits) > 1:
+            src.append(exits)
+            dst.append(np.full(len(exits), pseudo, dtype=np.intp))
+            added.append("pseudo_exit")
+        if not added:
+            return self
+        src_all = np.concatenate(src)
+        return GraphArrays(
+            np.concatenate([self.w, np.zeros((len(added), p))]),
+            src_all,
+            np.concatenate(dst),
+            np.concatenate(
+                [self.cost, np.zeros(len(src_all) - len(self.cost))]
+            ),
+            (self.names or ()) + tuple(added),
         )

@@ -619,15 +619,19 @@ class JobStream:
                     f"got queues for {len(queues)} jobs, the instance has "
                     f"{len(instance.jobs)}"
                 )
-        with obs.span(
-            "stream.run",
-            policy=policy,
-            jobs=len(instance.jobs),
-            procs=instance.n_procs,
-        ):
-            if policy == ONLINE_POLICY:
-                return self._run_online(policy)
-            return self._run_static(policy, queues)
+        state = self._setup()
+        try:
+            with obs.span(
+                "stream.run",
+                policy=policy,
+                jobs=len(instance.jobs),
+                procs=instance.n_procs,
+            ):
+                if policy == ONLINE_POLICY:
+                    return self._run_online(policy, state, [])
+                return self._run_static(policy, queues, state)
+        finally:
+            self._flush_counts(state)
 
     # ------------------------------------------------------------------
     # shared plumbing
@@ -647,15 +651,31 @@ class JobStream:
             "admitted": [],
             "next_ix": 0,
             "bus": obs.get_bus(),
+            # the run's counters, summed here and published once by
+            # _flush_counts (no per-event obs call on the quiet path)
+            "n_dispatched": 0,
+            "n_finished": 0,
         }
         return state
+
+    @staticmethod
+    def _flush_counts(state) -> None:
+        """Publish the run's ``stream/*`` counters (events that never
+        happened create no counter)."""
+        for key, total in (
+            ("stream/jobs", len(state["admitted"])),
+            ("stream/dispatches", state["n_dispatched"]),
+            ("stream/lost", state["n_lost"]),
+            ("stream/job_finishes", state["n_finished"]),
+        ):
+            if total:
+                obs.count(key, total)
 
     def _admit(self, state) -> _AdmittedJob:
         job = self.instance.jobs[state["next_ix"]]
         state["next_ix"] += 1
         admitted = _AdmittedJob(job)
         state["admitted"].append(admitted)
-        obs.count("stream/jobs")
         bus = state["bus"]
         if bus.active:
             bus.emit(
@@ -685,14 +705,13 @@ class JobStream:
                 lost=rec.lost,
             )
         if rec.lost:
-            obs.count("stream/lost")
             state["n_lost"] += 1
         else:
-            obs.count("stream/dispatches")
+            state["n_dispatched"] += 1
 
     def _finish_job(self, state, st: _AdmittedJob) -> None:
         finish = max(st.finish_times.values(), default=st.arrival)
-        obs.count("stream/job_finishes")
+        state["n_finished"] += 1
         bus = state["bus"]
         if bus.active:
             bus.emit(
@@ -771,21 +790,17 @@ class JobStream:
     def _run_online(
         self,
         policy: str,
-        state: Optional[Dict[str, object]] = None,
-        active: Optional[List[_AdmittedJob]] = None,
+        state: Dict[str, object],
+        active: List[_AdmittedJob],
     ) -> StreamResult:
-        """The online loop, from an empty platform or from a static
-        replay's :meth:`_hand_off` (``state`` and ``active``)."""
+        """The online loop, from an empty platform (a fresh ``state``,
+        no ``active`` jobs) or from a static replay's :meth:`_hand_off`."""
         from repro.dynamic.failures import failure_times
 
         instance = self.instance
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
         fail_at = failure_times(self.failures or None, n_procs)
-        if state is None:
-            state = self._setup()
-            # admitted jobs with tasks left, in admission order
-            active = []
         avail: List[float] = state["avail"]
         dead: Set[int] = state["dead"]
         slots: List[List[Tuple[float, float]]] = state["slots"]
@@ -994,7 +1009,10 @@ class JobStream:
     # static policies: per-job frozen schedules, shared global-time replay
     # ------------------------------------------------------------------
     def _run_static(
-        self, policy: str, job_queues: Optional[Sequence[Queues]]
+        self,
+        policy: str,
+        job_queues: Optional[Sequence[Queues]],
+        state: Dict[str, object],
     ) -> StreamResult:
         from repro.dynamic.failures import failure_times
 
@@ -1006,7 +1024,6 @@ class JobStream:
                 [job.graph for job in instance.jobs],
                 policy[len(STATIC_PREFIX):],
             )
-        state = self._setup()
         avail: List[float] = state["avail"]
         fail_at = failure_times(self.failures or None, n_procs)
         taus = [fail_at.get(p, float("inf")) for p in range(n_procs)]

@@ -235,3 +235,64 @@ class TestBusyTimeAccumulator:
             cursor += duration
         expected = sum(s.end - s.start for s in timeline.slots())
         assert timeline.busy_time() == pytest.approx(expected, rel=1e-12)
+
+
+class TestCounterFlush:
+    """``place_best`` sums its counters and publishes them once per run."""
+
+    STATICS = ("HEFT", "PEFT", "PETS", "SDBATS")
+
+    @pytest.mark.parametrize("name", STATICS)
+    def test_counters_match_the_reference_engine(self, name):
+        from repro import obs
+        from repro.baselines.registry import make_scheduler
+
+        from repro.runtime.context import activate, current_context
+
+        graph = make_random_graph(3, v=30, n_procs=4)
+        observed = {}
+        for engine in ("fast", "reference"):
+            with activate(current_context().with_(engine=engine)):
+                with obs.session(metrics=True) as sess:
+                    make_scheduler(name).run(graph)
+            observed[engine] = sess.snapshot["counters"]
+        assert observed["fast"] == observed["reference"]
+        placed = observed["fast"][f"{name}/decisions"]
+        assert observed["fast"][f"{name}/eft_evaluations"] == 4 * placed
+
+    @pytest.mark.parametrize("name", STATICS)
+    def test_quiet_run_makes_no_per_placement_obs_call(self, name, monkeypatch):
+        from repro import obs
+        from repro.baselines.registry import make_scheduler
+
+        calls = []
+        real = obs.scoped_count
+        monkeypatch.setattr(
+            obs, "scoped_count", lambda *a, **k: (calls.append(a), real(*a, **k))
+        )
+        for v in (10, 40):
+            calls.clear()
+            make_scheduler(name).run(make_random_graph(1, v=v))
+            assert len(calls) == 2  # one flush: decisions + evaluations
+
+    def test_counts_flush_when_the_run_raises(self, fig1, monkeypatch):
+        from repro import obs
+        from repro.baselines.registry import make_scheduler
+
+        committed = []
+        real = StaticEFTEngine.notify
+
+        def failing(self, assignment):
+            if len(committed) == 3:
+                raise RuntimeError("boom")
+            committed.append(assignment)
+            real(self, assignment)
+
+        monkeypatch.setattr(StaticEFTEngine, "notify", failing)
+        with obs.session(metrics=True) as sess:
+            with pytest.raises(RuntimeError, match="boom"):
+                make_scheduler("HEFT").run(fig1)
+        counters = sess.snapshot["counters"]
+        # the three commits plus the placement whose commit raised
+        assert counters["HEFT/decisions"] == 4
+        assert counters["HEFT/eft_evaluations"] == 4 * fig1.n_procs

@@ -151,6 +151,9 @@ class SweepDefinitionProxy:
     def build_graph(self, x, rng):
         return self._fail(x, rng)
 
+    def build_instance(self, x, rng):
+        return self._fail(x, rng)
+
     def __getattr__(self, name):
         return getattr(self._definition, name)
 

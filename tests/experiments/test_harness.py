@@ -165,3 +165,43 @@ class TestRun:
         for x in result.definition.x_values:
             for acc in result.stats[x].values():
                 assert 0.0 < acc.max <= 1.0 + 1e-9
+
+
+class TestInstanceRoute:
+    """The harness carries compiled instances; the batched path never
+    builds a ``TaskGraph``."""
+
+    @staticmethod
+    def _count_graphs(monkeypatch):
+        from repro.model.task_graph import TaskGraph
+
+        built = []
+        init = TaskGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TaskGraph, "__init__", counting)
+        return built
+
+    def test_batched_fig2_point_builds_no_task_graph(self, monkeypatch):
+        from repro.experiments.figures import get_figure
+
+        definition = get_figure("fig2")
+        built = self._count_graphs(monkeypatch)
+        values = run_replications(definition, 2.0, 1, 0, 16, seed=0)
+        assert len(values) == 16
+        assert built == []
+
+    def test_scalar_path_derives_the_graph(self, monkeypatch):
+        from repro.experiments.figures import get_figure
+        from repro.runtime.context import activate, current_context
+
+        definition = get_figure("fig2")
+        built = self._count_graphs(monkeypatch)
+        with activate(current_context().with_(batch="off")):
+            off = run_replications(definition, 2.0, 1, 0, 16, seed=0)
+        assert len(built) == 16  # one graph per instance, none copied
+        monkeypatch.undo()
+        assert off == run_replications(definition, 2.0, 1, 0, 16, seed=0)

@@ -184,8 +184,25 @@ class TestWeightedSampler:
     ``Generator.choice(n, size=k, replace=False, p=w)`` so the per-source
     CDF can be shared across calls; it must consume the *exact* same
     random stream and return the *exact* same indices as the numpy
-    original, or every downstream sweep result shifts.
+    original, or every downstream sweep result shifts.  It reads its
+    uniforms from a :class:`_BufferedUniforms` block, which must leave
+    the generator where ``choice`` leaves it once closed.
     """
+
+    @staticmethod
+    def _sample(rng, k, cdf, weights, block=None):
+        """One buffered draw, closed: indices as a list."""
+        from repro.generator.random_dag import (
+            _BufferedUniforms,
+            _weighted_sample_noreplace,
+        )
+
+        uniforms = _BufferedUniforms(rng, k if block is None else block)
+        got = _weighted_sample_noreplace(
+            uniforms, k, np.asarray(cdf).tolist(), np.asarray(weights).tolist()
+        )
+        uniforms.close()
+        return got
 
     @staticmethod
     def _paired_rngs(state):
@@ -197,8 +214,6 @@ class TestWeightedSampler:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_generator_choice_draw_exact(self, seed):
-        from repro.generator.random_dag import _weighted_sample_noreplace
-
         outer = np.random.default_rng(seed)
         for _ in range(60):
             n = int(outer.integers(1, 12))
@@ -211,8 +226,8 @@ class TestWeightedSampler:
             cdf /= cdf[-1]
             a, b = self._paired_rngs(outer.bit_generator.state)
             expected = a.choice(n, size=k, replace=False, p=weights)
-            got = _weighted_sample_noreplace(b, k, cdf, weights)
-            assert got.tolist() == expected.tolist()
+            got = self._sample(b, k, cdf, weights)
+            assert got == expected.tolist()
             # the streams must also END in the same place, else the
             # next draw in the generator diverges silently
             assert a.bit_generator.state == b.bit_generator.state
@@ -220,8 +235,6 @@ class TestWeightedSampler:
 
     def test_exhaustive_draw_with_near_degenerate_weights(self):
         """k == n with one dominant weight maximizes retry rounds."""
-        from repro.generator.random_dag import _weighted_sample_noreplace
-
         n = 6
         weights = np.array([0.95, 0.01, 0.01, 0.01, 0.01, 0.01])
         weights /= weights.sum()
@@ -231,21 +244,54 @@ class TestWeightedSampler:
             state = np.random.default_rng(seed).bit_generator.state
             a, b = self._paired_rngs(state)
             expected = a.choice(n, size=n, replace=False, p=weights)
-            got = _weighted_sample_noreplace(b, n, cdf, weights)
-            assert got.tolist() == expected.tolist()
+            got = self._sample(b, n, cdf, weights)
+            assert got == expected.tolist()
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_single_item_universe(self):
-        from repro.generator.random_dag import _weighted_sample_noreplace
-
         weights = np.array([1.0])
         cdf = np.cumsum(weights)
         state = np.random.default_rng(3).bit_generator.state
         a, b = self._paired_rngs(state)
         expected = a.choice(1, size=1, replace=False, p=weights)
-        got = _weighted_sample_noreplace(b, 1, cdf, weights)
-        assert got.tolist() == expected.tolist()
+        got = self._sample(b, 1, cdf, weights)
+        assert got == expected.tolist()
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_forced_retries_and_exhaustive_k_across_block_sizes(self, block):
+        """Skewed weights force collision retries; ``k == len(pool)``
+        takes every index; a block smaller than one draw tops up."""
+        outer = np.random.default_rng(block)
+        retried = 0
+        for _ in range(200):
+            n = int(outer.integers(2, 9))
+            k = n if outer.random() < 0.5 else int(outer.integers(2, n + 1))
+            raw = outer.random(n) ** 4 + 1e-12
+            raw[int(outer.integers(n))] += 5.0  # one dominant weight
+            weights = raw / raw.sum()
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            a, b = self._paired_rngs(outer.bit_generator.state)
+            expected = a.choice(n, size=k, replace=False, p=weights)
+            probe = np.random.default_rng()
+            probe.bit_generator.state = outer.bit_generator.state
+            first = np.searchsorted(cdf, probe.random(k), side="right")
+            retried += len(set(first.tolist())) < k
+            got = self._sample(b, k, cdf, weights, block=block)
+            assert got == expected.tolist()
+            assert a.bit_generator.state == b.bit_generator.state
+            outer = a
+        assert retried > 50  # the retry branch really ran
+
+    def test_block_leaves_the_stream_for_later_draws(self):
+        """An over-drawn block is given back: the next draw matches."""
+        weights = np.full(4, 0.25)
+        cdf = np.cumsum(weights)
+        a, b = self._paired_rngs(np.random.default_rng(8).bit_generator.state)
+        a.choice(4, size=2, replace=False, p=weights)
+        self._sample(b, 2, cdf, weights, block=500)
+        assert a.random() == b.random()
 
 
 class TestHeterogeneityModels:

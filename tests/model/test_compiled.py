@@ -217,17 +217,79 @@ class TestLifetime:
             if was_enabled:
                 gc.enable()
 
-    def test_graph_property_raises_once_the_graph_is_freed(self):
-        graph = random_graph(4, v=12)
+    def test_graph_property_rebuilds_once_the_graph_is_freed(self, fig1):
+        graph = fig1.normalized()
         compiled = CompiledGraph(graph)
         assert compiled.graph is graph
+        names = [graph.name(t) for t in graph.tasks()]
+        edges = list(graph.edges())
+        rows = graph.cost_matrix()
         del graph
         gc.collect()
-        with pytest.raises(ReferenceError, match="has been freed"):
-            compiled.graph
+        rebuilt = compiled.graph
+        assert compile_graph(rebuilt) is compiled
+        assert [rebuilt.name(t) for t in rebuilt.tasks()] == names
+        assert list(rebuilt.edges()) == edges
+        assert np.array_equal(rebuilt.cost_matrix(), rows)
+        assert compiled.graph is rebuilt  # held while the caller holds it
+
+    def test_array_built_graph_is_lazy_shared_and_acyclic(self):
+        compiled = CompiledGraph(random_graph(5, v=20).arrays())
+        assert compiled._graph is None  # no TaskGraph until asked
+        compiled.prime_cp_min_bound(1.5)
+        graph = compiled.graph
+        assert compile_graph(graph) is compiled
+        assert graph.topological_order() == tuple(compiled.topo.tolist())
+        assert compile_graph(graph).cp_min_bound() == 1.5
+        graph_ref = weakref.ref(graph)
+        compiled_ref = weakref.ref(compiled)
+        del compiled
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del graph
+            assert graph_ref() is None
+            assert compiled_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestConstructionPaths:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_constructor_matches_graph_constructor(self, seed):
+        graph = random_graph(seed, v=40, density=4).normalized()
+        a, b = CompiledGraph(graph), CompiledGraph(graph.arrays())
+        for name in (
+            "w", "succ_indptr", "succ_ids", "succ_costs", "pred_indptr",
+            "pred_ids", "pred_costs", "topo", "topo_position", "entry_ids",
+            "exit_ids",
+        ):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert a.w_rows == b.w_rows
+        assert a.pred_lists == b.pred_lists
+
+    def test_scalar_mirrors_are_built_on_first_use(self):
+        compiled = CompiledGraph(random_graph(2, v=15).arrays())
+        assert "w_rows" not in vars(compiled)
+        assert "pred_lists" not in vars(compiled)
+        assert compiled.w_rows == compiled.w.tolist()
+        assert "w_rows" in vars(compiled)
+
+    def test_array_constructor_rejects_a_cycle(self):
+        from repro.model.task_graph import GraphArrays
+
+        cyclic = GraphArrays(
+            np.ones((2, 1)), np.array([0, 1]), np.array([1, 0]), np.ones(2)
+        )
+        with pytest.raises(ValueError, match="cycle"):
+            CompiledGraph(cyclic)
+
+    def test_compiled_instance_compiles_to_itself(self, fig1):
+        compiled = compile_graph(fig1)
+        assert compile_graph(compiled) is compiled
+
     def test_direct_constructor_matches_cached_view(self, fig1):
         direct = CompiledGraph(fig1)
         cached = compile_graph(fig1)

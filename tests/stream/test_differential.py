@@ -186,3 +186,47 @@ class TestStaticDifferential:
         assert not math.isclose(dups[0].finish, primary[0].finish) or (
             dups[0].proc != primary[0].proc
         )
+
+
+class TestCounterFlush:
+    """The arena sums its ``stream/*`` counters and publishes them once
+    per run, also when the run raises."""
+
+    def test_one_obs_call_per_counter_per_run(self, monkeypatch):
+        from tests.stream.conftest import build_workload
+
+        instance = build_workload(4, n_jobs=5)
+        with obs.session(metrics=True) as sess:
+            result = run_stream(instance, "OnlineHDLTS")
+        counters = sess.snapshot["counters"]
+        assert counters["stream/jobs"] == 5
+        assert counters["stream/job_finishes"] == 5
+        assert counters["stream/dispatches"] == len(result.records)
+        calls = []
+        monkeypatch.setattr(obs, "count", lambda *a, **k: calls.append(a))
+        run_stream(instance, "OnlineHDLTS")
+        assert sorted(key for key, _ in calls) == [
+            "stream/dispatches", "stream/job_finishes", "stream/jobs",
+        ]
+
+    def test_counts_flush_when_the_run_raises(self, monkeypatch):
+        from repro.stream import arena
+        from tests.stream.conftest import build_workload
+
+        real = arena.JobStream._finish_job
+        finished = []
+
+        def failing(self, state, st):
+            if finished:
+                raise RuntimeError("boom")
+            finished.append(st)
+            real(self, state, st)
+
+        monkeypatch.setattr(arena.JobStream, "_finish_job", failing)
+        with obs.session(metrics=True) as sess:
+            with pytest.raises(RuntimeError, match="boom"):
+                run_stream(build_workload(4, n_jobs=5), "Static/HEFT")
+        counters = sess.snapshot["counters"]
+        assert counters["stream/job_finishes"] == 1
+        assert counters["stream/jobs"] >= 2
+        assert counters["stream/dispatches"] > 0
