@@ -8,9 +8,10 @@ Each generated test
    mid-point workload, so ``--benchmark-only`` runs also produce timing
    data for the algorithm itself.
 
-Its recorded counters are not gated by ``check_regression.py``: they
-include the rounds pytest-benchmark calibrates for the timed HDLTS
-call, which vary with machine speed.
+The timed call runs with observability off, so the rounds
+pytest-benchmark calibrates (which vary with machine speed) add no
+counters: the recorded counters are the sweep's alone, and
+``check_regression.py`` gates them exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import bench_reps, emit
+from repro import obs
 from repro.experiments.figures import get_figure
 from repro.experiments.harness import run_sweep
 from repro.experiments.report import format_sweep, winners
@@ -41,7 +43,8 @@ def figure_bench(key: str):
             graph = graph.normalized()
         from repro.core import HDLTS
 
-        benchmark(lambda: HDLTS().run(graph))
+        with obs.enabled_scope(False):
+            benchmark(lambda: HDLTS().run(graph))
 
     bench.__name__ = f"test_{key}"
     bench.__doc__ = f"Regenerate {key} and time HDLTS on its workload."

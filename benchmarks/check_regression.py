@@ -10,8 +10,9 @@ catch regressions early.  A bench in both files fails the check when
   deterministic for a given replication count, so a difference means
   the algorithm did different work; the two files must therefore be
   recorded with the same ``reps`` (CI runs ``REPRO_BENCH_REPS=2``, the
-  baseline's value).  Benches in ``UNGATED`` are exempt, with the
-  reason given there; or
+  baseline's value).  Benches that time a call with pytest-benchmark
+  time it with observability off, so its calibrated rounds add no
+  counters; or
 * its wall time exceeds ``factor`` times the committed baseline.
 
 Benches present in only one file are reported but never fail the check
@@ -40,17 +41,6 @@ import json
 import sys
 from pathlib import Path
 
-
-#: benches whose counters are reported but not gated -> why
-_ADAPTIVE = (
-    "its counters include the rounds pytest-benchmark calibrates for the "
-    "timed HDLTS call, which vary with machine speed"
-)
-UNGATED = {
-    "benchmarks/bench_engine_scaling.py::test_engine_scaling": _ADAPTIVE,
-    "benchmarks/bench_fig13_md_slr_vs_ccr.py::test_fig13": _ADAPTIVE,
-    "benchmarks/bench_scaling.py::test_scaling": _ADAPTIVE,
-}
 
 
 def load_timings(path: Path) -> dict:
@@ -141,14 +131,13 @@ def main(argv=None) -> int:
         before, after = baseline[name]["wall_s"], current[name]["wall_s"]
         ratio = after / before if before > 0 else 0.0
         status = "ok"
-        if name not in UNGATED:
-            changes = work_changes(
-                baseline[name].get("metrics", {}),
-                current[name].get("metrics", {}),
-            )
-            if changes:
-                status = "WORK"
-                changed[name] = changes
+        changes = work_changes(
+            baseline[name].get("metrics", {}),
+            current[name].get("metrics", {}),
+        )
+        if changes:
+            status = "WORK"
+            changed[name] = changes
         if ratio > args.factor:
             status = "REGRESSION"
             regressions.append(name)
@@ -158,8 +147,6 @@ def main(argv=None) -> int:
         )
         for line in changed.get(name, ()):
             print(f"{'':>12}{line}")
-        if name in UNGATED:
-            print(f"{'':>12}counters not gated: {UNGATED[name]}")
     for name in sorted(baseline.keys() - current.keys()):
         print(f"{'missing':>10}  (in baseline only)  {name}")
     for name in sorted(current.keys() - baseline.keys()):

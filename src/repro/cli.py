@@ -12,10 +12,9 @@ top DIR       live terminal view of a run, campaign or service directory
 status DIR    one-shot progress report over a run, campaign or service
               directory
 campaign      sharded parameter campaigns: init / tasks / run-shard /
-              merge / status (columnar shard stores, streaming merge)
+              merge (columnar shard stores, streaming merge)
 submit DIR    enqueue a sweep job into a service directory, get a ticket
 serve DIR     run daemon workers draining the service queue
-ps DIR        list a service directory's jobs and workers
 watch DIR T   follow ticket T; print its merged tables when done
 cancel DIR T  cancel a queued or running ticket
 schedule      schedule one workflow instance and show the Gantt chart
@@ -207,11 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_obs_args(p_res)
 
     p_top = sub.add_parser(
-        "top", help="live terminal view of a run or campaign directory"
+        "top", help="live terminal view of a run, campaign or service directory"
     )
     p_top.add_argument(
-        "run_dir", metavar="RUN_DIR",
-        help="directory written by 'repro run' or 'repro campaign init'",
+        "run_dir", metavar="DIR",
+        help="directory written by 'repro run', 'repro campaign init' "
+        "or 'repro submit'",
     )
     p_top.add_argument(
         "--interval", type=float, default=2.0,
@@ -223,16 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_status = sub.add_parser(
-        "status", help="one-shot progress report over a run or campaign directory"
+        "status",
+        help="one-shot progress report over a run, campaign or service "
+        "directory",
     )
     p_status.add_argument(
-        "run_dir", metavar="RUN_DIR",
-        help="directory written by 'repro run' or 'repro campaign init'",
+        "run_dir", metavar="DIR",
+        help="directory written by 'repro run', 'repro campaign init' "
+        "or 'repro submit'",
     )
     p_status.add_argument(
         "--json", action="store_true", dest="json_out",
-        help="emit the machine-readable status document "
-        "(repro.campaign-status/1 or repro.service-status/1)",
+        help="emit the machine-readable repro.status/2 document",
     )
 
     p_camp = sub.add_parser(
@@ -299,15 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_merge.add_argument(
         "--csv", default=None, metavar="FILE",
         help="also write tidy CSV (single-sweep campaigns)",
-    )
-
-    c_status = camp_sub.add_parser(
-        "status", help="one-shot progress report over a campaign directory"
-    )
-    c_status.add_argument("dir", metavar="DIR")
-    c_status.add_argument(
-        "--json", action="store_true", dest="json_out",
-        help="emit the machine-readable repro.campaign-status/1 document",
     )
 
     p_submit = sub.add_parser(
@@ -387,15 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-tasks", type=int, default=None, dest="max_tasks",
         help="stop each worker after N committed tasks (testing)",
-    )
-
-    p_ps = sub.add_parser(
-        "ps", help="list a service directory's jobs and workers"
-    )
-    p_ps.add_argument("dir", metavar="DIR", help="service directory")
-    p_ps.add_argument(
-        "--json", action="store_true", dest="json_out",
-        help="emit the machine-readable repro.ps/1 document",
     )
 
     p_watch = sub.add_parser(
@@ -1069,9 +1053,6 @@ def _cmd_campaign(args) -> int:
         return _cmd_campaign_run_shard(args)
     if args.campaign_command == "merge":
         return _cmd_campaign_merge(args)
-    if args.campaign_command == "status":
-        args.run_dir = args.dir
-        return _cmd_status(args)
     raise AssertionError(
         f"unhandled campaign command {args.campaign_command}"
     )  # pragma: no cover
@@ -1145,19 +1126,6 @@ def _cmd_serve(args) -> int:
             f"worker {report.worker}: {report.executed} executed, "
             f"{report.failed} failed{extra}"
         )
-    return 0
-
-
-def _cmd_ps(args) -> int:
-    import json
-
-    from repro.service import api
-
-    doc = api.ps_document(args.dir)
-    if args.json_out:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(api.format_ps(doc))
     return 0
 
 
@@ -1807,8 +1775,6 @@ def _dispatch(args) -> int:
         return _cmd_submit(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "ps":
-        return _cmd_ps(args)
     if args.command == "watch":
         return _cmd_watch(args)
     if args.command == "cancel":

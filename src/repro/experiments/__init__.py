@@ -20,7 +20,6 @@ from repro.experiments.parallel import run_sweep_parallel, sweep_pool
 from repro.experiments.campaign import (
     Campaign,
     CampaignTask,
-    campaign_status,
     merge as merge_campaign,
     run_shard,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "sweep_pool",
     "Campaign",
     "CampaignTask",
-    "campaign_status",
     "merge_campaign",
     "run_shard",
     "FIGURES",

@@ -47,7 +47,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from repro.experiments.harness import (
 )
 from repro.io.columnar import write_table
 from repro.runtime.context import RunContext, activate
-from repro.runtime.telemetry import HeartbeatWriter, telemetry_dir
+from repro.runtime.telemetry import HeartbeatWriter, is_stale, telemetry_dir
 from repro.service.store import (
     ColumnarStore,
     TaskSpec,
@@ -70,7 +70,6 @@ from repro.service.store import (
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
-    "CAMPAIGN_STATUS_SCHEMA",
     "CampaignTask",
     "Campaign",
     "ShardReport",
@@ -81,18 +80,12 @@ __all__ = [
     "run_shard",
     "merge",
     "merged_table",
-    "campaign_status",
+    "status_section",
 ]
 
 PathLike = Union[str, pathlib.Path]
 
 CAMPAIGN_SCHEMA = "repro.campaign/1"
-CAMPAIGN_STATUS_SCHEMA = "repro.campaign-status/1"
-
-#: an incomplete shard with no evidence of life for this long is
-#: flagged as a straggler by :func:`campaign_status`
-_STRAGGLER_FLOOR_S = 10.0
-
 
 #: the manifest schema of the run directories older versions wrote (a
 #: ``manifest.json`` plus a JSONL chunk ledger); no longer readable
@@ -354,8 +347,7 @@ def run_shard(
         heartbeat = HeartbeatWriter(
             context.telemetry, role="shard", extra={"shard": shard}
         )
-        heartbeat.beat(force=True)
-        with store, obs.span(
+        with store, heartbeat, obs.span(
             "campaign.shard", shard=shard, tasks=len(tasks)
         ):
             for task in tasks:
@@ -377,10 +369,9 @@ def run_shard(
                     task.rep_hi, values,
                 )
                 executed += 1
-                heartbeat.bump(last_event_ts=time.time())
+                heartbeat.beat(executed, last_event_ts=time.time())
                 if progress is not None:
                     progress(executed + replayed, len(tasks))
-        heartbeat.beat(force=True)
     return ShardReport(
         shard=shard, executed=executed, replayed=replayed, total=len(tasks)
     )
@@ -550,42 +541,35 @@ def write_merged(
 # ----------------------------------------------------------------------
 # status
 # ----------------------------------------------------------------------
-def campaign_status(
-    path: PathLike, now: Optional[float] = None
-) -> Dict[str, object]:
-    """One status document over a campaign directory.
+def status_section(
+    path: PathLike, processes: List[Dict[str, object]], now: float
+) -> Tuple[Dict[str, object], FrozenSet[Tuple[int, None]]]:
+    """A campaign directory's part of the ``repro.status/2`` document.
 
-    Schema ``repro.campaign-status/1``; derived purely from the
-    manifest, the shard stores and the heartbeat files, so it is safe
-    on live, crashed and finished campaigns alike.  Per-shard progress
-    makes stragglers visible: an incomplete shard whose newest evidence
-    (heartbeat, then store mtime) is stale gets flagged.
-
-    ``eta_s`` divides the remaining tasks by the campaign's measured
-    rate: the sum, over incomplete shards whose newest heartbeat is
-    fresh, of the tasks that process computed per second since it
-    ``started``.  It is ``None`` while no such shard has finished a
-    task.
+    Derived purely from the manifest, the shard stores and the
+    heartbeats (``processes``, as
+    :func:`repro.runtime.telemetry.status_document` summarizes them),
+    so it is safe on live, crashed and finished campaigns alike.
+    Per-shard progress makes stragglers visible: an incomplete, started
+    shard whose newest evidence (heartbeat or store mtime) is stale
+    (:func:`~repro.runtime.telemetry.is_stale`) is flagged.  Returns the
+    section and the finished shards as ``(shard, None)`` owners, whose
+    processes no longer count toward the ETA.
     """
-    from repro.runtime.telemetry import load_heartbeats
-
     campaign = Campaign.open(path)
-    now = time.time() if now is None else now
     tasks = campaign.tasks()
     totals_by_shard = [0] * campaign.n_shards
     for task in tasks:
         totals_by_shard[campaign.shard_of(task)] += 1
 
-    beats = load_heartbeats(campaign.path)
     beat_by_shard: Dict[int, Dict[str, object]] = {}
-    for beat in beats:
-        beat["age_s"] = now - float(beat.get("ts", now))
-        shard = beat.get("shard")
+    for process in processes:
+        shard = process["shard"]
         if shard is None:
             continue
         best = beat_by_shard.get(int(shard))
-        if best is None or beat["age_s"] < best["age_s"]:
-            beat_by_shard[int(shard)] = beat
+        if best is None or process["beat_age_s"] < best["beat_age_s"]:
+            beat_by_shard[int(shard)] = process
 
     per_sweep_rows: Dict[str, int] = {d.key: 0 for d in campaign.definitions}
     shards: List[Dict[str, object]] = []
@@ -609,7 +593,9 @@ def campaign_status(
             age = now - stat.st_mtime
         beat = beat_by_shard.get(shard)
         if beat is not None:
-            age = beat["age_s"] if age is None else min(age, beat["age_s"])
+            age = beat["beat_age_s"] if age is None else min(
+                age, beat["beat_age_s"]
+            )
         complete = done >= totals_by_shard[shard]
         shards.append(
             {
@@ -620,13 +606,8 @@ def campaign_status(
                 "started": store.exists(),
                 "bytes": size,
                 "age_s": age,
-                "pid": beat.get("pid") if beat else None,
-                "straggler": bool(
-                    not complete
-                    and store.exists()
-                    and age is not None
-                    and age > _STRAGGLER_FLOOR_S
-                ),
+                "pid": beat["pid"] if beat else None,
+                "straggler": store.exists() and is_stale(age, complete),
             }
         )
 
@@ -646,23 +627,12 @@ def campaign_status(
             }
         )
 
-    tasks_done = len(done_ids)
-    rate = 0.0
-    for entry in shards:
-        beat = beat_by_shard.get(entry["shard"])
-        if beat is None or entry["complete"]:
-            continue
-        elapsed = float(beat["ts"]) - float(beat.get("started", beat["ts"]))
-        if beat["age_s"] <= _STRAGGLER_FLOOR_S and elapsed > 0.0:
-            rate += int(beat.get("chunks_done", 0)) / elapsed
-    eta_s = (len(tasks) - tasks_done) / rate if rate > 0.0 else None
-    return {
-        "schema": CAMPAIGN_STATUS_SCHEMA,
-        "run_dir": str(path),
-        "created": campaign.created,
-        "complete": tasks_done >= len(tasks),
-        "tasks_done": tasks_done,
+    section = {
+        "kind": "campaign",
+        "complete": len(done_ids) >= len(tasks),
+        "tasks_done": len(done_ids),
         "tasks_total": len(tasks),
+        "created": campaign.created,
         "rows_done": sum(s["rows_done"] for s in sweeps),
         "rows_total": sum(s["rows_total"] for s in sweeps),
         "n_shards": campaign.n_shards,
@@ -671,5 +641,6 @@ def campaign_status(
         "sweeps": sweeps,
         "shards": shards,
         "stragglers": [s["shard"] for s in shards if s["straggler"]],
-        "eta_s": eta_s,
     }
+    finished = frozenset((s["shard"], None) for s in shards if s["complete"])
+    return section, finished

@@ -52,7 +52,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -104,8 +104,9 @@ def _init_worker(
     ``forkserver`` they are pickled, which is why portable definitions
     carry a :class:`~repro.experiments.graphspec.GraphSpec`.
 
-    When the context names a telemetry directory the worker writes a
-    heartbeat file there after every chunk, and -- when tracing is on --
+    When the context names a telemetry directory the worker keeps a
+    heartbeat file there (throttled; no exit beat: the pool tears the
+    worker down), and -- when tracing is on --
     streams its ``span.end`` events into ``spans-<pid>.jsonl`` in the
     same directory (flushed per chunk: ``Pool.terminate`` must not cost
     more than the chunk in flight).  Trace lanes derive from span pids,
@@ -156,7 +157,7 @@ def _run_chunk(task: TaskSpec, seed: int, validate: bool) -> ChunkResult:
     result = _execute_chunk(definitions[task.sweep], task, seed, validate)
     heartbeat = _WORKER_STATE.get("heartbeat")
     if heartbeat is not None:
-        heartbeat.bump(last_event_ts=time.time())
+        heartbeat.beat(heartbeat.chunks_done + 1, last_event_ts=time.time())
     sink = _WORKER_STATE.get("span_sink")
     if sink is not None:
         sink.flush()
@@ -362,9 +363,9 @@ def _collect(
     # the collector owns shard 0 of the run directory: its beat carries
     # the shard and counts live chunks only, so chunks_done / (ts -
     # started) is the rate `repro status` derives the ETA from
-    heartbeat = (
+    beats = (
         HeartbeatWriter(ctx.telemetry, role="main", extra={"shard": 0})
-        if ctx.telemetry else None
+        if ctx.telemetry else nullcontext()
     )
     if pool is not None:
         live_iter = pool.imap(
@@ -378,7 +379,7 @@ def _collect(
     # sit at their submission position, so each lane folds in
     # replication order, live and replayed runs alike
     done, total = 0, len(tasks)
-    with obs.span(
+    with beats as heartbeat, obs.span(
         "sweep.run", figure=definition.key, reps=reps, workers=n_workers
     ):
         for task in tasks:
@@ -413,11 +414,11 @@ def _collect(
                 )
             done += 1
             if heartbeat is not None and not replayed:
-                heartbeat.bump(last_event_ts=time.time())
+                heartbeat.beat(
+                    heartbeat.chunks_done + 1, last_event_ts=time.time()
+                )
             if progress is not None:
                 progress(done, total)
-    if heartbeat is not None:
-        heartbeat.beat(force=True)
 
     sweep = SweepResult.from_fold(definition, reps, seed, fold)
     if obs.enabled():

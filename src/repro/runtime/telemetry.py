@@ -1,33 +1,33 @@
-"""Run telemetry: heartbeat files and live status over a results directory.
+"""Run telemetry: heartbeat files and one status document per directory.
 
 Everything ``repro top`` / ``repro status`` show is derived from files
 a run writes as it progresses, so the observer is a separate process
 that never touches the run itself:
 
 ``<dir>/telemetry/heartbeat-<pid>.json``
-    One file per participating process (a shard process or the main
-    collector of ``repro run``, plus every pool worker), rewritten
-    atomically after each chunk: pid, role, shard (for the process that
-    owns one), resident set size, user/system CPU time, when it
-    started, chunks done and the wall-clock timestamp of the last
+    One file per participating process: a shard process or the main
+    collector of ``repro run``, every pool worker, and every service
+    worker.  Each rewrites it atomically through
+    :meth:`HeartbeatWriter.beat`: pid, role, shard or service worker
+    id, state, resident set size, user/system CPU time, when it
+    started, tasks done and the wall-clock timestamp of the last
     event.  A vanished or stale heartbeat is visible as exactly that.
 
-``<dir>/shards/shard-*.colbin``
-    The crash-safe columnar shard stores
-    (:mod:`repro.experiments.campaign`); progress counts come from
-    here, so they are correct even when every heartbeat is gone.
+``<dir>/shards/shard-*.colbin`` / ``<dir>/store.sqlite``
+    The crash-safe result stores (:mod:`repro.service.store`); progress
+    counts come from here, so they are correct even when every
+    heartbeat is gone.
 
 ``<dir>/telemetry/spans-<pid>.jsonl`` / ``trace.json`` /
 ``metrics.prom`` / ``events.jsonl``
     Written when tracing / metrics / event streaming are requested; see
     :mod:`repro.obs.export` and docs/observability.md.
 
-A ``repro run`` directory is a one-shard campaign, so
-:func:`status_document` knows two directory kinds: campaign directories
-(:func:`~repro.experiments.campaign.campaign_status`, schema
-``repro.campaign-status/1``) and service directories
-(:func:`~repro.service.api.service_status`).  :func:`format_status`
-renders either as the terminal frame ``repro top`` repaints.
+:func:`status_document` builds the one status document (schema
+``repro.status/2``) over either directory kind -- a campaign (a
+``repro run`` directory is a one-shard campaign) or a service
+directory -- and :func:`format_status` renders it as the terminal
+frame ``repro top`` repaints.
 """
 
 from __future__ import annotations
@@ -38,16 +38,18 @@ import pathlib
 import resource
 import sys
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 __all__ = [
     "TELEMETRY_DIRNAME",
     "HEARTBEAT_SCHEMA",
+    "STATUS_SCHEMA",
+    "STALE_S",
     "telemetry_dir",
     "HeartbeatWriter",
     "load_heartbeats",
+    "is_stale",
     "status_document",
-    "format_campaign_top",
     "format_status",
 ]
 
@@ -55,20 +57,28 @@ PathLike = Union[str, pathlib.Path]
 
 TELEMETRY_DIRNAME = "telemetry"
 HEARTBEAT_SCHEMA = "repro.heartbeat/1"
+STATUS_SCHEMA = "repro.status/2"
+
+#: an unfinished process or shard with no sign of life for this long
+#: is stale (see :func:`is_stale`)
+STALE_S = 30.0
 
 
 def telemetry_dir(run_dir: PathLike) -> pathlib.Path:
-    """The telemetry directory beside a run's manifest and shard stores."""
+    """The telemetry directory beside a run's manifest or store."""
     return pathlib.Path(run_dir) / TELEMETRY_DIRNAME
 
 
 class HeartbeatWriter:
     """Periodically rewrites this process's heartbeat file, atomically.
 
-    ``beat`` is cheap enough to call after every chunk: it throttles
+    ``beat`` is cheap enough to call after every task: it throttles
     itself to one write per ``throttle_s`` unless forced, and each
     write is a tmp-file + ``os.replace`` so readers never see a torn
-    document.
+    document.  Used as a context manager, the writer forces one beat on
+    entry and one on exit (state ``exited``, carrying the final counts
+    the throttled beats recorded); pool workers are torn down by their
+    pool, so they force only the first and write no exit beat.
     """
 
     def __init__(
@@ -79,11 +89,12 @@ class HeartbeatWriter:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.role = role
-        self.extra = dict(extra) if extra else {}
+        self.extra: Dict[str, object] = {"state": "busy"}
+        self.extra.update(extra or {})
         self.pid = os.getpid()
         self.path = self.directory / f"heartbeat-{self.pid}.json"
         self.throttle_s = throttle_s
-        #: wall-clock start of this writer: chunk rates are measured
+        #: wall-clock start of this writer: task rates are measured
         #: from here (the ETA of ``repro status``)
         self.started = time.time()
         self.chunks_done = 0
@@ -95,12 +106,18 @@ class HeartbeatWriter:
         chunks_done: Optional[int] = None,
         last_event_ts: Optional[float] = None,
         force: bool = False,
+        **fields: object,
     ) -> None:
-        """Record progress and (rate-limited) rewrite the heartbeat file."""
+        """Record progress and (rate-limited) rewrite the heartbeat file.
+
+        ``fields`` (``state``, a service worker's ``failed`` count, ...)
+        update the document's extra fields for this and later beats.
+        """
         if chunks_done is not None:
             self.chunks_done = chunks_done
         if last_event_ts is not None:
             self.last_event_ts = last_event_ts
+        self.extra.update(fields)
         now = time.time()
         if not force and now - self._last_write < self.throttle_s:
             return
@@ -123,19 +140,12 @@ class HeartbeatWriter:
         os.replace(tmp, self.path)
         self._last_write = now
 
-    def bump(self, last_event_ts: Optional[float] = None) -> None:
-        """One more chunk done; rewrite the file.
+    def __enter__(self) -> "HeartbeatWriter":
+        self.beat(force=True)
+        return self
 
-        Unthrottled: a chunk spans many replications, so one ~50 us
-        atomic rewrite per chunk is noise, and it keeps the per-worker
-        chunk counts in ``repro top`` exact rather than trailing by a
-        throttle window.
-        """
-        self.beat(
-            chunks_done=self.chunks_done + 1,
-            last_event_ts=last_event_ts,
-            force=True,
-        )
+    def __exit__(self, *exc: object) -> None:
+        self.beat(force=True, state="exited")
 
 
 def load_heartbeats(run_dir: PathLike) -> List[Dict[str, object]]:
@@ -159,28 +169,112 @@ def load_heartbeats(run_dir: PathLike) -> List[Dict[str, object]]:
     return beats
 
 
+def is_stale(age_s: Optional[float], finished: bool) -> bool:
+    """The one staleness rule: unfinished, and silent past the floor.
+
+    Applies to a process (finished once it beat ``exited`` or its
+    directory is complete) and to a campaign shard (finished once every
+    task landed; its age is that of its newest evidence).
+    """
+    return not finished and age_s is not None and age_s > STALE_S
+
+
+def _eta_s(
+    processes: List[Dict[str, object]],
+    beats: List[Dict[str, object]],
+    remaining: int,
+    finished: FrozenSet[Tuple[object, object]],
+) -> Optional[float]:
+    """Remaining tasks over the measured rate of the live task owners.
+
+    An owner is a ``(shard, worker)`` pair: a shard, or a service
+    worker id.  The rate sums, over owners not ``finished``, the tasks
+    their freshest process computed per second since it started (from
+    its heartbeat in ``beats``) -- when that process is neither exited
+    nor stale.  Pool workers own nothing: the collector that owns their
+    shard counts their chunks.  ``None`` while no rate is measured.
+    """
+    freshest: Dict[Tuple[object, object], Tuple[Dict, Dict]] = {}
+    for process, beat in zip(processes, beats):
+        owner = (process["shard"], process["worker"])
+        if owner == (None, None) or owner in finished:
+            continue
+        best = freshest.get(owner)
+        if best is None or process["beat_age_s"] < best[0]["beat_age_s"]:
+            freshest[owner] = (process, beat)
+    rate = 0.0
+    for process, beat in freshest.values():
+        elapsed = float(beat["ts"]) - float(beat.get("started", beat["ts"]))
+        if process["state"] != "exited" and not process["stale"] and (
+            elapsed > 0.0
+        ):
+            rate += process["tasks"] / elapsed
+    return remaining / rate if rate > 0.0 and remaining > 0 else None
+
+
 def status_document(
     run_dir: PathLike, now: Optional[float] = None
 ) -> Dict[str, object]:
-    """Status over *any* results directory: campaign (or run) or service.
+    """The status document (``repro.status/2``) over any results directory.
 
-    A ``store.sqlite`` gets :func:`repro.service.api.service_status`
-    (schema ``repro.service-status/1``); anything else is opened as a
-    campaign -- ``repro run`` directories are one-shard campaigns --
-    by :func:`repro.experiments.campaign.campaign_status` (schema
-    ``repro.campaign-status/1``), which raises a pointed error for a
-    directory that is neither.  ``repro status`` / ``repro top`` call
-    this.
+    A shared envelope -- ``kind`` (``campaign`` or ``service``),
+    ``run_dir``, ``complete``, ``tasks_done``/``tasks_total``, ``eta_s``
+    and ``processes`` (one entry per heartbeat) -- then the kind's own
+    section: a ``store.sqlite`` gets the service's jobs
+    (:func:`repro.service.api.status_section`); anything else is opened
+    as a campaign -- ``repro run`` directories are one-shard campaigns
+    -- whose sweeps, shards and stragglers come from
+    :func:`repro.experiments.campaign.status_section`, which raises a
+    pointed error for a directory that is neither.  ``repro status`` /
+    ``repro top`` call this.
     """
-    from repro.service.api import is_service_dir, service_status
+    from repro.service.api import is_service_dir
 
     if is_service_dir(run_dir):
-        return service_status(run_dir, now=now)
-    from repro.experiments.campaign import campaign_status
+        from repro.service.api import status_section
+    else:
+        from repro.experiments.campaign import status_section
+    now = time.time() if now is None else now
+    beats = load_heartbeats(run_dir)
+    processes = [
+        {
+            "pid": beat.get("pid"),
+            "role": beat.get("role"),
+            "shard": beat.get("shard"),
+            "worker": beat.get("worker"),
+            "state": beat.get("state", "busy"),
+            "tasks": int(beat.get("chunks_done", 0)),
+            "beat_age_s": now - float(beat.get("ts", now)),
+        }
+        for beat in beats
+    ]
+    section, finished = status_section(run_dir, processes, now)
+    complete = bool(section.pop("complete"))
+    tasks_done = int(section.pop("tasks_done"))
+    tasks_total = int(section.pop("tasks_total"))
+    for process in processes:
+        process["stale"] = is_stale(
+            process["beat_age_s"], complete or process["state"] == "exited"
+        )
+    eta = None if complete else _eta_s(
+        processes, beats, tasks_total - tasks_done, finished
+    )
+    return {
+        "schema": STATUS_SCHEMA,
+        "kind": section.pop("kind"),
+        "run_dir": str(run_dir),
+        "complete": complete,
+        "tasks_done": tasks_done,
+        "tasks_total": tasks_total,
+        "eta_s": eta,
+        "processes": processes,
+        **section,
+    }
 
-    return campaign_status(run_dir, now=now)
 
-
+# ----------------------------------------------------------------------
+# rendering
+# ----------------------------------------------------------------------
 def _bar(fraction: float, width: int = 24) -> str:
     """A ``[#####....]`` progress bar for one 0..1 fraction."""
     fraction = min(1.0, max(0.0, fraction))
@@ -194,33 +288,24 @@ def _hms(seconds: float) -> str:
     return f"{seconds // 3600}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
 
 
-def format_campaign_top(status: Dict[str, object]) -> str:
-    """Render one ``repro top`` frame for a campaign or run directory.
+def _age(seconds: float) -> str:
+    """A short age: ``12s``, ``3.5m``, ``1.2h``."""
+    seconds = max(0.0, float(seconds))
+    if seconds < 60:
+        return f"{seconds:.0f}s"
+    if seconds < 3600:
+        return f"{seconds / 60:.1f}m"
+    return f"{seconds / 3600:.1f}h"
 
-    Takes a :func:`~repro.experiments.campaign.campaign_status`
-    document: campaign totals and ETA, per-sweep row progress, and a
-    per-shard table with straggler flags.
-    """
-    lines: List[str] = []
-    done = int(status["tasks_done"])
-    total = max(1, int(status["tasks_total"]))
-    state = "complete" if status["complete"] else "running"
-    lines.append(
-        f"repro top -- {status['run_dir']}  (campaign, {state}, "
-        f"{status['n_shards']} shard(s))"
-    )
-    lines.append(
-        f"tasks  {_bar(done / total)} {done}/{status['tasks_total']}"
-        f"  ({100.0 * done / total:.1f}%)"
-    )
-    eta = ""
-    if status.get("eta_s") is not None and not status["complete"]:
-        eta = f"  ETA {_hms(status['eta_s'])}"
-    lines.append(
+
+def _campaign_lines(status: Dict[str, object]) -> List[str]:
+    """Per-sweep row progress and the per-shard table with stragglers."""
+    lines = [
         f"  {status['rows_done']}/{status['rows_total']} replications "
-        f"(chunk size {status['chunk_size']}){eta}"
-    )
-    lines.append("")
+        f"(chunk size {status['chunk_size']}, "
+        f"{status['n_shards']} shard(s))",
+        "",
+    ]
     for sweep in status["sweeps"]:
         s_done = int(sweep["rows_done"])
         s_total = max(1, int(sweep["rows_total"]))
@@ -255,16 +340,77 @@ def format_campaign_top(status: Dict[str, object]) -> str:
             f"{(f'{age:.1f}s ago' if age is not None else '-'):>10}"
             f"{note}"
         )
-    return "\n".join(lines)
+    return lines
+
+
+def _service_lines(status: Dict[str, object]) -> List[str]:
+    """The service's job table."""
+    jobs = status["jobs"]
+    if not jobs:
+        return [f"  no jobs (submit with: repro submit {status['run_dir']})"]
+    lines = [
+        f"  {'TICKET':<14}{'KIND':<8}{'STATE':<11}{'TASKS':>12}  "
+        f"{'AGE':>8}  SWEEPS"
+    ]
+    for job in jobs:
+        tasks = f"{job['tasks_done']}/{job['tasks_total']}"
+        lines.append(
+            f"  {job['ticket']:<14}{job['kind']:<8}{job['state']:<11}"
+            f"{tasks:>12}  {_age(job['age_s']):>8}  "
+            f"{','.join(job['sweeps'])}"
+        )
+    return lines
+
+
+def _process_lines(processes: List[Dict[str, object]]) -> List[str]:
+    """One row per heartbeat: who, doing what, how recently heard from."""
+    lines = [
+        f"  {'PID':>8}  {'ROLE':<7}{'OWNER':<20}{'STATE':<8}"
+        f"{'TASKS':>6}  {'BEAT':>6}"
+    ]
+    for p in processes:
+        if p["shard"] is not None:
+            owner = f"shard {p['shard']}"
+        else:
+            owner = str(p["worker"] or "-")
+        state = "stale?" if p["stale"] else str(p["state"])
+        lines.append(
+            f"  {p['pid']:>8}  {str(p['role']):<7}{owner:<20}{state:<8}"
+            f"{p['tasks']:>6}  {_age(p['beat_age_s']):>6}"
+        )
+    return lines
 
 
 def format_status(status: Dict[str, object]) -> str:
-    """Render whatever :func:`status_document` produced, by schema."""
-    if status.get("schema") == "repro.service-status/1":
-        from repro.service.api import format_service_top
+    """Render one ``repro top`` frame of a :func:`status_document`.
 
-        return format_service_top(status)
-    return format_campaign_top(status)
+    The envelope (totals, progress bar, ETA) first, then the kind's
+    section (sweeps and shards, or jobs), then the process table.
+    """
+    done = int(status["tasks_done"])
+    total = int(status["tasks_total"])
+    state = "complete" if status["complete"] else "running"
+    eta = ""
+    if status["eta_s"] is not None and not status["complete"]:
+        eta = f"  ETA {_hms(status['eta_s'])}"
+    pct = 100.0 * done / total if total else 0.0
+    lines = [
+        f"repro top -- {status['run_dir']}  ({status['kind']}, {state})",
+        f"tasks  {_bar(done / max(1, total))} {done}/{total}  "
+        f"({pct:.1f}%){eta}",
+    ]
+    if status["kind"] == "service":
+        lines.append(
+            f"  {status['jobs_live']} live of {status['jobs_total']} jobs"
+        )
+        lines.append("")
+        lines.extend(_service_lines(status))
+    else:
+        lines.extend(_campaign_lines(status))
+    if status["processes"]:
+        lines.append("")
+        lines.extend(_process_lines(status["processes"]))
+    return "\n".join(lines)
 
 
 def watch(

@@ -6,7 +6,7 @@ run directories write, and the SQLite service database), a lease-based
 work queue (:mod:`repro.service.queue`), daemon workers
 (:mod:`repro.service.worker`) and a submission API
 (:mod:`repro.service.api`), surfaced on the CLI as ``repro serve`` /
-``submit`` / ``ps`` / ``watch``.
+``submit`` / ``watch`` / ``status``.
 
 Only the store layer is imported eagerly -- it sits beneath the
 parallel sweep runner and the campaign engine, so this ``__init__``
@@ -19,7 +19,6 @@ from repro.service.store import (
     SERVICE_DB,
     STORE_SCHEMA,
     TASK_STATES,
-    WORKER_STATES,
     ColumnarStore,
     SqliteStore,
     TaskSpec,
@@ -33,7 +32,6 @@ __all__ = [
     "SERVICE_DB",
     "STORE_SCHEMA",
     "TASK_STATES",
-    "WORKER_STATES",
     "ColumnarStore",
     "SqliteStore",
     "TaskSpec",

@@ -1,6 +1,6 @@
 """The submission API: tickets in, bit-identical results out.
 
-This module is what ``repro submit`` / ``ps`` / ``watch`` (and any
+This module is what ``repro submit`` / ``watch`` / ``status`` (and any
 script) talk to: submit portable
 :class:`~repro.experiments.harness.SweepDefinition`\\ s plus the
 :class:`~repro.runtime.context.RunContext` that should govern
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.context import RunContext
 from repro.service.store import (
@@ -37,27 +37,17 @@ from repro.service.store import (
 
 __all__ = [
     "SUBMIT_SCHEMA",
-    "PS_SCHEMA",
-    "SERVICE_STATUS_SCHEMA",
     "is_service_dir",
     "submit",
     "cancel",
     "job_status",
     "result",
-    "ps_document",
-    "service_status",
-    "format_ps",
-    "format_service_top",
+    "status_section",
 ]
 
 PathLike = Union[str, pathlib.Path]
 
 SUBMIT_SCHEMA = "repro.submit/1"
-PS_SCHEMA = "repro.ps/1"
-SERVICE_STATUS_SCHEMA = "repro.service-status/1"
-
-#: a worker whose last beat is older than this is presumed dead
-_WORKER_STALE_S = 30.0
 
 
 def is_service_dir(path: PathLike) -> bool:
@@ -209,140 +199,33 @@ def result(
 
 
 # ----------------------------------------------------------------------
-# listings / status documents
+# status
 # ----------------------------------------------------------------------
-def _worker_docs(store: SqliteStore, now: float) -> List[Dict[str, object]]:
-    out = []
-    for row in store.workers():
-        age = now - float(row["last_beat"])
-        state = str(row["state"])
-        out.append(
-            {
-                "worker": row["worker"],
-                "pid": row["pid"],
-                "host": row["host"],
-                "state": state,
-                "tasks_done": row["tasks_done"],
-                "beat_age_s": age,
-                "stale": bool(state != "exited" and age > _WORKER_STALE_S),
-            }
-        )
-    return out
+def status_section(
+    path: PathLike, processes: List[Dict[str, object]], now: float
+) -> Tuple[Dict[str, object], FrozenSet[Tuple[None, str]]]:
+    """A service directory's part of the ``repro.status/2`` document.
 
-
-def ps_document(
-    store: Union[SqliteStore, PathLike], now: Optional[float] = None
-) -> Dict[str, object]:
-    """Everything ``repro ps`` shows (schema ``repro.ps/1``)."""
-    store, owned = _open(store)
-    now = time.time() if now is None else now
-    try:
-        return {
-            "schema": PS_SCHEMA,
-            "run_dir": str(store.path.parent),
-            "jobs": [_job_doc(store, job, now) for job in store.jobs()],
-            "workers": _worker_docs(store, now),
-        }
-    finally:
-        if owned:
-            store.close()
-
-
-def service_status(
-    path: PathLike, now: Optional[float] = None
-) -> Dict[str, object]:
-    """One status document over a service directory.
-
-    Schema ``repro.service-status/1``, shaped like the run/campaign
-    status documents so ``repro status``/``top`` can dispatch on the
-    directory kind and render uniformly.
+    Totals over every job and the job list itself; the workers are the
+    heartbeat ``processes`` of the envelope
+    (:func:`repro.runtime.telemetry.status_document`), so this reads
+    only the ``jobs`` and ``tasks`` tables.  The directory is complete
+    once it holds jobs and none is queued or running.  No worker ever
+    finishes its share of the work, so the finished set is empty.
     """
-    now = time.time() if now is None else now
     store = SqliteStore.open(path, create=False)
     try:
         jobs = [_job_doc(store, job, now) for job in store.jobs()]
-        workers = _worker_docs(store, now)
-        tasks_done = sum(j["tasks_done"] for j in jobs)
-        tasks_total = sum(j["tasks_total"] for j in jobs)
-        live = [j for j in jobs if j["state"] in ("queued", "running")]
-        return {
-            "schema": SERVICE_STATUS_SCHEMA,
-            "run_dir": str(path),
-            "complete": not live and bool(jobs),
-            "tasks_done": tasks_done,
-            "tasks_total": tasks_total,
-            "jobs_total": len(jobs),
-            "jobs_live": len(live),
-            "jobs": jobs,
-            "workers": workers,
-        }
     finally:
         store.close()
-
-
-def _job_table(jobs: List[Dict[str, object]]) -> List[str]:
-    lines = [
-        f"{'TICKET':<14}{'KIND':<8}{'STATE':<11}{'TASKS':>12}  "
-        f"{'AGE':>8}  SWEEPS"
-    ]
-    for job in jobs:
-        tasks = f"{job['tasks_done']}/{job['tasks_total']}"
-        sweeps = ",".join(job["sweeps"])
-        lines.append(
-            f"{job['ticket']:<14}{job['kind']:<8}{job['state']:<11}"
-            f"{tasks:>12}  {_age(job['age_s']):>8}  {sweeps}"
-        )
-    return lines
-
-
-def _worker_table(workers: List[Dict[str, object]]) -> List[str]:
-    lines = [
-        f"{'WORKER':<22}{'PID':>8}  {'STATE':<8}{'DONE':>6}  {'BEAT':>8}"
-    ]
-    for w in workers:
-        state = "stale?" if w["stale"] else w["state"]
-        lines.append(
-            f"{str(w['worker']):<22}{w['pid']:>8}  {state:<8}"
-            f"{w['tasks_done']:>6}  {_age(w['beat_age_s']):>8}"
-        )
-    return lines
-
-
-def format_ps(doc: Dict[str, object]) -> str:
-    """Render a :func:`ps_document` as the ``repro ps`` listing."""
-    jobs = doc["jobs"]
-    lines: List[str] = []
-    if jobs:
-        lines.extend(_job_table(jobs))
-    else:
-        lines.append(f"no jobs in {doc['run_dir']} (submit with: repro submit)")
-    if doc["workers"]:
-        lines.append("")
-        lines.extend(_worker_table(doc["workers"]))
-    return "\n".join(lines)
-
-
-def format_service_top(doc: Dict[str, object]) -> str:
-    """Render a service status document as a ``repro top`` screen."""
-    lines: List[str] = []
-    done, total = doc["tasks_done"], doc["tasks_total"]
-    pct = 100.0 * done / total if total else 0.0
-    lines.append(
-        f"service {doc['run_dir']} -- {doc['jobs_live']} live of "
-        f"{doc['jobs_total']} jobs, tasks {done}/{total} ({pct:.1f}%)"
-    )
-    lines.append("")
-    lines.extend(_job_table(doc["jobs"]))
-    if doc["workers"]:
-        lines.append("")
-        lines.extend(_worker_table(doc["workers"]))
-    return "\n".join(lines)
-
-
-def _age(seconds: float) -> str:
-    seconds = max(0.0, float(seconds))
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    if seconds < 3600:
-        return f"{seconds / 60:.1f}m"
-    return f"{seconds / 3600:.1f}h"
+    live = [j for j in jobs if j["state"] in ("queued", "running")]
+    section = {
+        "kind": "service",
+        "complete": not live and bool(jobs),
+        "tasks_done": sum(j["tasks_done"] for j in jobs),
+        "tasks_total": sum(j["tasks_total"] for j in jobs),
+        "jobs_total": len(jobs),
+        "jobs_live": len(live),
+        "jobs": jobs,
+    }
+    return section, frozenset()

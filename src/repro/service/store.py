@@ -15,9 +15,10 @@ deterministic task decomposition* -- in one of two stores:
 
 :class:`SqliteStore`
     the scheduling service's database (schema ``repro.store/1``, WAL
-    mode): ``jobs`` / ``tasks`` / ``workers`` / ``events`` tables with
-    status enums.  Workers commit task values through
-    :class:`~repro.service.queue.WorkQueue`;
+    mode): ``jobs`` / ``tasks`` / ``events`` tables with status enums
+    (worker heartbeats are files, see :mod:`repro.runtime.telemetry`;
+    older stores keep an unused ``workers`` table).  Workers commit
+    task values through :class:`~repro.service.queue.WorkQueue`;
     :meth:`SqliteStore.committed_values` reads them back for the
     result fold, values round-tripping through JSON exactly.
 
@@ -55,7 +56,6 @@ __all__ = [
     "SERVICE_DB",
     "JOB_STATES",
     "TASK_STATES",
-    "WORKER_STATES",
     "ChunkKey",
     "TaskSpec",
     "task_id",
@@ -79,8 +79,6 @@ SERVICE_DB = "store.sqlite"
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: queue task lifecycle (``leased`` tasks revert to claimable on expiry)
 TASK_STATES = ("pending", "leased", "done", "failed")
-#: worker agent lifecycle as recorded in the ``workers`` table
-WORKER_STATES = ("idle", "busy", "exited")
 
 #: replay key of one chunk: (x_index, rep_lo, rep_hi)
 ChunkKey = Tuple[int, int, int]
@@ -368,15 +366,6 @@ CREATE TABLE IF NOT EXISTS tasks (
     UNIQUE (job, task)
 );
 CREATE INDEX IF NOT EXISTS idx_tasks_claim ON tasks (state, job, id);
-CREATE TABLE IF NOT EXISTS workers (
-    worker     TEXT PRIMARY KEY,
-    pid        INTEGER NOT NULL,
-    host       TEXT NOT NULL,
-    state      TEXT NOT NULL CHECK (state IN ('idle', 'busy', 'exited')),
-    started    REAL NOT NULL,
-    last_beat  REAL NOT NULL,
-    tasks_done INTEGER NOT NULL DEFAULT 0
-);
 CREATE TABLE IF NOT EXISTS events (
     id      INTEGER PRIMARY KEY AUTOINCREMENT,
     ts      REAL NOT NULL,
@@ -686,51 +675,6 @@ class SqliteStore:
         ):
             counts[str(row["state"])] = int(row["n"])
         return counts
-
-    # -- workers ---------------------------------------------------------
-    def register_worker(self, worker: str, pid: int, host: str) -> None:
-        """Insert (or revive) one worker agent's registry row."""
-        now = time.time()
-        self.conn.execute(
-            "INSERT INTO workers (worker, pid, host, state, started,"
-            " last_beat) VALUES (?, ?, ?, 'idle', ?, ?)"
-            " ON CONFLICT(worker) DO UPDATE SET pid = excluded.pid,"
-            " host = excluded.host, state = 'idle', last_beat = excluded.last_beat",
-            (worker, pid, host, now, now),
-        )
-
-    def beat_worker(
-        self,
-        worker: str,
-        state: str = "busy",
-        tasks_done: Optional[int] = None,
-    ) -> None:
-        """Heartbeat: refresh a worker's state and last-beat stamp
-        (``repro ps`` flags workers whose beat has gone stale)."""
-        if state not in WORKER_STATES:
-            raise ValueError(
-                f"state must be one of {WORKER_STATES}, got {state!r}"
-            )
-        if tasks_done is None:
-            self.conn.execute(
-                "UPDATE workers SET state = ?, last_beat = ? WHERE worker = ?",
-                (state, time.time(), worker),
-            )
-        else:
-            self.conn.execute(
-                "UPDATE workers SET state = ?, last_beat = ?, tasks_done = ?"
-                " WHERE worker = ?",
-                (state, time.time(), tasks_done, worker),
-            )
-
-    def workers(self) -> List[Dict[str, object]]:
-        """Every registered worker row as a plain dict."""
-        return [
-            dict(row)
-            for row in self.conn.execute(
-                "SELECT * FROM workers ORDER BY started"
-            )
-        ]
 
     # -- events ----------------------------------------------------------
     def append_events(

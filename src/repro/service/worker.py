@@ -4,7 +4,10 @@ A :class:`Worker` is one agent process in the scheduling service.  Its
 loop is deliberately boring:
 
 1. :meth:`~repro.service.queue.WorkQueue.claim` the next task (or
-   sleep ``poll_s`` when the queue is idle),
+   sleep ``poll_s`` when the queue is idle) and beat the worker's
+   heartbeat file (:class:`~repro.runtime.telemetry.HeartbeatWriter`
+   under ``<dir>/telemetry/``: state ``idle`` or ``busy``, and
+   ``exited`` with the final counts on the way out),
 2. :func:`~repro.runtime.context.adopt` the submitting job's stored
    :class:`~repro.runtime.context.RunContext` -- seed, engine,
    batched kernel: execution is governed by the
@@ -32,7 +35,6 @@ import json
 import multiprocessing
 import os
 import pathlib
-import socket
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
@@ -40,6 +42,7 @@ from typing import Dict, List, Optional, Union
 from repro import obs
 from repro.obs.events import Event, _json_default
 from repro.runtime.context import RunContext, adopt
+from repro.runtime.telemetry import HeartbeatWriter, load_heartbeats, telemetry_dir
 from repro.service.queue import DEFAULT_LEASE_S, Lease, WorkQueue
 from repro.service.store import SqliteStore
 
@@ -141,7 +144,11 @@ class Worker:
         worker_id = self.worker_id or f"worker-{os.getpid()}"
         store = SqliteStore.open(self.store_path)
         queue = WorkQueue(store, lease_s=self.lease_s)
-        store.register_worker(worker_id, os.getpid(), socket.gethostname())
+        heartbeat = HeartbeatWriter(
+            telemetry_dir(store.path.parent), role="worker",
+            extra={"worker": worker_id},
+        )
+        heartbeat.beat(force=True, state="idle")
         bus = obs.get_bus()
         sink = StoreEventSink(store, source=worker_id)
         previous = bus.set_backend(sink, topics=["service."])
@@ -156,14 +163,15 @@ class Worker:
                 if self.max_tasks is not None and executed >= self.max_tasks:
                     break
                 lease = queue.claim(worker_id)
+                heartbeat.beat(
+                    executed, state="idle" if lease is None else "busy"
+                )
                 if lease is None:
-                    store.beat_worker(worker_id, "idle", tasks_done=executed)
                     sink.flush()
                     if self.drain and self._drained(queue):
                         break
                     time.sleep(self.poll_s)
                     continue
-                store.beat_worker(worker_id, "busy", tasks_done=executed)
                 bus.emit(
                     "service.claim",
                     ticket=lease.ticket,
@@ -246,7 +254,11 @@ class Worker:
                 executed=executed,
             )
             sink.flush()
-            store.beat_worker(worker_id, "exited", tasks_done=executed)
+            # the exit beat: serve() reads a child's report from it
+            heartbeat.beat(
+                executed, force=True, state="exited", failed=failed,
+                discarded=discarded, interrupted=interrupted,
+            )
             bus.set_backend(previous)
             store.close()
         return WorkerReport(
@@ -280,12 +292,14 @@ def serve(
     One worker runs in-process (its report is returned); more than one
     runs each in its own OS process -- they coordinate purely through
     the store, exactly like workers started on different machines
-    would.  Multi-process reports are reconstructed from the
-    ``workers`` table.
+    would.  A child's report is read from its exit heartbeat (by pid,
+    written after this call started); a child killed before its exit
+    beat reports what its last beat recorded.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     store = SqliteStore.open(store_path)  # create the schema up front
+    directory = store.path.parent
     store.close()
     kwargs = dict(
         lease_s=lease_s, poll_s=poll_s, drain=drain, max_tasks=max_tasks
@@ -299,32 +313,32 @@ def serve(
         )
         for _ in range(workers)
     ]
+    started = time.time()
     for proc in procs:
         proc.start()
-    interrupted = False
     try:
         for proc in procs:
             proc.join()
     except KeyboardInterrupt:
-        interrupted = True
         for proc in procs:
             proc.terminate()
         for proc in procs:
             proc.join()
-    store = SqliteStore.open(store_path)
-    try:
-        reports = [
+        raise
+    beats = {
+        beat["pid"]: beat for beat in load_heartbeats(directory)
+        if float(beat.get("started", 0.0)) >= started
+    }
+    reports = []
+    for proc in procs:
+        beat = beats.get(proc.pid, {})
+        reports.append(
             WorkerReport(
-                worker=str(row["worker"]),
-                executed=int(row["tasks_done"]),
-                replayed_discards=0,
-                failed=0,
-                interrupted=interrupted,
+                worker=str(beat.get("worker", f"worker-{proc.pid}")),
+                executed=int(beat.get("chunks_done", 0)),
+                replayed_discards=int(beat.get("discarded", 0)),
+                failed=int(beat.get("failed", 0)),
+                interrupted=bool(beat.get("interrupted", False)),
             )
-            for row in store.workers()
-        ]
-    finally:
-        store.close()
-    if interrupted:
-        raise KeyboardInterrupt
+        )
     return reports

@@ -18,9 +18,7 @@ from repro.cli import main
 from repro.experiments import get_figure
 from repro.experiments.campaign import (
     CAMPAIGN_SCHEMA,
-    CAMPAIGN_STATUS_SCHEMA,
     Campaign,
-    campaign_status,
     merge,
     merged_table,
     run_shard,
@@ -31,7 +29,11 @@ from repro.experiments.harness import run_sweep
 from repro.experiments.report import format_sweep
 from repro.io.columnar import scan_frames
 from repro.runtime.context import RunContext
-from repro.runtime.telemetry import format_campaign_top
+from repro.runtime.telemetry import (
+    STATUS_SCHEMA,
+    format_status,
+    status_document,
+)
 from tests.experiments.test_harness import tiny_closure_sweep, tiny_sweep
 
 
@@ -241,8 +243,8 @@ def test_campaign_status_counts_and_stragglers(tmp_path):
     campaign = _campaign(tmp_path / "camp")
     run_shard(campaign, 0, max_tasks=1)
 
-    doc = campaign_status(campaign.path)
-    assert doc["schema"] == CAMPAIGN_STATUS_SCHEMA
+    doc = status_document(campaign.path)
+    assert doc["schema"] == STATUS_SCHEMA and doc["kind"] == "campaign"
     assert not doc["complete"]
     assert (doc["tasks_done"], doc["tasks_total"]) == (1, 6)
     assert (doc["rows_done"], doc["rows_total"]) == (2, 12)
@@ -257,11 +259,11 @@ def test_campaign_status_counts_and_stragglers(tmp_path):
     # untouched shards are just "not started", never stragglers
     import time as _time
 
-    stale = campaign_status(campaign.path, now=_time.time() + 60.0)
+    stale = status_document(campaign.path, now=_time.time() + 60.0)
     assert stale["stragglers"] == [0]
 
     _run_all(campaign)
-    done = campaign_status(campaign.path)
+    done = status_document(campaign.path)
     assert done["complete"] and done["stragglers"] == []
     assert all(s["complete"] for s in done["shards"])
     assert done["sweeps"][0]["rows_done"] == 12
@@ -271,13 +273,13 @@ def test_status_document_and_top_dispatch_on_dir_kind(tmp_path):
     """`repro status`/`repro top` work on run dirs *and* campaign dirs:
     status_document picks the right schema, format_status the right
     renderer."""
-    from repro.runtime.telemetry import format_status, status_document, watch
+    from repro.runtime.telemetry import watch
 
     campaign = _campaign(tmp_path / "camp")
     run_shard(campaign, 0, max_tasks=1)
 
     doc = status_document(campaign.path)
-    assert doc["schema"] == CAMPAIGN_STATUS_SCHEMA
+    assert doc["schema"] == STATUS_SCHEMA and doc["kind"] == "campaign"
     frame = format_status(doc)
     assert "campaign" in frame
     assert "shard" in frame
@@ -319,30 +321,30 @@ def test_campaign_status_eta_from_shard_heartbeats(tmp_path):
             "chunks_done": chunks_done,
         }))
 
-    assert campaign_status(campaign.path, now=now)["eta_s"] is None
+    assert status_document(campaign.path, now=now)["eta_s"] is None
     beat(11, 0, started=now - 11.0, ts=now - 1.0, chunks_done=1)  # 0.1/s
     beat(12, 1, started=now - 5.0, ts=now, chunks_done=2)  # 0.4 task/s
-    doc = campaign_status(campaign.path, now=now)
+    doc = status_document(campaign.path, now=now)
     assert doc["tasks_done"] == 2
     assert doc["eta_s"] == pytest.approx(4 / 0.5)
     # a stale shard beat (a dead process) stops counting toward the rate
     beat(12, 1, started=now - 65.0, ts=now - 60.0, chunks_done=2)
-    assert campaign_status(campaign.path, now=now)["eta_s"] == (
+    assert status_document(campaign.path, now=now)["eta_s"] == (
         pytest.approx(4 / 0.1)
     )
-    assert "ETA 0:00:40" in format_campaign_top(
-        campaign_status(campaign.path, now=now)
+    assert "ETA 0:00:40" in format_status(
+        status_document(campaign.path, now=now)
     )
     # a shard's freshest beat (its resumed process) replaces older ones
     beat(13, 0, started=now - 4.0, ts=now, chunks_done=1)  # 0.25/s
-    assert campaign_status(campaign.path, now=now)["eta_s"] == (
+    assert status_document(campaign.path, now=now)["eta_s"] == (
         pytest.approx(4 / 0.25)
     )
     # a finished shard does no more work: its rate stops counting
     run_shard(campaign, 0)
     beat(13, 0, started=now - 4.0, ts=now, chunks_done=2)
     beat(12, 1, started=now - 5.0, ts=now, chunks_done=2)  # 0.4/s
-    assert campaign_status(campaign.path, now=now)["eta_s"] == (
+    assert status_document(campaign.path, now=now)["eta_s"] == (
         pytest.approx(3 / 0.4)
     )
 
@@ -366,9 +368,9 @@ def test_cli_campaign_end_to_end(tmp_path, capsys):
         assert main(["campaign", "run-shard", camp, shard]) == 0
     capsys.readouterr()
 
-    assert main(["campaign", "status", camp, "--json"]) == 0
+    assert main(["status", camp, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == CAMPAIGN_STATUS_SCHEMA
+    assert doc["schema"] == STATUS_SCHEMA
     assert doc["complete"] and doc["tasks_done"] == doc["tasks_total"]
 
     # `campaign merge` stdout is exactly the serial figure tables --

@@ -1,7 +1,8 @@
-"""Unit tests for run telemetry: heartbeats, run-dir status, repro top.
+"""Unit tests for run telemetry: heartbeats, the status document, repro top.
 
 A ``repro run`` directory is a one-shard campaign, so its status is the
-``repro.campaign-status/1`` document and its frame the campaign frame.
+``repro.status/2`` document of kind ``campaign``; service directories
+get the same envelope with a jobs section.
 """
 
 import json
@@ -10,11 +11,13 @@ import time
 import pytest
 
 from repro.experiments import get_figure
-from repro.experiments.campaign import CAMPAIGN_STATUS_SCHEMA, Campaign
+from repro.experiments.campaign import Campaign, run_shard
 from repro.experiments.parallel import run_sweep_parallel
-from repro.runtime.context import RunContext
+from repro.runtime.context import RunContext, activate
 from repro.runtime.telemetry import (
     HEARTBEAT_SCHEMA,
+    STALE_S,
+    STATUS_SCHEMA,
     HeartbeatWriter,
     format_status,
     load_heartbeats,
@@ -22,7 +25,10 @@ from repro.runtime.telemetry import (
     telemetry_dir,
     watch,
 )
+from repro.service import api
 from repro.service.store import ColumnarStore
+from repro.service.worker import Worker
+from tests.experiments.test_harness import tiny_sweep
 
 
 @pytest.fixture
@@ -55,15 +61,19 @@ def _record(campaign, chunks):
             )
 
 
-def _beat(run_dir, pid, ts, started, chunks_done, shard=0):
-    """Forge one shard heartbeat file (a process that is not this one)."""
+def _beat(run_dir, pid, ts, started, chunks_done, role="main", **owner):
+    """Forge one heartbeat file (a process that is not this one).
+
+    ``owner`` is ``shard=K`` (the default, shard 0) or ``worker=ID``,
+    plus optionally ``state``.
+    """
     tdir = telemetry_dir(run_dir)
     tdir.mkdir(parents=True, exist_ok=True)
     doc = {
-        "schema": HEARTBEAT_SCHEMA, "pid": pid, "role": "main",
+        "schema": HEARTBEAT_SCHEMA, "pid": pid, "role": role,
         "rss_kb": 1, "cpu_user_s": 0.0, "cpu_sys_s": 0.0,
         "started": started, "chunks_done": chunks_done,
-        "last_event_ts": ts, "ts": ts, "shard": shard,
+        "last_event_ts": ts, "ts": ts, **(owner or {"shard": 0}),
     }
     (tdir / f"heartbeat-{pid}.json").write_text(json.dumps(doc))
 
@@ -79,22 +89,36 @@ class TestHeartbeatWriter:
         assert doc["rss_kb"] > 0
         assert doc["cpu_user_s"] >= 0.0
         assert doc["chunks_done"] == 0
+        assert doc["state"] == "busy"
         assert doc["started"] == writer.started <= doc["ts"]
 
     def test_started_is_recorded_once(self, tmp_path):
         writer = HeartbeatWriter(tmp_path)
-        writer.bump()
+        writer.beat(1, force=True)
         first = json.loads(writer.path.read_text())["started"]
-        writer.bump()
+        writer.beat(2, force=True)
         assert json.loads(writer.path.read_text())["started"] == first
 
-    def test_bump_counts_chunks_exactly(self, tmp_path):
+    def test_beat_counts_chunks_exactly(self, tmp_path):
         writer = HeartbeatWriter(tmp_path)
-        writer.bump()
-        writer.bump(last_event_ts=123.0)
+        writer.beat(1, force=True)
+        writer.beat(2, last_event_ts=123.0, force=True)
         doc = json.loads(writer.path.read_text())
         assert doc["chunks_done"] == 2
         assert doc["last_event_ts"] == 123.0
+
+    def test_exit_beat_carries_the_final_counts(self, tmp_path):
+        # entry and exit are forced; the beats between are throttled
+        # but still record their counts and fields
+        with HeartbeatWriter(tmp_path, throttle_s=60.0) as writer:
+            assert json.loads(writer.path.read_text())["state"] == "busy"
+            writer.beat(1, last_event_ts=5.0, state="idle", failed=1)
+            writer.beat(2)
+            doc = json.loads(writer.path.read_text())
+            assert doc["chunks_done"] == 0  # throttled
+        doc = json.loads(writer.path.read_text())
+        assert doc["chunks_done"] == 2 and doc["last_event_ts"] == 5.0
+        assert doc["state"] == "exited" and doc["failed"] == 1
 
     def test_beat_throttles(self, tmp_path):
         writer = HeartbeatWriter(tmp_path, throttle_s=60.0)
@@ -108,8 +132,8 @@ class TestHeartbeatWriter:
     def test_no_torn_reads(self, tmp_path):
         # the atomic tmp+replace protocol never leaves a partial file
         writer = HeartbeatWriter(tmp_path)
-        for _ in range(20):
-            writer.bump()
+        for k in range(20):
+            writer.beat(k, force=True)
             json.loads(writer.path.read_text())
 
 
@@ -141,7 +165,8 @@ class TestRunStatus:
     def test_fresh_run_dir(self, run_dir):
         _new_run_dir(run_dir)
         status = status_document(run_dir)
-        assert status["schema"] == CAMPAIGN_STATUS_SCHEMA
+        assert status["schema"] == STATUS_SCHEMA
+        assert status["kind"] == "campaign"
         assert status["complete"] is False
         assert status["tasks_done"] == 0
         assert status["n_shards"] == 1
@@ -192,8 +217,6 @@ class TestRunStatus:
         campaign = _new_run_dir(run_dir, reps=2, chunk_size=1)
         definition = campaign.definitions[0]
         context = campaign.context.with_(telemetry=str(telemetry_dir(run_dir)))
-        from repro.runtime.context import activate
-
         with activate(context), ColumnarStore(
             campaign.shard_path(0), campaign.groups(), mode="a"
         ) as store:
@@ -205,8 +228,11 @@ class TestRunStatus:
         assert status["complete"] is True
         assert status["tasks_done"] == len(definition.x_values) * 2
         (beat,) = load_heartbeats(run_dir)
-        assert beat["shard"] == 0
+        assert beat["shard"] == 0 and beat["state"] == "exited"
         assert beat["chunks_done"] == status["tasks_total"]
+        (process,) = status["processes"]
+        assert process["tasks"] == status["tasks_total"]
+        assert process["stale"] is False
 
 
 class TestFormatTop:
@@ -250,3 +276,135 @@ class TestWatch:
         definition = campaign.definitions[0]
         _record(campaign, [(i, 0, 2) for i in range(len(definition.x_values))])
         assert watch(run_dir, interval_s=0.01) == 0
+
+
+# ----------------------------------------------------------------------
+# one document over every directory kind
+# ----------------------------------------------------------------------
+def _finished_run_dir(path):
+    """A ``repro run`` directory: one shard, a pool-free collector."""
+    campaign = _new_run_dir(path, reps=2, chunk_size=1)
+    context = campaign.context.with_(telemetry=str(telemetry_dir(path)))
+    with activate(context), ColumnarStore(
+        campaign.shard_path(0), campaign.groups(), mode="a"
+    ) as store:
+        run_sweep_parallel(
+            campaign.definitions[0], reps=2, seed=0, workers=1,
+            chunk_size=1, store=store, start_method="serial",
+        )
+    return len(campaign.tasks()), "campaign", {"main"}, 10
+
+
+def _finished_campaign_dir(path):
+    """A two-shard campaign; both shards ran in this process, whose
+    heartbeat file the second shard's writer rewrote."""
+    campaign = Campaign.create(
+        path, [get_figure("fig13")], reps=2, n_shards=2,
+        context=RunContext(chunk_size=1),
+    )
+    for shard in range(2):
+        run_shard(campaign, shard)
+    return (
+        len(campaign.tasks()), "campaign", {"shard"},
+        len(campaign.shard_tasks(1)),
+    )
+
+
+def _finished_service_dir(path):
+    """A service directory drained by one in-process worker."""
+    api.submit(path, [tiny_sweep()], 4, RunContext(seed=3, chunk_size=2))
+    Worker(path, worker_id="w1", drain=True, poll_s=0.01).run()
+    return 4, "service", {"worker"}, 4
+
+
+@pytest.mark.parametrize(
+    "make", [_finished_run_dir, _finished_campaign_dir, _finished_service_dir],
+    ids=["run", "campaign", "service"],
+)
+def test_status_document_envelope(tmp_path, make):
+    tasks, kind, roles, counted = make(tmp_path / "dir")
+    status = status_document(tmp_path / "dir")
+    assert status["schema"] == STATUS_SCHEMA
+    assert status["kind"] == kind
+    assert status["run_dir"] == str(tmp_path / "dir")
+    assert status["complete"] is True
+    assert status["tasks_done"] == status["tasks_total"] == tasks
+    assert status["eta_s"] is None
+    assert {p["role"] for p in status["processes"]} == roles
+    for process in status["processes"]:
+        assert set(process) == {
+            "pid", "role", "shard", "worker", "state", "tasks",
+            "beat_age_s", "stale",
+        }
+        assert process["state"] == "exited" and process["stale"] is False
+    # the exit beat carries the writer's final count
+    assert sum(p["tasks"] for p in status["processes"]) == counted
+    section = {"campaign": "shards", "service": "jobs"}[kind]
+    assert status[section]
+    frame = format_status(status)
+    assert frame.startswith(f"repro top -- {tmp_path / 'dir'}  ({kind}, complete)")
+    assert f"{tasks}/{tasks}" in frame
+    assert "PID" in frame and "exited" in frame
+    assert json.loads(json.dumps(status)) == status
+
+
+class TestStaleness:
+    """One floor, one rule: an unfinished process silent past
+    ``STALE_S`` is stale -- a shard process and a service worker alike."""
+
+    @pytest.fixture(params=["shard", "service-worker"])
+    def live_dir(self, request, tmp_path):
+        path = tmp_path / "dir"
+        if request.param == "shard":
+            campaign = _new_run_dir(path)
+            _record(campaign, [(0, 0, 2)])
+            owner = {"shard": 0}
+        else:
+            api.submit(path, [tiny_sweep()], 2, RunContext(chunk_size=2))
+            owner = {"worker": "worker-41"}
+        return path, owner
+
+    def test_silent_past_the_floor_is_stale(self, live_dir):
+        path, owner = live_dir
+        now = 1_000_000.0
+        _beat(path, pid=41, ts=now, started=now - 2.0, chunks_done=1,
+              **owner)
+        fresh = status_document(path, now=now + STALE_S - 1.0)
+        late = status_document(path, now=now + STALE_S + 1.0)
+        assert [p["stale"] for p in fresh["processes"]] == [False]
+        assert [p["stale"] for p in late["processes"]] == [True]
+        assert late["eta_s"] is None  # a stale process measures no rate
+        assert "stale?" in format_status(late)
+
+    def test_exited_is_never_stale(self, live_dir):
+        path, owner = live_dir
+        now = 1_000_000.0
+        _beat(path, pid=41, ts=now, started=now - 2.0, chunks_done=1,
+              state="exited", **owner)
+        late = status_document(path, now=now + 10 * STALE_S)
+        assert [p["stale"] for p in late["processes"]] == [False]
+        assert late["processes"][0]["state"] == "exited"
+
+    def test_live_owner_drives_the_eta(self, live_dir):
+        path, owner = live_dir
+        now = 1_000_000.0
+        _beat(path, pid=41, ts=now, started=now - 2.0, chunks_done=1,
+              **owner)
+        status = status_document(path, now=now)
+        remaining = status["tasks_total"] - status["tasks_done"]
+        assert status["eta_s"] == pytest.approx(remaining / 0.5)
+
+
+def test_pool_workers_leave_no_stale_process_in_a_complete_dir(run_dir):
+    """Pool workers write no exit beat; once the directory is complete
+    their last (busy) beat is not reported stale."""
+    campaign = _new_run_dir(run_dir, reps=2, chunk_size=2)
+    definition = campaign.definitions[0]
+    _record(campaign, [(i, 0, 2) for i in range(len(definition.x_values))])
+    now = 1_000_000.0
+    _beat(run_dir, pid=77, ts=now, started=now - 5.0, chunks_done=3,
+          role="worker", state="busy")
+    status = status_document(run_dir, now=now + 10 * STALE_S)
+    (process,) = status["processes"]
+    assert process["role"] == "worker" and process["state"] == "busy"
+    assert status["complete"] and process["stale"] is False

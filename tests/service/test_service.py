@@ -19,7 +19,10 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.harness import run_sweep
+from repro.experiments.graphspec import GraphSpec
+from repro.experiments.harness import SweepDefinition
 from repro.runtime.context import RunContext
+from repro.runtime.telemetry import STATUS_SCHEMA, format_status, status_document
 from repro.service import api
 from repro.service.store import SqliteStore
 from repro.service.worker import Worker, serve
@@ -106,6 +109,32 @@ class TestWorker:
     def test_serve_validates_worker_count(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
             serve(tmp_path / "svc", workers=0)
+
+    def test_serve_reports_this_sessions_children(self, tmp_path):
+        """Two consecutive two-worker sessions: each reports its own two
+        children, read from their exit heartbeats, failures included."""
+        svc = tmp_path / "svc"
+        api.submit(svc, [tiny_sweep()], 4, CONTEXT)  # 4 tasks
+        first = serve(svc, workers=2, drain=True, poll_s=0.01)
+        assert len(first) == 2
+        assert sum(r.executed for r in first) == 4
+        assert sum(r.failed for r in first) == 0
+
+        # a negative CCR fails the one task of this sweep, in any process
+        doomed = SweepDefinition(
+            key="doomed", title="fails", x_label="CCR", x_values=(-1.0,),
+            metric="slr", schedulers=("HDLTS",),
+            graph=GraphSpec("random", {"axis": "ccr", "v": 20, "n_procs": 3}),
+        )
+        failing = api.submit(svc, [doomed], 2, CONTEXT)
+        api.submit(svc, [tiny_sweep()], 2, CONTEXT)  # 2 tasks
+        second = serve(svc, workers=2, drain=True, poll_s=0.01)
+        assert len(second) == 2
+        assert sum(r.executed for r in second) == 2
+        assert sum(r.failed for r in second) == 1
+        assert not {r.worker for r in first} & {r.worker for r in second}
+        assert all(r.worker.startswith("worker-") for r in first + second)
+        assert api.job_status(svc, failing.ticket)["state"] == "failed"
 
 
 # ----------------------------------------------------------------------
@@ -219,28 +248,28 @@ class TestApi:
         doc = api.job_status(tmp_path / "svc", job.ticket)
         assert doc["state"] == "cancelled"
 
-    def test_ps_and_service_status(self, tmp_path):
+    def test_service_status(self, tmp_path):
         api.submit(tmp_path / "svc", [tiny_sweep()], 2, CONTEXT)
         Worker(tmp_path / "svc", worker_id="w1", drain=True,
                poll_s=0.01).run()
-        ps = api.ps_document(tmp_path / "svc", now=time.time())
-        assert ps["schema"] == api.PS_SCHEMA
-        assert [j["state"] for j in ps["jobs"]] == ["done"]
-        assert [w["worker"] for w in ps["workers"]] == ["w1"]
-        assert api.format_ps(ps)  # renders
-
-        status = api.service_status(tmp_path / "svc")
-        assert status["schema"] == api.SERVICE_STATUS_SCHEMA
+        status = status_document(tmp_path / "svc", now=time.time())
+        assert status["schema"] == STATUS_SCHEMA
+        assert status["kind"] == "service"
+        assert [j["state"] for j in status["jobs"]] == ["done"]
         assert status["complete"]
         assert status["tasks_done"] == status["tasks_total"] == 2
-        assert "TICKET" in api.format_service_top(status)
+        (worker,) = status["processes"]
+        assert (worker["worker"], worker["pid"]) == ("w1", os.getpid())
+        assert (worker["state"], worker["tasks"]) == ("exited", 2)
+        assert worker["stale"] is False
+        frame = format_status(status)
+        assert "TICKET" in frame and "w1" in frame
 
     def test_status_document_dispatches_on_service_dirs(self, tmp_path):
-        from repro.runtime.telemetry import format_status, status_document
-
         api.submit(tmp_path / "svc", [tiny_sweep()], 2, CONTEXT)
         doc = status_document(tmp_path / "svc")
-        assert doc["schema"] == api.SERVICE_STATUS_SCHEMA
+        assert doc["schema"] == STATUS_SCHEMA and doc["kind"] == "service"
+        assert doc["processes"] == []  # no worker has run yet
         assert "TICKET" in format_status(doc)
 
 
@@ -262,11 +291,12 @@ class TestCli:
         assert doc["state"] == "queued"
         assert doc["sweeps"] == ["fig13"]
 
-    def test_ps_json_is_schema_stamped(self, tmp_path, capsys):
+    def test_status_json_is_schema_stamped(self, tmp_path, capsys):
         self._submit(tmp_path, capsys)
-        assert main(["ps", str(tmp_path / "svc"), "--json"]) == 0
+        assert main(["status", str(tmp_path / "svc"), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.ps/1"
+        assert doc["schema"] == "repro.status/2"
+        assert doc["kind"] == "service"
         assert len(doc["jobs"]) == 1
 
     def test_serve_watch_matches_figure_stdout(self, tmp_path, capsys):

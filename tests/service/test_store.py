@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sqlite3
 
 import numpy as np
 import pytest
@@ -205,14 +206,26 @@ class TestSqliteStore:
             ]
             assert store.events(after_id=events[0]["id"]) == [events[1]]
 
-    def test_workers_registry(self, tmp_path):
+    def test_older_stores_keep_their_workers_table(self, tmp_path):
+        # stores written before worker heartbeats moved to files carry
+        # a ``workers`` table; they still open, and it is left alone
+        path = tmp_path / "svc" / "store.sqlite"
+        path.parent.mkdir()
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "CREATE TABLE workers (worker TEXT PRIMARY KEY, pid INTEGER)"
+        )
+        conn.execute("INSERT INTO workers VALUES ('w1', 123)")
+        conn.commit()
+        conn.close()
         with SqliteStore.open(tmp_path / "svc") as store:
-            store.register_worker("w1", 123, "host-a")
-            store.beat_worker("w1", "busy", tasks_done=4)
-            (row,) = store.workers()
-            assert (row["worker"], row["pid"], row["state"]) == (
-                "w1", 123, "busy"
-            )
-            assert row["tasks_done"] == 4
-            with pytest.raises(ValueError, match="state"):
-                store.beat_worker("w1", "zombie")
+            assert store.jobs() == []
+            rows = store.conn.execute("SELECT * FROM workers").fetchall()
+            assert [tuple(r) for r in rows] == [("w1", 123)]
+        with SqliteStore.open(tmp_path / "fresh") as store:
+            tables = {
+                r[0] for r in store.conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            assert "workers" not in tables

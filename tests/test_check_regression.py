@@ -51,12 +51,6 @@ def test_any_counter_difference_fails(tmp_path, metrics, capsys):
     assert "different logical work" in capsys.readouterr().out
 
 
-def test_ungated_bench_reports_but_passes(tmp_path, monkeypatch):
-    monkeypatch.setitem(check_regression.UNGATED, BENCH, "adaptive rounds")
-    changed = {BENCH: {"wall_s": 1.0, "metrics": {"HEFT/decisions": 99}}}
-    assert _check(tmp_path, changed) == 0
-
-
 def test_different_reps_are_refused(tmp_path, capsys):
     assert _check(tmp_path, {BENCH: {"wall_s": 1.0, "metrics": COUNTERS}}, reps=10) == 1
     assert "REPRO_BENCH_REPS=2" in capsys.readouterr().out
@@ -65,4 +59,12 @@ def test_different_reps_are_refused(tmp_path, capsys):
 def test_committed_baseline_gates_the_ci_bench_set():
     doc = json.loads((SCRIPT.parent / "BENCH_baseline.json").read_text())
     assert doc["reps"] == 2
-    assert set(check_regression.UNGATED) <= set(doc["benchmarks"])
+    assert not hasattr(check_regression, "UNGATED")  # every bench is gated
+    # the benches that time a call with pytest-benchmark record the
+    # sweep's counters only: none of them counts a calibrated round
+    for name in (
+        "benchmarks/bench_engine_scaling.py::test_engine_scaling",
+        "benchmarks/bench_fig13_md_slr_vs_ccr.py::test_fig13",
+        "benchmarks/bench_scaling.py::test_scaling",
+    ):
+        assert name in doc["benchmarks"]

@@ -543,7 +543,7 @@ class TestRunTelemetry:
         capsys.readouterr()
         assert main(["status", str(run_dir), "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
-        assert status["schema"] == "repro.campaign-status/1"
+        assert status["schema"] == "repro.status/2"
         assert status["complete"] is True
         assert status["tasks_done"] == status["tasks_total"] == 10
 
