@@ -18,7 +18,11 @@ Each arm checks **correctness first** -- ``run_sweep`` under
 ``batch="auto"`` vs ``batch="off"`` must report bit-identical
 means/stds and identical observability counters, and the raw kernel
 makespans must equal the scalar schedulers' bit for bit -- and then
-**throughput**: both paths consume the *same* prebuilt compiled
+**throughput**: the batched arm times the calls the harness makes per
+group (the static lists in one fused
+:func:`~repro.core.batch.run_static_set` call, HDLTS in its own
+:func:`~repro.core.batch.run_batch` call), and both paths consume the
+*same* prebuilt compiled
 instances (instance construction is identical input work, not what the
 kernel optimizes), alternating scalar-then-batched each round so
 CPU-frequency drift hits both alike; the per-path minimum over rounds
@@ -38,7 +42,13 @@ import numpy as np
 from conftest import bench_reps, emit
 from repro import obs
 from repro.baselines.registry import make_scheduler
-from repro.core.batch import CompiledBatch, batch_key, run_batch
+from repro.core.batch import (
+    BATCHABLE_STATIC,
+    CompiledBatch,
+    batch_key,
+    run_batch,
+    run_static_set,
+)
 from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import (
     SweepDefinition,
@@ -58,6 +68,8 @@ BATCH_LANES = 512
 
 #: the paper set, all batchable (CPOP always takes the scalar path)
 SCHEDULERS = ("HDLTS", "HEFT", "PETS", "PEFT", "SDBATS")
+#: the paper set's static lists: one fused call per batch
+STATICS = tuple(name for name in SCHEDULERS if name in BATCHABLE_STATIC)
 
 
 def _definition(factory, params, x_values=(1.0, 3.0, 5.0)):
@@ -119,7 +131,10 @@ def _scalar_round(graphs):
 
 
 def _batched_round(batch):
-    return {name: run_batch(batch, name).makespans for name in SCHEDULERS}
+    """The harness's calls for one group: statics fused, HDLTS alone."""
+    results = run_static_set(batch, STATICS)
+    results["HDLTS"] = run_batch(batch, "HDLTS")
+    return {name: result.makespans for name, result in results.items()}
 
 
 def _paired_throughput(definition, key, label, distinct_shapes, benchmark):

@@ -23,7 +23,14 @@ structures may all differ -- into one struct-of-arrays program:
   and then place one task per lane per step in lockstep, with a
   vectorized timeline gap scan (:class:`_BatchTimelines`) replicating
   ``ProcessorTimeline.earliest_start_fast`` and the 1e-12
-  strict-improvement CPU selection of ``StaticEFTEngine.place_best``;
+  strict-improvement CPU selection of ``StaticEFTEngine.place_best``.
+  Every static member of a group shares **one** lockstep loop
+  (:func:`run_static_set`): virtual lane ``s * B + b`` is member ``s``
+  on batch lane ``b``, so the per-step numpy calls -- which bound a
+  step at these sizes, not the elements they touch -- are paid once
+  for the set; what differs per member (the order, PEFT's OCT term,
+  SDBATS's entry mirrors) is per-lane data.  :func:`run_batch` on a
+  static list is the one-member set;
 * HDLTS runs a batched ready-list step: the union of the lanes' ITQ
   frontiers is compacted into one ``(batch, |union|, p)`` EFT block per
   step, the penalty-value kernel and the argmax/argmin selections run
@@ -56,6 +63,7 @@ from repro.schedule.timeline import _EPS
 
 __all__ = [
     "BATCHABLE",
+    "BATCHABLE_STATIC",
     "BatchResult",
     "CompiledBatch",
     "batch_groups",
@@ -66,6 +74,7 @@ __all__ = [
     "max_lanes",
     "min_lanes",
     "run_batch",
+    "run_static_set",
 ]
 
 
@@ -131,6 +140,10 @@ _CONFIGS: Dict[str, object] = {
 
 #: registry names the batch kernel covers
 BATCHABLE = frozenset(_CONFIGS)
+#: the static-list members of :data:`BATCHABLE` (:func:`run_static_set`)
+BATCHABLE_STATIC = frozenset(
+    name for name, cfg in _CONFIGS.items() if isinstance(cfg, _StaticConfig)
+)
 
 
 def batchable_schedulers() -> List[str]:
@@ -146,7 +159,10 @@ def batchable_schedulers() -> List[str]:
 #: its Python-float scalar path (it wins at 8 on 8 and 4 CPUs, 0.9x on
 #: 2), the static list schedulers at 12-16 (PETS at 16-20: 0.88-1.11x
 #: at 16 lanes, 1.11-1.24x at 24; at 2 lanes they run ~5x slower
-#: batched).
+#: batched).  These were measured one static per loop; a fused static
+#: set (:func:`run_static_set`) shares its loop's dispatch cost among
+#: its members, but the gate is unchanged: each member still needs B
+#: lanes of its own, whatever the set's width S*B.
 _MIN_LANES = {_StaticConfig: 16, _DynamicConfig: 8}
 
 
@@ -572,13 +588,16 @@ class _BatchTimelines:
         # reaches a contiguous row, which is much cheaper than the 2-D
         # advanced indexing a (B, p, S) layout would force per step
         self.starts = np.full((n_lanes * n_procs, capacity), np.inf)
-        self.ends = np.full((n_lanes * n_procs, capacity), np.inf)
-        # derived rows kept in sync by ``insert`` (touched rows only),
-        # saving two full-slab passes per gap scan: ``starts + _EPS``
-        # and the one-right-shifted ends (gap predecessors)
+        # ends sit behind one leading 0.0 column: ``ends`` is the view
+        # from column 1 and ``prev_ends`` the view from column 0, each
+        # slot's gap predecessor end (0.0 before the first slot) -- the
+        # scan's right-shifted ends with no second array to keep in sync
+        self._ends = np.full((n_lanes * n_procs, capacity + 1), np.inf)
+        self._ends[:, 0] = 0.0
+        # ``starts + _EPS`` kept in sync by ``insert`` (touched rows
+        # only), saving a full-slab pass per gap scan
         self.starts_eps = np.full((n_lanes * n_procs, capacity), np.inf)
-        self.prev_ends = np.full((n_lanes * n_procs, capacity), np.inf)
-        self.prev_ends[:, 0] = 0.0
+        self._views()
         self.counts = np.zeros(n_lanes * n_procs, dtype=np.intp)
         self.max_end = np.zeros((n_lanes, n_procs))
         self.monotone = np.ones(n_lanes * n_procs, dtype=bool)
@@ -595,10 +614,13 @@ class _BatchTimelines:
         self._version = np.zeros(n_lanes * n_procs, dtype=np.int64)
         self._fallback_cache: Dict[int, Tuple[int, list, list]] = {}
 
+    def _views(self) -> None:
+        self.ends = self._ends[:, 1:]
+        self.prev_ends = self._ends[:, :-1]
+
     def _alloc_scratch(self) -> None:
         shape = self.starts.shape
-        self._sf2 = np.empty(shape)
-        self._sf3 = np.empty(shape)
+        self._sf = np.empty(shape)
         self._sb1 = np.empty(shape, dtype=bool)
         self._sb2 = np.empty(shape, dtype=bool)
 
@@ -607,21 +629,20 @@ class _BatchTimelines:
         needed = self.hot + 3
         if needed <= capacity:
             return
-        grow = max(needed, 2 * capacity)
-        pad = grow - capacity
-        shape = (self.starts.shape[0], pad)
-        self.starts = np.concatenate(
-            [self.starts, np.full(shape, np.inf)], axis=1
-        )
-        self.ends = np.concatenate(
-            [self.ends, np.full(shape, np.inf)], axis=1
-        )
-        self.starts_eps = np.concatenate(
-            [self.starts_eps, np.full(shape, np.inf)], axis=1
-        )
-        self.prev_ends = np.concatenate(
-            [self.prev_ends, np.full(shape, np.inf)], axis=1
-        )
+        # grow by an eighth (at least 8 columns), not by doubling: the
+        # slabs of a fused static set span S*B lanes, and a doubled
+        # capacity would hold up to twice the columns ``hot`` reaches.
+        # Free the scratch and fill the grown slabs in place: no padded
+        # copies, so the growth holds at most one old slab beside the new
+        pad = max(needed - capacity, 8, capacity // 8)
+        del self._sf, self._sb1, self._sb2, self.ends, self.prev_ends
+        for name in ("starts", "_ends", "starts_eps"):
+            old = getattr(self, name)
+            grown = np.full((old.shape[0], old.shape[1] + pad), np.inf)
+            grown[:, : old.shape[1]] = old
+            setattr(self, name, grown)
+            del old
+        self._views()
         self._alloc_scratch()
 
     # ------------------------------------------------------------------
@@ -641,12 +662,11 @@ class _BatchTimelines:
         ends = self.ends[:, :w]
         ready_f = ready.reshape(n_rows, 1)
         dur_f = dur.reshape(n_rows, 1)
-        gap = self._sf2[:, :w]
-        fit = self._sf3[:, :w]
+        fit = self._sf[:, :w]
         feasible = self._sb1[:, :w]
         open_ = self._sb2[:, :w]
-        np.maximum(ready_f, self.prev_ends[:, :w], out=gap)
-        np.add(gap, dur_f, out=fit)
+        np.maximum(ready_f, self.prev_ends[:, :w], out=fit)  # gap starts
+        fit += dur_f
         np.less_equal(fit, self.starts_eps[:, :w], out=feasible)
         np.greater(ends, ready_f, out=open_)
         feasible &= open_
@@ -654,7 +674,9 @@ class _BatchTimelines:
         # feasible with gap = max(ready, max_end): exactly the scalar
         # append-after-everything fallback, so argmax needs no miss case
         idx = feasible.argmax(axis=1)
-        out = gap[self._row_id, idx].reshape(self.n_lanes, self.n_procs)
+        out = np.maximum(
+            ready_f[:, 0], self.prev_ends[self._row_id, idx]
+        ).reshape(self.n_lanes, self.n_procs)
         # an empty row answers ``max(ready, 0.0)`` on both paths (the
         # scalar's ``max(ready, avail)`` with ``avail`` still 0), so
         # only occupied rows can need the scalar port
@@ -750,42 +772,44 @@ class _BatchTimelines:
             return
         self._ensure_capacity()
         rows = lanes * self.n_procs + procs
-        # hot window + 1 shift column: rows hold at most ``hot`` slots,
-        # so the shifted row fits in ``hot + 1`` columns and one pad
-        # column keeps the write-back from touching live data
-        w = min(self.hot + 2, self.starts.shape[1])
-        row_s = self.starts[rows, :w]  # (K, w) gather copies
-        row_e = self.ends[rows, :w]
+        cap = self.starts.shape[1]
         count = self.counts[rows]
-        # bisect_right on the (start, end) key list
-        pos = (row_s < start[:, None]).sum(axis=1) + (
-            (row_s == start[:, None]) & (row_e <= end[:, None])
-        ).sum(axis=1)
-        col = np.arange(w)
-        shifted_s = np.empty_like(row_s)
-        shifted_s[:, 0] = row_s[:, 0]
-        shifted_s[:, 1:] = row_s[:, :-1]
-        shifted_e = np.empty_like(row_e)
-        shifted_e[:, 0] = row_e[:, 0]
-        shifted_e[:, 1:] = row_e[:, :-1]
-        at = col[None, :] == pos[:, None]
-        before = col[None, :] < pos[:, None]
-        new_s = np.where(before, row_s, np.where(at, start[:, None], shifted_s))
-        new_e = np.where(before, row_e, np.where(at, end[:, None], shifted_e))
+        # bisect_right on the (start, end) key list: starts are sorted
+        # and column ``hot`` is a +inf pad in every row, so the first
+        # start >= ``start`` exists; slots with an equal start then
+        # order by end
+        w = self.hot + 1
+        row_s = self.starts[rows, :w]
+        pos = (row_s >= start[:, None]).argmax(axis=1)
+        tie = row_s == start[:, None]
+        if tie.any():
+            pos += (tie & (self.ends[rows, :w] <= end[:, None])).sum(axis=1)
+        # flat slab indices: slot c of row r is ``r * cap + c`` in the
+        # start rows and ``r * (cap + 1) + 1 + c`` in the ends behind
+        # their leading column
+        at = rows * cap + pos
+        at_e = at + rows + 1
+        starts = self.starts.reshape(-1)
+        starts_eps = self.starts_eps.reshape(-1)
+        ends = self._ends.reshape(-1)
         # monotone break (old row values; the +inf pads make the right
         # test vacuous for appends, matching reserve's append fast path)
-        ar = np.arange(len(lanes))
-        prev_e = row_e[ar, np.maximum(pos - 1, 0)]
-        next_e = row_e[ar, pos]
-        broke = ((pos > 0) & (prev_e > end)) | (end > next_e)
+        prev_e = ends[at_e - 1]
+        broke = ((pos > 0) & (prev_e > end)) | (end > ends[at_e])
         self.monotone[rows] &= ~broke
+        # shift the slots at and after ``pos`` one column right (none
+        # for an append), then write the new slot
+        move = count - pos
+        if move.any():
+            src, _ = _ragged_indices(at, move)
+            starts[src + 1] = starts[src]
+            starts_eps[src + 1] = starts_eps[src]
+            src += np.repeat(rows + 1, move)
+            ends[src + 1] = ends[src]
+        starts[at] = start
+        starts_eps[at] = start + _EPS
+        ends[at_e] = end
         self._version[rows] += 1
-        self.starts[rows, :w] = new_s
-        self.ends[rows, :w] = new_e
-        # keep the derived scan rows in sync (capacity >= hot + 3 after
-        # _ensure_capacity, so the w + 1 shift column always exists)
-        self.starts_eps[rows, :w] = new_s + _EPS
-        self.prev_ends[rows, 1 : w + 1] = new_e
         self.counts[rows] = count + 1
         self.hot = max(self.hot, int(count.max()) + 1)
         self.max_end[lanes, procs] = np.maximum(
@@ -912,7 +936,7 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# static-list baselines (HEFT / PEFT / SDBATS) in lockstep
+# static-list baselines (HEFT / PEFT / PETS / SDBATS) in one lockstep loop
 # ----------------------------------------------------------------------
 def _static_orders(batch: CompiledBatch, cfg: _StaticConfig) -> np.ndarray:
     """(B, n) per-lane task orders, exactly the scalar derivations."""
@@ -983,154 +1007,236 @@ def _peft_orders(batch: CompiledBatch, ranks: np.ndarray) -> np.ndarray:
     return orders
 
 
-def _run_static(batch: CompiledBatch, name: str, cfg: _StaticConfig) -> BatchResult:
+def _place_entries(
+    batch: CompiledBatch,
+    members: Sequence[Tuple[str, _StaticConfig]],
+    timelines: _BatchTimelines,
+    proc_rec: np.ndarray,
+    start_rec: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[str, Tuple]]:
+    """Every member's entry copies: the pre-loop step of the static set.
+
+    SDBATS pre-places its entry (primary copy on the cheapest CPU plus,
+    with duplication, a mirror on every other CPU); every other member
+    places it as its step 0, whose ready row is all zeros on empty
+    timelines, so the start is ``0.0`` and the pick is the scalar
+    engine's over ``0.0 + W(entry)`` (PEFT: plus the entry's OCT row).
+    Returns the ``(S*B, p)`` entry local-finish rows, each virtual
+    lane's best entry finish and makespan so far, and SDBATS's
+    ``(entry_proc, entry_dup)`` per member name.
+    """
+    n_lanes, p, entry = batch.n_lanes, batch.n_procs, batch.entry
+    lanes = np.arange(n_lanes)
+    w_entry = batch.W[:, entry, :]  # (B, p)
+    entry_fin = np.full((len(members) * n_lanes, p), np.inf)
+    primary_fin = np.empty(len(members) * n_lanes)
+    entry_extra: Dict[str, Tuple] = {}
+    for s, (name, cfg) in enumerate(members):
+        v = slice(s * n_lanes, (s + 1) * n_lanes)
+        rows = entry_fin[v]
+        if cfg.sdbats:
+            proc = w_entry.argmin(axis=1)
+            dup = np.zeros(n_lanes, dtype=bool)
+            if cfg.duplicate_entry:
+                dup = w_entry.max(axis=1) > 0
+                rows[dup] = w_entry[dup]  # a mirror on every other CPU
+            fin = w_entry[lanes, proc]
+            entry_extra[name] = (proc, dup)
+        else:
+            est = np.zeros((n_lanes, p))
+            eft = est + w_entry
+            if cfg.peft:
+                eft += batch.oct_table()[:, entry, :]
+            proc = _select_min_score(eft)
+            start = est[lanes, proc]
+            fin = start + w_entry[lanes, proc]
+            proc_rec[0, v] = proc
+            start_rec[0, v] = start
+        rows[lanes, proc] = fin
+        primary_fin[v] = fin
+    # every copy starts at 0.0 on its own (lane, CPU) row
+    copy_v, copy_q = np.nonzero(np.isfinite(entry_fin))
+    timelines.insert(
+        copy_v, copy_q, np.zeros(copy_v.size), entry_fin[copy_v, copy_q]
+    )
+    # min is order-free: the best copy's finish; an SDBATS mirror never
+    # raises the makespan, only the primary copy does
+    makespan = np.maximum(np.zeros(len(primary_fin)), primary_fin)
+    return entry_fin, entry_fin.min(axis=1), makespan, entry_extra
+
+
+#: steps per up-front edge plan of the static loop: long enough to
+#: amortize the plan's build, short enough that its edge arrays stay
+#: small next to the timelines
+_PLAN_STEPS = 16
+
+
+def _edge_plan(
+    batch: CompiledBatch,
+    g_nodes: np.ndarray,
+    slot_of: np.ndarray,
+    entry_fin: np.ndarray,
+    entry_best: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """The (step, virtual lane) -> predecessor-edge plan of a run of steps.
+
+    ``g_nodes`` is ``(k, S*B)``: each step's task as a union CSR row.
+    Static lists fix the whole plan up front, so it is built step-major
+    in one pass: per step a contiguous slice of edges, one segment per
+    virtual lane (every non-entry task has a parent, so none is empty).
+    Returns ``(src, cost, bounds, offsets, ent_pos, ent_rows,
+    ent_bounds)``: each edge's parent record slot and communication
+    cost, the per-step plan bounds and reduceat offsets, and the entry
+    edges' positions with their arrival rows, which are final once the
+    entry's copies are placed: ``min(LF_entry, BF_entry + comm)`` per
+    CPU (on a single copy that is ``via`` except ``fin`` on its CPU,
+    exactly the one-copy row).  The entry heads every list, so its
+    record slot is the virtual lane itself.
+    """
+    n_steps, n_virtual = g_nodes.shape
+    n = batch.n_tasks
+    starts = batch.pred_indptr[g_nodes].ravel()
+    counts = batch.pred_indptr[g_nodes + 1].ravel() - starts
+    seg = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=seg[1:])
+    flat = np.repeat(starts - seg[:-1], counts) + np.arange(seg[-1])
+    parent = batch.pred_ids[flat]
+    lanes = np.repeat(np.tile(np.arange(n_virtual), n_steps), counts)
+    src = slot_of.ravel()[lanes * n + parent]
+    cost = batch.pred_costs[flat]
+    bounds = seg[::n_virtual]
+    offsets = seg[:-1].reshape(n_steps, n_virtual) - bounds[:-1, None]
+    ent_pos = np.flatnonzero(parent == batch.entry)
+    ent_v = src[ent_pos]
+    ent_rows = np.minimum(
+        entry_fin[ent_v], (entry_best[ent_v] + cost[ent_pos])[:, None]
+    )
+    ent_bounds = np.searchsorted(ent_pos, bounds)
+    return src, cost, bounds, offsets, ent_pos, ent_rows, ent_bounds
+
+
+def _run_static_set(
+    batch: CompiledBatch, members: Sequence[Tuple[str, _StaticConfig]]
+) -> Dict[str, BatchResult]:
+    """Static members sharing one ``insertion`` mode, in one lockstep loop.
+
+    Virtual lane ``s * B + b`` is member ``s`` on batch lane ``b``: the
+    members' per-lane task orders are stacked, every per-step array is
+    ``(S*B, ...)`` and reads ``W`` and the predecessor CSR through the
+    lane map ``b``.  What differs per member is per-lane data, not a
+    branch: the task order, PEFT's OCT term (added on PEFT's rows only)
+    and the SDBATS entry mirrors, which live in the entry's local-finish
+    rows every lane carries.
+    """
     n_lanes, n, p = batch.n_lanes, batch.n_tasks, batch.n_procs
     entry = batch.entry
-    W = batch.W
-    lanes = np.arange(n_lanes)
-    orders = _static_orders(batch, cfg)
+    n_virtual = len(members) * n_lanes
+    vlanes = np.arange(n_virtual)
+    lane_of = np.tile(np.arange(n_lanes), len(members))
+    orders = np.concatenate(
+        [_static_orders(batch, cfg) for _, cfg in members]
+    )
+    if not bool((orders[:, 0] == entry).all()):  # pragma: no cover
+        raise AssertionError("entry task must head the static list")
 
-    # statics place every task exactly once, so the scalar-engine dense
-    # local-finish table collapses to (CPU, finish) scalars per task --
-    # except the SDBATS entry, whose mirror copies keep a (B, p) row
-    proc_of = np.zeros((n_lanes, n), dtype=np.intp)
-    fin_of = np.full((n_lanes, n), np.inf)
-    entry_fin = None
-    best_finish = np.full((n_lanes, n), np.inf)
-    # start small and double: the hot-window slices then stay nearly
+    # start small and grow: the hot-window slices then stay nearly
     # dense in the slab (a capacity of n + 3 up front would make every
     # ``[:, :w]`` view ~4x strided, which triples the scan cost)
-    timelines = _BatchTimelines(n_lanes, p, capacity=8)
-    makespan = np.zeros(n_lanes)
-    oct_b = batch.oct_table() if cfg.peft else None
-
-    entry_proc = None
-    entry_dup = None
-    start_step = 0
-    if cfg.sdbats:
-        if not bool((orders[:, 0] == entry).all()):  # pragma: no cover
-            raise AssertionError("entry task must head the static list")
-        entry_fin = np.full((n_lanes, p), np.inf)
-        entry_proc = W[:, entry, :].argmin(axis=1)
-        fin = W[lanes, entry, entry_proc]
-        timelines.insert(lanes, entry_proc, np.zeros(n_lanes), fin)
-        entry_fin[lanes, entry_proc] = fin
-        best_finish[lanes, entry] = fin
-        makespan = np.maximum(makespan, fin)  # the entry's primary copy
-        entry_dup = np.zeros(n_lanes, dtype=bool)
-        if cfg.duplicate_entry:
-            entry_dup = W[:, entry, :].max(axis=1) > 0
-            for q in range(p):
-                mirror = np.flatnonzero(entry_dup & (entry_proc != q))
-                if not mirror.size:
-                    continue
-                fin_q = W[mirror, entry, q]
-                timelines.insert(
-                    mirror,
-                    np.full(mirror.size, q, dtype=np.intp),
-                    np.zeros(mirror.size),
-                    fin_q,
-                )
-                entry_fin[mirror, q] = fin_q
-                best_finish[mirror, entry] = np.minimum(
-                    best_finish[mirror, entry], fin_q
-                )
-        start_step = 1
-
-    steps = n - start_step
-    tasks_rec = orders[:, start_step:].copy()
-    procs_rec = np.empty((n_lanes, steps), dtype=np.intp)
-    starts_rec = np.empty((n_lanes, steps))
-
-    # The whole (step, lane) -> predecessor-edge gather is known up
-    # front (static lists), so build it once, step-major: per step the
-    # plan is a contiguous slice of flat edge indices + lane owners,
-    # saving the per-step cumsum/repeat of the dynamic ragged helper.
-    t_sm = orders.T[start_step:]  # (steps, B)
-    costs_sm = W[lanes[None, :], t_sm]  # (steps, B, p) one gather
-    oct_sm = oct_b[lanes[None, :], t_sm] if cfg.peft else None
-    g_nodes = lanes * n + t_sm  # union CSR rows
-    g_starts = batch.pred_indptr[g_nodes]
-    g_counts = (batch.pred_indptr[g_nodes + 1] - g_starts).ravel()
-    seg = np.zeros(g_counts.size + 1, dtype=np.intp)
-    np.cumsum(g_counts, out=seg[1:])
-    flat_all = np.repeat(g_starts.ravel() - seg[:-1], g_counts) + np.arange(
-        seg[-1]
+    timelines = _BatchTimelines(n_virtual, p, capacity=8)
+    # step-major records: row k is every virtual lane's step k
+    proc_rec = np.zeros((n, n_virtual), dtype=np.intp)
+    start_rec = np.zeros((n, n_virtual))
+    entry_fin, entry_best, makespan, entry_extra = _place_entries(
+        batch, members, timelines, proc_rec, start_rec
     )
-    lane_all = np.repeat(np.tile(lanes, steps), g_counts)
-    parent_all = batch.pred_ids[flat_all]
-    cost_all = batch.pred_costs[flat_all]
-    # only SDBATS mirrors make the entry multi-copy; everywhere else
-    # every parent's local-finish row is ``fin_of`` at ``proc_of``
-    ent_all = parent_all == entry if cfg.sdbats else None
 
-    for k in range(start_step, n):
-        tasks = orders[:, k]
-        row0 = (k - start_step) * n_lanes
-        lo, hi = seg[row0], seg[row0 + n_lanes]
-        bo = lane_all[lo:hi]
-        parents = parent_all[lo:hi]
-        via = best_finish[bo, parents] + cost_all[lo:hi]
-        arrivals = np.repeat(via, p).reshape(-1, p)
-        if cfg.sdbats:
-            em = ent_all[lo:hi]
-            ne = np.flatnonzero(~em)
-            arrivals[ne, proc_of[bo[ne], parents[ne]]] = fin_of[
-                bo[ne], parents[ne]
-            ]
-            if em.any():
-                arrivals[em] = np.minimum(
-                    entry_fin[bo[em]], via[em, None]
+    # Steps 1..n-1 place one non-entry task per virtual lane.  Every
+    # non-entry task is single-copy -- statics place it once -- so the
+    # scalar engine's local-finish row collapses to the (CPU, finish)
+    # pair recorded at its step, read at record slot ``step * S*B + v``.
+    steps = n - 1
+    # (steps, S*B) each step's task as a union CSR row = a row of W
+    g_nodes = lane_of * n + orders.T[1:]
+    w_rows = batch.W.reshape(-1, p)
+    # slot_of[v, task]: where lane v's records hold the task's step
+    slot_of = np.empty((n_virtual, n), dtype=np.intp)
+    slot_of[vlanes[:, None], orders] = (
+        np.arange(n) * n_virtual + vlanes[:, None]
+    )
+    peft_terms = [
+        (
+            slice(s * n_lanes, (s + 1) * n_lanes),
+            batch.oct_table().reshape(-1, p)[
+                g_nodes[:, s * n_lanes:(s + 1) * n_lanes]
+            ],
+        )
+        for s, (_, cfg) in enumerate(members)
+        if cfg.peft
+    ]
+    insertion = members[0][1].insertion
+    fin_rec = np.zeros((n, n_virtual))
+    fin_flat = fin_rec.reshape(-1)
+    proc_flat = proc_rec.reshape(-1)
+
+    for k in range(steps):
+        j = k % _PLAN_STEPS
+        if j == 0:
+            src_all, cost_all, bounds, offsets, ent_pos, ent_rows, ent_at = (
+                _edge_plan(
+                    batch, g_nodes[k:k + _PLAN_STEPS], slot_of,
+                    entry_fin, entry_best,
                 )
-        else:
-            arrivals[np.arange(via.size), proc_of[bo, parents]] = fin_of[
-                bo, parents
-            ]
-        cnts = g_counts[row0 : row0 + n_lanes]
-        nz = cnts > 0
-        ready = np.zeros((n_lanes, p))
-        if hi > lo:
-            segmax = np.maximum.reduceat(
-                arrivals, seg[row0 : row0 + n_lanes][nz] - lo, axis=0
             )
-            ready[nz] = np.maximum(segmax, 0.0)
-        costs = costs_sm[k - start_step]  # (B, p)
-        est = timelines.earliest_start(ready, costs, cfg.insertion)
+            cell = np.arange(int(np.diff(bounds).max(initial=0))) * p
+        lo, hi = bounds[j], bounds[j + 1]
+        src = src_all[lo:hi]
+        fin_p = fin_flat[src]
+        arrivals = np.repeat(fin_p + cost_all[lo:hi], p)
+        arrivals[cell[: hi - lo] + proc_flat[src]] = fin_p
+        arrivals = arrivals.reshape(-1, p)
+        if ent_at[j + 1] > ent_at[j]:
+            e = slice(ent_at[j], ent_at[j + 1])
+            arrivals[ent_pos[e] - lo] = ent_rows[e]
+        # max is order-free, and every arrival is >= 0: the scalar
+        # ready vector's ``max(.., 0)`` floor never binds
+        ready = np.maximum.reduceat(arrivals, offsets[j], axis=0)
+        costs = w_rows[g_nodes[k]]
+        est = timelines.earliest_start(ready, costs, insertion)
         eft = est + costs
         # PEFT ranks CPUs by EFT + OCT row, the others by EFT alone
-        proc = _select_min_score(
-            eft + oct_sm[k - start_step] if cfg.peft else eft
-        )
-        start = est[lanes, proc]
-        dur = costs[lanes, proc]
-        fin = start + dur
-        timelines.insert(lanes, proc, start, fin)
-        # first (and only) placement of each task: direct writes equal
-        # the scalar engine's min-with-inf updates bit for bit
-        proc_of[lanes, tasks] = proc
-        fin_of[lanes, tasks] = fin
-        best_finish[lanes, tasks] = fin
-        makespan = np.maximum(makespan, fin)
-        idx = k - start_step
-        procs_rec[:, idx] = proc
-        starts_rec[:, idx] = start
+        for rows, oct_sm in peft_terms:
+            eft[rows] += oct_sm[k]
+        proc = _select_min_score(eft)
+        start = est[vlanes, proc]
+        fin = start + costs[vlanes, proc]
+        timelines.insert(vlanes, proc, start, fin)
+        np.maximum(makespan, fin, out=makespan)
+        proc_rec[k + 1] = proc
+        start_rec[k + 1] = start
+        fin_rec[k + 1] = fin
 
-    counters = {
-        f"{cfg.obs_name}/eft_evaluations": n_lanes * steps * p,
-        f"{cfg.obs_name}/decisions": n_lanes * steps,
-        f"{cfg.obs_name}/runs": n_lanes,
-    }
-    return BatchResult(
-        scheduler=name,
-        batch=batch,
-        makespans=makespan,
-        counters=counters,
-        tasks=tasks_rec,
-        procs=procs_rec,
-        starts=starts_rec,
-        entry_proc=entry_proc,
-        entry_dup=entry_dup,
-    )
+    results: Dict[str, BatchResult] = {}
+    for s, (name, cfg) in enumerate(members):
+        v = slice(s * n_lanes, (s + 1) * n_lanes)
+        first = 1 if cfg.sdbats else 0
+        placed = n - first
+        entry_proc, entry_dup = entry_extra.get(name, (None, None))
+        results[name] = BatchResult(
+            scheduler=name,
+            batch=batch,
+            makespans=makespan[v].copy(),
+            counters={
+                f"{cfg.obs_name}/eft_evaluations": n_lanes * placed * p,
+                f"{cfg.obs_name}/decisions": n_lanes * placed,
+                f"{cfg.obs_name}/runs": n_lanes,
+            },
+            tasks=orders[v, first:].copy(),
+            procs=proc_rec[first:, v].T.copy(),
+            starts=start_rec[first:, v].T.copy(),
+            entry_proc=entry_proc,
+            entry_dup=entry_dup,
+        )
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -1388,9 +1494,41 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+def run_static_set(
+    batch: CompiledBatch, schedulers: Sequence[str]
+) -> Dict[str, BatchResult]:
+    """Run static-list registry schedulers over a packed batch, fused.
+
+    The members run as one lockstep loop over ``S * B`` virtual lanes
+    per set: members sharing an ``insertion`` mode form a set, split so
+    that ``S * B`` stays within :func:`max_lanes`.  Returns one
+    :class:`BatchResult` per member (duplicates collapse), each equal to
+    :func:`run_batch` on that member alone: same makespans, counters and
+    replayed schedules.  Raises ``KeyError`` for a name outside
+    :data:`BATCHABLE_STATIC`.
+    """
+    members: List[Tuple[str, _StaticConfig]] = []
+    for name in dict.fromkeys(schedulers):
+        cfg = _CONFIGS.get(name)
+        if not isinstance(cfg, _StaticConfig):
+            raise KeyError(
+                f"scheduler {name!r} is not a batchable static list; "
+                f"batchable statics: {sorted(BATCHABLE_STATIC)}"
+            )
+        members.append((name, cfg))
+    per_set = max(1, max_lanes(batch.n_tasks, batch.n_procs) // batch.n_lanes)
+    results: Dict[str, BatchResult] = {}
+    for insertion in (True, False):
+        group = [m for m in members if m[1].insertion is insertion]
+        for lo in range(0, len(group), per_set):
+            results.update(_run_static_set(batch, group[lo:lo + per_set]))
+    return {name: results[name] for name, _ in members}
+
+
 def run_batch(batch: CompiledBatch, scheduler: str) -> BatchResult:
     """Run one batchable registry scheduler over a packed batch.
 
+    A static list is the one-member case of :func:`run_static_set`.
     Raises ``KeyError`` for schedulers the kernel does not cover (check
     :data:`BATCHABLE` first); the caller owns eligibility gating
     (:func:`instance_batchable`) and counter emission.
@@ -1402,5 +1540,5 @@ def run_batch(batch: CompiledBatch, scheduler: str) -> BatchResult:
             f"batchable: {sorted(BATCHABLE)}"
         )
     if isinstance(cfg, _StaticConfig):
-        return _run_static(batch, scheduler, cfg)
+        return run_static_set(batch, [scheduler])[scheduler]
     return _run_hdlts(batch, scheduler, cfg)

@@ -21,10 +21,12 @@ from repro import obs
 from repro.baselines.registry import PAPER_SET, make_scheduler
 from repro.core.batch import (
     BATCHABLE,
+    BATCHABLE_STATIC,
     CompiledBatch,
     batch_groups,
     min_lanes,
     run_batch,
+    run_static_set,
 )
 from repro.experiments.graphspec import GraphSpec
 from repro.metrics.metrics import efficiency, slr
@@ -417,8 +419,10 @@ def _run_batched_group(
     """One ``(n_tasks, n_procs, entry)`` group through the batched kernel.
 
     Batchable schedulers -- the whole paper set -- run once over the
-    whole group (:func:`repro.core.batch.run_batch`) when it has at
-    least :func:`~repro.core.batch.min_lanes` lanes for them; anything
+    whole group when it has at least :func:`~repro.core.batch.min_lanes`
+    lanes for them: the static lists together in one fused call
+    (:func:`repro.core.batch.run_static_set`), each HDLTS variant on its
+    own (:func:`repro.core.batch.run_batch`); anything
     else in the set (``PETS-rpt``, CPOP, reference-only ablations,
     statics in a narrow group, ...) runs scalar per instance.  For the
     ``slr`` metric the group's Eq. 10 denominators come from one
@@ -446,15 +450,21 @@ def _run_batched_group(
                 size=batch.n_lanes,
                 key=batch.label,
             )
+        wide = [
+            name
+            for name in definition.schedulers
+            if name in BATCHABLE and batch.n_lanes >= min_lanes(name)
+        ]
+        statics = [name for name in wide if name in BATCHABLE_STATIC]
+        batched = run_static_set(batch, statics) if statics else {}
         makespans: Dict[str, np.ndarray] = {}
-        for name in definition.schedulers:
-            if name not in BATCHABLE or batch.n_lanes < min_lanes(name):
-                continue
-            batched = run_batch(batch, name)
-            makespans[name] = batched.makespans
+        for name in wide:
+            if name not in batched:
+                batched[name] = run_batch(batch, name)
+            makespans[name] = batched[name].makespans
             # the same per-scheduler counter totals the scalar runs
             # would have recorded (no-ops while profiling is off)
-            for key, total in batched.counters.items():
+            for key, total in batched[name].counters.items():
                 obs.count(key, total)
         if definition.metric == "slr":
             bounds = batch.cp_min_bounds().tolist()

@@ -105,8 +105,9 @@ def _init_worker(
     carry a :class:`~repro.experiments.graphspec.GraphSpec`.
 
     When the context names a telemetry directory the worker keeps a
-    heartbeat file there (throttled; no exit beat: the pool tears the
-    worker down), and -- when tracing is on --
+    heartbeat file there (throttled, stamped with its owner's pid as
+    ``parent``; no exit beat: the pool tears the worker down), and --
+    when tracing is on --
     streams its ``span.end`` events into ``spans-<pid>.jsonl`` in the
     same directory (flushed per chunk: ``Pool.terminate`` must not cost
     more than the chunk in flight).  Trace lanes derive from span pids,
@@ -118,7 +119,9 @@ def _init_worker(
     _WORKER_STATE.pop("heartbeat", None)
     _WORKER_STATE.pop("span_sink", None)
     if context.telemetry:
-        heartbeat = HeartbeatWriter(context.telemetry, role="worker")
+        heartbeat = HeartbeatWriter(
+            context.telemetry, role="worker", extra={"parent": os.getppid()}
+        )
         heartbeat.beat(force=True)
         _WORKER_STATE["heartbeat"] = heartbeat
         if context.trace:

@@ -9,9 +9,11 @@ that never touches the run itself:
     collector of ``repro run``, every pool worker, and every service
     worker.  Each rewrites it atomically through
     :meth:`HeartbeatWriter.beat`: pid, role, shard or service worker
-    id, state, resident set size, user/system CPU time, when it
-    started, tasks done and the wall-clock timestamp of the last
-    event.  A vanished or stale heartbeat is visible as exactly that.
+    id (a pool worker: its owner's pid), state, resident set size,
+    user/system CPU time, when it started, tasks done and the
+    wall-clock timestamp of the last event.  A vanished or stale
+    heartbeat is visible as exactly that, and a pool worker whose
+    owner beat ``exited`` reads ``lost``.
 
 ``<dir>/shards/shard-*.colbin`` / ``<dir>/store.sqlite``
     The crash-safe result stores (:mod:`repro.service.store`); progress
@@ -169,6 +171,12 @@ def load_heartbeats(run_dir: PathLike) -> List[Dict[str, object]]:
     return beats
 
 
+#: states of a process that is gone: it beat ``exited``, or it is
+#: ``lost`` -- it never did, and the process that owns it (its
+#: heartbeat's ``parent``) beat ``exited``
+_GONE = ("exited", "lost")
+
+
 def is_stale(age_s: Optional[float], finished: bool) -> bool:
     """The one staleness rule: unfinished, and silent past the floor.
 
@@ -191,8 +199,9 @@ def _eta_s(
     worker id.  The rate sums, over owners not ``finished``, the tasks
     their freshest process computed per second since it started (from
     its heartbeat in ``beats``) -- when that process is neither exited
-    nor stale.  Pool workers own nothing: the collector that owns their
-    shard counts their chunks.  ``None`` while no rate is measured.
+    nor stale (nor lost).  Pool workers own nothing: the collector that
+    owns their shard counts their chunks.  ``None`` while no rate is
+    measured.
     """
     freshest: Dict[Tuple[object, object], Tuple[Dict, Dict]] = {}
     for process, beat in zip(processes, beats):
@@ -205,7 +214,7 @@ def _eta_s(
     rate = 0.0
     for process, beat in freshest.values():
         elapsed = float(beat["ts"]) - float(beat.get("started", beat["ts"]))
-        if process["state"] != "exited" and not process["stale"] and (
+        if process["state"] not in _GONE and not process["stale"] and (
             elapsed > 0.0
         ):
             rate += process["tasks"] / elapsed
@@ -248,13 +257,19 @@ def status_document(
         }
         for beat in beats
     ]
+    # a pool worker writes no exit beat: once its owner (an earlier
+    # session's collector, after ``repro resume``) beat exited, it is gone
+    exited = {b.get("pid") for b in beats if b.get("state") == "exited"}
+    for process, beat in zip(processes, beats):
+        if process["state"] != "exited" and beat.get("parent") in exited:
+            process["state"] = "lost"
     section, finished = status_section(run_dir, processes, now)
     complete = bool(section.pop("complete"))
     tasks_done = int(section.pop("tasks_done"))
     tasks_total = int(section.pop("tasks_total"))
     for process in processes:
         process["stale"] = is_stale(
-            process["beat_age_s"], complete or process["state"] == "exited"
+            process["beat_age_s"], complete or process["state"] in _GONE
         )
     eta = None if complete else _eta_s(
         processes, beats, tasks_total - tasks_done, finished

@@ -6,8 +6,9 @@ loop is deliberately boring:
 1. :meth:`~repro.service.queue.WorkQueue.claim` the next task (or
    sleep ``poll_s`` when the queue is idle) and beat the worker's
    heartbeat file (:class:`~repro.runtime.telemetry.HeartbeatWriter`
-   under ``<dir>/telemetry/``: state ``idle`` or ``busy``, and
-   ``exited`` with the final counts on the way out),
+   under ``<dir>/telemetry/``: state ``idle`` or ``busy``, written at
+   once when a claim flips it to ``busy``, and ``exited`` with the
+   final counts on the way out),
 2. :func:`~repro.runtime.context.adopt` the submitting job's stored
    :class:`~repro.runtime.context.RunContext` -- seed, engine,
    batched kernel: execution is governed by the
@@ -163,8 +164,14 @@ class Worker:
                 if self.max_tasks is not None and executed >= self.max_tasks:
                     break
                 lease = queue.claim(worker_id)
+                # the idle -> busy flip skips the throttle (once per
+                # busy spell): a worker killed right after its claim
+                # must not read idle while it holds a lease
+                claimed = lease is not None
                 heartbeat.beat(
-                    executed, state="idle" if lease is None else "busy"
+                    executed,
+                    force=claimed and heartbeat.extra["state"] != "busy",
+                    state="busy" if claimed else "idle",
                 )
                 if lease is None:
                     sink.flush()

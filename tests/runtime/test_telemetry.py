@@ -6,6 +6,7 @@ get the same envelope with a jobs section.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -393,6 +394,86 @@ class TestStaleness:
         status = status_document(path, now=now)
         remaining = status["tasks_total"] - status["tasks_done"]
         assert status["eta_s"] == pytest.approx(remaining / 0.5)
+
+
+class TestLost:
+    """A pool worker writes no exit beat; once the process that owns it
+    (its heartbeat's ``parent``) beat ``exited``, it reads ``lost``."""
+
+    def test_an_earlier_sessions_pool_worker_reads_lost(self, run_dir):
+        campaign = _new_run_dir(run_dir)
+        _record(campaign, [(0, 0, 2)])
+        now = 1_000_000.0
+        # the interrupted session: the collector beat exited, its pool
+        # worker's last beat still reads busy
+        _beat(run_dir, pid=10, ts=now - 60.0, started=now - 90.0,
+              chunks_done=1, shard=0, state="exited")
+        _beat(run_dir, pid=11, ts=now - 61.0, started=now - 90.0,
+              chunks_done=4, role="worker", state="busy", parent=10)
+        # the resumed session, live
+        _beat(run_dir, pid=20, ts=now, started=now - 2.0, chunks_done=1,
+              shard=0, state="busy")
+        _beat(run_dir, pid=21, ts=now, started=now - 2.0, chunks_done=2,
+              role="worker", state="busy", parent=20)
+        status = status_document(run_dir, now=now)
+        states = {
+            p["pid"]: (p["state"], p["stale"]) for p in status["processes"]
+        }
+        assert states == {
+            10: ("exited", False),
+            11: ("lost", False),  # gone, so never stale either
+            20: ("busy", False),
+            21: ("busy", False),
+        }
+        remaining = status["tasks_total"] - status["tasks_done"]
+        assert status["eta_s"] == pytest.approx(remaining / 0.5)
+        assert "lost" in format_status(status)
+
+    def test_pool_workers_name_their_owner(self, run_dir):
+        campaign = _new_run_dir(run_dir, reps=2, chunk_size=1)
+        context = campaign.context.with_(
+            telemetry=str(telemetry_dir(run_dir))
+        )
+        with activate(context), ColumnarStore(
+            campaign.shard_path(0), campaign.groups(), mode="a"
+        ) as store:
+            run_sweep_parallel(
+                campaign.definitions[0], reps=2, seed=0, workers=2,
+                chunk_size=1, store=store, start_method="fork",
+            )
+        workers = [b for b in load_heartbeats(run_dir) if b["role"] == "worker"]
+        assert workers and all(b["parent"] == os.getpid() for b in workers)
+        status = status_document(run_dir)
+        states = {p["role"]: set() for p in status["processes"]}
+        for process in status["processes"]:
+            states[process["role"]].add(process["state"])
+        assert states == {"main": {"exited"}, "worker": {"lost"}}
+
+    def test_an_exit_beat_is_never_lost(self, run_dir):
+        _new_run_dir(run_dir)
+        now = 1_000_000.0
+        _beat(run_dir, pid=10, ts=now, started=now - 9.0, chunks_done=1,
+              shard=0, state="exited")
+        _beat(run_dir, pid=11, ts=now, started=now - 9.0, chunks_done=1,
+              role="worker", state="exited", parent=10)
+        status = status_document(run_dir, now=now)
+        assert [p["state"] for p in status["processes"]] == [
+            "exited", "exited",
+        ]
+
+    def test_a_lost_owner_measures_no_rate(self, run_dir):
+        campaign = _new_run_dir(run_dir)
+        _record(campaign, [(0, 0, 2)])
+        now = 1_000_000.0
+        _beat(run_dir, pid=10, ts=now - 5.0, started=now - 9.0,
+              chunks_done=0, role="main", worker="supervisor",
+              state="exited")
+        _beat(run_dir, pid=12, ts=now, started=now - 2.0, chunks_done=1,
+              role="shard", shard=0, state="busy", parent=10)
+        status = status_document(run_dir, now=now)
+        (shard,) = [p for p in status["processes"] if p["pid"] == 12]
+        assert shard["state"] == "lost" and not shard["stale"]
+        assert status["eta_s"] is None
 
 
 def test_pool_workers_leave_no_stale_process_in_a_complete_dir(run_dir):

@@ -22,7 +22,12 @@ from repro.experiments.harness import run_sweep
 from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import SweepDefinition
 from repro.runtime.context import RunContext
-from repro.runtime.telemetry import STATUS_SCHEMA, format_status, status_document
+from repro.runtime.telemetry import (
+    STATUS_SCHEMA,
+    format_status,
+    load_heartbeats,
+    status_document,
+)
 from repro.service import api
 from repro.service.store import SqliteStore
 from repro.service.worker import Worker, serve
@@ -71,6 +76,34 @@ class TestWorker:
         )
         # the job-done announcement fires exactly once
         assert names.count("service.job") == 1
+
+    def test_claim_beats_busy_at_once(self, tmp_path, monkeypatch):
+        """Right after a claim, with no sleep, the heartbeat reads busy.
+
+        The start beat wrote ``idle`` well within the beat throttle, so
+        only the forced idle -> busy flip can have rewritten the file
+        before the claimed task runs.
+        """
+        api.submit(tmp_path / "svc", [tiny_sweep()], 2, CONTEXT)
+
+        import repro.experiments.harness as harness
+
+        seen = []
+        original = harness.run_replications
+
+        def observe(*args, **kwargs):
+            beat = [
+                b for b in load_heartbeats(tmp_path / "svc")
+                if b["pid"] == os.getpid()
+            ]
+            seen.append(beat[0]["state"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_replications", observe)
+        report = Worker(tmp_path / "svc", worker_id="w1", drain=True,
+                        poll_s=0.01).run()
+        assert report.executed == 2
+        assert seen and all(state == "busy" for state in seen), seen
 
     def test_deterministic_failure_fails_the_job(self, tmp_path, monkeypatch):
         job = api.submit(tmp_path / "svc", [tiny_sweep()], 2, CONTEXT)

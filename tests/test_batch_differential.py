@@ -18,6 +18,9 @@ be the same float.  This suite checks that contract on:
 * Hypothesis-driven ragged batches: one structure seed per lane, mixing
   repeated and distinct structures, real and pseudo (normalized) entries,
 * every golden corpus entry whose pinned scheduler is batchable,
+* fused static sets (:func:`~repro.core.batch.run_static_set`): the
+  static members of a group in one lockstep loop equal each member run
+  alone and the scalar schedulers, counters included,
 
 and, at the top of the stack, that shape-uniform ``"random-fixed"`` and
 ragged ``"random"`` sweeps (every replication a different shape) both
@@ -36,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.baselines.registry import make_scheduler
+from repro.core import batch as batch_module
 from repro.core.batch import (
     BATCHABLE,
     CompiledBatch,
@@ -44,8 +48,10 @@ from repro.core.batch import (
     instance_batchable,
     min_lanes,
     run_batch,
+    run_static_set,
 )
 from repro.experiments.graphspec import GraphSpec
+from repro.experiments import harness
 from repro.experiments.harness import SweepDefinition, run_sweep
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
@@ -56,6 +62,7 @@ from repro.runtime.context import activate, current_context
 from repro.workflows import paper_example_graph
 from repro.workflows.fft import fft_topology
 from repro.workflows.molecular import molecular_dynamics_topology
+from repro.workflows.montage import montage_topology
 from repro.workflows.topology import realize_topology
 from tests.test_engine_differential import schedule_signature
 
@@ -269,6 +276,161 @@ def test_hypothesis_pets_ragged_tie_heavy_batches(n, n_procs, lanes, seed):
 
 
 # ----------------------------------------------------------------------
+# fused static sets: one lockstep loop over S x B virtual lanes
+# ----------------------------------------------------------------------
+PAPER_STATICS = ("HEFT", "PETS", "PEFT", "SDBATS")
+#: every batchable static, mixed insertion modes and SDBATS variants
+ALL_STATICS = ("HEFT", "HEFT-noinsertion", "PETS", "PEFT", "SDBATS", "SDBATS-nodup")
+
+
+def _scalar_counters(name, graphs):
+    """Counter totals of the scalar scheduler over every lane."""
+    with obs.enabled_scope(True):
+        with obs.scoped(merge_up=False) as registry:
+            runs = [make_scheduler(name).run(g) for g in graphs]
+    return runs, registry.snapshot()["counters"]
+
+
+def assert_static_set_matches(graphs, names=ALL_STATICS):
+    """The fused set equals each member alone and the scalar schedulers.
+
+    Checks makespans, every lane's replayed schedule and the counter
+    totals; each member's lone run packs its own batch, so no rank
+    cache is shared with the fused run.
+    """
+    compiled = [compile_graph(g) for g in graphs]
+    fused = run_static_set(CompiledBatch(compiled), names)
+    assert list(fused) == list(dict.fromkeys(names))
+    for name in names:
+        got = fused[name]
+        alone = run_batch(CompiledBatch(compiled), name)
+        assert got.scheduler == name
+        assert got.counters == alone.counters, name
+        for field in ("makespans", "tasks", "procs", "starts"):
+            assert np.array_equal(
+                getattr(got, field), getattr(alone, field)
+            ), (name, field)
+        runs, counters = _scalar_counters(name, graphs)
+        for key, total in got.counters.items():
+            assert counters[key] == total, (name, key)
+        for lane, scalar in enumerate(runs):
+            assert got.makespans[lane] == scalar.makespan, (name, lane)
+            assert schedule_signature(got.schedule_for(lane)) == (
+                schedule_signature(scalar.schedule)
+            ), (name, lane)
+    return fused
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    v=st.integers(min_value=8, max_value=30),
+    n_procs=st.integers(min_value=1, max_value=5),
+    ccr=st.sampled_from([0.5, 1.0, 5.0]),
+    single_entry=st.booleans(),
+    structures=st.lists(
+        st.integers(min_value=0, max_value=5), min_size=1, max_size=5
+    ),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_static_set_ragged(v, n_procs, ccr, single_entry, structures, seed):
+    """Ragged lanes (one structure seed per lane), p = 1 included."""
+    config = GeneratorConfig(
+        v=v, ccr=ccr, n_procs=n_procs, single_entry=single_entry
+    )
+    graphs = []
+    for lane, structure in enumerate(structures):
+        graph = generate_random_graph(
+            config,
+            np.random.default_rng([seed, lane]),
+            np.random.default_rng([seed, 1_000 + structure]),
+        )
+        if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
+            graph = graph.normalized()
+        graphs.append(graph)
+    key = batch_key(compile_graph(graphs[0]))
+    assert_static_set_matches(
+        [g for g in graphs if batch_key(compile_graph(g)) == key]
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_static_set_random_fixed(lanes):
+    """One shape, independent cost draws; B = 1 and a few lanes."""
+    config = GeneratorConfig(v=30, ccr=1.0, single_entry=True)
+    assert_static_set_matches(
+        [
+            generate_random_graph(
+                config,
+                np.random.default_rng(2_000 + i),
+                np.random.default_rng(5),
+            )
+            for i in range(lanes)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "label,graphs",
+    [
+        ("fft", _family(fft_topology(4), 3, 3, 1.0)),
+        ("molecular", _family(molecular_dynamics_topology(), 4, 3, 3.0)),
+        ("montage", _family(montage_topology(20), 3, 3, 0.5)),
+        ("fig1", [paper_example_graph()]),
+    ],
+)
+def test_static_set_workflow_families(label, graphs):
+    assert_static_set_matches(graphs)
+
+
+def test_static_set_single_cpu():
+    config = GeneratorConfig(v=20, ccr=1.0, n_procs=1, single_entry=True)
+    assert_static_set_matches(
+        [
+            generate_random_graph(config, np.random.default_rng(i))
+            for i in range(3)
+        ],
+        PAPER_STATICS,
+    )
+
+
+@pytest.mark.parametrize("name", ALL_STATICS)
+def test_static_set_of_one_member(name):
+    graphs = [paper_example_graph(), paper_example_graph()]
+    assert_static_set_matches(graphs, (name,))
+
+
+def test_static_set_splits_within_max_lanes(monkeypatch):
+    """A set wider than ``max_lanes`` splits and still matches."""
+    config = GeneratorConfig(v=16, ccr=1.0, single_entry=True)
+    graphs = [
+        generate_random_graph(
+            config, np.random.default_rng(i), np.random.default_rng(3)
+        )
+        for i in range(3)
+    ]
+    sizes = []
+    fused_set = batch_module._run_static_set
+
+    def spy(batch, members):
+        sizes.append(len(members))
+        return fused_set(batch, members)
+
+    monkeypatch.setattr(batch_module, "max_lanes", lambda n, p: 7)
+    monkeypatch.setattr(batch_module, "_run_static_set", spy)
+    assert_static_set_matches(graphs, ALL_STATICS)
+    # 7 // 3 lanes -> two members per set: the four insertion members,
+    # then HEFT-noinsertion alone (the lone runs add one call each)
+    assert sizes[:3] == [2, 2, 1]
+
+
+def test_static_set_rejects_dynamic_schedulers():
+    batch = CompiledBatch([compile_graph(paper_example_graph())])
+    for name in ("HDLTS", "PETS-rpt", "CPOP"):
+        with pytest.raises(KeyError):
+            run_static_set(batch, ["HEFT", name])
+
+
+# ----------------------------------------------------------------------
 # golden corpus: replay the pinned makespans through the batched kernel
 # ----------------------------------------------------------------------
 def test_golden_corpus_through_batched_kernel():
@@ -369,3 +531,37 @@ def test_harness_auto_vs_off_ragged():
     batches = _assert_arms_identical(definition, reps=16)
     assert batches, "the auto arm never ran the batched kernel"
     assert _widest(batches) >= min_lanes("HEFT")
+
+
+def test_harness_runs_a_groups_statics_in_one_call(monkeypatch):
+    """One fused static call per group; only HDLTS goes through run_batch."""
+    calls = []
+    fused, lone = harness.run_static_set, harness.run_batch
+
+    def run_static_set_spy(batch, names):
+        calls.append(("set", tuple(names)))
+        return fused(batch, names)
+
+    def run_batch_spy(batch, name):
+        calls.append(("one", name))
+        return lone(batch, name)
+
+    monkeypatch.setattr(harness, "run_static_set", run_static_set_spy)
+    monkeypatch.setattr(harness, "run_batch", run_batch_spy)
+    definition = SweepDefinition(
+        key="batch_diff_static_set",
+        title="one fused static call per group",
+        x_label="CCR",
+        x_values=(1.0,),
+        metric="slr",
+        schedulers=("HDLTS", "HEFT", "PEFT", "HEFT-noinsertion", "PETS"),
+        graph=GraphSpec(
+            "random-fixed",
+            {"axis": "ccr", "single_entry": True, "structure_seed": 3, "v": 24},
+        ),
+    )
+    _assert_arms_identical(definition, reps=16)
+    assert calls == [
+        ("set", ("HEFT", "PEFT", "HEFT-noinsertion", "PETS")),
+        ("one", "HDLTS"),
+    ]
