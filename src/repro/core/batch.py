@@ -71,6 +71,7 @@ __all__ = [
     "batchable_schedulers",
     "hdlts_dup_batchable",
     "instance_batchable",
+    "lane_gates",
     "max_lanes",
     "min_lanes",
     "run_batch",
@@ -157,18 +158,42 @@ def batchable_schedulers() -> List[str]:
 #: break-even width barely moves with size.  Measured on random DAGs of
 #: 30-200 tasks on 2-8 CPUs: HDLTS breaks even at 6-10 lanes against
 #: its Python-float scalar path (it wins at 8 on 8 and 4 CPUs, 0.9x on
-#: 2), the static list schedulers at 12-16 (PETS at 16-20: 0.88-1.11x
-#: at 16 lanes, 1.11-1.24x at 24; at 2 lanes they run ~5x slower
-#: batched).  These were measured one static per loop; a fused static
-#: set (:func:`run_static_set`) shares its loop's dispatch cost among
-#: its members, but the gate is unchanged: each member still needs B
-#: lanes of its own, whatever the set's width S*B.
+#: 2), a lone static list at 12-16 (PETS at 16-20: 0.88-1.11x at 16
+#: lanes, 1.11-1.24x at 24; at 2 lanes they run ~5x slower batched).
+#: A fused static set (:func:`run_static_set`) pays one loop's dispatch
+#: cost for all S members, so the static figure gates the set's virtual
+#: width S*B (:func:`lane_gates`): the paper's four statics batch from
+#: B = 4, where the fused set beat their scalar runs on fig2's random
+#: DAGs and fig13's MD graph and lost at B = 2 (docs/performance.md).
 _MIN_LANES = {_StaticConfig: 16, _DynamicConfig: 8}
 
 
 def min_lanes(scheduler: str) -> int:
-    """Fewest lanes for which the harness batches ``scheduler``."""
+    """Fewest lanes for which the harness batches ``scheduler`` alone
+    (for a static list: as a one-member set)."""
     return _MIN_LANES[type(_CONFIGS[scheduler])]
+
+
+def lane_gates(schedulers: Sequence[str]) -> Dict[str, int]:
+    """Fewest lanes at which each batchable name in ``schedulers`` batches.
+
+    Each HDLTS variant runs its own loop and needs :func:`min_lanes`.
+    The static lists sharing an insertion mode run as one fused loop of
+    ``S * B`` virtual lanes, gated on that width: ``S * B >= 16``, so
+    each of them needs ``ceil(16 / S)`` lanes.  Names the kernel does
+    not cover are left out.
+    """
+    names = [name for name in dict.fromkeys(schedulers) if name in _CONFIGS]
+    modes = [
+        cfg.insertion for cfg in map(_CONFIGS.get, names)
+        if isinstance(cfg, _StaticConfig)
+    ]
+    gates: Dict[str, int] = {}
+    for name in names:
+        cfg = _CONFIGS[name]
+        members = isinstance(cfg, _StaticConfig) and modes.count(cfg.insertion)
+        gates[name] = -(-min_lanes(name) // (members or 1))
+    return gates
 
 
 def max_lanes(n_tasks: int, n_procs: int) -> int:

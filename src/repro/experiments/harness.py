@@ -20,11 +20,10 @@ import numpy as np
 from repro import obs
 from repro.baselines.registry import PAPER_SET, make_scheduler
 from repro.core.batch import (
-    BATCHABLE,
     BATCHABLE_STATIC,
     CompiledBatch,
     batch_groups,
-    min_lanes,
+    lane_gates,
     run_batch,
     run_static_set,
 )
@@ -42,12 +41,15 @@ __all__ = [
     "SweepResult",
     "ExactWelford",
     "run_sweep",
+    "run_points",
     "run_replication",
     "run_replications",
 ]
 
 GraphFactory = Callable[[object, np.random.Generator], TaskGraph]
 OptionalFactory = Optional[GraphFactory]
+#: replications ``[rep_lo, rep_hi)`` of x point ``x`` (index ``x_index``)
+PointSlice = Tuple[object, int, int, int]
 
 #: metric of one schedule, read from the compiled instance
 _METRICS: Dict[str, Callable[[CompiledGraph, float], float]] = {
@@ -418,9 +420,12 @@ def _run_batched_group(
 ) -> None:
     """One ``(n_tasks, n_procs, entry)`` group through the batched kernel.
 
-    Batchable schedulers -- the whole paper set -- run once over the
-    whole group when it has at least :func:`~repro.core.batch.min_lanes`
-    lanes for them: the static lists together in one fused call
+    The lanes may come from several x points (``x`` is then the list of
+    their points, for the span and the event only): the kernel reads
+    nothing but the compiled instances.  Batchable schedulers -- the
+    whole paper set -- run once over the whole group when it is as wide
+    as their :func:`~repro.core.batch.lane_gates` entry: the static
+    lists together in one fused call
     (:func:`repro.core.batch.run_static_set`), each HDLTS variant on its
     own (:func:`repro.core.batch.run_batch`); anything
     else in the set (``PETS-rpt``, CPOP, reference-only ablations,
@@ -434,6 +439,7 @@ def _run_batched_group(
     A lane's ``TaskGraph`` is built only if a scalar scheduler runs.
     """
     metric_fn = _METRICS[definition.metric]
+    gates = lane_gates(definition.schedulers)
     bus = obs.get_bus()
     with obs.span(
         "sweep.batch",
@@ -453,7 +459,7 @@ def _run_batched_group(
         wide = [
             name
             for name in definition.schedulers
-            if name in BATCHABLE and batch.n_lanes >= min_lanes(name)
+            if name in gates and batch.n_lanes >= gates[name]
         ]
         statics = [name for name in wide if name in BATCHABLE_STATIC]
         batched = run_static_set(batch, statics) if statics else {}
@@ -533,6 +539,96 @@ def _stream_replications(
     return results
 
 
+def run_points(
+    definition: SweepDefinition,
+    points: Sequence[PointSlice],
+    seed: int,
+    validate: bool = False,
+    tick: Optional[Callable[[], None]] = None,
+) -> List[List[Dict[str, float]]]:
+    """Replications of several x points in one pass: the cross-point runner.
+
+    ``points`` lists ``(x, x_index, rep_lo, rep_hi)`` slices; the result
+    holds each slice's values in rep order, bit-identical to calling
+    :func:`run_replication` per rep.  When the active context allows it
+    (``batch="auto"``, fast engine, no validation) the instances of
+    every slice are built first and grouped by
+    ``(n_tasks, n_procs, entry)`` across points -- their structures and
+    x points may differ -- and each group runs through the batched
+    multi-DAG kernel (:mod:`repro.core.batch`), which covers the
+    paper's whole scheduler set and, for SLR sweeps, the Eq. 10
+    denominators; groups too narrow to pay for the kernel
+    (:func:`~repro.core.batch.lane_gates`), non-batchable schedulers
+    and instances outside the kernel's duplication-window gate fall
+    back to the scalar path.  The caller folds each slice on its own.
+
+    Stream definitions run point by point: each slice builds its
+    replications' workloads and computes the admission queues of each
+    ``Static/<Name>`` policy once over all their jobs
+    (:func:`~repro.stream.arena.admission_queues`, which batches under
+    the same context rules); each replication then only replays its
+    jobs' frozen queues.  ``batch="off"`` and validation keep every
+    admission schedule scalar.
+
+    ``tick`` (if given) is called after every kernel group, scalar
+    replication and stream slice: a service worker renews its leases
+    there.
+    """
+    tick = tick or (lambda: None)
+    if definition.stream is not None:
+        out = []
+        for x, x_index, rep_lo, rep_hi in points:
+            out.append(
+                _stream_replications(
+                    definition, x, x_index, range(rep_lo, rep_hi), seed,
+                    validate,
+                )
+            )
+            tick()
+        return out
+    keys = [
+        (x, x_index, rep)
+        for x, x_index, rep_lo, rep_hi in points
+        for rep in range(rep_lo, rep_hi)
+    ]
+    ctx = current_context()
+    gates = lane_gates(definition.schedulers)
+    fewest = min(gates.values(), default=0)
+    compiled: List[Optional[CompiledGraph]] = [None] * len(keys)
+    results: List[Optional[Dict[str, float]]] = [None] * len(keys)
+    if (
+        ctx.batch == "auto"
+        and not validate
+        and ctx.engine == "fast"
+        and gates
+        and len(keys) >= fewest
+    ):
+        # materialize every instance up front: replication RNG streams
+        # are keyed independently, so build order cannot change a draw
+        compiled = [
+            _build_instance(definition, x, x_index, rep, seed)
+            for x, x_index, rep in keys
+        ]
+        for sub in batch_groups(compiled, list(gates), fewest):
+            batch = CompiledBatch([compiled[i] for i in sub])
+            xs = {keys[i][1]: keys[i][0] for i in sub}
+            x = next(iter(xs.values())) if len(xs) == 1 else list(xs.values())
+            _run_batched_group(definition, x, sub, batch, results)
+            tick()
+    for idx, (x, x_index, rep) in enumerate(keys):
+        if results[idx] is None:
+            results[idx] = run_replication(
+                definition, x, x_index, rep, seed, validate,
+                instance=compiled[idx],
+            )
+            tick()
+    out, lo = [], 0
+    for _, _, rep_lo, rep_hi in points:
+        out.append(results[lo:lo + rep_hi - rep_lo])
+        lo += rep_hi - rep_lo
+    return out
+
+
 def run_replications(
     definition: SweepDefinition,
     x,
@@ -542,61 +638,10 @@ def run_replications(
     seed: int,
     validate: bool = False,
 ) -> List[Dict[str, float]]:
-    """Replications ``[rep_lo, rep_hi)`` of one x point, in rep order.
-
-    Bit-identical to calling :func:`run_replication` per rep.  When the
-    active context allows it (``batch="auto"``, fast engine, no
-    validation) the instances are grouped by
-    ``(n_tasks, n_procs, entry)`` -- their structures may differ -- and
-    each group runs through the batched multi-DAG kernel
-    (:mod:`repro.core.batch`), which covers the paper's whole scheduler
-    set and, for SLR sweeps, the Eq. 10 denominators; groups too narrow
-    to pay for the kernel (:func:`~repro.core.batch.min_lanes`),
-    non-batchable schedulers and instances outside the kernel's
-    duplication-window gate fall back to the scalar path.
-
-    Stream definitions build every replication's workload first and
-    compute the admission queues of each ``Static/<Name>`` policy once
-    over all their jobs (:func:`~repro.stream.arena.admission_queues`,
-    which batches under the same context rules); each replication then
-    only replays its jobs' frozen queues.  ``batch="off"`` and
-    validation keep every admission schedule scalar.
-    """
-    reps = range(rep_lo, rep_hi)
-    if definition.stream is not None:
-        return _stream_replications(definition, x, x_index, reps, seed, validate)
-    ctx = current_context()
-    batchable = [n for n in definition.schedulers if n in BATCHABLE]
-    fewest = min(map(min_lanes, batchable), default=0)
-    if (
-        ctx.batch != "auto"
-        or validate
-        or ctx.engine != "fast"
-        or not batchable
-        or rep_hi - rep_lo < fewest
-    ):
-        return [
-            run_replication(definition, x, x_index, rep, seed, validate)
-            for rep in reps
-        ]
-    # materialize the whole chunk up front: replication RNG streams are
-    # keyed independently, so build order cannot change any draw
-    compiled = [
-        _build_instance(definition, x, x_index, rep, seed) for rep in reps
-    ]
-    results: List[Optional[Dict[str, float]]] = [None] * len(compiled)
-    for sub in batch_groups(compiled, batchable, fewest):
-        batch = CompiledBatch([compiled[i] for i in sub])
-        _run_batched_group(
-            definition, x, sub, batch, results
-        )
-    for idx, rep in enumerate(reps):
-        if results[idx] is None:
-            results[idx] = run_replication(
-                definition, x, x_index, rep, seed, validate,
-                instance=compiled[idx],
-            )
-    return results
+    """Replications ``[rep_lo, rep_hi)`` of one x point, in rep order:
+    the one-point case of :func:`run_points`."""
+    points = [(x, x_index, rep_lo, rep_hi)]
+    return run_points(definition, points, seed, validate)[0]
 
 
 def run_sweep(

@@ -48,15 +48,16 @@ ENGINE_CHOICES = ("fast", "reference")
 #: then spawn, else serial), ``"serial"`` = never create a pool
 START_METHODS = ("fork", "spawn", "forkserver", "serial")
 
-#: batched multi-DAG kernel selection: ``"auto"`` groups each x point's
-#: replications by ``(n_tasks, n_procs, entry)`` -- structures may
+#: batched multi-DAG kernel selection: ``"auto"`` groups the
+#: replications of each harness call (one x point, or a service run's
+#: points) by ``(n_tasks, n_procs, entry)`` -- structures may
 #: differ -- and runs the groups through the batched kernel
 #: (:mod:`repro.core.batch`); stream sweeps group every job of a point
 #: the same way to compute the ``Static/<Name>`` admission schedules
 #: (:func:`repro.stream.arena.admission_queues`).  ``"off"`` forces the
 #: scalar per-instance path everywhere.  Auto falls back to scalar
 #: bit-identically for groups narrower than
-#: :func:`repro.core.batch.min_lanes`, multi-entry instances,
+#: :func:`repro.core.batch.lane_gates`, multi-entry instances,
 #: ``engine="reference"``, validation runs and non-batchable schedulers.
 BATCH_CHOICES = ("auto", "off")
 

@@ -1,31 +1,37 @@
-"""Daemon workers: claim tasks, execute, commit, publish progress.
+"""Daemon workers: claim runs of tasks, execute, commit, publish progress.
 
 A :class:`Worker` is one agent process in the scheduling service.  Its
 loop is deliberately boring:
 
-1. :meth:`~repro.service.queue.WorkQueue.claim` the next task (or
-   sleep ``poll_s`` when the queue is idle) and beat the worker's
-   heartbeat file (:class:`~repro.runtime.telemetry.HeartbeatWriter`
-   under ``<dir>/telemetry/``: state ``idle`` or ``busy``, written at
-   once when a claim flips it to ``busy``, and ``exited`` with the
-   final counts on the way out),
+1. :meth:`~repro.service.queue.WorkQueue.claim_run` the next run of
+   tasks -- consecutive claimable tasks of one sweep of one job, up to
+   :data:`~repro.service.queue.RUN_REPS` replications -- (or sleep
+   ``poll_s`` when the queue is idle) and beat the worker's heartbeat
+   file (:class:`~repro.runtime.telemetry.HeartbeatWriter` under
+   ``<dir>/telemetry/``: state ``idle`` or ``busy``, written at once
+   when a claim flips it to ``busy``, and ``exited`` with the final
+   counts on the way out),
 2. :func:`~repro.runtime.context.adopt` the submitting job's stored
    :class:`~repro.runtime.context.RunContext` -- seed, engine,
    batched kernel: execution is governed by the
    submission, not by whatever the worker process happens to have
-   active,
-3. run the task's replications through the existing harness
-   (:func:`~repro.experiments.harness.run_replications` -- the batch
-   kernel when the context says so),
-4. :meth:`~repro.service.queue.WorkQueue.commit` the values; a commit
-   rejected because the lease was reclaimed is counted and dropped,
+   active (the worker caches the current job's context and
+   definitions only),
+3. run the whole run's replications as one cross-point pass through
+   the existing harness (:func:`~repro.experiments.harness.run_points`
+   -- one kernel group per ``(n_tasks, n_procs, entry)`` key when the
+   context says so), renewing the run's leases between kernel groups
+   and before the commit,
+4. :meth:`~repro.service.queue.WorkQueue.commit_run` each task's
+   values in one transaction; a task whose lease was reclaimed is
+   counted and dropped,
 5. publish progress over the obs event bus, whose pluggable backend
    (:class:`StoreEventSink`) persists the events into the service
    store -- so ``repro watch`` in another process sees them.
 
 Crash-safety falls out of the queue protocol: a worker killed with
-``kill -9`` leaves a leased task whose lease expires, another worker
-reclaims and re-runs it (bit-identical, thanks to the ``(seed,
+``kill -9`` leaves leased tasks whose leases expire, another worker
+reclaims and re-runs them (bit-identical, thanks to the ``(seed,
 x_index, rep)`` RNG streams), and the dead worker's late commit --
 had it survived -- would be rejected by the ownership guard.
 """
@@ -38,13 +44,18 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.obs.events import Event, _json_default
 from repro.runtime.context import RunContext, adopt
 from repro.runtime.telemetry import HeartbeatWriter, load_heartbeats, telemetry_dir
-from repro.service.queue import DEFAULT_LEASE_S, Lease, WorkQueue
+from repro.service.queue import (
+    DEFAULT_LEASE_S,
+    RUN_REPS,
+    Lease,
+    WorkQueue,
+)
 from repro.service.store import SqliteStore
 
 __all__ = ["StoreEventSink", "Worker", "WorkerReport", "serve"]
@@ -137,10 +148,12 @@ class Worker:
         self.poll_s = poll_s
         self.drain = drain
         self.max_tasks = max_tasks
+        #: ``(job_id, context, definitions)`` of the job served last
+        self.job_cache: Optional[Tuple[int, RunContext, Dict]] = None
 
     def run(self) -> WorkerReport:
         """Run the claim/execute/commit loop to drain or interrupt."""
-        from repro.experiments.harness import SweepDefinition, run_replications
+        from repro.experiments.harness import run_points
 
         worker_id = self.worker_id or f"worker-{os.getpid()}"
         store = SqliteStore.open(self.store_path)
@@ -153,105 +166,109 @@ class Worker:
         bus = obs.get_bus()
         sink = StoreEventSink(store, source=worker_id)
         previous = bus.set_backend(sink, topics=["service."])
-        definitions: Dict[int, Dict[str, SweepDefinition]] = {}
-        contexts: Dict[int, RunContext] = {}
         executed = discarded = failed = 0
         interrupted = False
-        lease: Optional[Lease] = None
+        run: List[Lease] = []
         bus.emit("service.worker", worker=worker_id, phase="started")
         try:
             while True:
-                if self.max_tasks is not None and executed >= self.max_tasks:
+                limit = RUN_REPS
+                if self.max_tasks is not None:
+                    limit = min(limit, self.max_tasks - executed)
+                if limit < 1:
                     break
-                lease = queue.claim(worker_id)
+                run = queue.claim_run(worker_id, limit)
                 # the idle -> busy flip skips the throttle (once per
                 # busy spell): a worker killed right after its claim
                 # must not read idle while it holds a lease
-                claimed = lease is not None
                 heartbeat.beat(
                     executed,
-                    force=claimed and heartbeat.extra["state"] != "busy",
-                    state="busy" if claimed else "idle",
+                    force=bool(run) and heartbeat.extra["state"] != "busy",
+                    state="busy" if run else "idle",
                 )
-                if lease is None:
+                if not run:
                     sink.flush()
                     if self.drain and self._drained(queue):
                         break
                     time.sleep(self.poll_s)
                     continue
-                bus.emit(
-                    "service.claim",
-                    ticket=lease.ticket,
-                    task=lease.task,
-                    worker=worker_id,
-                    attempt=lease.attempt,
-                )
-                job_id = lease.job_id
-                if job_id not in contexts:
-                    job = store.job_by_id(job_id)
-                    contexts[job_id] = RunContext.from_dict(job.context)
-                    definitions[job_id] = {
-                        d["key"]: SweepDefinition.from_dict(d)
-                        for d in job.spec
-                    }
-                context = contexts[job_id]
-                adopt(context)
-                definition = definitions[job_id][lease.sweep]
-                started = time.perf_counter()
-                try:
-                    with obs.span(
-                        "service.task", task=lease.task, worker=worker_id
-                    ):
-                        values = run_replications(
-                            definition, lease.x, lease.x_index,
-                            lease.rep_lo, lease.rep_hi, context.seed,
-                            context.validate,
-                        )
-                except KeyboardInterrupt:
-                    queue.release(worker_id, lease)
-                    lease = None
-                    interrupted = True
-                    break
-                except Exception as exc:
-                    queue.fail(
-                        worker_id, lease, f"{type(exc).__name__}: {exc}"
-                    )
-                    failed += 1
+                for lease in run:
                     bus.emit(
-                        "service.fail",
+                        "service.claim",
                         ticket=lease.ticket,
                         task=lease.task,
                         worker=worker_id,
-                        error=f"{type(exc).__name__}: {exc}",
+                        attempt=lease.attempt,
+                        run=len(run),
                     )
-                    lease = None
+                context, definitions = self._load_job(store, run[0].job_id)
+                adopt(context)
+                renew = _Renewal(queue, worker_id, run)
+                points = [(t.x, t.x_index, t.rep_lo, t.rep_hi) for t in run]
+                started = time.perf_counter()
+                try:
+                    with obs.span(
+                        "service.task", task=run[0].task, worker=worker_id,
+                        run=len(run),
+                    ):
+                        values = run_points(
+                            definitions[run[0].sweep], points, context.seed,
+                            context.validate, tick=renew,
+                        )
+                except KeyboardInterrupt:
+                    for lease in run:
+                        queue.release(worker_id, lease)
+                    run = []
+                    interrupted = True
+                    break
+                except Exception as exc:
+                    # one deterministic error fails the job: the run's
+                    # first task carries it, the rest are handed back
+                    error = f"{type(exc).__name__}: {exc}"
+                    queue.fail(worker_id, run[0], error)
+                    for lease in run[1:]:
+                        queue.release(worker_id, lease)
+                    failed += 1
+                    bus.emit(
+                        "service.fail",
+                        ticket=run[0].ticket,
+                        task=run[0].task,
+                        worker=worker_id,
+                        error=error,
+                    )
+                    run = []
                     continue
                 wall = time.perf_counter() - started
-                committed = queue.commit(worker_id, lease, values, wall=wall)
-                if committed:
-                    executed += 1
-                else:
-                    # the lease expired mid-task and someone else owns
-                    # (or already committed) it: at-most-once holds
-                    discarded += 1
-                bus.emit(
-                    "service.commit",
-                    ticket=lease.ticket,
-                    task=lease.task,
-                    worker=worker_id,
-                    wall_s=wall,
-                    committed=committed,
+                renew()
+                reps = sum(t.rep_hi - t.rep_lo for t in run)
+                # each task's share of the run's wall time
+                walls = [wall * (t.rep_hi - t.rep_lo) / reps for t in run]
+                committed = queue.commit_run(
+                    worker_id, list(zip(run, values, walls))
                 )
-                if committed:
-                    job = store.job_by_id(job_id)
+                for lease, share, ok in zip(run, walls, committed):
+                    # a lost lease: the task expired mid-run and someone
+                    # else owns (or already committed) it
+                    executed += ok
+                    discarded += not ok
+                    bus.emit(
+                        "service.commit",
+                        ticket=lease.ticket,
+                        task=lease.task,
+                        worker=worker_id,
+                        wall_s=share,
+                        committed=ok,
+                    )
+                if any(committed):
+                    job = store.job_by_id(run[0].job_id)
                     if job.state == "done":
                         bus.emit(
-                            "service.job", ticket=lease.ticket, state="done"
+                            "service.job", ticket=run[0].ticket, state="done"
                         )
-                lease = None
+                run = []
         except KeyboardInterrupt:
             interrupted = True
-            if lease is not None:
+            for lease in run:
                 queue.release(worker_id, lease)
         finally:
             bus.emit(
@@ -276,10 +293,44 @@ class Worker:
             interrupted=interrupted,
         )
 
+    def _load_job(self, store: SqliteStore, job_id: int) -> Tuple:
+        """The job's run context and definitions by sweep key, cached
+        for the current job only (a daemon serves jobs without end)."""
+        from repro.experiments.harness import SweepDefinition
+
+        if self.job_cache is None or self.job_cache[0] != job_id:
+            job = store.job_by_id(job_id)
+            self.job_cache = (
+                job_id,
+                RunContext.from_dict(job.context),
+                {d["key"]: SweepDefinition.from_dict(d) for d in job.spec},
+            )
+        return self.job_cache[1:]
+
     @staticmethod
     def _drained(queue: WorkQueue) -> bool:
         counts = queue.outstanding()
         return counts["claimable"] == 0 and counts["leased"] == 0
+
+
+class _Renewal:
+    """Renews a run's leases once half the lease span has passed since
+    the claim or the last renewal: called between the run's kernel
+    groups and before its commit, it costs a clock read until then."""
+
+    def __init__(
+        self, queue: WorkQueue, worker: str, run: List[Lease]
+    ) -> None:
+        self.queue = queue
+        self.worker = worker
+        self.run = run
+        self.due = time.time() + queue.lease_s / 2
+
+    def __call__(self) -> None:
+        now = time.time()
+        if now >= self.due:
+            self.queue.extend_run(self.worker, self.run, now)
+            self.due = now + self.queue.lease_s / 2
 
 
 def _run_worker(store_path: str, kwargs: Dict) -> None:

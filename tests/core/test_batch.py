@@ -22,6 +22,7 @@ from repro.core.batch import (
     batchable_schedulers,
     hdlts_dup_batchable,
     instance_batchable,
+    lane_gates,
     max_lanes,
     min_lanes,
     run_batch,
@@ -79,6 +80,21 @@ def test_min_lanes_by_kernel_family():
     for name in ("PETS-rpt", "CPOP"):
         with pytest.raises(KeyError):
             min_lanes(name)
+
+
+def test_lane_gates_by_fused_set_width():
+    # a fused static set is gated on S * B >= 16; HDLTS on B >= 8
+    assert lane_gates(["HDLTS", "HEFT", "PETS", "PEFT", "SDBATS"]) == {
+        "HDLTS": 8, "HEFT": 4, "PETS": 4, "PEFT": 4, "SDBATS": 4,
+    }
+    # each insertion mode is its own set; names outside the kernel and
+    # duplicates drop out; a lone static is min_lanes
+    assert lane_gates(
+        ["HEFT", "HEFT-noinsertion", "PEFT", "PEFT", "CPOP", "PETS-rpt"]
+    ) == {"HEFT": 8, "HEFT-noinsertion": 16, "PEFT": 8}
+    assert lane_gates(["PETS"]) == {"PETS": min_lanes("PETS")}
+    assert lane_gates(["HEFT", "PETS", "PEFT"])["HEFT"] == 6  # ceil(16/3)
+    assert lane_gates([]) == {}
 
 
 def test_max_lanes_bounds():

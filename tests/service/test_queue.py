@@ -6,10 +6,16 @@ exercised deterministically without sleeping.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.context import RunContext
-from repro.service.queue import WorkQueue
+from repro.service.queue import RUN_REPS, WorkQueue
 from repro.service.store import SqliteStore
 from tests.experiments.test_harness import tiny_sweep
 
@@ -142,3 +148,118 @@ def test_outstanding_counts(store, job):
 def test_lease_must_be_positive(store):
     with pytest.raises(ValueError, match="lease"):
         WorkQueue(store, lease_s=0.0)
+
+
+# ----------------------------------------------------------------------
+# run claims: consecutive tasks of one sweep of one job
+# ----------------------------------------------------------------------
+def _two_sweeps():
+    return [tiny_sweep(), dataclasses.replace(tiny_sweep(), key="other")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(st.integers(1, 2), st.integers(1, 40), st.integers(1, 5)),
+        min_size=1,
+        max_size=3,
+    ),
+    limits=st.lists(st.integers(1, 80), min_size=1, max_size=8),
+)
+def test_runs_stay_in_one_sweep_of_one_job(jobs, limits):
+    with tempfile.TemporaryDirectory() as tmp, SqliteStore.open(tmp) as store:
+        expected = []
+        for n_sweeps, reps, chunk in jobs:
+            job = store.add_job(
+                _two_sweeps()[:n_sweeps], reps,
+                RunContext(seed=3, chunk_size=chunk),
+            )
+            expected += [(job.id, t.task) for t in store.tasks_for(job.id)]
+        queue = WorkQueue(store, lease_s=60.0)
+        claimed = []
+        for k in itertools.count():
+            limit = limits[k % len(limits)]
+            run = queue.claim_run("w1", limit, now=100.0)
+            if not run:
+                break
+            assert 1 <= len(run) <= limit
+            assert len({(t.job_id, t.sweep) for t in run}) == 1
+            reps = sum(t.rep_hi - t.rep_lo for t in run)
+            assert len(run) == 1 or reps <= RUN_REPS
+            claimed += [(t.job_id, t.task) for t in run]
+        # every task exactly once, in enumeration order
+        assert claimed == expected
+
+
+def test_limit_one_run_equals_claim(tmp_path):
+    runs = []
+    for name, one in (("a", True), ("b", False)):
+        with SqliteStore.open(tmp_path / name) as store:
+            for _ in range(2):
+                store.add_job(_two_sweeps(), 4, RunContext(chunk_size=2))
+            queue = WorkQueue(store, lease_s=10.0)
+            leases = []
+            for now in (100.0, 100.0, 100.0, 115.0, 115.0):
+                if one:
+                    leases.append(queue.claim("w1", now=now))
+                else:
+                    (lease,) = queue.claim_run("w1", 1, now=now)
+                    leases.append(lease)
+            runs.append(
+                [dataclasses.replace(lease, ticket="") for lease in leases]
+            )
+    assert runs[0] == runs[1]
+    assert runs[0][3].task == runs[0][0].task  # expired, reclaimed
+    assert runs[0][3].attempt == 2
+
+
+def test_run_caps_its_replications(tmp_path):
+    with SqliteStore.open(tmp_path / "svc") as store:
+        single = dataclasses.replace(tiny_sweep(), x_values=(1.0,))
+        store.add_job([single], 100, RunContext(chunk_size=1))
+        store.add_job([single], 100, RunContext(chunk_size=30))
+        store.add_job([single], 100, RunContext(chunk_size=100))
+        queue = WorkQueue(store, lease_s=60.0)
+        sizes = []
+        while True:
+            run = queue.claim_run("w1", now=100.0)
+            if not run:
+                break
+            sizes.append([t.rep_hi - t.rep_lo for t in run])
+    assert sizes == [
+        [1] * RUN_REPS, [1] * (100 - RUN_REPS),  # chunks of one
+        [30, 30], [30, 10],  # a third 30 would pass 64
+        [100],  # a task wider than the cap still runs, alone
+    ]
+
+
+def test_cancel_mid_run_behaves_as_for_one_task(store, job):
+    queue = WorkQueue(store, lease_s=60.0)
+    run = queue.claim_run("w1", 3, now=100.0)
+    assert len(run) == 3
+    store.cancel(job.ticket)
+    assert queue.claim_run("w2", now=100.0) == []
+    # the in-flight run completes; its commits are accepted
+    assert queue.commit_run(
+        "w1", [(lease, VALUES, 0.1) for lease in run], now=101.0
+    ) == [True] * 3
+    assert store.job(job.ticket).state == "cancelled"
+    assert store.task_counts(job.id)["done"] == 3
+
+
+def test_run_commit_guards_each_task(store, job):
+    queue = WorkQueue(store, lease_s=10.0)
+    stale = queue.claim_run("w1", now=100.0)
+    assert len(stale) == 4
+    # the first two expire and are reclaimed; w1 renews what it holds
+    fresh = queue.claim_run("w2", 2, now=120.0)
+    assert [t.task for t in fresh] == [t.task for t in stale[:2]]
+    assert queue.extend_run("w1", stale, now=120.0) == [False] * 2 + [True] * 2
+    assert queue.commit_run(
+        "w2", [(lease, VALUES, 0.1) for lease in fresh], now=121.0
+    ) == [True, True]
+    assert queue.commit_run(
+        "w1", [(lease, VALUES, 0.1) for lease in stale], now=122.0
+    ) == [False, False, True, True]
+    assert store.task_counts(job.id)["done"] == 4
+    assert store.job(job.ticket).state == "done"

@@ -8,6 +8,7 @@ same accumulator fields to the last ulp.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -89,7 +90,7 @@ class TestWorker:
         import repro.experiments.harness as harness
 
         seen = []
-        original = harness.run_replications
+        original = harness.run_points
 
         def observe(*args, **kwargs):
             beat = [
@@ -99,11 +100,101 @@ class TestWorker:
             seen.append(beat[0]["state"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_replications", observe)
+        monkeypatch.setattr(harness, "run_points", observe)
         report = Worker(tmp_path / "svc", worker_id="w1", drain=True,
                         poll_s=0.01).run()
         assert report.executed == 2
         assert seen and all(state == "busy" for state in seen), seen
+
+    def test_claims_carry_the_run_size(self, tmp_path):
+        api.submit(tmp_path / "svc", [tiny_sweep()], 4, CONTEXT)  # 4 tasks
+        Worker(tmp_path / "svc", worker_id="w1", drain=True,
+               poll_s=0.01).run()
+        with SqliteStore.open(tmp_path / "svc") as store:
+            claims = [
+                json.loads(e["payload"]) for e in store.events()
+                if e["name"] == "service.claim"
+            ]
+        # one run of the job's four tasks, one claim event per task
+        assert [c["run"] for c in claims] == [4] * 4
+        assert len({c["task"] for c in claims}) == 4
+
+    def test_run_whose_leases_expired_commits_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """Mid-run, a rescuer reclaims the run's expired leases and
+        commits first: the late run commits none of them, and the
+        rescuer's values are the ones stored."""
+        svc = tmp_path / "svc"
+        job = api.submit(svc, [tiny_sweep()], 4, CONTEXT)
+
+        import repro.experiments.harness as harness
+        from repro.service.queue import WorkQueue
+
+        original = harness.run_points
+        sentinel = [{"HDLTS": 7.0, "HEFT": 8.0}]
+
+        def hijacked(*args, **kwargs):
+            with SqliteStore.open(svc) as store:
+                rescuer = WorkQueue(store)
+                stolen = rescuer.claim_run(
+                    "rescuer", now=time.time() + 2 * rescuer.lease_s
+                )
+                assert len(stolen) == 4
+                rescuer.commit_run(
+                    "rescuer", [(lease, sentinel, 0.0) for lease in stolen]
+                )
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_points", hijacked)
+        report = Worker(svc, worker_id="w1", drain=True, poll_s=0.01).run()
+        assert (report.executed, report.replayed_discards) == (0, 4)
+        with SqliteStore.open(svc) as store:
+            rows = store.conn.execute(
+                "SELECT worker, result, attempts FROM tasks"
+            ).fetchall()
+        assert [r["worker"] for r in rows] == ["rescuer"] * 4
+        assert [json.loads(r["result"]) for r in rows] == [sentinel] * 4
+        assert [r["attempts"] for r in rows] == [2] * 4
+        assert api.job_status(svc, job.ticket)["state"] == "done"
+
+    def test_long_run_renews_its_leases(self, tmp_path, monkeypatch):
+        """Past half the lease span, the tick between kernel groups
+        pushes every lease of the run forward."""
+        svc = tmp_path / "svc"
+        api.submit(svc, [tiny_sweep()], 4, CONTEXT)
+
+        import repro.experiments.harness as harness
+
+        original = harness.run_points
+        expiries = []
+
+        def slow(*args, tick, **kwargs):
+            with SqliteStore.open(svc) as store:
+                read = "SELECT lease_expires FROM tasks ORDER BY id"
+                expiries.append([r[0] for r in store.conn.execute(read)])
+                time.sleep(0.3)
+                tick()
+                expiries.append([r[0] for r in store.conn.execute(read)])
+            return original(*args, tick=tick, **kwargs)
+
+        monkeypatch.setattr(harness, "run_points", slow)
+        report = Worker(svc, worker_id="w1", drain=True, poll_s=0.01,
+                        lease_s=0.5).run()
+        assert report.executed == 4
+        before, after = expiries
+        assert all(b < a for b, a in zip(before, after)), expiries
+
+    def test_worker_caches_only_the_current_job(self, tmp_path):
+        svc = tmp_path / "svc"
+        api.submit(svc, [tiny_sweep()], 2, CONTEXT)
+        other = dataclasses.replace(tiny_sweep(), key="other")
+        last = api.submit(svc, [other], 2, RunContext(seed=9))
+        worker = Worker(svc, worker_id="w1", drain=True, poll_s=0.01)
+        assert worker.run().executed == 4
+        job_id, context, definitions = worker.job_cache
+        assert job_id == last.id
+        assert context.seed == 9 and list(definitions) == ["other"]
 
     def test_deterministic_failure_fails_the_job(self, tmp_path, monkeypatch):
         job = api.submit(tmp_path / "svc", [tiny_sweep()], 2, CONTEXT)
@@ -113,7 +204,7 @@ class TestWorker:
         def boom(*args, **kwargs):
             raise ValueError("injected")
 
-        monkeypatch.setattr(harness, "run_replications", boom)
+        monkeypatch.setattr(harness, "run_points", boom)
         report = Worker(tmp_path / "svc", worker_id="w1", drain=True,
                         poll_s=0.01).run()
         assert report.failed == 1

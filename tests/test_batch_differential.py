@@ -565,3 +565,139 @@ def test_harness_runs_a_groups_statics_in_one_call(monkeypatch):
         ("set", ("HEFT", "PEFT", "HEFT-noinsertion", "PETS")),
         ("one", "HDLTS"),
     ]
+
+
+def test_a_static_set_batches_at_its_virtual_width(monkeypatch):
+    """Four statics batch at 4 lanes (S*B = 16); HDLTS there stays scalar."""
+    calls = []
+    fused = harness.run_static_set
+
+    def run_static_set_spy(batch, names):
+        calls.append((batch.n_lanes, tuple(names)))
+        return fused(batch, names)
+
+    monkeypatch.setattr(harness, "run_static_set", run_static_set_spy)
+    definition = SweepDefinition(
+        key="batch_diff_set_gate",
+        title="the fused set's width gates it",
+        x_label="CCR",
+        x_values=(1.0,),
+        metric="slr",
+        schedulers=("HDLTS", "HEFT", "PETS", "PEFT", "SDBATS"),
+        graph=GraphSpec(
+            "random-fixed",
+            {"axis": "ccr", "single_entry": True, "structure_seed": 3, "v": 24},
+        ),
+    )
+    batches = _assert_arms_identical(definition, reps=4)
+    assert calls == [(4, ("HEFT", "PETS", "PEFT", "SDBATS"))]
+    assert _widest(batches) == 4
+    calls.clear()
+    _assert_arms_identical(definition, reps=3)  # S*B = 12: all scalar
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the cross-point runner: lanes of several x points in one group
+# ----------------------------------------------------------------------
+def _cross_point_definitions():
+    from repro.experiments.figures import get_figure
+    from repro.stream.spec import stream_sweep_definition
+    from tests.stream.conftest import small_spec
+
+    stream = stream_sweep_definition(
+        "batch_diff_stream", small_spec(n_jobs=3, v=8, sigma=0.2),
+        (0.01, 0.05),
+    )
+    # fig14's CPU count differs per point: its lanes split by key
+    return {
+        key: get_figure(key) for key in ("fig2", "fig13", "fig14")
+    } | {"stream": stream}
+
+
+_CROSS_POINT = _cross_point_definitions()
+
+
+def _value_bits(per_point):
+    """Per-slice values with every float as its exact hex form."""
+    return [
+        [{name: float.hex(v) for name, v in values.items()} for values in rows]
+        for rows in per_point
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(_CROSS_POINT))
+@settings(max_examples=10, deadline=None)
+@given(
+    slices=st.lists(
+        st.tuples(
+            st.integers(0, 4), st.integers(0, 5), st.integers(1, 4)
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_cross_point_runner_equals_per_point(key, slices, seed):
+    """``run_points`` over (point, rep) slices equals per-point
+    ``run_replications`` bit for bit, under both batch modes."""
+    definition = _CROSS_POINT[key]
+    points = []
+    for i, rep_lo, width in slices:
+        i %= len(definition.x_values)
+        points.append((definition.x_values[i], i, rep_lo, rep_lo + width))
+    for mode in ("auto", "off"):
+        with activate(current_context().with_(batch=mode)):
+            got = harness.run_points(definition, points, seed)
+            want = [
+                harness.run_replications(definition, *point, seed)
+                for point in points
+            ]
+        assert _value_bits(got) == _value_bits(want), mode
+
+
+def test_cross_point_group_spans_every_ccr_point(monkeypatch):
+    """A fig13 job's ten (point, rep) lanes share one key: one group,
+    though no single point is wide enough to batch on its own."""
+    groups = []
+    group = harness._run_batched_group
+
+    def spy(definition, x, members, batch, results):
+        groups.append((x, batch.n_lanes))
+        return group(definition, x, members, batch, results)
+
+    monkeypatch.setattr(harness, "_run_batched_group", spy)
+    definition = _CROSS_POINT["fig13"]
+    points = [
+        (x, i, rep, rep + 1)
+        for i, x in enumerate(definition.x_values)
+        for rep in range(2)
+    ]
+    got = harness.run_points(definition, points, seed=5)
+    assert groups == [(list(definition.x_values), 10)]
+    groups.clear()
+    want = [
+        harness.run_replications(definition, *point, seed=5)
+        for point in points
+    ]
+    assert groups == []  # one replication per point: all scalar
+    assert _value_bits(got) == _value_bits(want)
+
+
+def test_cross_point_lanes_split_by_cpu_count(monkeypatch):
+    """fig14's points differ in CPU count: one group per point."""
+    groups = []
+    group = harness._run_batched_group
+
+    def spy(definition, x, members, batch, results):
+        groups.append((x, batch.n_lanes))
+        return group(definition, x, members, batch, results)
+
+    monkeypatch.setattr(harness, "_run_batched_group", spy)
+    definition = _CROSS_POINT["fig14"]
+    points = [(x, i, 0, 4) for i, x in enumerate(definition.x_values)]
+    got = harness.run_points(definition, points, seed=5)
+    assert groups == [(x, 4) for x in definition.x_values]
+    with activate(current_context().with_(batch="off")):
+        want = harness.run_points(definition, points, seed=5)
+    assert _value_bits(got) == _value_bits(want)
