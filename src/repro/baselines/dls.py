@@ -25,6 +25,7 @@ from repro.baselines.common import make_engine
 from repro.core.base import Scheduler
 from repro.core.itq import IndependentTaskQueue
 from repro.model.attributes import mean_execution_times
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import resolve_engine
 from repro.schedule.schedule import Schedule
@@ -45,15 +46,7 @@ class DLS(Scheduler):
 
     def static_levels(self, graph: TaskGraph) -> np.ndarray:
         """Mean-cost longest path to the exit, communication excluded."""
-        mean_w = mean_execution_times(graph)
-        levels = np.zeros(graph.n_tasks)
-        for task in reversed(graph.topological_order()):
-            best = 0.0
-            for succ in graph.successors(task):
-                if levels[succ] > best:
-                    best = levels[succ]
-            levels[task] = mean_w[task] + best
-        return levels
+        return compile_graph(graph).bottom_levels(mean_execution_times(graph))
 
     def build_schedule(self, graph: TaskGraph) -> Schedule:
         """Schedule ``graph`` by maximizing the dynamic level each step."""

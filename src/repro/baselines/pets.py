@@ -23,53 +23,15 @@ import numpy as np
 from repro.baselines.common import make_engine, place_min_eft
 from repro.core.base import Scheduler
 from repro.model.attributes import mean_execution_times
-from repro.model.compiled import compile_graph
+from repro.model.compiled import (
+    _data_transfer_costs, compile_graph, pets_priorities,
+)
 from repro.model.levels import level_decomposition
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import resolve_engine
 from repro.schedule.schedule import Schedule
 
-__all__ = ["PETS", "pets_priorities"]
-
-
-def _data_transfer_costs(
-    succ_indptr: np.ndarray, succ_costs: np.ndarray
-) -> np.ndarray:
-    """DTC of every CSR row: the sum of its outgoing edge costs.
-
-    ``np.add.at`` accumulates unbuffered in flat CSR order -- each
-    source's edge insertion order -- so every sum adds its terms in the
-    sequential order, from ``0.0``.
-    """
-    counts = np.diff(succ_indptr)
-    dtc = np.zeros(counts.size)
-    np.add.at(dtc, np.repeat(np.arange(counts.size), counts), succ_costs)
-    return dtc
-
-
-def pets_priorities(
-    succ_indptr: np.ndarray,
-    succ_costs: np.ndarray,
-    pred_indptr: np.ndarray,
-    pred_costs: np.ndarray,
-    acc: np.ndarray,
-) -> np.ndarray:
-    """``round(ACC + DTC + DRC)`` of every row of a CSR graph.
-
-    DRC is the row's largest incoming edge cost (``0.0`` without
-    predecessors), an order-free ``np.maximum.reduceat``.  ``np.rint``
-    rounds half to even like Python's ``round``.  The rows may be one
-    compiled graph or a batch's block-diagonal union of them: each row
-    reduces only its own edges, so a union row equals the same row in
-    its lane's graph bit for bit.
-    """
-    drc = np.zeros(acc.size)
-    has_pred = np.diff(pred_indptr) > 0
-    if has_pred.any():
-        drc[has_pred] = np.maximum.reduceat(
-            pred_costs, pred_indptr[:-1][has_pred]
-        )
-    return np.rint(acc + _data_transfer_costs(succ_indptr, succ_costs) + drc)
+__all__ = ["PETS"]
 
 
 class PETS(Scheduler):
@@ -93,8 +55,9 @@ class PETS(Scheduler):
     def ranks(self, graph: TaskGraph) -> np.ndarray:
         """Compute the PETS rank of every task.
 
-        The drc ranks are :func:`pets_priorities` over the compiled CSR
-        arrays (a one-lane batch); rpt ranks recurse level by level.
+        The drc ranks are
+        :func:`~repro.model.compiled.pets_priorities` over the compiled
+        CSR arrays (a one-lane union); rpt ranks recurse level by level.
         """
         compiled = compile_graph(graph)
         acc = compiled.mean_costs()

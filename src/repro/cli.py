@@ -1334,9 +1334,11 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_dynamic(args) -> int:
     from repro.core import HDLTS
-    from repro.dynamic import FailStop, OnlineHDLTS, gaussian_noise, replay_static
+    from repro.dynamic import FailStop, OnlineHDLTS, gaussian_noise
+    from repro.dynamic.online import run_lone_job
     from repro.generator import GeneratorConfig, generate_random_graph
     from repro.metrics.stats import RunningStats
+    from repro.schedule.simulator import schedule_queues
 
     failures = []
     if args.fail_proc is not None:
@@ -1354,8 +1356,9 @@ def _cmd_dynamic(args) -> int:
         online = OnlineHDLTS().execute(graph, noise, failures)
         online_stats.add(online.makespan)
         if not failures:
-            static = HDLTS().run(graph).schedule
-            static_stats.add(replay_static(graph, static, noise).makespan)
+            plan = schedule_queues(HDLTS().run(graph).schedule)
+            static = run_lone_job(graph, "Static/HDLTS", noise, queues=plan)
+            static_stats.add(static.makespan)
             completed_static += 1
     print(
         f"online HDLTS under sigma={args.sigma} noise"

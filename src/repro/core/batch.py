@@ -10,13 +10,14 @@ structures may all differ -- into one struct-of-arrays program:
 * the lanes' graphs are packed as the block-diagonal union of their
   CSR structures (global node ``lane * n + task``), with per-lane
   ``(batch, n, p)`` cost tensors;
-* the rank kernels (mean/std costs, upward rank, OCT, the PETS
-  priority, the Eq. 10 ``CP_MIN`` bound) are the level-``reduceat``
-  kernels of :mod:`repro.model.compiled` run over the union -- one
-  Kahn peel gives the union's heights above the sinks, its mirror the
-  depths below the sources, and in a disjoint union both are each
-  lane's own, so every node reduces exactly the operands it reduces in
-  its own graph;
+* the rank kernels (upward rank, OCT, the PETS priority, the Eq. 10
+  ``CP_MIN`` bound) are the level-``reduceat`` kernels of
+  :mod:`repro.model.compiled`, run over the union with global ids --
+  the same functions a single compiled graph runs.  Its
+  :func:`~repro.model.compiled.peel_levels` gives the union's heights
+  above the sinks and, mirrored, the depths below the sources; in a
+  disjoint union both are each lane's own, so every node reduces
+  exactly the operands it reduces in its own graph;
 * the static-priority baselines (HEFT, PEFT, PETS, SDBATS and their
   registered ablations) compute per-lane task orders up front -- PETS's
   level-sorted order is one lexsort over (lane, depth, -rank, ACC) --
@@ -55,9 +56,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.pets import pets_priorities
 from repro.core.hdlts import PriorityRule
-from repro.model.compiled import CompiledGraph, _ragged_indices
+from repro.model.compiled import (
+    CompiledGraph, _ragged_indices, cp_min_kernel, level_batches, oct_kernel,
+    peel_levels, pets_priorities, upward_kernel,
+)
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import _EPS
 
@@ -312,7 +315,7 @@ class CompiledBatch:
     CSR structures: global node ``lane * n + task``, lane-local ids,
     flat 1-D edge costs aligned with the union CSR.  Per-lane node data
     (costs, topological positions, entry-child rows) is stacked along a
-    leading batch axis.  Rank kernels mirror the compiled graph's
+    leading batch axis.  Rank kernels run the compiled graph's
     level-``reduceat`` kernels over the flattened ``(B * n)`` view and
     cache their results per batch.
     """
@@ -393,80 +396,24 @@ class CompiledBatch:
             lambda: self._global_ids(self.pred_indptr, self.pred_ids),
         )
 
-    def _peel(
-        self, out_indptr: np.ndarray, in_indptr: np.ndarray, in_global: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized Kahn peel: every union node's level.
-
-        Level 0 holds the nodes without ``out`` edges; a node joins
-        level ``l`` once the ``l - 1`` peel removed its last ``out``
-        neighbour, so its level is its longest hop path to level 0.
-        ``in_indptr``/``in_global`` is the mirror CSR each peeled node
-        walks to reach the nodes pointing at it.  In a disjoint union
-        every node's level is its level in its own lane's graph.
-        """
-        total = self.n_lanes * self.n_tasks
-        remaining = np.diff(out_indptr)
-        level = np.zeros(total, dtype=np.intp)
-        frontier = np.flatnonzero(remaining == 0)
-        step = 0
-        while frontier.size:
-            level[frontier] = step
-            s0 = in_indptr[frontier]
-            flat, _ = _ragged_indices(s0, in_indptr[frontier + 1] - s0)
-            peeled = np.bincount(in_global[flat], minlength=total)
-            remaining = remaining - peeled
-            frontier = np.flatnonzero((peeled > 0) & (remaining == 0))
-            step += 1
-        return level
-
-    @staticmethod
-    def _level_batches(level: np.ndarray, indptr: np.ndarray) -> List[Tuple]:
-        """``(nodes, flat, offsets, counts)`` per level ``>= 1`` over ``indptr``."""
-        order = np.argsort(level, kind="stable")
-        top = int(level.max(initial=0))
-        bounds = np.searchsorted(level[order], np.arange(1, top + 2))
-        batches: List[Tuple] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            nodes = order[lo:hi]
-            starts = indptr[nodes]
-            counts = indptr[nodes + 1] - starts
-            flat, offsets = _ragged_indices(starts, counts)
-            batches.append((nodes, flat, offsets, counts))
-        return batches
-
     def up_batches(self) -> List[Tuple]:
         """Union nodes grouped by height above the sinks (cached).
 
-        The layout of :meth:`CompiledGraph._up_batches`, over the union:
-        ``(nodes, flat, offsets, counts)`` per height ``h >= 1``, with
-        global ``nodes`` in ascending order and ``flat`` indexing the
-        union successor CSR.  Heights come from :meth:`_peel` from the
-        sinks, so lane ``b``'s slice of batch ``h`` is exactly batch
-        ``h`` of its own compiled graph.
+        :meth:`CompiledGraph._up_batches` over the union, with global
+        ``nodes`` and ``flat`` indexing the union successor CSR: lane
+        ``b``'s slice of batch ``h`` is batch ``h`` of its own graph.
         """
-
-        def build() -> List[Tuple]:
-            height = self._peel(
-                self.succ_indptr, self.pred_indptr, self._pred_global()
-            )
-            return self._level_batches(height, self.succ_indptr)
-
-        return self._cached("up_batches", build)
+        return self._cached("up_batches", lambda: level_batches(
+            peel_levels(self.succ_indptr, self.pred_indptr, self._pred_global()),
+            self.succ_indptr,
+        ))
 
     def depths(self) -> np.ndarray:
-        """(B * n,) each union node's depth below the sources (cached).
-
-        The forward mirror of the height peel: the longest hop path
-        from an entry task, which is
-        :func:`~repro.model.levels.task_levels` of the node's lane.
-        """
-        return self._cached(
-            "depths",
-            lambda: self._peel(
-                self.pred_indptr, self.succ_indptr, self._succ_global()
-            ),
-        )
+        """(B * n,) each union node's depth below the sources (cached):
+        :func:`~repro.model.levels.task_levels` of the node's lane."""
+        return self._cached("depths", lambda: peel_levels(
+            self.pred_indptr, self.succ_indptr, self._succ_global()
+        ))
 
     def down_batches(self) -> List[Tuple]:
         """Union nodes grouped by depth, over the predecessor CSR (cached).
@@ -476,7 +423,7 @@ class CompiledBatch:
         """
         return self._cached(
             "down_batches",
-            lambda: self._level_batches(self.depths(), self.pred_indptr),
+            lambda: level_batches(self.depths(), self.pred_indptr),
         )
 
     # ------------------------------------------------------------------
@@ -504,15 +451,10 @@ class CompiledBatch:
 
     def upward_rank(self, weights: np.ndarray) -> np.ndarray:
         """(B, n) upward rank from per-lane node weights ``(B, n)``."""
-        wts = weights.reshape(-1)
-        rank = wts + 0.0
-        succ = self._succ_global()
-        costs = self.succ_costs
-        for nodes, flat, offsets, _ in self.up_batches():
-            candidates = costs[flat] + rank[succ[flat]]
-            best = np.maximum.reduceat(candidates, offsets)
-            rank[nodes] = wts[nodes] + np.maximum(best, 0.0)
-        return rank.reshape(self.n_lanes, self.n_tasks)
+        return upward_kernel(
+            self.up_batches(), self._succ_global(), self.succ_costs,
+            weights.reshape(-1),
+        ).reshape(self.n_lanes, self.n_tasks)
 
     def mean_upward_rank(self) -> np.ndarray:
         """HEFT's rank (cached): upward rank over mean costs."""
@@ -528,25 +470,10 @@ class CompiledBatch:
 
     def oct_table(self) -> np.ndarray:
         """(B, n, p) PEFT Optimistic Cost Table per lane (cached)."""
-
-        def build() -> np.ndarray:
-            shape = (self.n_lanes * self.n_tasks, self.n_procs)
-            w = self.W.reshape(shape)
-            table = np.zeros(shape)
-            ids = self._succ_global()
-            costs = self.succ_costs
-            for nodes, flat, offsets, _ in self.up_batches():
-                succ = ids[flat]
-                base = table[succ] + w[succ]
-                with_comm = base + costs[flat][:, None]
-                global_min = with_comm.min(axis=1)
-                per_p = np.minimum(global_min[:, None], base)
-                rows = np.maximum.reduceat(per_p, offsets, axis=0)
-                np.maximum(rows, 0.0, out=rows)
-                table[nodes] = rows
-            return table.reshape(self.W.shape)
-
-        return self._cached("oct_table", build)
+        return self._cached("oct_table", lambda: oct_kernel(
+            self.up_batches(), self._succ_global(), self.succ_costs,
+            self.W.reshape(-1, self.n_procs),
+        ).reshape(self.W.shape))
 
     def oct_rank(self) -> np.ndarray:
         """(B, n) PEFT priority: per-lane OCT row means (cached)."""
@@ -568,26 +495,11 @@ class CompiledBatch:
         )
 
     def cp_min_bounds(self) -> np.ndarray:
-        """(B,) Eq. 10 denominators, :meth:`CompiledGraph.cp_min_bound` per lane.
-
-        The compiled kernel's longest min-cost chain over the union's
-        depth batches, term for term: entries start at their minimum
-        cost, every other node takes the max over its predecessors of
-        ``(dist[pred] + 0.0) + min_cost``.
-        """
-
-        def build() -> np.ndarray:
-            min_costs = self.W.min(axis=2).reshape(-1)
-            dist = np.where(self.depths() == 0, min_costs, -np.inf)
-            preds = self._pred_global()
-            for nodes, flat, offsets, counts in self.down_batches():
-                candidates = (dist[preds[flat]] + 0.0) + np.repeat(
-                    min_costs[nodes], counts
-                )
-                dist[nodes] = np.maximum.reduceat(candidates, offsets)
-            return dist.reshape(self.n_lanes, self.n_tasks).max(axis=1)
-
-        return self._cached("cp_min", build)
+        """(B,) Eq. 10 denominators, :meth:`CompiledGraph.cp_min_bound` per lane."""
+        return self._cached("cp_min", lambda: cp_min_kernel(
+            self.down_batches(), self._pred_global(),
+            self.W.min(axis=2).reshape(-1), self.depths() == 0,
+        ).reshape(self.n_lanes, self.n_tasks).max(axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -1279,7 +1191,7 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
     child_mask_t = entry_child.T[child_ids]
     rule = cfg.priority
     rank_u = (
-        batch.upward_rank(batch.mean_costs())
+        batch.mean_upward_rank()
         if rule is PriorityRule.UPWARD_RANK
         else None
     )

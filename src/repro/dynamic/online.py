@@ -13,8 +13,11 @@ There is one online loop, the job-stream arena's
 stream's lone job arriving at time zero.  Its oracle is offline HDLTS,
 whose schedule slots the records equal under exact durations.
 
-``replay_static`` is the comparison arm: a schedule computed offline by
-any static scheduler, executed under the same realized durations.
+The comparison arm is a schedule computed offline by any static
+scheduler and executed under the same realized durations: in production
+a ``Static/<Name>`` lone job replaying the plan's queues
+(:func:`run_lone_job`), and in the differential suites
+``replay_static``, the :class:`ScheduleSimulator` oracle it equals.
 """
 
 from __future__ import annotations
@@ -141,8 +144,10 @@ def replay_static(
     """Execute a statically computed schedule under perturbed durations.
 
     The placement and per-CPU order are fixed; only timing floats.  This
-    is the baseline the online mode is compared against.  A frozen
-    schedule cannot survive CPU failures; re-planning after one is
+    is the :class:`ScheduleSimulator` oracle for the arena's
+    ``Static/<Name>`` replay, through which production callers run
+    frozen plans (:func:`run_lone_job`).  A frozen schedule cannot
+    survive CPU failures; re-planning after one is
     :func:`~repro.dynamic.repair.repair_after_failure`.
     """
     sim = ScheduleSimulator(graph).run(schedule, duration_fn)

@@ -2,9 +2,9 @@
 
 The middle ground between the two arms the other modules provide:
 
-* a **frozen static** schedule, replayed by
-  :func:`~repro.dynamic.online.replay_static`, cannot survive a CPU
-  failure at all;
+* a **frozen static** schedule, replayed as a ``Static/<Name>`` lone
+  job (:func:`~repro.dynamic.online.run_lone_job`), cannot survive a
+  CPU failure at all;
 * **OnlineHDLTS** makes every decision at runtime;
 * :func:`repair_after_failure` executes a static schedule normally, and
   when a CPU fail-stops it *re-plans*: work already completed is kept,

@@ -18,8 +18,9 @@ import numpy as np
 from repro.core.base import Scheduler
 from repro.core.hdlts import HDLTS
 from repro.dynamic.noise import gaussian_noise
-from repro.dynamic.online import OnlineHDLTS, replay_static
+from repro.dynamic.online import OnlineHDLTS, run_lone_job
 from repro.model.task_graph import TaskGraph
+from repro.schedule.simulator import schedule_queues
 
 __all__ = ["RobustnessReport", "robustness_report"]
 
@@ -83,8 +84,11 @@ def robustness_report(
         if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
             graph = graph.normalized()
         noise = gaussian_noise(graph, sigma, rng)
-        plan = scheduler.run(graph).schedule
-        static_samples.append(replay_static(graph, plan, noise).makespan)
+        plan = schedule_queues(scheduler.run(graph).schedule)
+        static = run_lone_job(
+            graph, f"Static/{scheduler.name}", noise, queues=plan
+        )
+        static_samples.append(static.makespan)
         online_samples.append(OnlineHDLTS().execute(graph, noise).makespan)
     return (
         _summary("static", sigma, static_samples),

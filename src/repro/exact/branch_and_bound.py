@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.model.compiled import compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.schedule.schedule import Schedule
 
@@ -62,13 +63,7 @@ class BranchAndBound:
         min_w = w.min(axis=1)
 
         # communication-free min-cost bottom levels (admissible heuristic)
-        bottom = np.zeros(n)
-        for task in reversed(graph.topological_order()):
-            best = 0.0
-            for succ in graph.successors(task):
-                if bottom[succ] > best:
-                    best = bottom[succ]
-            bottom[task] = min_w[task] + best
+        bottom = compile_graph(graph).bottom_levels(min_w)
 
         best_makespan = float("inf") if upper_bound is None else float(upper_bound) + 1e-9
         best_plan: Optional[List[Tuple[int, int, float]]] = None

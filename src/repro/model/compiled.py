@@ -20,9 +20,14 @@ of one graph that every consumer shares:
   sequential time are each computed at most once per instance and then
   shared by HEFT/CPOP/PEFT/Lookahead/DHEFT/SDBATS and the metrics.
 
-Rank kernels run level-batched over the CSR arrays with
-``np.maximum.reduceat`` instead of per-node Python loops.  Every kernel
-is bit-identical to the reference recursion in
+The level peel and the rank kernels live here once, as functions over
+``(batches, ids, costs, ...)``: :func:`peel_levels` (a vectorized Kahn
+peel), :func:`level_batches`, and the upward, downward, OCT, CP_MIN
+and PETS kernels, each a level-batched ``np.maximum.reduceat`` instead
+of a per-node loop.  :class:`CompiledGraph` runs them on its own CSR,
+:class:`~repro.core.batch.CompiledBatch` on a block-diagonal union with
+global ids, where every node's levels and operands are its own graph's.
+Every kernel is bit-identical to the reference recursion in
 :mod:`repro.model.ranking`: float64 ``min``/``max`` reductions are
 order-independent, and each kernel preserves the reference's addition
 order (``comm + rank``, ``(rank + w) + comm``, ...) term for term.
@@ -51,7 +56,14 @@ import numpy as np
 
 from repro.model.task_graph import GraphArrays, TaskGraph
 
-__all__ = ["CompiledGraph", "compile_graph", "compile_instance"]
+__all__ = [
+    "CompiledGraph", "compile_graph", "compile_instance", "cp_min_kernel",
+    "downward_kernel", "level_batches", "oct_kernel", "peel_levels",
+    "pets_priorities", "upward_kernel",
+]
+
+#: ``(nodes, flat, offsets, counts)`` per level, see :func:`level_batches`
+Batches = List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def compile_graph(
@@ -108,6 +120,166 @@ def _ragged_indices(
     total = int(counts.sum())
     flat = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.intp)
     return flat, offsets
+
+
+# ----------------------------------------------------------------------
+# level peel and rank kernels, over one graph or a union of graphs
+# ----------------------------------------------------------------------
+def peel_levels(
+    out_indptr: np.ndarray, in_indptr: np.ndarray, in_ids: np.ndarray
+) -> np.ndarray:
+    """Vectorized Kahn peel: every node's level.
+
+    Level 0 holds the nodes without ``out`` edges; a node joins level
+    ``l`` once the ``l - 1`` peel removed its last ``out`` neighbour, so
+    its level is its longest hop path to level 0.  ``in_indptr``/
+    ``in_ids`` is the mirror CSR each peeled node walks to reach the
+    nodes pointing at it.  Peeling the successor CSR gives heights above
+    the sinks, peeling the predecessor CSR depths below the sources.  In
+    a disjoint union every node's level is its level in its own graph.
+    """
+    total = len(out_indptr) - 1
+    remaining = np.diff(out_indptr)
+    level = np.zeros(total, dtype=np.intp)
+    frontier = np.flatnonzero(remaining == 0)
+    step = 0
+    while frontier.size:
+        level[frontier] = step
+        s0 = in_indptr[frontier]
+        flat, _ = _ragged_indices(s0, in_indptr[frontier + 1] - s0)
+        peeled = np.bincount(in_ids[flat], minlength=total)
+        remaining = remaining - peeled
+        frontier = np.flatnonzero((peeled > 0) & (remaining == 0))
+        step += 1
+    return level
+
+
+def level_batches(level: np.ndarray, indptr: np.ndarray) -> Batches:
+    """``(nodes, flat, offsets, counts)`` per level ``>= 1`` over ``indptr``.
+
+    ``nodes`` ascend within a level; gather ``ids[flat]``/``costs[flat]``
+    and reduce per node at ``offsets``.  A node at level ``l >= 1`` has
+    an edge into level ``l - 1``, so no ``reduceat`` segment is empty.
+    """
+    order = np.argsort(level, kind="stable")
+    top = int(level.max(initial=0))
+    bounds = np.searchsorted(level[order], np.arange(1, top + 2))
+    # one gather over every level >= 1, sliced per level
+    nodes = order[bounds[0]:]
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    flat, offsets = _ragged_indices(starts, counts)
+    edge = offsets.tolist() + [len(flat)]
+    batches: Batches = []
+    bounds = (bounds - bounds[0]).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        batches.append((
+            nodes[lo:hi], flat[edge[lo]:edge[hi]],
+            offsets[lo:hi] - edge[lo], counts[lo:hi],
+        ))
+    return batches
+
+
+def upward_kernel(
+    batches: Batches, ids: np.ndarray, costs: np.ndarray, wts: np.ndarray
+) -> np.ndarray:
+    """Upward rank over height batches of the successor CSR."""
+    # sinks: rank = w + 0.0 (the scalar loop's best stays 0.0)
+    rank = wts + 0.0
+    for nodes, flat, offsets, _ in batches:
+        candidates = costs[flat] + rank[ids[flat]]
+        best = np.maximum.reduceat(candidates, offsets)
+        rank[nodes] = wts[nodes] + np.maximum(best, 0.0)
+    return rank
+
+
+def downward_kernel(
+    batches: Batches, ids: np.ndarray, costs: np.ndarray, wts: np.ndarray
+) -> np.ndarray:
+    """Downward rank over depth batches of the predecessor CSR."""
+    rank = np.zeros(len(wts))
+    for nodes, flat, offsets, _ in batches:
+        preds = ids[flat]
+        candidates = rank[preds] + wts[preds] + costs[flat]
+        best = np.maximum.reduceat(candidates, offsets)
+        rank[nodes] = np.maximum(best, 0.0)
+    return rank
+
+
+def oct_kernel(
+    batches: Batches, ids: np.ndarray, costs: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """PEFT's ``(nodes, p)`` OCT over height batches of the successor CSR."""
+    table = np.zeros(w.shape)
+    for nodes, flat, offsets, _ in batches:
+        succ = ids[flat]
+        base = table[succ] + w[succ]
+        with_comm = base + costs[flat][:, None]
+        global_min = with_comm.min(axis=1)
+        per_p = np.minimum(global_min[:, None], base)
+        rows = np.maximum.reduceat(per_p, offsets, axis=0)
+        np.maximum(rows, 0.0, out=rows)
+        table[nodes] = rows
+    return table
+
+
+def cp_min_kernel(
+    batches: Batches, ids: np.ndarray, min_costs: np.ndarray, sources
+) -> np.ndarray:
+    """Longest min-cost chain ending at every node (Eq. 10's ``CP_MIN``).
+
+    Over depth batches of the predecessor CSR: ``sources`` start at
+    their minimum cost, every other node takes the max over its
+    predecessors of ``(dist[pred] + 0.0) + min_cost`` -- the reference's
+    order with a zero communication term.
+    """
+    dist = np.full(len(min_costs), -np.inf)
+    dist[sources] = min_costs[sources]
+    for nodes, flat, offsets, counts in batches:
+        candidates = (dist[ids[flat]] + 0.0) + np.repeat(
+            min_costs[nodes], counts
+        )
+        dist[nodes] = np.maximum.reduceat(candidates, offsets)
+    return dist
+
+
+def _data_transfer_costs(
+    succ_indptr: np.ndarray, succ_costs: np.ndarray
+) -> np.ndarray:
+    """DTC of every CSR row: the sum of its outgoing edge costs.
+
+    ``np.add.at`` accumulates unbuffered in flat CSR order -- each
+    source's edge insertion order -- so every sum adds its terms in the
+    sequential order, from ``0.0``.
+    """
+    counts = np.diff(succ_indptr)
+    dtc = np.zeros(counts.size)
+    np.add.at(dtc, np.repeat(np.arange(counts.size), counts), succ_costs)
+    return dtc
+
+
+def pets_priorities(
+    succ_indptr: np.ndarray,
+    succ_costs: np.ndarray,
+    pred_indptr: np.ndarray,
+    pred_costs: np.ndarray,
+    acc: np.ndarray,
+) -> np.ndarray:
+    """PETS's ``round(ACC + DTC + DRC)`` of every row of a CSR graph.
+
+    DRC is the row's largest incoming edge cost (``0.0`` without
+    predecessors), an order-free ``np.maximum.reduceat``.  ``np.rint``
+    rounds half to even like Python's ``round``.  Each row reduces only
+    its own edges, so a union row equals the same row in its lane's
+    graph bit for bit.
+    """
+    drc = np.zeros(acc.size)
+    has_pred = np.diff(pred_indptr) > 0
+    if has_pred.any():
+        drc[has_pred] = np.maximum.reduceat(
+            pred_costs, pred_indptr[:-1][has_pred]
+        )
+    return np.rint(acc + _data_transfer_costs(succ_indptr, succ_costs) + drc)
 
 
 class CompiledGraph:
@@ -167,8 +339,6 @@ class CompiledGraph:
         self.exit_ids = _readonly(np.flatnonzero(out_degree == 0))
 
         self._artifacts: Dict[object, object] = {}
-        self._up_batches_cache: Optional[List[Tuple]] = None
-        self._down_batches_cache: Optional[List[Tuple]] = None
 
     def _kahn(self, indegree: List[int]) -> Tuple[int, ...]:
         """:meth:`TaskGraph.topological_order`'s LIFO Kahn walk on the
@@ -248,26 +418,49 @@ class CompiledGraph:
 
     def upward_rank(self, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """HEFT's upward rank; cached for the default mean weights."""
+
+        def rank(wts: np.ndarray) -> np.ndarray:
+            return upward_kernel(
+                self._up_batches(), self.succ_ids, self.succ_costs, wts
+            )
+
         if weights is None:
             return self._artifact(
-                "rank_up",
-                lambda: _readonly(self._upward_kernel(self.mean_costs())),
+                "rank_up", lambda: _readonly(rank(self.mean_costs()))
             )
-        return self._upward_kernel(np.asarray(weights, dtype=float))
+        return rank(np.asarray(weights, dtype=float))
 
     def downward_rank(self, weights: Optional[np.ndarray] = None) -> np.ndarray:
         """CPOP's downward rank; cached for the default mean weights."""
+
+        def rank(wts: np.ndarray) -> np.ndarray:
+            return downward_kernel(
+                self._down_batches(), self.pred_ids, self.pred_costs, wts
+            )
+
         if weights is None:
             return self._artifact(
-                "rank_down",
-                lambda: _readonly(self._downward_kernel(self.mean_costs())),
+                "rank_down", lambda: _readonly(rank(self.mean_costs()))
             )
-        return self._downward_kernel(np.asarray(weights, dtype=float))
+        return rank(np.asarray(weights, dtype=float))
+
+    def bottom_levels(self, weights: np.ndarray) -> np.ndarray:
+        """Longest ``weights`` path from each task to a sink, communication
+        excluded (DLS's static level, branch-and-bound's bound)."""
+        return upward_kernel(
+            self._up_batches(), self.succ_ids, np.zeros(len(self.succ_ids)),
+            np.asarray(weights, dtype=float),
+        )
 
     def oct_table(self) -> np.ndarray:
         """PEFT's Optimistic Cost Table (read-only, cached)."""
         return self._artifact(
-            "oct_table", lambda: _readonly(self._oct_kernel())
+            "oct_table",
+            lambda: _readonly(
+                oct_kernel(
+                    self._up_batches(), self.succ_ids, self.succ_costs, self.w
+                )
+            ),
         )
 
     def oct_rank(self) -> np.ndarray:
@@ -278,7 +471,20 @@ class CompiledGraph:
 
     def cp_min_bound(self) -> float:
         """Eq. 10 denominator: longest min-cost chain (cached)."""
-        return self._artifact("cp_min", self._cp_min_kernel)
+
+        def build() -> float:
+            if not self.n_tasks:
+                return float(-np.inf)
+            return float(
+                cp_min_kernel(
+                    self._down_batches(),
+                    self.pred_ids,
+                    self.w.min(axis=1),
+                    self.entry_ids,
+                ).max()
+            )
+
+        return self._artifact("cp_min", build)
 
     def prime_cp_min_bound(self, value: float) -> None:
         """Cache a :meth:`cp_min_bound` computed elsewhere.
@@ -299,107 +505,22 @@ class CompiledGraph:
         )
 
     # ------------------------------------------------------------------
-    # level batches for the vectorized rank kernels
+    # level batches for the rank kernels
     # ------------------------------------------------------------------
-    def _up_batches(self) -> List[Tuple]:
-        """Nodes grouped by height above the sinks, with flat CSR slices.
+    def _up_batches(self) -> Batches:
+        """Nodes grouped by height above the sinks (cached): every
+        successor of batch ``h`` lives in a lower batch."""
+        return self._artifact("up_batches", lambda: level_batches(
+            peel_levels(self.succ_indptr, self.pred_indptr, self.pred_ids),
+            self.succ_indptr,
+        ))
 
-        Batch ``h`` holds every node whose longest hop-path to a sink is
-        ``h`` (so all its successors live in strictly lower batches and
-        ``h >= 1`` nodes always have at least one successor -- reduceat
-        segments are never empty).  Each entry is ``(nodes, flat, offsets,
-        counts)``: gather ``succ_ids[flat]`` / ``succ_costs[flat]`` and
-        reduce per node at ``offsets``.
-        """
-        if self._up_batches_cache is None:
-            self._up_batches_cache = self._level_batches(
-                self.succ_indptr, self.succ_ids, reverse=True
-            )
-        return self._up_batches_cache
-
-    def _down_batches(self) -> List[Tuple]:
+    def _down_batches(self) -> Batches:
         """Nodes grouped by depth below the entries (predecessor CSR)."""
-        if self._down_batches_cache is None:
-            self._down_batches_cache = self._level_batches(
-                self.pred_indptr, self.pred_ids, reverse=False
-            )
-        return self._down_batches_cache
-
-    def _level_batches(self, indptr, ids, reverse: bool) -> List[Tuple]:
-        n = self.n_tasks
-        ptr = indptr.tolist()
-        flat_ids = ids.tolist()
-        level = [0] * n
-        order = reversed(self._topo_tuple) if reverse else self._topo_tuple
-        for t in order:
-            lo, hi = ptr[t], ptr[t + 1]
-            if lo != hi:
-                level[t] = 1 + max(level[s] for s in flat_ids[lo:hi])
-        buckets: List[List[int]] = [[] for _ in range(max(level, default=0) + 1)]
-        for t, h in enumerate(level):
-            buckets[h].append(t)
-        batches: List[Tuple] = []
-        for nodes in buckets[1:]:
-            nodes_arr = np.asarray(nodes, dtype=np.intp)
-            starts = indptr[nodes_arr]
-            counts = indptr[nodes_arr + 1] - starts
-            flat, offsets = _ragged_indices(starts, counts)
-            batches.append((nodes_arr, flat, offsets, counts))
-        return batches
-
-    # ------------------------------------------------------------------
-    # rank kernels (bit-identical to the scalar recursions)
-    # ------------------------------------------------------------------
-    def _upward_kernel(self, wts: np.ndarray) -> np.ndarray:
-        # sinks: rank = w + 0.0 (the scalar loop's best stays 0.0)
-        rank = wts + 0.0
-        ids, costs = self.succ_ids, self.succ_costs
-        for nodes, flat, offsets, _ in self._up_batches():
-            candidates = costs[flat] + rank[ids[flat]]
-            best = np.maximum.reduceat(candidates, offsets)
-            rank[nodes] = wts[nodes] + np.maximum(best, 0.0)
-        return rank
-
-    def _downward_kernel(self, wts: np.ndarray) -> np.ndarray:
-        rank = np.zeros(self.n_tasks)
-        ids, costs = self.pred_ids, self.pred_costs
-        for nodes, flat, offsets, _ in self._down_batches():
-            preds = ids[flat]
-            candidates = rank[preds] + wts[preds] + costs[flat]
-            best = np.maximum.reduceat(candidates, offsets)
-            rank[nodes] = np.maximum(best, 0.0)
-        return rank
-
-    def _oct_kernel(self) -> np.ndarray:
-        n, p = self.n_tasks, self.n_procs
-        w = self.w
-        table = np.zeros((n, p))
-        ids, costs = self.succ_ids, self.succ_costs
-        for nodes, flat, offsets, _ in self._up_batches():
-            succ = ids[flat]
-            base = table[succ] + w[succ]
-            with_comm = base + costs[flat][:, None]
-            global_min = with_comm.min(axis=1)
-            per_p = np.minimum(global_min[:, None], base)
-            rows = np.maximum.reduceat(per_p, offsets, axis=0)
-            np.maximum(rows, 0.0, out=rows)
-            table[nodes] = rows
-        return table
-
-    def _cp_min_kernel(self) -> float:
-        if not self.n_tasks:
-            return float(-np.inf)
-        min_costs = self.w.min(axis=1)
-        dist = np.full(self.n_tasks, -np.inf)
-        dist[self.entry_ids] = min_costs[self.entry_ids]
-        ids = self.pred_ids
-        for nodes, flat, offsets, counts in self._down_batches():
-            # reference order: (dist[pred] + comm) + node_weight, comm=0.0
-            candidates = (dist[ids[flat]] + 0.0) + np.repeat(
-                min_costs[nodes], counts
-            )
-            dist[nodes] = np.maximum.reduceat(candidates, offsets)
-        return float(dist.max())
+        return self._artifact("down_batches", lambda: level_batches(
+            peel_levels(self.pred_indptr, self.succ_indptr, self.succ_ids),
+            self.pred_indptr,
+        ))
 
     @property
     def graph(self) -> TaskGraph:

@@ -1,9 +1,11 @@
 """Unit tests for the extension baselines: DLS, Lookahead HEFT, DHEFT."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import DHEFT, DLS, HEFT, LookaheadHEFT
 from repro.model.attributes import mean_execution_times
+from repro.model.ranking import upward_rank_reference
 from repro.schedule.validation import validate_schedule
 from tests.conftest import make_random_graph
 
@@ -20,6 +22,9 @@ class TestDLS:
         mean_w = mean_execution_times(fig1)
         assert levels[9] == pytest.approx(mean_w[9])
         assert levels[7] == pytest.approx(mean_w[7] + mean_w[9])
+        # the upward-rank recursion on the same graph with free edges
+        free = fig1.arrays()._replace(cost=np.zeros(fig1.n_edges)).to_graph()
+        assert np.array_equal(levels, upward_rank_reference(free))
 
     def test_static_levels_monotone(self, fig1):
         levels = DLS().static_levels(fig1)

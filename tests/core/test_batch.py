@@ -31,8 +31,13 @@ from repro.experiments.graphspec import GraphSpec, graph_factory_names
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
 from repro.metrics.critical_path import critical_path_min
+from repro.model.attributes import std_execution_times
 from repro.model.compiled import compile_graph
 from repro.model.levels import task_levels
+from repro.model.ranking import (
+    optimistic_cost_table_reference,
+    upward_rank_reference,
+)
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import BATCH_CHOICES, current_context
 from repro.schedule.timeline import ProcessorTimeline
@@ -268,31 +273,6 @@ def test_run_context_batch_validation():
 # ----------------------------------------------------------------------
 # batched rank kernels vs the per-instance compiled kernels
 # ----------------------------------------------------------------------
-def test_batch_rank_kernels_match_per_instance():
-    """Same-shape and ragged (one structure per lane) batches alike."""
-    for structure_seeds in ([7] * 4, range(4)):
-        graphs = [
-            _fixed_random_graph(seed, structure_seed=s)
-            for seed, s in enumerate(structure_seeds)
-        ]
-        compiled = [compile_graph(g) for g in graphs]
-        batch = CompiledBatch(compiled)
-        for lane, g in enumerate(compiled):
-            assert np.array_equal(
-                batch.pets_rank()[lane], PETS().ranks(graphs[lane])
-            )
-            assert np.array_equal(batch.mean_costs()[lane], g.mean_costs())
-            assert np.array_equal(batch.std_costs()[lane], g.std_costs())
-            assert np.array_equal(
-                batch.mean_upward_rank()[lane], g.upward_rank(g.mean_costs())
-            )
-            assert np.array_equal(
-                batch.std_upward_rank()[lane], g.upward_rank(g.std_costs())
-            )
-            assert np.array_equal(batch.oct_table()[lane], g.oct_table())
-            assert np.array_equal(batch.oct_rank()[lane], g.oct_rank())
-
-
 def _factory_instances(factory, params, x, reps=6):
     """One x point's replications of ``factory``, built like the harness."""
     spec = GraphSpec(factory, params)
@@ -321,6 +301,52 @@ _FACTORY_CASES = {
 
 def test_factory_cases_cover_every_graph_factory():
     assert set(_FACTORY_CASES) == set(graph_factory_names())
+
+
+def test_batch_rank_kernels_match_per_instance():
+    """Same-shape, ragged and every factory's batches alike: each lane's
+    ranks equal its own compiled graph's and the per-node oracles."""
+    cases = [
+        [
+            _fixed_random_graph(seed, structure_seed=s)
+            for seed, s in enumerate(structure_seeds)
+        ]
+        for structure_seeds in ([7] * 4, range(4))
+    ]
+    cases += [
+        _factory_instances(factory, params, x)
+        for factory, (params, x) in sorted(_FACTORY_CASES.items())
+    ]
+    for graphs in cases:
+        compiled = [compile_graph(g) for g in graphs]
+        groups = {}
+        for idx, instance in enumerate(compiled):
+            groups.setdefault(batch_key(instance), []).append(idx)
+        assert any(len(idxs) > 1 for idxs in groups.values())
+        for idxs in groups.values():
+            batch = CompiledBatch([compiled[i] for i in idxs])
+            for lane, idx in enumerate(idxs):
+                graph, g = graphs[idx], compiled[idx]
+                assert np.array_equal(
+                    batch.pets_rank()[lane], PETS().ranks(graph)
+                )
+                assert np.array_equal(batch.mean_costs()[lane], g.mean_costs())
+                assert np.array_equal(batch.std_costs()[lane], g.std_costs())
+                mean_rank = batch.mean_upward_rank()[lane]
+                assert np.array_equal(mean_rank, g.upward_rank(g.mean_costs()))
+                assert np.array_equal(mean_rank, upward_rank_reference(graph))
+                std_rank = batch.std_upward_rank()[lane]
+                assert np.array_equal(std_rank, g.upward_rank(g.std_costs()))
+                assert np.array_equal(
+                    std_rank,
+                    upward_rank_reference(graph, std_execution_times(graph)),
+                )
+                table = batch.oct_table()[lane]
+                assert np.array_equal(table, g.oct_table())
+                assert np.array_equal(
+                    table, optimistic_cost_table_reference(graph)
+                )
+                assert np.array_equal(batch.oct_rank()[lane], g.oct_rank())
 
 
 @pytest.mark.parametrize("factory", sorted(_FACTORY_CASES))

@@ -419,7 +419,10 @@ class TestObservability:
         kinds = {e["event"] for e in events}
         assert "stream.dispatch" in kinds
         assert "dynamic.dispatch" not in kinds
-        assert "sim.task_finish" in kinds
+        # both arms run in the arena: the online job and the static plan
+        finishes = [e for e in events if e["event"] == "stream.job_finish"]
+        assert len(finishes) == 2
+        assert "sim.task_finish" not in kinds
 
     def test_profile_leaves_obs_disabled(self):
         from repro import obs
