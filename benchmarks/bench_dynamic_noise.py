@@ -15,12 +15,14 @@ import numpy as np
 
 from conftest import bench_reps, emit
 from repro.core import HDLTS
-from repro.dynamic import FailStop, OnlineHDLTS, gaussian_noise, replay_static
+from repro.dynamic import FailStop, OnlineHDLTS, gaussian_noise
+from repro.dynamic.online import run_lone_job
 from repro.dynamic.repair import repair_after_failure
 from repro.experiments.report import format_table
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
 from repro.metrics.stats import RunningStats
+from repro.schedule.simulator import schedule_queues
 
 _CONFIG = GeneratorConfig(v=100, n_procs=4, ccr=2.0)
 
@@ -34,8 +36,9 @@ def test_dynamic_noise(benchmark):
             rng = np.random.default_rng([rep, int(sigma * 10)])
             graph = generate_random_graph(_CONFIG, rng).normalized()
             noise = gaussian_noise(graph, sigma, rng)
-            plan = HDLTS().run(graph).schedule
-            static_stats.add(replay_static(graph, plan, noise).makespan)
+            plan = schedule_queues(HDLTS().run(graph).schedule)
+            static = run_lone_job(graph, "Static/HDLTS", noise, queues=plan)
+            static_stats.add(static.makespan)
             online_stats.add(OnlineHDLTS().execute(graph, noise).makespan)
         rows.append(
             [

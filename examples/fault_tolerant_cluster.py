@@ -18,9 +18,11 @@ Run:  python examples/fault_tolerant_cluster.py
 import numpy as np
 
 from repro import HDLTS
-from repro.dynamic import FailStop, OnlineHDLTS, gaussian_noise, replay_static
+from repro.dynamic import FailStop, OnlineHDLTS, gaussian_noise
+from repro.dynamic.online import run_lone_job
 from repro.generator import GeneratorConfig, generate_random_graph
 from repro.metrics.stats import RunningStats
+from repro.schedule.simulator import schedule_queues
 
 
 def main() -> None:
@@ -35,8 +37,9 @@ def main() -> None:
             rng = np.random.default_rng([rep, int(sigma * 10)])
             graph = generate_random_graph(config, rng).normalized()
             noise = gaussian_noise(graph, sigma, rng)
-            plan = HDLTS().run(graph).schedule
-            static_stats.add(replay_static(graph, plan, noise).makespan)
+            plan = schedule_queues(HDLTS().run(graph).schedule)
+            static = run_lone_job(graph, "Static/HDLTS", noise, queues=plan)
+            static_stats.add(static.makespan)
             online_stats.add(OnlineHDLTS().execute(graph, noise).makespan)
         gain = static_stats.mean / online_stats.mean - 1.0
         print(f"{sigma:6.1f} {static_stats.mean:10.1f} "

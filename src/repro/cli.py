@@ -434,12 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="run schedulers fully instrumented, print the phase breakdown",
+        help="run schedulers with metrics on, print the phase breakdown",
     )
     _add_workflow_args(p_prof)
     p_prof.add_argument(
         "--repeat", type=int, default=1,
-        help="instrumented runs per scheduler (timings accumulate)",
+        help="profiled runs per scheduler (timings accumulate)",
     )
     p_prof.add_argument(
         "--json", default=None, metavar="FILE", dest="json_out",
@@ -1221,15 +1221,15 @@ def _cmd_schedule(args) -> int:
     if args.trace and hasattr(scheduler, "record_trace"):
         scheduler.record_trace = True
     if args.trace_json:
-        # phase-level deep dive: every obs.phase() inside the run
-        # becomes a span, and the computed schedule's Gantt is overlaid
-        # as a synthetic sim-time process
+        # phase-level deep dive: the traced run's scheduler.run and
+        # phase spans, with the computed schedule's Gantt overlaid as a
+        # synthetic sim-time process
         from repro import obs
 
         recorder = obs.SpanRecorder()
         unsubscribe = obs.subscribe(recorder, topics=[obs.SPAN_TOPIC])
         try:
-            with obs.tracing_scope(True), obs.phase_spans_scope(True):
+            with obs.tracing_scope(True):
                 result = scheduler.run(graph)
         finally:
             unsubscribe()

@@ -9,7 +9,6 @@ optional step trace and timing metadata alongside the schedule itself.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -75,23 +74,21 @@ class Scheduler(abc.ABC):
     def run(self, graph: TaskGraph) -> SchedulingResult:
         """Schedule ``graph`` and return a timed, named result.
 
-        The run executes inside an observability phase named after the
-        algorithm, so inner ``with phase(...)`` timers nest under e.g.
-        ``HDLTS/eft_vector``, publishes one ``scheduler.run`` event when
-        anything subscribes to the bus, and opens a ``scheduler.run``
-        span when tracing is on (:mod:`repro.obs.spans`).
+        The run executes inside one ``scheduler.run`` span
+        (:mod:`repro.obs.spans`), the root of the phase stack: inner
+        ``with phase(...)`` timers nest under e.g. ``HDLTS/eft_vector``,
+        the span feeds the ``<name>`` timer while metrics are on, and its
+        duration is the result's ``wall_time``.  One ``scheduler.run``
+        event is published when anything subscribes to the bus.
         """
         prepared = self.prepare(graph)
-        started = time.perf_counter()
-        with obs.span("scheduler.run", name=self.name) as sp:
-            with obs.phase(self.name):
-                schedule = self.build_schedule(prepared)
+        with obs.span("scheduler.run", phase=self.name, name=self.name) as sp:
+            schedule = self.build_schedule(prepared)
             sp.set(
                 n_tasks=prepared.n_tasks,
                 n_procs=prepared.n_procs,
                 makespan=schedule.makespan,
             )
-        elapsed = time.perf_counter() - started
         obs.count(f"{self.name}/runs")
         bus = obs.get_bus()
         if bus.active:
@@ -101,13 +98,13 @@ class Scheduler(abc.ABC):
                 n_tasks=prepared.n_tasks,
                 n_procs=prepared.n_procs,
                 makespan=schedule.makespan,
-                wall_s=elapsed,
+                wall_s=sp.dur_s,
             )
         trace = getattr(self, "last_trace", None)
         return SchedulingResult(
             schedule=schedule,
             scheduler=self.name,
-            wall_time=elapsed,
+            wall_time=sp.dur_s,
             trace=trace,
         )
 

@@ -11,7 +11,6 @@ fold every route from replications to statistics shares.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -366,12 +365,10 @@ def run_replication(
     instance's precomputed admission queues per ``Static/<Name>``
     policy (see :func:`run_replications`).
     """
-    bus = obs.get_bus()
-    observing = obs.enabled() or bus.active
-    started = time.perf_counter() if observing else 0.0
     with obs.span(
-        "sweep.replication", figure=definition.key, x=x, rep=rep
-    ):
+        "sweep.replication", timer="sweep/replication",
+        figure=definition.key, x=x, rep=rep,
+    ) as sp:
         if definition.stream is not None:
             from repro.stream.spec import run_stream_replication
 
@@ -393,21 +390,17 @@ def run_replication(
                 if validate:
                     validate_schedule(graph, result.schedule)
                 values[name] = metric_fn(compiled, result.makespan)
-    if observing:
-        elapsed = time.perf_counter() - started
-        if obs.enabled():
-            registry = obs.get_metrics()
-            registry.counter("sweep/replications").inc()
-            registry.timer("sweep/replication").observe(elapsed)
-        if bus.active:
-            bus.emit(
-                "sweep.replication",
-                figure=definition.key,
-                x=x,
-                rep=rep,
-                wall_s=elapsed,
-                values=values,
-            )
+    obs.count("sweep/replications")
+    bus = obs.get_bus()
+    if bus.active:
+        bus.emit(
+            "sweep.replication",
+            figure=definition.key,
+            x=x,
+            rep=rep,
+            wall_s=sp.dur_s,
+            values=values,
+        )
     return values
 
 
@@ -443,6 +436,7 @@ def _run_batched_group(
     bus = obs.get_bus()
     with obs.span(
         "sweep.batch",
+        timer="sweep/batch",
         figure=definition.key,
         x=x,
         size=batch.n_lanes,
@@ -476,8 +470,7 @@ def _run_batched_group(
             bounds = batch.cp_min_bounds().tolist()
             for instance, bound in zip(batch.instances, bounds):
                 instance.prime_cp_min_bound(bound)
-        if obs.enabled():
-            obs.get_metrics().counter("sweep/replications").inc(batch.n_lanes)
+        obs.count("sweep/replications", batch.n_lanes)
         for lane, (idx, instance) in enumerate(zip(members, batch.instances)):
             values: Dict[str, float] = {}
             graph = None
@@ -653,8 +646,9 @@ def run_sweep(
 ) -> SweepResult:
     """Run a full sweep; deterministic for a given ``seed``.
 
-    With profiling enabled (:func:`repro.obs.enable`) the run's metrics
-    land in ``result.metrics`` -- and also merge up into the enclosing
+    With metrics on (``obs.session(metrics=True)`` or
+    :func:`repro.obs.enabled_scope`) the run's metrics land in
+    ``result.metrics`` -- and also merge up into the enclosing
     registry, so a surrounding observability session sees the totals.
     """
     if reps < 1:

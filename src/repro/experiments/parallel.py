@@ -141,17 +141,16 @@ def _execute_chunk(
     definition: SweepDefinition, task: TaskSpec, seed: int, validate: bool
 ) -> ChunkResult:
     """Run the task's replications [rep_lo, rep_hi) of its x point."""
-    started = time.perf_counter()
     with obs.scoped(merge_up=False) as registry, obs.span(
         "sweep.chunk", figure=task.sweep, x=task.x, rep_lo=task.rep_lo,
         rep_hi=task.rep_hi,
-    ):
+    ) as sp:
         values = run_replications(
             definition, task.x, task.x_index, task.rep_lo, task.rep_hi,
             seed, validate,
         )
         snapshot = registry.snapshot() if registry else {}
-    return values, snapshot, time.perf_counter() - started
+    return values, snapshot, sp.dur_s
 
 
 def _run_chunk(task: TaskSpec, seed: int, validate: bool) -> ChunkResult:

@@ -101,7 +101,7 @@ def profile_document(args, graph, runs: List[Dict]) -> Dict:
     """The schema-stable document behind ``repro profile``.
 
     ``runs`` carries one entry per requested scheduler with the raw
-    metrics snapshot of its instrumented session; this function reduces
+    metrics snapshot of its profiled session; this function reduces
     each to the headline counters and the per-phase timing rows.
     """
     doc: Dict[str, object] = {
@@ -168,7 +168,7 @@ def format_profile(doc: Dict) -> str:
     lines = [
         f"profile: {workflow['name']} workflow -- {workflow['n_tasks']} tasks, "
         f"{workflow['n_edges']} edges, {workflow['n_procs']} CPUs "
-        f"({doc['repeat']} instrumented run(s) per scheduler)",
+        f"({doc['repeat']} profiled run(s) per scheduler)",
         "",
     ]
     header = ["scheduler", "makespan", "wall ms"] + [

@@ -1,4 +1,4 @@
-"""Observability: event bus, metrics registry and profiling contexts.
+"""Observability: event bus, spans, metrics registry and profiling.
 
 A dependency-free measurement layer for the whole toolkit:
 
@@ -7,13 +7,17 @@ A dependency-free measurement layer for the whole toolkit:
   events (``scheduler.decision``, ``sim.task_finish``, ...); any number
   of subscribers -- the Table-I trace recorder, a JSONL sink, a test --
   listen without the producers knowing.
-* :mod:`repro.obs.metrics` -- counters, gauges, wall-clock timers and
-  streaming histograms in a named registry, snapshot-able to plain
-  dicts and exactly mergeable across worker processes.
-* :mod:`repro.obs.profile` -- nested ``with phase("..."):`` timers and
-  an ``@instrumented`` decorator behind the run context's ``metrics``
-  flag; disabled (the default) they reduce to one bool test and a
-  shared no-op context.
+* :mod:`repro.obs.spans` -- the one duration clock.  A span times its
+  block and keeps ``dur_s`` on its handle; it emits a ``span.end``
+  record while the run context traces and feeds the metrics timer it
+  names while the context records metrics.
+* :mod:`repro.obs.metrics` -- counters, gauges and timers in a named
+  registry, snapshot-able to plain dicts and exactly mergeable across
+  worker processes.  Timers are fed by spans only.
+* :mod:`repro.obs.profile` -- nested ``with phase("..."):`` spans and
+  counters behind the run context's ``metrics`` flag; while nothing
+  would record a phase (the default) it reduces to one context lookup
+  and a shared no-op context.
 
 Typical session (what ``repro profile`` does)::
 
@@ -32,7 +36,6 @@ from repro.obs.events import Event, EventBus, JsonlSink, get_bus
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     Timer,
     format_metrics,
@@ -45,14 +48,12 @@ from repro.obs.profile import (
     current_scope,
     enabled,
     enabled_scope,
-    instrumented,
     phase,
     scoped_count,
 )
 from repro.obs.spans import (
     SPAN_TOPIC,
     SpanRecorder,
-    phase_spans_scope,
     span,
     tracing,
     tracing_scope,
@@ -68,7 +69,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Timer",
-    "Histogram",
     "MetricsRegistry",
     "get_metrics",
     "scoped",
@@ -77,7 +77,6 @@ __all__ = [
     "enabled",
     "enabled_scope",
     "phase",
-    "instrumented",
     "count",
     "scoped_count",
     "current_scope",
@@ -86,7 +85,6 @@ __all__ = [
     "span",
     "tracing",
     "tracing_scope",
-    "phase_spans_scope",
     "session",
     "ObsSession",
 ]

@@ -99,7 +99,7 @@ class EventBus:
         """True when at least one subscriber is attached.
 
         Hot paths check this before building an event payload so an
-        idle bus adds no allocations to the instrumented code.  A
+        idle bus adds no allocations to the emitting code.  A
         backend alone does not count: it receives the unconditionally
         emitted (cold-path) events without dragging per-decision
         payload construction into every run.
@@ -262,7 +262,7 @@ class JsonlSink:
         self.close()
 
 
-#: the process-global default bus used by the instrumented library code
+#: the process-global default bus used by the library code
 _BUS = EventBus()
 
 

@@ -256,11 +256,10 @@ def prometheus_text(
 ) -> str:
     """Render a metrics snapshot in the Prometheus text format.
 
-    Counters become ``<prefix>_<name>_total``, gauges stay plain,
+    Counters become ``<prefix>_<name>_total``, gauges stay plain, and
     timers expose a summary (``_seconds_count`` / ``_seconds_sum``) plus
-    min/max gauges, and histograms expose cumulative ``_bucket{le=...}``
-    series.  The output ends with a newline as the textfile collector
-    requires.
+    min/max gauges.  The output ends with a newline as the textfile
+    collector requires.
     """
     lines: List[str] = []
     for name, value in snapshot.get("counters", {}).items():
@@ -279,18 +278,6 @@ def prometheus_text(
         for bound in ("min", "max"):
             lines.append(f"# TYPE {metric}_{bound} gauge")
             lines.append(f"{metric}_{bound} {_fmt(float(data[bound]))}")
-    for name, data in snapshot.get("histograms", {}).items():
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(data["bounds"], data["buckets"]):
-            cumulative += int(count)
-            lines.append(
-                f'{metric}_bucket{{le="{_fmt(float(bound))}"}} {cumulative}'
-            )
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {_fmt(int(data["count"]))}')
-        lines.append(f"{metric}_sum {_fmt(float(data['sum']))}")
-        lines.append(f"{metric}_count {_fmt(int(data['count']))}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, timers and streaming histograms.
+"""Metrics registry: counters, gauges and timers.
 
 Names follow a ``scope/metric`` convention (``HDLTS/eft_evaluations``,
 ``sweep/replication``) so one registry can hold every scheduler's
@@ -10,24 +10,21 @@ counter totals are bit-identical to a serial run regardless of how the
 work was chunked.
 
 Registries stack: :func:`scoped` pushes a fresh registry that the
-instrumented code writes into, and (by default) merges its content into
+measured code writes into, and (by default) merges its content into
 the parent when it pops -- so a sweep can own its delta while an outer
 CLI session still sees the totals.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List
 
 __all__ = [
     "Counter",
     "Gauge",
     "Timer",
-    "Histogram",
     "MetricsRegistry",
     "get_metrics",
     "scoped",
@@ -87,66 +84,14 @@ class Timer:
         """Average seconds per observation (0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager observing the wall time of its block."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - started)
-
-
-#: default histogram bucket upper bounds: geometric, micro- to hecto-second
-DEFAULT_BOUNDS: Tuple[float, ...] = tuple(
-    10.0 ** e for e in range(-6, 3)
-)
-
-
-class Histogram:
-    """Streaming histogram over fixed bucket upper bounds.
-
-    Holds per-bucket counts plus count/sum/min/max; never stores the
-    samples themselves, so it merges exactly across processes.
-    """
-
-    __slots__ = ("bounds", "buckets", "count", "sum", "min", "max")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS) -> None:
-        self.bounds: Tuple[float, ...] = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        # one bucket per bound plus the overflow bucket
-        self.buckets: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the bucket counts."""
-        self.buckets[bisect.bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        """Average of the observed samples (0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
 
 class MetricsRegistry:
-    """A named collection of counters, gauges, timers and histograms."""
+    """A named collection of counters, gauges and timers."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._timers: Dict[str, Timer] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     # -- accessors (create on first use) --------------------------------
     def counter(self, name: str) -> Counter:
@@ -173,21 +118,9 @@ class MetricsRegistry:
             t = self._timers[name] = Timer()
             return t
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS
-    ) -> Histogram:
-        """The histogram under ``name`` (created with ``bounds`` on first use)."""
-        try:
-            return self._histograms[name]
-        except KeyError:
-            h = self._histograms[name] = Histogram(bounds)
-            return h
-
     def __bool__(self) -> bool:
         """True once anything has been registered."""
-        return bool(
-            self._counters or self._gauges or self._timers or self._histograms
-        )
+        return bool(self._counters or self._gauges or self._timers)
 
     # -- serialization ---------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -204,24 +137,13 @@ class MetricsRegistry:
                 }
                 for k, t in sorted(self._timers.items())
             },
-            "histograms": {
-                k: {
-                    "bounds": list(h.bounds),
-                    "buckets": list(h.buckets),
-                    "count": h.count,
-                    "sum": h.sum,
-                    "min": h.min if h.count else 0.0,
-                    "max": h.max if h.count else 0.0,
-                }
-                for k, h in sorted(self._histograms.items())
-            },
         }
 
     def merge(self, snapshot: Dict[str, Dict[str, object]]) -> None:
         """Fold a :meth:`snapshot` into this registry.
 
-        Counters and timer/histogram counts add; extrema combine; gauges
-        keep the maximum (the only order-independent choice).
+        Counters and timer counts add; extrema combine; gauges keep the
+        maximum (the only order-independent choice).
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(int(value))
@@ -236,26 +158,12 @@ class MetricsRegistry:
             timer.total += float(data["total"])
             timer.min = min(timer.min, float(data["min"]))
             timer.max = max(timer.max, float(data["max"]))
-        for name, data in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, data["bounds"])
-            if tuple(data["bounds"]) != hist.bounds:
-                raise ValueError(
-                    f"histogram {name!r}: incompatible bucket bounds"
-                )
-            for i, n in enumerate(data["buckets"]):
-                hist.buckets[i] += int(n)
-            if data["count"]:
-                hist.count += int(data["count"])
-                hist.sum += float(data["sum"])
-                hist.min = min(hist.min, float(data["min"]))
-                hist.max = max(hist.max, float(data["max"]))
 
     def clear(self) -> None:
         """Drop every registered metric."""
         self._counters.clear()
         self._gauges.clear()
         self._timers.clear()
-        self._histograms.clear()
 
 
 def merge_snapshots(*snapshots: Dict[str, Dict[str, object]]) -> Dict:
@@ -271,7 +179,7 @@ _STACK: List[MetricsRegistry] = [MetricsRegistry()]
 
 
 def get_metrics() -> MetricsRegistry:
-    """The registry instrumented code currently writes into."""
+    """The registry measured code currently writes into."""
     return _STACK[-1]
 
 
@@ -317,15 +225,5 @@ def format_metrics(snapshot: Dict[str, Dict[str, object]]) -> str:
             lines.append(
                 f"  {k.ljust(width)}  n={count}  total={t['total'] * 1e3:.2f}ms"
                 f"  mean={mean_ms:.3f}ms  max={t['max'] * 1e3:.3f}ms"
-            )
-    histograms = snapshot.get("histograms", {})
-    if histograms:
-        width = max(len(k) for k in histograms)
-        lines.append("histograms:")
-        for k, h in histograms.items():
-            mean = (h["sum"] / h["count"]) if h["count"] else 0.0
-            lines.append(
-                f"  {k.ljust(width)}  n={h['count']}  mean={mean:g}"
-                f"  min={h['min']:g}  max={h['max']:g}"
             )
     return "\n".join(lines) if lines else "(no metrics recorded)"

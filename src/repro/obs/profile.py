@@ -1,15 +1,16 @@
-"""Profiling contexts: nested phase timers with an on/off switch.
+"""Profiling contexts: nested phase spans and counters behind one switch.
 
-``with phase("eft_vector"):`` times a block into the current
-:class:`~repro.obs.metrics.MetricsRegistry` under the joined phase
-stack (``HDLTS/eft_vector`` when entered inside ``phase("HDLTS")``),
-and ``@instrumented`` wraps a whole function the same way.
+``with phase("eft_vector"):`` opens a ``phase`` span
+(:mod:`repro.obs.spans`) whose duration feeds the metrics timer keyed
+by the joined phase stack (``HDLTS/eft_vector`` inside the
+``scheduler.run`` span that :meth:`~repro.core.base.Scheduler.run`
+opens as the phase root), and which a traced run also emits.
 
-The switch is the whole design: profiling defaults to *off*, and a
-disabled :func:`phase` returns one shared no-op context manager -- no
-allocation, no clock read, one cheap enabled test -- so the
-instrumented hot paths of the schedulers cost nothing in production
-runs.
+The switch is the whole design: profiling defaults to *off*, and while
+nothing would record a phase (metrics off, and tracing off or no bus
+subscriber) :func:`phase` returns one shared no-op context manager --
+no allocation, no clock read, one context lookup -- so the measured
+hot paths of the schedulers cost nothing in production runs.
 
 Whether recording is on is the ``metrics`` field of the active
 :class:`~repro.runtime.context.RunContext` -- there is no other switch.
@@ -21,11 +22,10 @@ method, not just ``fork``.
 
 from __future__ import annotations
 
-import functools
-import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, Optional
 
+from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.runtime.context import activate as _activate
@@ -35,13 +35,10 @@ __all__ = [
     "enabled",
     "enabled_scope",
     "phase",
-    "instrumented",
     "count",
     "scoped_count",
     "current_scope",
 ]
-
-_stack: List[str] = []
 
 
 def enabled() -> bool:
@@ -52,84 +49,26 @@ def enabled() -> bool:
 @contextmanager
 def enabled_scope(flag: bool = True) -> Iterator[None]:
     """Scope a derived context with ``metrics=flag`` (restored on exit)."""
-    try:
-        with _activate(_current_context().with_(metrics=bool(flag))):
-            yield
-    finally:
-        if not enabled():
-            _stack.clear()
-
-
-class _NoopPhase:
-    """Shared do-nothing context: the disabled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopPhase":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NOOP = _NoopPhase()
-
-
-class _Phase:
-    """An active phase timer; records into the current registry on exit.
-
-    When the per-phase span bridge is on (:func:`repro.obs.spans
-    .phase_spans_scope`) the phase additionally opens a ``phase`` span,
-    so single-run deep dives land in the Chrome-trace export; the timer
-    itself is only observed while metric recording is enabled.
-    """
-
-    __slots__ = ("name", "_key", "_started", "_record", "_span")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._key = ""
-        self._started = 0.0
-        self._record = True
-        self._span = None
-
-    def __enter__(self) -> "_Phase":
-        _stack.append(self.name)
-        self._key = "/".join(_stack)
-        self._record = enabled()
-        if _spans.phase_spans_enabled():
-            self._span = _spans.span("phase", name=self._key)
-            self._span.__enter__()
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        elapsed = time.perf_counter() - self._started
-        if self._span is not None:
-            self._span.__exit__(None, None, None)
-            self._span = None
-        if _stack and _stack[-1] == self.name:
-            _stack.pop()
-        if self._record:
-            _metrics.get_metrics().timer(self._key).observe(elapsed)
-        return False
+    with _activate(_current_context().with_(metrics=bool(flag))):
+        yield
 
 
 def phase(name: str):
-    """Context manager timing a named (nestable) phase.
+    """Context manager timing a named (nestable) phase as a span.
 
-    Returns the shared no-op singleton when profiling is disabled, so a
-    hot loop pays only the ``enabled`` test (plus one flag read for the
-    span bridge).
+    Returns the shared no-op singleton unless metrics are on or a traced
+    run has a bus subscriber to emit to: phases run per decision step,
+    so a hot loop pays one context lookup when nothing would record.
     """
-    if not (enabled() or _spans.phase_spans_enabled()):
-        return _NOOP
-    return _Phase(name)
+    ctx = _current_context()
+    if not (ctx.metrics or (ctx.trace and _events.get_bus().active)):
+        return _spans.NOOP_SPAN
+    return _spans.Span("phase", {}, phase=name)
 
 
 def current_scope() -> Optional[str]:
     """Root of the active phase stack (the scheduler name inside a run)."""
-    return _stack[0] if _stack and enabled() else None
+    return _spans.phase_root() if enabled() else None
 
 
 def count(name: str, n: int = 1) -> None:
@@ -145,27 +84,6 @@ def scoped_count(name: str, n: int = 1) -> None:
     counts to whichever scheduler's run they execute inside.
     """
     if enabled():
-        root = _stack[0] if _stack else None
+        root = _spans.phase_root()
         key = f"{root}/{name}" if root else name
         _metrics.get_metrics().counter(key).inc(n)
-
-
-def instrumented(name: Optional[str] = None) -> Callable:
-    """Decorator timing every call of a function as a phase.
-
-    ``name`` defaults to the function's ``__qualname__``.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        phase_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not (enabled() or _spans.phase_spans_enabled()):
-                return fn(*args, **kwargs)
-            with _Phase(phase_name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -205,12 +205,11 @@ class Worker:
                 adopt(context)
                 renew = _Renewal(queue, worker_id, run)
                 points = [(t.x, t.x_index, t.rep_lo, t.rep_hi) for t in run]
-                started = time.perf_counter()
                 try:
                     with obs.span(
                         "service.task", task=run[0].task, worker=worker_id,
                         run=len(run),
-                    ):
+                    ) as sp:
                         values = run_points(
                             definitions[run[0].sweep], points, context.seed,
                             context.validate, tick=renew,
@@ -238,7 +237,7 @@ class Worker:
                     )
                     run = []
                     continue
-                wall = time.perf_counter() - started
+                wall = sp.dur_s
                 renew()
                 reps = sum(t.rep_hi - t.rep_lo for t in run)
                 # each task's share of the run's wall time

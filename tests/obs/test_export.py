@@ -197,17 +197,6 @@ class TestPrometheusText:
         assert "repro_sweep_chunk_wall_seconds_min 0.5" in text
         assert "repro_sweep_chunk_wall_seconds_max 1.5" in text
 
-    def test_histogram_buckets_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        text = prometheus_text(registry.snapshot())
-        assert 'repro_lat_bucket{le="1.0"} 1' in text
-        assert 'repro_lat_bucket{le="10.0"} 2' in text
-        assert 'repro_lat_bucket{le="+Inf"} 3' in text
-        assert "repro_lat_count 3" in text
-
     def test_write_prometheus(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("c").inc()

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    Histogram,
     MetricsRegistry,
     format_metrics,
     get_metrics,
@@ -38,25 +37,6 @@ class TestPrimitives:
         assert timer.min == 0.5 and timer.max == 1.5
         assert timer.mean == 1.0
 
-    def test_timer_context(self, registry):
-        with registry.timer("t").time():
-            pass
-        assert registry.timer("t").count == 1
-        assert registry.timer("t").total >= 0.0
-
-    def test_histogram_buckets(self):
-        hist = Histogram(bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.buckets == [1, 1, 1]
-        assert hist.count == 3
-        assert hist.mean == pytest.approx(55.5 / 3)
-        assert hist.min == 0.5 and hist.max == 50.0
-
-    def test_histogram_needs_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=())
-
     def test_registry_truthiness(self, registry):
         assert not registry
         registry.counter("x").inc()
@@ -70,7 +50,7 @@ class TestSnapshotAndMerge:
         snap = registry.snapshot()
         assert snap["counters"] == {"c": 2}
         assert snap["timers"]["t"]["count"] == 1
-        assert set(snap) == {"counters", "gauges", "timers", "histograms"}
+        assert set(snap) == {"counters", "gauges", "timers"}
 
     def test_merge_counters_add_exactly(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -97,21 +77,6 @@ class TestSnapshotAndMerge:
         a.merge(b.snapshot())
         assert a.gauge("g").value == 5.0
 
-    def test_merge_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(1.0,)).observe(2.0)
-        a.merge(b.snapshot())
-        hist = a.histogram("h", bounds=(1.0,))
-        assert hist.buckets == [1, 1] and hist.count == 2
-
-    def test_merge_histogram_bounds_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
     def test_merge_snapshots_is_associative_for_counters(self):
         regs = [MetricsRegistry() for _ in range(3)]
         for i, reg in enumerate(regs):
@@ -124,7 +89,6 @@ class TestSnapshotAndMerge:
     def test_snapshot_round_trips_through_fresh_registry(self, registry):
         registry.counter("c").inc(2)
         registry.timer("t").observe(0.25)
-        registry.histogram("h").observe(1e-3)
         fresh = MetricsRegistry()
         fresh.merge(registry.snapshot())
         assert fresh.snapshot() == registry.snapshot()
@@ -153,16 +117,6 @@ class TestSnapshotAndMerge:
         snap = a.snapshot()["timers"]["t"]
         assert math.isfinite(snap["min"]) and math.isfinite(snap["max"])
 
-    def test_single_observation_histogram_round_trips(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.histogram("h", bounds=(1.0, 10.0)).observe(5.0)
-        a.merge(b.snapshot())
-        hist = a.histogram("h", bounds=(1.0, 10.0))
-        assert hist.count == 1
-        assert hist.buckets == [0, 1, 0]
-        assert hist.min == 5.0 and hist.max == 5.0
-        assert hist.mean == 5.0
-
     def test_merge_into_non_empty_registry_preserves_both(self):
         parent, worker = MetricsRegistry(), MetricsRegistry()
         parent.counter("c").inc(1)
@@ -171,13 +125,11 @@ class TestSnapshotAndMerge:
         worker.counter("c").inc(2)
         worker.counter("new").inc(7)
         worker.timer("t").observe(3.0)
-        worker.histogram("h").observe(0.5)
         parent.merge(worker.snapshot())
         assert parent.counter("c").value == 3
         assert parent.counter("new").value == 7
         assert parent.timer("t").count == 2
         assert parent.gauge("g").value == 1.0
-        assert parent.histogram("h").count == 1
 
     def test_merge_commutes_across_worker_orderings(self):
         # the parallel collector folds worker snapshots in submission
@@ -188,7 +140,6 @@ class TestSnapshotAndMerge:
             reg.counter("sweep/replications").inc(i + 1)
             # binary-exact observations: summation commutes bit-for-bit
             reg.timer("sweep/replication").observe(0.25 * (i + 1))
-            reg.histogram("h").observe(2.0 ** i)
             workers.append(reg.snapshot())
         forward, backward = MetricsRegistry(), MetricsRegistry()
         for snap in workers:
@@ -224,9 +175,8 @@ def test_format_metrics_renders_every_section():
     registry.counter("HDLTS/decisions").inc(10)
     registry.gauge("sweep/chunk_imbalance").set(1.2)
     registry.timer("HDLTS/eft_vector").observe(0.01)
-    registry.histogram("sweep/replication_s").observe(0.5)
     text = format_metrics(registry.snapshot())
-    for token in ("counters:", "gauges:", "timers:", "histograms:",
+    for token in ("counters:", "gauges:", "timers:",
                   "HDLTS/decisions", "sweep/chunk_imbalance"):
         assert token in text
 

@@ -85,42 +85,6 @@ class TestCounters:
         assert snap == {"HEFT/eft_evaluations": 4, "bare": 1}
 
 
-class TestInstrumented:
-    @pytest.mark.usefixtures("metrics_on")
-    def test_decorator_times_calls(self):
-        @prof.instrumented("my_phase")
-        def work(x):
-            return x * 2
-
-        with scoped(merge_up=False) as registry:
-            assert work(2) == 4
-            assert work(3) == 6
-        assert registry.timer("my_phase").count == 2
-
-    def test_decorator_free_when_disabled(self):
-        calls = []
-
-        @prof.instrumented()
-        def work():
-            calls.append(1)
-
-        with scoped(merge_up=False) as registry:
-            work()
-        assert calls == [1]
-        assert not registry
-
-    @pytest.mark.usefixtures("metrics_on")
-    def test_decorator_default_name(self):
-        @prof.instrumented()
-        def named_fn():
-            pass
-
-        with scoped(merge_up=False) as registry:
-            named_fn()
-        (key,) = registry.snapshot()["timers"].keys()
-        assert "named_fn" in key
-
-
 def test_obs_package_reexports():
     for attr in ("phase", "enabled_scope", "get_bus", "get_metrics",
                  "session", "JsonlSink", "MetricsRegistry", "format_metrics"):

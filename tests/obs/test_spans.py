@@ -19,12 +19,21 @@ def recorder():
 
 
 class TestQuietPath:
-    def test_span_off_returns_shared_noop(self, recorder):
-        handle = obs.span("sweep.run", figure="fig2")
-        assert handle is spans.NOOP_SPAN
-        with handle as sp:
-            sp.set(anything="ignored")
+    def test_span_off_times_but_emits_nothing(self, recorder):
+        with obs.scoped(merge_up=False) as registry:
+            with obs.span("sweep.run", timer="t", figure="fig2") as sp:
+                sp.set(anything="kept on the handle")
+        assert sp.dur_s > 0.0
+        assert sp.span_id == 0 and not spans._stack
         assert recorder.records == []
+        assert not registry
+
+    def test_traced_phase_without_subscriber_is_the_noop(self):
+        # phases run per decision step: with nobody to emit to and
+        # metrics off, a traced run's phases must stay free
+        assert not obs.get_bus().active
+        with obs.tracing_scope(True):
+            assert obs.phase("eft_vector") is spans.NOOP_SPAN
 
     def test_tracing_defaults_off(self):
         assert obs.tracing() is False
@@ -102,15 +111,9 @@ class TestSpanRecords:
                 pass
 
 
-class TestPhaseBridge:
-    def test_phases_do_not_span_by_default(self, recorder):
+class TestPhaseSpans:
+    def test_traced_phase_is_a_span(self, recorder):
         with obs.tracing_scope(True):
-            with obs.phase("HDLTS/commit"):
-                pass
-        assert recorder.records == []
-
-    def test_phase_spans_scope_bridges_phases(self, recorder):
-        with obs.tracing_scope(True), obs.phase_spans_scope(True):
             with obs.phase("eft_vector"):
                 pass
         (record,) = recorder.records
@@ -118,19 +121,95 @@ class TestPhaseBridge:
         assert record["name"] == "eft_vector"
 
     def test_phase_spans_require_tracing(self, recorder):
-        with obs.phase_spans_scope(True):
+        with obs.enabled_scope(True), obs.scoped(merge_up=False) as registry:
             with obs.phase("eft_vector"):
                 pass
         assert recorder.records == []
+        assert registry.timer("eft_vector").count == 1
 
-    def test_tracing_alone_records_no_timers(self, recorder):
-        # the bridge must not turn metrics recording on as a side effect
+    def test_tracing_alone_records_no_timers(self, recorder, fig1):
         with obs.scoped(merge_up=False) as registry:
-            with obs.tracing_scope(True), obs.phase_spans_scope(True):
-                with obs.phase("eft_vector"):
-                    pass
+            with obs.tracing_scope(True):
+                HDLTS().run(fig1)
         assert not registry
-        assert len(recorder.records) == 1
+        assert {r["kind"] for r in recorder.records} == {
+            "scheduler.run", "phase"
+        }
+
+    def test_phase_spans_nest_under_the_scheduler_run(self, recorder, fig1):
+        with obs.tracing_scope(True):
+            HDLTS().run(fig1)
+        (run,) = [r for r in recorder.records if r["kind"] == "scheduler.run"]
+        phases = [r for r in recorder.records if r["kind"] == "phase"]
+        assert phases
+        assert {p["name"] for p in phases} >= {
+            "HDLTS/eft_vector", "HDLTS/commit"
+        }
+        by_id = {r["span_id"]: r for r in recorder.records}
+        for p in phases:
+            parent = by_id[p["parent_id"]]
+            assert parent is run or parent["kind"] == "phase"
+
+
+def _span_totals(records):
+    """Per timer key: (count, float sum of dur_s in closing order)."""
+    timer_of = {
+        "phase": lambda r: r["name"],
+        "scheduler.run": lambda r: r["name"],
+        "sweep.replication": lambda r: "sweep/replication",
+        "sweep.batch": lambda r: "sweep/batch",
+    }
+    totals = {}
+    for r in records:
+        if r["kind"] in timer_of:
+            key = timer_of[r["kind"]](r)
+            count, total = totals.get(key, (0, 0.0))
+            totals[key] = (count + 1, total + r["dur_s"])
+    return totals
+
+
+class TestOneClock:
+    """Every recorded duration is one span's ``dur_s``."""
+
+    def _check(self, timers, records):
+        totals = _span_totals(records)
+        assert set(timers) == set(totals)
+        for key, timer in timers.items():
+            assert (timer["count"], timer["total"]) == totals[key], key
+
+    def test_timer_totals_are_span_sums(self, recorder, fig1):
+        from repro.experiments import get_figure, run_sweep
+
+        ctx = DEFAULT_CONTEXT.with_(trace=True, metrics=True, batch="off")
+        with activate(ctx), obs.scoped(merge_up=False) as registry:
+            result = HDLTS().run(fig1)
+        run_records = list(recorder.records)
+        timers = registry.snapshot()["timers"]
+        assert {"HDLTS", "HDLTS/eft_vector", "HDLTS/commit"} <= set(timers)
+        self._check(timers, run_records)
+        (run,) = [r for r in run_records if r["kind"] == "scheduler.run"]
+        assert result.wall_time == run["dur_s"]
+
+        recorder.records.clear()
+        with activate(ctx), obs.scoped(merge_up=False):
+            sweep = run_sweep(get_figure("fig13"), reps=2)
+        timers = sweep.metrics["timers"]
+        assert {"HEFT", "HDLTS/eft_vector", "sweep/replication"} <= set(timers)
+        self._check(timers, recorder.records)
+
+    def test_batched_groups_feed_the_batch_timer(self, recorder):
+        from repro.experiments import get_figure, run_sweep
+
+        ctx = DEFAULT_CONTEXT.with_(trace=True, metrics=True, batch="auto")
+        with activate(ctx), obs.scoped(merge_up=False):
+            sweep = run_sweep(get_figure("fig13"), reps=16)
+        assert any(r["kind"] == "sweep.batch" for r in recorder.records)
+        self._check(sweep.metrics["timers"], recorder.records)
+
+    def test_wall_time_without_recording(self, recorder, fig1):
+        result = HDLTS().run(fig1)
+        assert result.wall_time > 0.0
+        assert recorder.records == [] and not spans._stack
 
 
 class TestInstrumentedCode:
