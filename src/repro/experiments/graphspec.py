@@ -10,13 +10,17 @@ workers, and rebuild bit-identical graphs anywhere.
 
 Factories receive ``(x, rng, **params)`` where ``x`` is the sweep's
 current x-axis value; the ``axis`` parameter names which knob ``x``
-drives (``"ccr"``, ``"v"``, ``"n_procs"``, ``"m"``, ...).  A factory
-returns a :class:`~repro.model.task_graph.TaskGraph` or its array form
-(:class:`~repro.model.task_graph.GraphArrays`, what the random
-generator emits): :meth:`GraphSpec.build` turns arrays into a graph,
-while :meth:`GraphSpec.instance` compiles them straight into the
-normalized :class:`~repro.model.compiled.CompiledGraph` the sweep
-harness carries, without a ``TaskGraph``.  Axis values
+drives (``"ccr"``, ``"v"``, ``"n_procs"``, ``"m"``, ...).  Every
+built-in factory returns the array form of a task graph
+(:class:`~repro.model.task_graph.GraphArrays`); a registered factory
+may also return a :class:`~repro.model.task_graph.TaskGraph`.
+:meth:`GraphSpec.build` turns arrays into a graph, while
+:meth:`GraphSpec.instance` compiles them straight into the normalized
+:class:`~repro.model.compiled.CompiledGraph` the sweep harness
+carries, without a ``TaskGraph``.  The workflow families (``fft``,
+``montage``, ``molecular``) keep one fixed structure per parameter
+set: its edge arrays are built once per process and each replication
+draws only the costs.  Axis values
 are cast exactly as the original closures did (``int`` for counts,
 ``float`` otherwise), so spec-built graphs are bit-identical to the
 closure-built ones for the same RNG stream.
@@ -25,6 +29,7 @@ closure-built ones for the same RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
@@ -36,7 +41,7 @@ from repro.model.task_graph import GraphArrays, TaskGraph
 from repro.workflows.fft import fft_topology
 from repro.workflows.molecular import molecular_dynamics_topology
 from repro.workflows.montage import montage_topology
-from repro.workflows.topology import realize_topology
+from repro.workflows.topology import TopologyArrays, realize_arrays
 
 __all__ = [
     "GraphSpec",
@@ -174,6 +179,23 @@ def _topology_params(x, axis: str, fixed: Dict[str, object]) -> Dict[str, object
     return params
 
 
+@lru_cache(maxsize=64)
+def _structure(family: str, *args) -> TopologyArrays:
+    """The read-only edge arrays of one workflow structure, built (and
+    validated) once per ``(family, args)`` in a process.
+
+    The public builders return a fresh, mutable :class:`Topology` per
+    call; only their frozen arrays are cached, so mutating a returned
+    topology cannot leak into a later draw.
+    """
+    build = {
+        "fft": fft_topology,
+        "montage": montage_topology,
+        "molecular": molecular_dynamics_topology,
+    }[family]
+    return build(*args).arrays()
+
+
 @register_graph_factory("fft")
 def _fft_graph(
     x,
@@ -185,13 +207,15 @@ def _fft_graph(
     ccr: float = 1.0,
     beta: float = 1.0,
     w_dag: float = 50.0,
-) -> TaskGraph:
-    """FFT butterfly workflow; ``axis`` in {"m", "n_procs", "ccr"}."""
+) -> GraphArrays:
+    """FFT butterfly workflow as :class:`GraphArrays`: the ``m``-point
+    structure (built once) with freshly drawn costs; ``axis`` in
+    {"m", "n_procs", "ccr"}."""
     p = _topology_params(
         x, axis, {"m": m, "n_procs": n_procs, "ccr": ccr}
     )
-    return realize_topology(
-        fft_topology(p["m"]), p["n_procs"], rng=rng,
+    return realize_arrays(
+        _structure("fft", p["m"]), p["n_procs"], rng=rng,
         ccr=p["ccr"], beta=beta, w_dag=w_dag,
     )
 
@@ -207,16 +231,18 @@ def _montage_graph(
     ccr: float = 1.0,
     beta: float = 1.0,
     w_dag: float = 50.0,
-) -> TaskGraph:
-    """Montage mosaic workflow, drawing the structure size per instance.
+) -> GraphArrays:
+    """Montage mosaic workflow as :class:`GraphArrays`, drawing the
+    structure size per instance.
 
     The size draw happens *before* cost realization, exactly like the
-    original closure, so the RNG stream (and every cost) is unchanged.
+    original closure, so the RNG stream (and every cost) is unchanged;
+    each size's structure is built once.
     """
     p = _topology_params(x, axis, {"n_procs": n_procs, "ccr": ccr})
     size = sizes[int(rng.integers(len(sizes)))]
-    return realize_topology(
-        montage_topology(int(size)), p["n_procs"], rng=rng,
+    return realize_arrays(
+        _structure("montage", int(size)), p["n_procs"], rng=rng,
         ccr=p["ccr"], beta=beta, w_dag=w_dag,
     )
 
@@ -231,10 +257,12 @@ def _molecular_graph(
     ccr: float = 1.0,
     beta: float = 1.0,
     w_dag: float = 50.0,
-) -> TaskGraph:
-    """The fixed 41-task molecular-dynamics workflow."""
+) -> GraphArrays:
+    """The fixed 41-task molecular-dynamics workflow as
+    :class:`GraphArrays`: the structure (built once) with freshly drawn
+    costs."""
     p = _topology_params(x, axis, {"n_procs": n_procs, "ccr": ccr})
-    return realize_topology(
-        molecular_dynamics_topology(), p["n_procs"], rng=rng,
+    return realize_arrays(
+        _structure("molecular"), p["n_procs"], rng=rng,
         ccr=p["ccr"], beta=beta, w_dag=w_dag,
     )

@@ -10,9 +10,11 @@
 * :func:`gaussian_elimination_workflow` -- a structured extension
   workload common in this literature.
 
-Each builder returns a topology; per-CPU costs are drawn with the same
-cost model as the synthetic generator (Eqs. 13-14) so CCR / beta / CPU
-sweeps apply uniformly to every workload.
+Each ``*_topology`` builder returns a :class:`Topology` (the structure)
+and each ``*_workflow`` helper a :class:`~repro.model.task_graph.TaskGraph`
+with per-CPU costs drawn by the same cost model as the synthetic
+generator (Eqs. 13-14), so CCR / beta / CPU sweeps apply uniformly to
+every workload.
 """
 
 from repro.workflows.paper_example import paper_example_graph

@@ -3,22 +3,39 @@
 The paper's real-world experiments keep a *fixed structure* (FFT, Montage,
 Molecular Dynamics) and vary the cost parameters: CCR, heterogeneity
 ``beta``, mean computation ``W_dag`` and the CPU count (Sections V-C.1-3).
-A :class:`Topology` captures just the structure; :func:`realize_topology`
+A :class:`Topology` captures just the structure; :func:`realize_arrays`
 draws per-CPU computation costs with Eq. (13) and edge communication costs
 with Eq. (14) -- the same cost model the synthetic generator uses, so the
-sweep axes mean the same thing for every workload.
+sweep axes mean the same thing for every workload.  It reads the
+structure as read-only edge arrays (:meth:`Topology.arrays`), which the
+sweep factories build once per structure and reuse for every
+replication; :func:`realize_topology` is the same draw as a
+:class:`~repro.model.task_graph.TaskGraph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.model.task_graph import TaskGraph
+from repro.model.task_graph import GraphArrays, TaskGraph
 
-__all__ = ["Topology", "realize_topology", "draw_costs"]
+__all__ = [
+    "Topology", "TopologyArrays", "draw_costs", "realize_arrays",
+    "realize_topology",
+]
+
+
+class TopologyArrays(NamedTuple):
+    """A validated topology as read-only arrays: edge ``e`` runs
+    ``src[e] -> dst[e]``, in the topology's edge order."""
+
+    n_tasks: int
+    src: np.ndarray
+    dst: np.ndarray
+    names: Optional[Tuple[str, ...]] = None
 
 
 @dataclass
@@ -49,6 +66,16 @@ class Topology:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def arrays(self) -> TopologyArrays:
+        """The structure as fresh read-only edge arrays."""
+        m = len(self.edges)
+        src = np.fromiter((s for s, _ in self.edges), dtype=np.intp, count=m)
+        dst = np.fromiter((d for _, d in self.edges), dtype=np.intp, count=m)
+        src.flags.writeable = False
+        dst.flags.writeable = False
+        names = tuple(self.names) if self.names else None
+        return TopologyArrays(self.n_tasks, src, dst, names)
+
 
 def draw_costs(
     n_tasks: int,
@@ -74,6 +101,41 @@ def draw_costs(
     return mean_costs, w
 
 
+def realize_arrays(
+    structure: TopologyArrays,
+    n_procs: int,
+    rng: Optional[np.random.Generator] = None,
+    ccr: float = 1.0,
+    beta: float = 1.0,
+    w_dag: float = 50.0,
+    randomize_comm: bool = False,
+) -> GraphArrays:
+    """Assign costs to a structure, as :class:`GraphArrays`.
+
+    Communication costs follow Eq. (14): ``comm(i, j) = w_i * CCR`` with
+    ``w_i`` the source task's average computation cost.  With
+    ``randomize_comm=True`` the cost is drawn uniform on
+    ``[0, 2 * CCR * w_i]`` instead (same mean, randomized -- an optional
+    variant documented in DESIGN.md), one draw per edge in edge order.
+    The edge arrays are shared with ``structure``, not copied.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    if n_procs < 1:
+        raise ValueError(f"n_procs must be >= 1, got {n_procs}")
+    if ccr < 0:
+        raise ValueError("ccr must be >= 0")
+    mean_costs, w = draw_costs(structure.n_tasks, n_procs, rng, w_dag, beta)
+    source_costs = mean_costs[structure.src]
+    if randomize_comm:
+        cost = rng.uniform(0.0, 2.0 * ccr * source_costs)
+    else:
+        cost = ccr * source_costs
+    if not np.isfinite(cost).all():
+        raise ValueError(f"communication costs must be finite (ccr={ccr})")
+    return GraphArrays(w, structure.src, structure.dst, cost, structure.names)
+
+
 def realize_topology(
     topology: Topology,
     n_procs: int,
@@ -83,27 +145,9 @@ def realize_topology(
     w_dag: float = 50.0,
     randomize_comm: bool = False,
 ) -> TaskGraph:
-    """Assign costs to a topology.
-
-    Communication costs follow Eq. (14): ``comm(i, j) = w_i * CCR`` with
-    ``w_i`` the source task's average computation cost.  With
-    ``randomize_comm=True`` the cost is drawn uniform on
-    ``[0, 2 * CCR * w_i]`` instead (same mean, randomized -- an optional
-    variant documented in DESIGN.md).
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    if ccr < 0:
-        raise ValueError("ccr must be >= 0")
-    mean_costs, w = draw_costs(topology.n_tasks, n_procs, rng, w_dag, beta)
-    graph = TaskGraph(n_procs)
-    for tid in range(topology.n_tasks):
-        name = topology.names[tid] if topology.names else None
-        graph.add_task(w[tid], name=name)
-    for src, dst in topology.edges:
-        if randomize_comm:
-            cost = float(rng.uniform(0.0, 2.0 * ccr * mean_costs[src]))
-        else:
-            cost = float(ccr * mean_costs[src])
-        graph.add_edge(src, dst, cost)
-    return graph
+    """:func:`realize_arrays` on ``topology`` as a :class:`TaskGraph`
+    (the same draws)."""
+    return realize_arrays(
+        topology.arrays(), n_procs, rng=rng, ccr=ccr, beta=beta,
+        w_dag=w_dag, randomize_comm=randomize_comm,
+    ).to_graph()

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import (
     SweepDefinition,
+    run_points,
     run_replications,
     run_sweep,
 )
@@ -193,6 +194,38 @@ class TestInstanceRoute:
         values = run_replications(definition, 2.0, 1, 0, 16, seed=0)
         assert len(values) == 16
         assert built == []
+
+    @pytest.mark.parametrize("key", ["fig7", "fig10", "fig13", "fig14"])
+    def test_batched_workflow_sweep_builds_no_task_graph(
+        self, key, monkeypatch
+    ):
+        """FFT, Montage and MD sweeps redraw only costs: no ``TaskGraph``,
+        and each structure is built once however many replications."""
+        from collections import Counter
+
+        from repro.experiments import graphspec
+        from repro.experiments.figures import get_figure
+
+        structures = Counter()
+        for name in (
+            "fft_topology", "montage_topology", "molecular_dynamics_topology"
+        ):
+            def counting(*args, _build=getattr(graphspec, name), _name=name):
+                structures[(_name, args)] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(graphspec, name, counting)
+        graphspec._structure.cache_clear()
+        definition = get_figure(key)
+        points = [(x, i, 0, 8) for i, x in enumerate(definition.x_values)]
+        built = self._count_graphs(monkeypatch)
+        try:
+            out = run_points(definition, points, seed=0)
+        finally:
+            graphspec._structure.cache_clear()
+        assert [len(values) for values in out] == [8] * len(points)
+        assert built == []
+        assert structures and max(structures.values()) == 1
 
     def test_scalar_path_derives_the_graph(self, monkeypatch):
         from repro.experiments.figures import get_figure
