@@ -834,8 +834,9 @@ class BatchResult:
     have produced (``NAME/eft_evaluations``, ``NAME/decisions``,
     ``NAME/runs``, HDLTS extras); keys follow the scalar key-existence
     semantics (duplication counters appear only when an event fired).
-    :meth:`schedule_for` replays a lane's decisions into a full
-    :class:`Schedule` for the differential suite.
+    :meth:`queues` reads every lane's per-CPU execution order straight
+    off these arrays; :meth:`schedule_for` replays a lane's decisions
+    into a full :class:`Schedule`, the differential suite's oracle.
     """
 
     scheduler: str
@@ -848,6 +849,59 @@ class BatchResult:
     dup_steps: Optional[np.ndarray] = None  # (B, steps) bool, HDLTS
     entry_proc: Optional[np.ndarray] = None  # (B,), SDBATS primary CPU
     entry_dup: Optional[np.ndarray] = None  # (B,) bool, SDBATS mirrors
+
+    def queues(self) -> List[List[List[Tuple[int, bool]]]]:
+        """Every lane's per-CPU ``(task, is_duplicate)`` execution order.
+
+        The order :func:`~repro.schedule.simulator.schedule_queues`
+        reads off :meth:`schedule_for`'s replay: a CPU's copies sorted
+        by ``(start, end)``, equal keys in placement order.  Every copy
+        of every lane sorts at once, with one lexsort on ``(lane, CPU,
+        start, end, placement index)``; the placement index follows
+        :meth:`schedule_for`: SDBATS's entry copies first, then per step
+        an HDLTS entry duplicate before the step's task.
+        """
+        batch = self.batch
+        n_lanes, p, entry = batch.n_lanes, batch.n_procs, batch.entry
+        steps = self.tasks.shape[1]
+        first = 0 if self.entry_proc is None else p + 1
+        lane, step = np.divmod(np.arange(self.tasks.size), steps)
+        # (lane, task, CPU, start, is_duplicate, placement index) per copy
+        copies = [(
+            lane, self.tasks.ravel(), self.procs.ravel(),
+            self.starts.ravel(), False, first + 2 * step + 1,
+        )]
+        if self.dup_steps is not None:
+            lane, step = np.nonzero(self.dup_steps)
+            copies.append((
+                lane, entry, self.procs[lane, step], 0.0, True,
+                first + 2 * step,
+            ))
+        if self.entry_proc is not None:
+            # the primary entry copy, then its mirrors in CPU order
+            copies.append((np.arange(n_lanes), entry, self.entry_proc,
+                           0.0, False, 0))
+            if self.entry_dup is not None:
+                lane, proc = np.nonzero(
+                    self.entry_dup[:, None]
+                    & (np.arange(p) != self.entry_proc[:, None])
+                )
+                copies.append((lane, entry, proc, 0.0, True, 1 + proc))
+        lane, task, proc, start, dup, placed = (
+            np.concatenate([np.broadcast_to(c[i], c[0].shape) for c in copies])
+            for i in range(6)
+        )
+        end = start + batch.W[lane, task, proc]
+        order = np.lexsort((placed, end, start, proc, lane))
+        out: List[List[List[Tuple[int, bool]]]] = [
+            [[] for _ in range(p)] for _ in range(n_lanes)
+        ]
+        for b, q, t, d in zip(
+            lane[order].tolist(), proc[order].tolist(),
+            task[order].tolist(), dup[order].tolist(),
+        ):
+            out[b][q].append((t, d))
+        return out
 
     def schedule_for(self, lane: int) -> Schedule:
         """Replay lane ``lane`` into a :class:`Schedule` (exact floats)."""

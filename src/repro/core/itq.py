@@ -5,13 +5,18 @@ parent is mapped, and leaves when it is mapped itself.  Priorities are
 *not* stored here -- HDLTS recomputes them from the platform state on
 every step -- so the ITQ is a plain dependency-counting frontier with
 deterministic iteration order (ascending task id, which is also the
-tie-break order for equal penalty values).
+tie-break order for equal penalty values).  It reads the compiled form
+of the graph (in-degrees and per-task child lists), so a compiled
+instance needs no :class:`~repro.model.task_graph.TaskGraph`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Set
+from typing import Iterable, Iterator, List, Set, Union
 
+import numpy as np
+
+from repro.model.compiled import CompiledGraph, compile_graph
 from repro.model.task_graph import TaskGraph
 
 __all__ = ["IndependentTaskQueue"]
@@ -20,17 +25,19 @@ __all__ = ["IndependentTaskQueue"]
 class IndependentTaskQueue:
     """Dependency-counting ready frontier over a task graph."""
 
-    def __init__(self, graph: TaskGraph) -> None:
-        self.graph = graph
-        self._remaining = [graph.in_degree(t) for t in graph.tasks()]
+    def __init__(self, graph: Union[TaskGraph, CompiledGraph]) -> None:
+        compiled = compile_graph(graph)
+        self._n_tasks = compiled.n_tasks
+        self._succ = compiled.succ_lists
+        self._remaining: List[int] = np.diff(compiled.pred_indptr).tolist()
         self._ready: Set[int] = {
-            t for t in graph.tasks() if self._remaining[t] == 0
+            t for t, left in enumerate(self._remaining) if left == 0
         }
         self._done: Set[int] = set()
 
     @classmethod
     def resumed(
-        cls, graph: TaskGraph, done: Iterable[int]
+        cls, graph: Union[TaskGraph, CompiledGraph], done: Iterable[int]
     ) -> "IndependentTaskQueue":
         """The frontier once ``done`` are mapped, in whatever order they
         ran.  A task may be done while a parent is not (it read a
@@ -40,12 +47,12 @@ class IndependentTaskQueue:
         remaining = itq._remaining
         itq._done = set(done)
         for task in itq._done:
-            for succ in graph._succ[task]:
+            for succ in itq._succ[task]:
                 remaining[succ] -= 1
         for task in itq._done:
             # one above its unmapped parents: never reaches zero
             remaining[task] += 1
-        itq._ready = {t for t in graph.tasks() if remaining[t] == 0}
+        itq._ready = {t for t, left in enumerate(remaining) if left == 0}
         return itq
 
     def __len__(self) -> int:
@@ -74,9 +81,7 @@ class IndependentTaskQueue:
         self._ready.remove(task)
         self._done.add(task)
         released: List[int] = []
-        # hot path: read the adjacency list directly instead of paying
-        # successors()'s bounds check and defensive tuple copy per call
-        for succ in self.graph._succ[task]:
+        for succ in self._succ[task]:
             self._remaining[succ] -= 1
             if self._remaining[succ] == 0:
                 self._ready.add(succ)
@@ -91,4 +96,4 @@ class IndependentTaskQueue:
 
     def all_mapped(self) -> bool:
         """True when every task has been completed."""
-        return len(self._done) == self.graph.n_tasks
+        return len(self._done) == self._n_tasks

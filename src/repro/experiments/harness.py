@@ -509,13 +509,13 @@ def _stream_replications(
         definition.stream.build(x, np.random.default_rng([seed, x_index, rep]))
         for rep in reps
     ]
-    graphs = [job.graph for instance in instances for job in instance.jobs]
+    jobs = [job.compiled for instance in instances for job in instance.jobs]
     point_queues = {}
     for name in definition.schedulers:
         policy = normalize_policy(name)
         if policy.startswith(STATIC_PREFIX):
             point_queues[name] = admission_queues(
-                graphs, policy[len(STATIC_PREFIX):]
+                jobs, policy[len(STATIC_PREFIX):]
             )
     results = []
     lo = 0

@@ -379,6 +379,13 @@ class CompiledGraph:
             for t in range(self.n_tasks)
         ]
 
+    @cached_property
+    def succ_lists(self) -> List[List[int]]:
+        """Per task: child ids as a Python list, in edge order."""
+        succ = self.succ_ids.tolist()
+        ptr = self.succ_indptr.tolist()
+        return [succ[ptr[t] : ptr[t + 1]] for t in range(self.n_tasks)]
+
     # ------------------------------------------------------------------
     # adjacency views
     # ------------------------------------------------------------------

@@ -277,13 +277,14 @@ def _stream_differential(instance, policy: str, result) -> List[str]:
     from repro.stream.arena import STATIC_PREFIX
 
     job = instance.jobs[0]
+    graph = job.graph
     if not policy.startswith(STATIC_PREFIX):
         if not job.exact:
             return [f"{policy} differential needs exact durations"]
-        return _offline_hdlts_divergence(job.graph, result.records, policy)
+        return _offline_hdlts_divergence(graph, result.records, policy)
     scheduler = make_scheduler(policy[len(STATIC_PREFIX):])
-    schedule = scheduler.run(job.graph).schedule
-    reference = replay_static(job.graph, schedule, job.duration_fn())
+    schedule = scheduler.run(graph).schedule
+    reference = replay_static(graph, schedule, job.duration_fn())
     got = [
         OnlineRecord(r.task, r.proc, r.start, r.finish, r.duplicate, r.lost)
         for r in result.records

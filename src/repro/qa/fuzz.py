@@ -312,7 +312,7 @@ def _still_crashes(
 # ----------------------------------------------------------------------
 def _draw_stream(rng: np.random.Generator):
     """One random small job-stream workload (arrivals first, then jobs)."""
-    from repro.dynamic.noise import gaussian_noise
+    from repro.dynamic.noise import realize
     from repro.stream.arena import StreamInstance, StreamJob
     from repro.stream.arrivals import ArrivalSpec
 
@@ -346,18 +346,12 @@ def _draw_stream(rng: np.random.Generator):
             graph = graph.normalized()
         durations = None
         if sigma > 0.0:
-            fn = gaussian_noise(graph, sigma, rng)
-            durations = np.array(
-                [
-                    [fn(task, proc) for proc in range(graph.n_procs)]
-                    for task in range(graph.n_tasks)
-                ]
-            )
+            durations = realize(graph.cost_matrix(), "gaussian", sigma, rng)
         jobs.append(
             StreamJob(
                 index=index,
                 arrival=float(times[index]),
-                graph=graph,
+                compiled=graph,
                 durations=durations,
             )
         )
@@ -428,7 +422,7 @@ def _run_stream_campaign(
         workload = _draw_stream(rng)
         report.instances += 1
         obs.count("fuzz/instances")
-        n_tasks = sum(job.graph.n_tasks for job in workload.jobs)
+        n_tasks = sum(job.compiled.n_tasks for job in workload.jobs)
         # the rate->0 sub-workload: the first job alone, arriving at 0
         first = dc_replace(workload.jobs[0], index=0, arrival=0.0)
 
@@ -484,7 +478,7 @@ def _run_stream_campaign(
                         stage="differential",
                         engine=None,
                         problems=problems,
-                        graph_tasks=lone.jobs[0].graph.n_tasks,
+                        graph_tasks=lone.jobs[0].compiled.n_tasks,
                     ),
                     lone,
                 )

@@ -427,7 +427,7 @@ def _stream_conservation(instance, result) -> List[str]:
             )
         if outcome.finished:
             missing = [
-                t for t in job.graph.tasks()
+                t for t in range(job.compiled.n_tasks)
                 if t not in outcome.finish_times
             ]
             if missing:
@@ -454,7 +454,7 @@ def _stream_conservation(instance, result) -> List[str]:
     for job, outcome in zip(instance.jobs, result.jobs):
         if not outcome.finished:
             continue
-        for task in job.graph.tasks():
+        for task in range(job.compiled.n_tasks):
             n = primary.get((outcome.job, task), 0)
             if n != 1:
                 problems.append(
@@ -504,6 +504,8 @@ def _stream_no_overlap(instance, result) -> List[str]:
 def _stream_precedence(instance, result) -> List[str]:
     problems: List[str] = []
     jobs = {job.index: job for job in instance.jobs}
+    # each job's derived graph, held for the whole check
+    graphs = {job.index: job.graph for job in instance.jobs}
     # successful copies per (job, task): data sources for successors
     copies: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
     for rec in result.records:
@@ -515,7 +517,7 @@ def _stream_precedence(instance, result) -> List[str]:
         if rec.duplicate or rec.lost:
             continue
         job = jobs[rec.job]
-        graph = job.graph
+        graph = graphs[rec.job]
         if rec.start < job.arrival - FEASIBILITY_EPS:
             problems.append(
                 f"job {rec.job} task {rec.task} starts at "

@@ -1,9 +1,12 @@
 """The job-stream arena: interleaved DAG instances on shared CPUs.
 
 A :class:`StreamInstance` is a fully materialized workload -- jobs with
-arrival times, normalized task graphs, and (optionally) realized
+arrival times, normalized compiled instances, and (optionally) realized
 duration matrices -- and :class:`JobStream` executes it under an online
-policy.  Two policy families exist:
+policy.  The arena reads only the compiled form of each job (sizes,
+entry, ``W``'s rows and the per-task parent and child lists); a job's
+:class:`~repro.model.task_graph.TaskGraph` is derived only for I/O,
+invariants and oracles.  Two policy families exist:
 
 * ``"OnlineHDLTS"`` -- HDLTS's penalty-value loop run at execution
   time over many jobs: one merged ready set across all admitted jobs,
@@ -47,14 +50,16 @@ is explicitly lost) holds either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
 from repro import obs
 from repro.core.itq import IndependentTaskQueue
 from repro.model.attributes import penalty_value, penalty_values
-from repro.model.compiled import compile_graph
+from repro.model.compiled import CompiledGraph, compile_graph
 from repro.model.task_graph import TaskGraph
 from repro.schedule.simulator import DeadlockError, schedule_queues
 
@@ -115,17 +120,27 @@ def normalize_policy(name: str) -> str:
 class StreamJob:
     """One DAG instance of the workload, ready to execute.
 
-    ``graph`` is already normalized (single entry/exit).  ``durations``
-    is the realized execution-time matrix ``(n_tasks, n_procs)`` or
-    ``None`` for exact execution (realized == estimated ``W``); it is
-    materialized up front so every policy replays the *same* world
-    regardless of dispatch order.
+    ``compiled`` is the normalized (single entry/exit) compiled instance;
+    a :class:`TaskGraph` given in its place is compiled on construction.
+    ``durations`` is the realized execution-time matrix ``(n_tasks,
+    n_procs)`` or ``None`` for exact execution (realized == estimated
+    ``W``); it is materialized up front so every policy replays the
+    *same* world regardless of dispatch order.
     """
 
     index: int
     arrival: float
-    graph: TaskGraph
+    compiled: CompiledGraph
     durations: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "compiled", compile_graph(self.compiled))
+
+    @property
+    def graph(self) -> TaskGraph:
+        """The job's task graph, derived from the compiled instance (for
+        I/O, invariants and oracles; the arena never asks for it)."""
+        return self.compiled.graph
 
     @property
     def exact(self) -> bool:
@@ -135,7 +150,7 @@ class StreamJob:
         """Realized execution time of ``(task, proc)``, read from nested
         lists (``W``'s or the realized matrix's)."""
         if self.durations is None:
-            rows = compile_graph(self.graph).w_rows
+            rows = self.compiled.w_rows
         else:
             rows = self.durations.tolist()
 
@@ -158,9 +173,9 @@ class StreamInstance:
         if not self.jobs:
             raise ValueError("a stream instance needs at least one job")
         for job in self.jobs:
-            if job.graph.n_procs != self.n_procs:
+            if job.compiled.n_procs != self.n_procs:
                 raise ValueError(
-                    f"job {job.index} has {job.graph.n_procs} CPUs, "
+                    f"job {job.index} has {job.compiled.n_procs} CPUs, "
                     f"platform has {self.n_procs}"
                 )
         arrivals = [job.arrival for job in self.jobs]
@@ -305,8 +320,9 @@ class _AdmittedJob:
     """Mutable per-job execution state inside the arena.
 
     Everything the event loops touch per dispatch is a Python float or a
-    list of them: ``w`` and ``parents`` are the compiled graph's list
-    mirrors of ``W`` and of each task's ``(parent ids, edge costs)``.
+    list of them: ``w``, ``parents`` and ``children`` are the compiled
+    instance's list mirrors of ``W``, of each task's ``(parent ids, edge
+    costs)`` and of its child ids.
     Data-ready times are cached rather than re-derived per dispatch (see
     ``docs/streaming.md``, "Incremental ready times"):
 
@@ -328,10 +344,12 @@ class _AdmittedJob:
 
     __slots__ = (
         "job",
-        "graph",
+        "compiled",
+        "n_procs",
         "w",
         "w_array",
         "parents",
+        "children",
         "entry",
         "arrival",
         "duration_fn",
@@ -351,13 +369,15 @@ class _AdmittedJob:
     )
 
     def __init__(self, job: StreamJob) -> None:
-        compiled = compile_graph(job.graph)
+        compiled = job.compiled
         self.job = job
-        self.graph = job.graph
+        self.compiled = compiled
+        self.n_procs = n_procs = compiled.n_procs
         self.w = compiled.w_rows
         self.w_array = compiled.w
         self.parents = compiled.pred_lists
-        self.entry = job.graph.entry_task
+        self.children = compiled.succ_lists
+        self.entry = int(compiled.entry_ids[0])
         self.arrival = job.arrival
         self.duration_fn = job.duration_fn()
         self.itq: Optional[IndependentTaskQueue] = None
@@ -369,7 +389,6 @@ class _AdmittedJob:
         # ... and its base rows as numpy, made when a wide ready set
         # first prices the task
         self.base_arrays: Dict[int, np.ndarray] = {}
-        n_procs = job.graph.n_procs
         self.window_open = [True] * n_procs
         self.window_seen = [0] * n_procs
         # static policy: per-CPU (task, is_duplicate) queues + cursors,
@@ -404,7 +423,7 @@ class _AdmittedJob:
         term, which moves as duplicates land and windows close, is kept
         apart.
         """
-        n_procs = self.graph.n_procs
+        n_procs = self.n_procs
         row = [self.arrival] * n_procs
         entry_comm: Optional[float] = None
         ids, comms = self.parents[task]
@@ -459,7 +478,7 @@ class _AdmittedJob:
         monotone in ``fin``.
         """
         inf = float("inf")
-        n_procs = self.graph.n_procs
+        n_procs = self.n_procs
         copies = self.copies[self.entry]
         near = [inf] * n_procs
         remote = [inf] * n_procs
@@ -527,24 +546,27 @@ class _AdmittedJob:
         cached head readiness of its children, which it may advance."""
         self.copies.setdefault(task, []).append((proc, finish))
         ready_at = self.ready_at
-        # the adjacency list itself: successors() checks and copies it
-        for child in self.graph._succ[task]:
+        for child in self.children[task]:
             ready_at.pop(child, None)
 
 
-def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
+def admission_queues(
+    instances: Sequence[Union[CompiledGraph, TaskGraph]], name: str
+) -> List[Queues]:
     """Every job's frozen per-CPU queues under registry scheduler ``name``.
 
-    A static schedule depends on its job's graph alone, so all of them
-    can be computed before any event loop runs.  When the active context
-    allows it (``batch="auto"``, fast engine) the graphs are grouped by
-    :func:`~repro.core.batch.batch_key` -- structures may differ -- and
-    each group of at least :func:`~repro.core.batch.min_lanes` lanes runs
-    as one :func:`~repro.core.batch.run_batch` call, replaying each lane
-    with :meth:`~repro.core.batch.BatchResult.schedule_for`.  Narrower
-    groups, graphs the kernel does not cover and non-batchable
-    schedulers run ``make_scheduler(name).run(graph)``.  Both routes
-    give the same queues and the same counter totals.
+    A static schedule depends on its job's instance alone, so all of
+    them can be computed before any event loop runs.  When the active
+    context allows it (``batch="auto"``, fast engine) the instances are
+    grouped by :func:`~repro.core.batch.batch_key` -- structures may
+    differ -- and each group of at least
+    :func:`~repro.core.batch.min_lanes` lanes runs as one
+    :func:`~repro.core.batch.run_batch` call, whose lanes' queues come
+    straight from its arrays (:meth:`~repro.core.batch.BatchResult.queues`).
+    Narrower groups, instances the kernel does not cover and
+    non-batchable schedulers run ``make_scheduler(name)`` on the
+    instance's derived graph.  Both routes give the same queues and the
+    same counter totals.
     """
     from repro.baselines.registry import make_scheduler
     from repro.core.batch import (
@@ -556,10 +578,10 @@ def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
     )
     from repro.runtime.context import current_context
 
-    queues: List[Optional[Queues]] = [None] * len(graphs)
+    compiled = [compile_graph(instance) for instance in instances]
+    queues: List[Optional[Queues]] = [None] * len(compiled)
     ctx = current_context()
     if ctx.batch == "auto" and ctx.engine == "fast" and name in BATCHABLE:
-        compiled = [compile_graph(graph) for graph in graphs]
         bus = obs.get_bus()
         for sub in batch_groups(compiled, [name], min_lanes(name)):
             batch = CompiledBatch([compiled[i] for i in sub])
@@ -577,11 +599,11 @@ def admission_queues(graphs: Sequence[TaskGraph], name: str) -> List[Queues]:
                 # (no-ops while profiling is off)
                 for key, total in batched.counters.items():
                     obs.count(key, total)
-                for lane, idx in enumerate(sub):
-                    queues[idx] = schedule_queues(batched.schedule_for(lane))
-    for idx, graph in enumerate(graphs):
+                for idx, lane_queues in zip(sub, batched.queues()):
+                    queues[idx] = lane_queues
+    for idx, instance in enumerate(compiled):
         if queues[idx] is None:
-            schedule = make_scheduler(name).run(graph).schedule
+            schedule = make_scheduler(name).run(instance.graph).schedule
             queues[idx] = schedule_queues(schedule)
     return queues
 
@@ -682,7 +704,7 @@ class JobStream:
                 "stream.arrival",
                 job=job.index,
                 t=job.arrival,
-                tasks=job.graph.n_tasks,
+                tasks=job.compiled.n_tasks,
             )
         return admitted
 
@@ -735,7 +757,7 @@ class JobStream:
         jobs: List[JobResult] = []
         for job in instance.jobs:
             st = by_index.get(job.index)
-            n_tasks = job.graph.n_tasks
+            n_tasks = job.compiled.n_tasks
             if st is not None and len(st.finish_times) == n_tasks:
                 jobs.append(
                     JobResult(
@@ -809,7 +831,7 @@ class JobStream:
 
         def admit_online() -> None:
             st = self._admit(state)
-            st.itq = IndependentTaskQueue(st.graph)
+            st.itq = IndependentTaskQueue(st.compiled)
             if st.arrival < state["handoff"]:
                 st.window_open = [False] * n_procs
             for task in st.itq.ready_tasks():
@@ -1021,7 +1043,7 @@ class JobStream:
         n_jobs = len(instance.jobs)
         if job_queues is None:
             job_queues = admission_queues(
-                [job.graph for job in instance.jobs],
+                [job.compiled for job in instance.jobs],
                 policy[len(STATIC_PREFIX):],
             )
         avail: List[float] = state["avail"]
@@ -1117,7 +1139,8 @@ class JobStream:
             if not st.left:
                 active.remove(st)
                 missing = [
-                    t for t in st.graph.tasks() if t not in st.finish_times
+                    t for t in range(st.compiled.n_tasks)
+                    if t not in st.finish_times
                 ]
                 if missing:
                     raise ValueError(
@@ -1145,7 +1168,9 @@ class JobStream:
         state["handoff"] = detection
         resumed: List[_AdmittedJob] = []
         for st in active:
-            st.itq = IndependentTaskQueue.resumed(st.graph, st.finish_times)
+            st.itq = IndependentTaskQueue.resumed(
+                st.compiled, st.finish_times
+            )
             st.window_open = [False] * len(avail)
             for task in st.itq.ready_tasks():
                 st.cache_ready_base(task)

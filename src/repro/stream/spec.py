@@ -11,11 +11,14 @@ bit-identically on any worker start method.
 ``build(x, rng)`` drives one knob with the sweep's x value (``axis``:
 the arrival ``rate``, the deterministic ``interval``, or ``n_jobs``)
 and draws, in a fixed order, (1) every arrival instant, then (2) each
-job's graph followed by its realized duration matrix.  Realizations are
-materialized eagerly -- via the memoized duration models of
-:mod:`repro.dynamic.noise`, warmed in task-major order -- so every
-policy executes the *same* world regardless of dispatch order, which is
-what makes rate sweeps paired comparisons.
+job's compiled instance (:meth:`GraphSpec.instance
+<repro.experiments.graphspec.GraphSpec.instance>`: no ``TaskGraph``)
+followed by its realized duration matrix.  Realizations are
+materialized eagerly, each as one matrix draw
+(:func:`repro.dynamic.noise.realize`, the same values and generator end
+state as the memoized duration models warmed in task-major order), so
+every policy executes the *same* world regardless of dispatch order,
+which is what makes rate sweeps paired comparisons.
 
 ``stream_sweep_definition`` wraps a spec into an ordinary
 :class:`~repro.experiments.harness.SweepDefinition`, so injection-rate
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dynamic.noise import gaussian_noise, uniform_noise
+from repro.dynamic.noise import check_noise, realize
 from repro.experiments.graphspec import GraphSpec
 from repro.runtime.context import activate, current_context
 from repro.stream.arena import Queues, StreamInstance, StreamJob, run_stream
@@ -49,7 +52,8 @@ __all__ = [
 DEFAULT_POLICIES = ("OnlineHDLTS", "Static/HDLTS", "Static/HEFT")
 
 _AXES = ("rate", "interval", "n_jobs")
-_NOISE_KINDS = ("gaussian", "uniform")
+#: noise kind -> the key of its level in a spec's ``noise`` dict
+_NOISE_LEVELS = {"gaussian": "sigma", "uniform": "spread"}
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,8 @@ class StreamSpec:
             raise ValueError("n_jobs must be >= 1")
         if self.noise is not None:
             object.__setattr__(self, "noise", dict(self.noise))
-            kind = self.noise.get("kind")
-            if kind not in _NOISE_KINDS:
-                raise ValueError(
-                    f"noise kind must be one of {_NOISE_KINDS}, got {kind!r}"
-                )
+            # fail at construction, not at a worker's first build
+            check_noise(self.noise.get("kind"), self._noise_level())
         if self.axis in ("rate", "interval"):
             # fail fast on an axis/arrival-kind mismatch
             self.arrival.with_x(self.axis, 1.0)
@@ -98,58 +99,34 @@ class StreamSpec:
                 raise ValueError(f"n_jobs axis needs x >= 1, got {x!r}")
         else:
             arrival = arrival.with_x(self.axis, x)
-        times = arrival.times(n_jobs, rng)
+        times = arrival.times(n_jobs, rng).tolist()
+        level = self._noise_level()
         jobs: List[StreamJob] = []
-        n_procs: Optional[int] = None
         for index in range(n_jobs):
-            graph = self.job.build(self.job_x, rng)
-            if len(graph.entry_tasks()) != 1 or len(graph.exit_tasks()) != 1:
-                graph = graph.normalized()
-            if n_procs is None:
-                n_procs = graph.n_procs
-            jobs.append(
-                StreamJob(
-                    index=index,
-                    arrival=float(times[index]),
-                    graph=graph,
-                    durations=self._realize(graph, rng),
+            compiled = self.job.instance(self.job_x, rng)
+            durations = None
+            if level:
+                durations = realize(
+                    compiled.w, self.noise["kind"], level, rng
                 )
+            jobs.append(
+                StreamJob(index, times[index], compiled, durations)
             )
+        n_procs = jobs[0].compiled.n_procs
         return StreamInstance(
             jobs=tuple(jobs),
-            n_procs=int(n_procs),
-            busy_power=(float(self.busy_power),) * int(n_procs),
-            idle_power=(float(self.idle_power),) * int(n_procs),
+            n_procs=n_procs,
+            busy_power=(float(self.busy_power),) * n_procs,
+            idle_power=(float(self.idle_power),) * n_procs,
         )
 
-    def _realize(
-        self, graph, rng: np.random.Generator
-    ) -> Optional[np.ndarray]:
-        """Realized duration matrix, or None for exact execution.
-
-        The memoized noise models draw lazily in call order; warming
-        them here in task-major order fixes the RNG consumption per job
-        no matter how the arena later interleaves dispatches.
-        """
+    def _noise_level(self) -> float:
+        """The noise's sigma or spread; 0.0 (exact execution) without
+        noise."""
         if self.noise is None:
-            return None
-        kind = self.noise["kind"]
-        if kind == "gaussian":
-            sigma = float(self.noise.get("sigma", 0.0))
-            if sigma == 0.0:
-                return None
-            fn = gaussian_noise(graph, sigma, rng)
-        else:
-            spread = float(self.noise.get("spread", 0.0))
-            if spread == 0.0:
-                return None
-            fn = uniform_noise(graph, spread, rng)
-        return np.array(
-            [
-                [fn(task, proc) for proc in range(graph.n_procs)]
-                for task in range(graph.n_tasks)
-            ]
-        )
+            return 0.0
+        key = _NOISE_LEVELS.get(self.noise.get("kind"))
+        return float(self.noise.get(key, 0.0))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -264,7 +241,8 @@ def stream_sweep_definition(
 # concrete-instance serialization (corpus pinning / reproducers)
 # ----------------------------------------------------------------------
 def instance_to_dict(instance: StreamInstance) -> Dict[str, object]:
-    """A fully materialized workload as JSON (graphs + realizations)."""
+    """A fully materialized workload as JSON (graphs + realizations);
+    each job's graph is derived from its compiled instance here."""
     from repro.io.json_io import graph_to_dict
 
     return {
@@ -295,7 +273,7 @@ def instance_from_dict(data: Dict[str, object]) -> StreamInstance:
         StreamJob(
             index=int(entry["index"]),
             arrival=float(entry["arrival"]),
-            graph=graph_from_dict(entry["graph"]),
+            compiled=graph_from_dict(entry["graph"]),
             durations=(
                 None
                 if entry.get("durations") is None

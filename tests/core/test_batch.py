@@ -441,3 +441,77 @@ def test_batch_timelines_zero_cost_point_inside_slot():
         assert got[0, 0] == want, ready
     # the scan's candidate at ready=10 lies inside the second slot
     assert scalar.earliest_start(10.0, 0.0, insertion=True) != 10.0
+
+
+# ----------------------------------------------------------------------
+# per-CPU queues read straight off a BatchResult
+# ----------------------------------------------------------------------
+def _zero_cost_fan(seed: int) -> TaskGraph:
+    """Entry -> four zero-cost tasks -> a zero-cost exit on 2 CPUs.
+
+    The zero-cost middle tasks land on the entry's CPU at its finish,
+    so they share one ``(start, end)`` key there; their upward ranks
+    (edge costs to the exit) descend with the task id reversed, so
+    placement order is not id order.
+    """
+    rng = np.random.default_rng(seed)
+    graph = TaskGraph(2)
+    entry = graph.add_task(list(rng.uniform(2.0, 6.0, size=2)))
+    mids = [graph.add_task([0.0, 0.0]) for _ in range(4)]
+    exit_ = graph.add_task([0.0, 0.0])
+    for k, mid in enumerate(mids):
+        graph.add_edge(entry, mid, 50.0)
+        graph.add_edge(mid, exit_, 1.0 + k)
+    return graph
+
+
+def _queue_cases():
+    from tests.stream.conftest import build_workload
+
+    cases = {
+        factory: _factory_instances(factory, params, x, reps=8)
+        for factory, (params, x) in sorted(_FACTORY_CASES.items())
+    }
+    cases["stream"] = [
+        job.compiled
+        for seed in range(3)
+        for job in build_workload(seed, n_jobs=6, v=8, sigma=0.2).jobs
+    ]
+    cases["zero-cost"] = [_zero_cost_fan(seed) for seed in range(6)]
+    return cases
+
+
+def test_batch_queues_match_the_replayed_schedules():
+    """For every batchable scheduler and every factory's lanes (plus
+    stream jobs and zero-cost ties), :meth:`BatchResult.queues` equals
+    ``schedule_queues(schedule_for(lane))`` lane by lane."""
+    from repro.schedule.simulator import schedule_queues
+
+    seen = {"dup_steps": 0, "mirrors": 0, "ties": 0, "reordered": 0}
+    for case, graphs in _queue_cases().items():
+        compiled = [compile_graph(g) for g in graphs]
+        for name in sorted(BATCHABLE):
+            for sub in batch_groups(compiled, [name], 1):
+                result = run_batch(
+                    CompiledBatch([compiled[i] for i in sub]), name
+                )
+                derived = result.queues()
+                assert len(derived) == len(sub)
+                for lane in range(len(sub)):
+                    schedule = result.schedule_for(lane)
+                    assert derived[lane] == schedule_queues(schedule), (
+                        case, name, lane,
+                    )
+                    for timeline in schedule.timelines:
+                        slots = timeline.slots()
+                        for a, b in zip(slots, slots[1:]):
+                            if (a.start, a.end) == (b.start, b.end):
+                                seen["ties"] += 1
+                                seen["reordered"] += a.task > b.task
+                if result.dup_steps is not None:
+                    seen["dup_steps"] += int(result.dup_steps.sum())
+                if result.entry_dup is not None:
+                    seen["mirrors"] += int(result.entry_dup.sum())
+    # HDLTS entry duplicates, SDBATS mirrors, and equal-key ties whose
+    # placement order is not id order all occurred
+    assert all(seen.values()), seen

@@ -238,3 +238,86 @@ class TestInstanceRoute:
         assert len(built) == 16  # one graph per instance, none copied
         monkeypatch.undo()
         assert off == run_replications(definition, 2.0, 1, 0, 16, seed=0)
+
+    @staticmethod
+    def _stream_rate(noise):
+        """The stream-rate workload: 10 jobs of 20-task random DAGs on
+        4 CPUs per replication."""
+        from repro.stream import ArrivalSpec, StreamSpec
+        from repro.stream.spec import stream_sweep_definition
+
+        spec = StreamSpec(
+            job=GraphSpec(
+                "random",
+                {"axis": "v", "n_procs": 4, "ccr": 1.0, "beta": 1.0},
+            ),
+            arrival=ArrivalSpec("poisson", rate=0.02),
+            n_jobs=10,
+            axis="rate",
+            job_x=20,
+            noise=noise,
+        )
+        return stream_sweep_definition(
+            "stream-rate", spec, (0.005, 0.01, 0.02, 0.05)
+        )
+
+    def test_batched_stream_rate_point_builds_no_task_graph(
+        self, monkeypatch
+    ):
+        """Jobs are drawn and compiled as arrays, admission queues come
+        off the batch arrays and the arena reads compiled fields."""
+        definition = self._stream_rate({"kind": "gaussian", "sigma": 0.2})
+        built = self._count_graphs(monkeypatch)
+        values = run_replications(definition, 0.02, 2, 0, 10, seed=0)
+        assert len(values) == 10
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"kind": "gaussian", "sigma": 0.2},
+            {"kind": "gaussian", "sigma": 3.0},
+            {"kind": "uniform", "spread": 0.3},
+            None,
+        ],
+    )
+    def test_stream_build_draws_like_the_graph_route(self, noise):
+        """The stream build equals drawing each job as a ``TaskGraph``
+        and warming a memoized noise model in task-major order: the same
+        arrivals, instances and durations, and the generator ends in the
+        same state."""
+        from repro.dynamic.noise import gaussian_noise, uniform_noise
+        from repro.model.compiled import compile_graph
+
+        spec = self._stream_rate(noise).stream
+        for seed in range(3):
+            rng = np.random.default_rng([seed, 2, 0])
+            built = spec.build(0.02, rng)
+            oracle = np.random.default_rng([seed, 2, 0])
+            times = spec.arrival.with_x("rate", 0.02).times(
+                spec.n_jobs, oracle
+            )
+            for job, arrival in zip(built.jobs, times):
+                graph = spec.job.build(spec.job_x, oracle).normalized()
+                want = compile_graph(graph)
+                got = job.compiled
+                assert job.arrival == arrival
+                for field in (
+                    "w", "succ_indptr", "succ_ids", "succ_costs", "topo"
+                ):
+                    assert np.array_equal(
+                        getattr(got, field), getattr(want, field)
+                    ), field
+                if noise is None:
+                    assert job.durations is None
+                    continue
+                if noise["kind"] == "gaussian":
+                    fn = gaussian_noise(graph, noise["sigma"], oracle)
+                else:
+                    fn = uniform_noise(graph, noise["spread"], oracle)
+                warmed = [
+                    [fn(task, proc) for proc in range(graph.n_procs)]
+                    for task in range(graph.n_tasks)
+                ]
+                assert np.array_equal(job.durations, np.array(warmed))
+            assert rng.random() == oracle.random()

@@ -7,6 +7,8 @@ The acceptance bar is bit-identity, not approximation -- Welford
 accumulation in submission order makes that possible.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.experiments.report import format_sweep, winners
 from repro.runtime.context import RunContext
 from repro.stream.spec import (
     DEFAULT_POLICIES,
+    StreamSpec,
     run_stream_replication,
     stream_sweep_definition,
 )
@@ -56,6 +59,41 @@ class TestDefinition:
         assert [j.arrival for j in a.jobs] == [j.arrival for j in b.jobs]
         for ja, jb in zip(a.jobs, b.jobs):
             assert np.array_equal(ja.durations, jb.durations)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"kind": "uniform", "spread": 1.5},
+            {"kind": "uniform", "spread": 1.0},
+            {"kind": "uniform", "spread": -0.1},
+            {"kind": "gaussian", "sigma": -0.1},
+            {"kind": "gaussian", "sigma": float("nan")},
+            {"kind": "lognormal", "sigma": 0.1},
+        ],
+    )
+    def test_invalid_noise_rejected_when_the_spec_is_built(self, noise):
+        """A bad noise level fails at construction (and on a manifest
+        round trip), not at the first build in a shard or a worker."""
+        spec = small_spec()
+        with pytest.raises(ValueError):
+            dataclasses.replace(spec, noise=noise)
+        with pytest.raises(ValueError):
+            StreamSpec.from_dict({**spec.to_dict(), "noise": noise})
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"kind": "uniform", "spread": 0.0},
+            {"kind": "uniform", "spread": 0.99},
+            {"kind": "gaussian", "sigma": 0.0},
+            {"kind": "gaussian"},
+        ],
+    )
+    def test_boundary_noise_accepted(self, noise):
+        spec = dataclasses.replace(small_spec(n_jobs=2), noise=noise)
+        instance = spec.build(0.02, np.random.default_rng(0))
+        level = noise.get("spread", noise.get("sigma", 0.0))
+        assert instance.exact == (level == 0.0)
 
     def test_stream_definitions_are_portable(self):
         assert rate_sweep().portable
