@@ -369,6 +369,13 @@ class CompiledBatch:
         )
         self.ne_ids = self.pred_ids[keep]
         self.ne_costs = self.pred_costs[keep]
+        # the one structure every lane holds, if they share one: its
+        # level peels, tiled per lane, are the union's
+        shared = self.instances[0].structure
+        self._shared = (
+            shared if all(g.structure is shared for g in self.instances)
+            else None
+        )
         self._cache: Dict[str, object] = {}
 
     @property
@@ -404,16 +411,25 @@ class CompiledBatch:
         ``b``'s slice of batch ``h`` is batch ``h`` of its own graph.
         """
         return self._cached("up_batches", lambda: level_batches(
-            peel_levels(self.succ_indptr, self.pred_indptr, self._pred_global()),
+            self._levels("heights", self.succ_indptr, self.pred_indptr,
+                         self._pred_global),
             self.succ_indptr,
         ))
 
     def depths(self) -> np.ndarray:
         """(B * n,) each union node's depth below the sources (cached):
         :func:`~repro.model.levels.task_levels` of the node's lane."""
-        return self._cached("depths", lambda: peel_levels(
-            self.pred_indptr, self.succ_indptr, self._succ_global()
+        return self._cached("depths", lambda: self._levels(
+            "depths", self.pred_indptr, self.succ_indptr, self._succ_global
         ))
+
+    def _levels(self, name: str, out_indptr, in_indptr, in_global) -> np.ndarray:
+        """The union's :func:`~repro.model.compiled.peel_levels`: the
+        shared structure's ``heights``/``depths`` tiled per lane, else a
+        peel of the whole union (``in_global`` gives its global ids)."""
+        if self._shared is not None:
+            return np.tile(getattr(self._shared, name), self.n_lanes)
+        return peel_levels(out_indptr, in_indptr, in_global())
 
     def down_batches(self) -> List[Tuple]:
         """Union nodes grouped by depth, over the predecessor CSR (cached).

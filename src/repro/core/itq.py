@@ -5,13 +5,16 @@ parent is mapped, and leaves when it is mapped itself.  Priorities are
 *not* stored here -- HDLTS recomputes them from the platform state on
 every step -- so the ITQ is a plain dependency-counting frontier with
 deterministic iteration order (ascending task id, which is also the
-tie-break order for equal penalty values).  It reads the compiled form
+tie-break order for equal penalty values), kept as one sorted list: a
+release is one ``insort`` and a completion one removal, so reading the
+frontier sorts nothing.  It reads the compiled form
 of the graph (in-degrees and per-task child lists), so a compiled
 instance needs no :class:`~repro.model.task_graph.TaskGraph`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterable, Iterator, List, Set, Union
 
 import numpy as np
@@ -30,9 +33,9 @@ class IndependentTaskQueue:
         self._n_tasks = compiled.n_tasks
         self._succ = compiled.succ_lists
         self._remaining: List[int] = np.diff(compiled.pred_indptr).tolist()
-        self._ready: Set[int] = {
+        self._ready: List[int] = [
             t for t, left in enumerate(self._remaining) if left == 0
-        }
+        ]
         self._done: Set[int] = set()
 
     @classmethod
@@ -52,7 +55,7 @@ class IndependentTaskQueue:
         for task in itq._done:
             # one above its unmapped parents: never reaches zero
             remaining[task] += 1
-        itq._ready = {t for t, left in enumerate(remaining) if left == 0}
+        itq._ready = [t for t, left in enumerate(remaining) if left == 0]
         return itq
 
     def __len__(self) -> int:
@@ -61,30 +64,36 @@ class IndependentTaskQueue:
     def __bool__(self) -> bool:
         return bool(self._ready)
 
+    def _index(self, task: int) -> int:
+        """Position of ``task`` in the sorted frontier, or -1."""
+        i = bisect_left(self._ready, task)
+        return i if i < len(self._ready) and self._ready[i] == task else -1
+
     def __contains__(self, task: int) -> bool:
-        return task in self._ready
+        return self._index(task) >= 0
 
     def __iter__(self) -> Iterator[int]:
         """Ready tasks in ascending id order (deterministic)."""
-        return iter(sorted(self._ready))
+        return iter(self.ready_tasks())
 
     def ready_tasks(self) -> List[int]:
-        """The current independent tasks, ascending id."""
-        return sorted(self._ready)
+        """The current independent tasks, ascending id (a copy)."""
+        return self._ready[:]
 
     def complete(self, task: int) -> List[int]:
         """Mark ``task`` mapped; returns the tasks that became independent."""
-        if task not in self._ready:
+        i = self._index(task)
+        if i < 0:
             raise ValueError(
-                f"task {task} is not independent (ready set: {sorted(self._ready)})"
+                f"task {task} is not independent (ready set: {self._ready})"
             )
-        self._ready.remove(task)
+        del self._ready[i]
         self._done.add(task)
         released: List[int] = []
         for succ in self._succ[task]:
             self._remaining[succ] -= 1
             if self._remaining[succ] == 0:
-                self._ready.add(succ)
+                insort(self._ready, succ)
                 released.append(succ)
             elif self._remaining[succ] < 0:  # pragma: no cover - invariant
                 raise RuntimeError(f"task {succ} released twice")

@@ -17,10 +17,14 @@ may also return a :class:`~repro.model.task_graph.TaskGraph`.
 :meth:`GraphSpec.build` turns arrays into a graph, while
 :meth:`GraphSpec.instance` compiles them straight into the normalized
 :class:`~repro.model.compiled.CompiledGraph` the sweep harness
-carries, without a ``TaskGraph``.  The workflow families (``fft``,
-``montage``, ``molecular``) keep one fixed structure per parameter
-set: its edge arrays are built once per process and each replication
-draws only the costs.  Axis values
+carries, without a ``TaskGraph``.  The factories with a fixed
+structure -- ``random-fixed`` (one per structure seed and shape
+parameters) and the workflow families (``fft``, ``montage``,
+``molecular``, one per parameter set) -- draw, normalize and compile
+it once per process into a read-only
+:class:`~repro.model.compiled.GraphStructure` and hand it back with
+each draw (``GraphArrays.structure``): each replication draws only its
+costs, and every instance and batch lane shares the structure.  Axis values
 are cast exactly as the original closures did (``int`` for counts,
 ``float`` otherwise), so spec-built graphs are bit-identical to the
 closure-built ones for the same RNG stream.
@@ -36,7 +40,7 @@ import numpy as np
 
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import RandomDAGGenerator
-from repro.model.compiled import CompiledGraph, compile_instance
+from repro.model.compiled import CompiledGraph, GraphStructure, compile_instance
 from repro.model.task_graph import GraphArrays, TaskGraph
 from repro.workflows.fft import fft_topology
 from repro.workflows.molecular import molecular_dynamics_topology
@@ -139,6 +143,23 @@ def _random_graph(x, rng, *, axis: str, **config) -> GraphArrays:
     )
 
 
+@lru_cache(maxsize=16)
+def _random_structure(
+    v: int, alpha: float, density: int, single_entry: bool, structure_seed: int
+) -> GraphStructure:
+    """The read-only structure ``random-fixed`` draws from
+    ``default_rng(structure_seed)``, drawn and compiled once per key in
+    a process.  The key holds every generator field the structure draw
+    reads."""
+    config = GeneratorConfig(
+        v=v, alpha=alpha, density=density, single_entry=single_entry
+    )
+    src, dst = RandomDAGGenerator(config).structure(
+        np.random.default_rng(structure_seed)
+    )
+    return GraphStructure(v, src, dst)
+
+
 @register_graph_factory("random-fixed")
 def _random_fixed_graph(
     x, rng, *, axis: str, structure_seed: int = 0, **config
@@ -146,17 +167,19 @@ def _random_fixed_graph(
     """Table II random DAG with a *fixed* structure per x point.
 
     Like ``"random"``, but level shape and edge wiring come from a
-    dedicated generator seeded with ``structure_seed`` (re-seeded per
-    instance), so every replication of one x point shares one DAG shape
-    while the cost draws stay independent streams of ``rng``: a
-    fig2-style sweep whose batched-kernel lanes all share one
-    structure.
+    dedicated generator seeded with ``structure_seed``, so every
+    replication of one x point shares one DAG shape while the cost
+    draws stay independent streams of ``rng``: a fig2-style sweep whose
+    batched-kernel lanes all share one structure.  The structure is
+    drawn and compiled once (:func:`_random_structure`); each
+    replication draws only its costs.
     """
-    base = GeneratorConfig(**config)
-    structure_rng = np.random.default_rng(structure_seed)
-    return RandomDAGGenerator(base.with_(**{axis: _cast_axis(axis, x)})).arrays(
-        rng, structure_rng
+    cfg = GeneratorConfig(**config).with_(**{axis: _cast_axis(axis, x)})
+    shape = _random_structure(
+        cfg.v, cfg.alpha, cfg.density, cfg.single_entry, structure_seed
     )
+    w, cost = RandomDAGGenerator(cfg).costs(rng, shape.src)
+    return GraphArrays(w, shape.src, shape.dst, cost, None, shape)
 
 
 @register_graph_factory("table2")
@@ -182,7 +205,8 @@ def _topology_params(x, axis: str, fixed: Dict[str, object]) -> Dict[str, object
 @lru_cache(maxsize=64)
 def _structure(family: str, *args) -> TopologyArrays:
     """The read-only edge arrays of one workflow structure, built (and
-    validated) once per ``(family, args)`` in a process.
+    validated) once per ``(family, args)`` in a process, with the
+    compiled :class:`GraphStructure` every draw on it shares.
 
     The public builders return a fresh, mutable :class:`Topology` per
     call; only their frozen arrays are cached, so mutating a returned
@@ -193,7 +217,10 @@ def _structure(family: str, *args) -> TopologyArrays:
         "montage": montage_topology,
         "molecular": molecular_dynamics_topology,
     }[family]
-    return build(*args).arrays()
+    topology = build(*args).arrays()
+    return topology._replace(
+        compiled=GraphStructure(topology.n_tasks, topology.src, topology.dst)
+    )
 
 
 @register_graph_factory("fft")

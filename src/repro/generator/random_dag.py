@@ -219,37 +219,33 @@ class RandomDAGGenerator:
                     has_parent.add(d)
         return src, dst
 
+    def structure(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw one DAG shape: the level sizes, then the edge wiring.
+
+        Returns the edge list ``(src, dst)`` as ``intp`` arrays; task
+        ids run level by level.
+        """
+        levels: List[List[int]] = []
+        next_id = 0
+        for width in self.level_sizes(rng):
+            levels.append(list(range(next_id, next_id + width)))
+            next_id += width
+        src, dst = self._edges(levels, rng)
+        return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
     # ------------------------------------------------------------------
     # costs
     # ------------------------------------------------------------------
-    def arrays(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        structure_rng: Optional[np.random.Generator] = None,
-    ) -> GraphArrays:
-        """Draw one random task graph as arrays: ``W`` and the edges.
+    def costs(
+        self, rng: np.random.Generator, src: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``(W, edge costs)`` for the edges leaving ``src``.
 
-        ``structure_rng`` (optional) feeds the *structure* draws -- level
-        shape and edge wiring -- while ``rng`` keeps feeding the cost
-        draws.  Passing a freshly seeded ``structure_rng`` per instance
-        therefore fixes the DAG shape across replications while the
-        costs stay independent.  With the default (``None``) every draw
-        comes from ``rng``, bit-identical to the historical behaviour.
+        Eq. (13) for ``W`` (or the consistent machine-speed model) and
+        Eq. (14) for the edges: each costs its source task's mean
+        computation cost times ``CCR``.
         """
-        if rng is None:
-            rng = np.random.default_rng()
-        if structure_rng is None:
-            structure_rng = rng
         cfg = self.config
-        sizes = self.level_sizes(structure_rng)
-        levels: List[List[int]] = []
-        next_id = 0
-        for width in sizes:
-            levels.append(list(range(next_id, next_id + width)))
-            next_id += width
-
-        src, dst = self._edges(levels, structure_rng)
-
         mean_costs = rng.uniform(0.0, 2.0 * cfg.w_dag, size=cfg.v)
         if cfg.heterogeneity == "consistent":
             # machine-speed model: one factor per CPU from the beta band
@@ -263,10 +259,28 @@ class RandomDAGGenerator:
             w = rng.uniform(
                 low[:, None], high[:, None], size=(cfg.v, cfg.n_procs)
             )
-        src_arr = np.array(src, dtype=np.intp)
-        return GraphArrays(
-            w, src_arr, np.array(dst, dtype=np.intp), mean_costs[src_arr] * cfg.ccr
-        )
+        return w, mean_costs[src] * cfg.ccr
+
+    def arrays(
+        self,
+        rng: Optional[np.random.Generator] = None,
+        structure_rng: Optional[np.random.Generator] = None,
+    ) -> GraphArrays:
+        """Draw one random task graph as arrays: :meth:`structure`, then
+        :meth:`costs` on it.
+
+        ``structure_rng`` (optional) feeds the *structure* draws -- level
+        shape and edge wiring -- while ``rng`` keeps feeding the cost
+        draws.  Passing a freshly seeded ``structure_rng`` per instance
+        therefore fixes the DAG shape across replications while the
+        costs stay independent.  With the default (``None``) every draw
+        comes from ``rng``, bit-identical to the historical behaviour.
+        """
+        if rng is None:
+            rng = np.random.default_rng()
+        src, dst = self.structure(rng if structure_rng is None else structure_rng)
+        w, cost = self.costs(rng, src)
+        return GraphArrays(w, src, dst, cost)
 
     def generate(
         self,

@@ -20,6 +20,19 @@ of one graph that every consumer shares:
   sequential time are each computed at most once per instance and then
   shared by HEFT/CPOP/PEFT/Lookahead/DHEFT/SDBATS and the metrics.
 
+Everything that depends only on ``(n, src, dst)`` -- the CSR index
+arrays and the stable-sort permutations behind them, the topological
+order, the terminals, the level peels and batches, the child lists and
+the normalized form -- lives in a read-only :class:`GraphStructure`.
+An instance holds one plus ``w`` and its edge costs, gathered into CSR
+order through the structure's permutations.  A factory that draws
+costs on a fixed structure (``random-fixed``, the workflow families)
+caches the structure and hands it back with every draw
+(``GraphArrays.structure``), so it is drawn, normalized and compiled
+once however many replications share it; a source without one (a
+``random`` draw, a :class:`TaskGraph`) gets its own structure on the
+spot, at the cost the one compile always had.
+
 The level peel and the rank kernels live here once, as functions over
 ``(batches, ids, costs, ...)``: :func:`peel_levels` (a vectorized Kahn
 peel), :func:`level_batches`, and the upward, downward, OCT, CP_MIN
@@ -54,12 +67,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.model.task_graph import GraphArrays, TaskGraph
+from repro.model.task_graph import GraphArrays, TaskGraph, pseudo_edges
 
 __all__ = [
-    "CompiledGraph", "compile_graph", "compile_instance", "cp_min_kernel",
-    "downward_kernel", "level_batches", "oct_kernel", "peel_levels",
-    "pets_priorities", "upward_kernel",
+    "CompiledGraph", "GraphStructure", "compile_graph", "compile_instance",
+    "cp_min_kernel", "downward_kernel", "level_batches", "oct_kernel",
+    "peel_levels", "pets_priorities", "upward_kernel",
 ]
 
 #: ``(nodes, flat, offsets, counts)`` per level, see :func:`level_batches`
@@ -99,6 +112,11 @@ def compile_instance(source: Union[TaskGraph, GraphArrays]) -> "CompiledGraph":
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view: the caller's array stays writeable."""
+    return _readonly(array.view())
 
 
 def _indptr(degree: np.ndarray) -> np.ndarray:
@@ -282,63 +300,64 @@ def pets_priorities(
     return np.rint(acc + _data_transfer_costs(succ_indptr, succ_costs) + drc)
 
 
-class CompiledGraph:
-    """Frozen CSR arrays + lazy artifact cache for one task graph.
+#: the :class:`GraphStructure` fields built by its compile, on first use
+_COMPILED = frozenset({
+    "succ_order", "succ_indptr", "succ_ids", "pred_order", "pred_indptr",
+    "pred_ids", "topo_tuple", "topo", "topo_position",
+})
 
-    Built from a :class:`TaskGraph` or from its array form
-    (:class:`~repro.model.task_graph.GraphArrays`, what the random
-    generator emits).  Do not construct directly in scheduler code; go
-    through :func:`compile_graph` (or :func:`compile_instance`) so the
-    instance (and its artifacts) are shared across the scheduler set.
 
-    :attr:`graph` is derived: the source graph while it lives, else a
-    :class:`TaskGraph` rebuilt from the arrays on first use, whose
-    derived cache holds this same instance (``compile_graph(c.graph) is
-    c``).  The graph is held weakly either way: the graph's derived
-    cache owns its compiled view, so a strong back-reference would make
-    every instance a reference cycle that only the cyclic garbage
-    collector frees.
+class GraphStructure:
+    """Everything of a compiled instance that depends only on ``(n, src, dst)``.
+
+    The entry/exit ids; on first use the CSR adjacency
+    (``*_indptr``/``*_ids`` plus the stable-sort permutations
+    ``succ_order``/``pred_order`` that gather an edge-cost array into
+    CSR order) and the topological order and position; lazily the
+    level peels and batches of the rank kernels, the child lists and
+    the normalized form.  A structure that is only normalized (a
+    factory's raw draw) never builds its CSR.  Every array is
+    read-only, so one structure is shared by every instance drawn on
+    it: a factory with a fixed structure (``random-fixed``, the
+    workflow families) caches one and hands it back with each draw
+    (:attr:`GraphArrays.structure <repro.model.task_graph.GraphArrays>`).
+    A source without one gets its own on the spot.
     """
 
-    def __init__(self, source: Union[TaskGraph, GraphArrays]) -> None:
-        if isinstance(source, TaskGraph):
-            self._graph: Optional[weakref.ref] = weakref.ref(source)
-            source = source.arrays()
-        else:
-            self._graph = None
-        n, p = source.w.shape
-        self.n_tasks = n
-        self.n_procs = p
-        self.w = _readonly(np.array(source.w, dtype=float))
-        src = np.asarray(source.src, dtype=np.intp)
-        dst = np.asarray(source.dst, dtype=np.intp)
-        cost = np.asarray(source.cost, dtype=float)
-        self._arrays = GraphArrays(self.w, src, dst, cost, source.names)
+    def __init__(self, n_tasks: int, src, dst) -> None:
+        n = self.n_tasks = int(n_tasks)
+        self.src = _frozen(np.asarray(src, dtype=np.intp))
+        self.dst = _frozen(np.asarray(dst, dtype=np.intp))
+        self._out_degree = _readonly(np.bincount(self.src, minlength=n))
+        self._in_degree = _readonly(np.bincount(self.dst, minlength=n))
+        self.entry_ids = _readonly(np.flatnonzero(self._in_degree == 0))
+        self.exit_ids = _readonly(np.flatnonzero(self._out_degree == 0))
 
-        # CSR adjacency from stable sorts of the edge list, so per-node
-        # edge order is insertion order and flat reductions see the
-        # same operand sequence as the reference loops
-        out_degree = np.bincount(src, minlength=n)
-        in_degree = np.bincount(dst, minlength=n)
-        order = np.argsort(src, kind="stable")
-        self.succ_indptr = _indptr(out_degree)
-        self.succ_ids = _readonly(dst[order])
-        self.succ_costs = _readonly(cost[order])
-        order = np.argsort(dst, kind="stable")
-        self.pred_indptr = _indptr(in_degree)
-        self.pred_ids = _readonly(src[order])
-        self.pred_costs = _readonly(cost[order])
+    def __getattr__(self, name: str):
+        # only called for a missing attribute: a compiled field before
+        # the compile ran
+        if name not in _COMPILED:
+            raise AttributeError(name)
+        self._compile()
+        return self.__dict__[name]
 
-        topo = self._kahn(in_degree.tolist())
-        self._topo_tuple = topo
-        self.topo = _readonly(np.asarray(topo, dtype=np.intp))
-        position = np.empty(n, dtype=np.intp)
-        position[self.topo] = np.arange(n, dtype=np.intp)
+    def _compile(self) -> None:
+        """The CSR adjacency from stable sorts of the edge list, so
+        per-node edge order is insertion order and flat reductions see
+        the same operand sequence as the reference loops; then the
+        topological order."""
+        src, dst = self.src, self.dst
+        self.succ_order = _readonly(np.argsort(src, kind="stable"))
+        self.succ_indptr = _indptr(self._out_degree)
+        self.succ_ids = _readonly(dst[self.succ_order])
+        self.pred_order = _readonly(np.argsort(dst, kind="stable"))
+        self.pred_indptr = _indptr(self._in_degree)
+        self.pred_ids = _readonly(src[self.pred_order])
+        self.topo_tuple = self._kahn(self._in_degree.tolist())
+        self.topo = _readonly(np.asarray(self.topo_tuple, dtype=np.intp))
+        position = np.empty(self.n_tasks, dtype=np.intp)
+        position[self.topo] = np.arange(self.n_tasks, dtype=np.intp)
         self.topo_position = _readonly(position)
-        self.entry_ids = _readonly(np.flatnonzero(in_degree == 0))
-        self.exit_ids = _readonly(np.flatnonzero(out_degree == 0))
-
-        self._artifacts: Dict[object, object] = {}
 
     def _kahn(self, indegree: List[int]) -> Tuple[int, ...]:
         """:meth:`TaskGraph.topological_order`'s LIFO Kahn walk on the
@@ -358,6 +377,112 @@ class CompiledGraph:
         if len(order) != self.n_tasks:
             raise ValueError("task graph contains a cycle")
         return tuple(order)
+
+    @cached_property
+    def normalized(self) -> Tuple["GraphStructure", Tuple[str, ...]]:
+        """``(structure, added names)`` with Section III's pseudo
+        entry/exit appended (:meth:`GraphArrays.normalized
+        <repro.model.task_graph.GraphArrays.normalized>`); ``(self, ())``
+        when there is one entry and one exit."""
+        src, dst, added = pseudo_edges(
+            self.n_tasks, self.src, self.dst, self.entry_ids, self.exit_ids
+        )
+        if not added:
+            return self, ()
+        return GraphStructure(self.n_tasks + len(added), src, dst), added
+
+    @cached_property
+    def succ_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per task: child ids as a Python tuple, in edge order."""
+        succ = tuple(self.succ_ids.tolist())
+        ptr = self.succ_indptr.tolist()
+        return tuple(succ[ptr[t] : ptr[t + 1]] for t in range(self.n_tasks))
+
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """Every node's height above the sinks (:func:`peel_levels` of
+        the successor CSR)."""
+        return _readonly(
+            peel_levels(self.succ_indptr, self.pred_indptr, self.pred_ids)
+        )
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """Every node's depth below the sources (the predecessor CSR's
+        peel)."""
+        return _readonly(
+            peel_levels(self.pred_indptr, self.succ_indptr, self.succ_ids)
+        )
+
+    @cached_property
+    def up_batches(self) -> Batches:
+        """Nodes grouped by height: every successor of batch ``h``
+        lives in a lower batch."""
+        return level_batches(self.heights, self.succ_indptr)
+
+    @cached_property
+    def down_batches(self) -> Batches:
+        """Nodes grouped by depth, over the predecessor CSR."""
+        return level_batches(self.depths, self.pred_indptr)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"GraphStructure(n_tasks={self.n_tasks}, n_edges={len(self.src)})"
+
+
+class CompiledGraph:
+    """Frozen CSR arrays + lazy artifact cache for one task graph.
+
+    Built from a :class:`TaskGraph` or from its array form
+    (:class:`~repro.model.task_graph.GraphArrays`, what the random
+    generator emits).  Do not construct directly in scheduler code; go
+    through :func:`compile_graph` (or :func:`compile_instance`) so the
+    instance (and its artifacts) are shared across the scheduler set.
+
+    The structural half is a :class:`GraphStructure`: the source's own
+    when it carries one, else one built here.  The instance adds ``w``
+    and the edge costs gathered into CSR order through the structure's
+    sort permutations; its adjacency, order and terminal fields are the
+    structure's (shared, read-only) arrays.
+
+    :attr:`graph` is derived: the source graph while it lives, else a
+    :class:`TaskGraph` rebuilt from the arrays on first use, whose
+    derived cache holds this same instance (``compile_graph(c.graph) is
+    c``).  The graph is held weakly either way: the graph's derived
+    cache owns its compiled view, so a strong back-reference would make
+    every instance a reference cycle that only the cyclic garbage
+    collector frees.
+    """
+
+    def __init__(self, source: Union[TaskGraph, GraphArrays]) -> None:
+        if isinstance(source, TaskGraph):
+            self._graph: Optional[weakref.ref] = weakref.ref(source)
+            source = source.arrays()
+        else:
+            self._graph = None
+        n, p = source.w.shape
+        structure = source.structure
+        if structure is None:
+            structure = GraphStructure(n, source.src, source.dst)
+        self.structure = structure
+        self.n_tasks = n
+        self.n_procs = p
+        self.w = _readonly(np.array(source.w, dtype=float))
+        cost = np.asarray(source.cost, dtype=float)
+        self._arrays = GraphArrays(
+            self.w, structure.src, structure.dst, cost, source.names, structure
+        )
+        self.succ_indptr = structure.succ_indptr
+        self.succ_ids = structure.succ_ids
+        self.succ_costs = _readonly(cost[structure.succ_order])
+        self.pred_indptr = structure.pred_indptr
+        self.pred_ids = structure.pred_ids
+        self.pred_costs = _readonly(cost[structure.pred_order])
+        self.topo = structure.topo
+        self.topo_position = structure.topo_position
+        self.entry_ids = structure.entry_ids
+        self.exit_ids = structure.exit_ids
+
+        self._artifacts: Dict[object, object] = {}
 
     # plain-Python mirrors for the scalar hot loops (list indexing beats
     # ndarray scalar indexing on the small per-task slices the EFT
@@ -379,12 +504,11 @@ class CompiledGraph:
             for t in range(self.n_tasks)
         ]
 
-    @cached_property
-    def succ_lists(self) -> List[List[int]]:
-        """Per task: child ids as a Python list, in edge order."""
-        succ = self.succ_ids.tolist()
-        ptr = self.succ_indptr.tolist()
-        return [succ[ptr[t] : ptr[t + 1]] for t in range(self.n_tasks)]
+    @property
+    def succ_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per task: child ids as a Python tuple, in edge order (the
+        structure's)."""
+        return self.structure.succ_lists
 
     # ------------------------------------------------------------------
     # adjacency views
@@ -515,19 +639,12 @@ class CompiledGraph:
     # level batches for the rank kernels
     # ------------------------------------------------------------------
     def _up_batches(self) -> Batches:
-        """Nodes grouped by height above the sinks (cached): every
-        successor of batch ``h`` lives in a lower batch."""
-        return self._artifact("up_batches", lambda: level_batches(
-            peel_levels(self.succ_indptr, self.pred_indptr, self.pred_ids),
-            self.succ_indptr,
-        ))
+        """The structure's height batches (:attr:`GraphStructure.up_batches`)."""
+        return self.structure.up_batches
 
     def _down_batches(self) -> Batches:
-        """Nodes grouped by depth below the entries (predecessor CSR)."""
-        return self._artifact("down_batches", lambda: level_batches(
-            peel_levels(self.pred_indptr, self.succ_indptr, self.succ_ids),
-            self.pred_indptr,
-        ))
+        """The structure's depth batches (:attr:`GraphStructure.down_batches`)."""
+        return self.structure.down_batches
 
     @property
     def graph(self) -> TaskGraph:
@@ -541,7 +658,7 @@ class CompiledGraph:
             # already known: this instance (and so its artifacts), the
             # topological order and the terminals
             graph.derived("compiled_graph", lambda: self)
-            graph.derived("topo", lambda: self._topo_tuple)
+            graph.derived("topo", lambda: self.structure.topo_tuple)
             graph.derived("entries", lambda: tuple(self.entry_ids.tolist()))
             graph.derived("exits", lambda: tuple(self.exit_ids.tolist()))
             self._graph = weakref.ref(graph)

@@ -392,6 +392,37 @@ class TaskGraph:
         )
 
 
+def pseudo_edges(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    entries: np.ndarray,
+    exits: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
+    """Section III's pseudo terminals as appended edges.
+
+    With several ``entries`` a pseudo entry ``n`` gets an edge to each
+    (then, with several ``exits``, a pseudo exit gets an edge from
+    each), in task-id order after the existing edges.  Returns the
+    edge arrays and the names of the tasks added; ``(src, dst, ())``
+    when the graph already has one entry and one exit.
+    """
+    src_parts, dst_parts, added = [src], [dst], []
+    pseudo = n
+    if len(entries) > 1:
+        src_parts.append(np.full(len(entries), pseudo, dtype=np.intp))
+        dst_parts.append(entries)
+        added.append("pseudo_entry")
+        pseudo += 1
+    if len(exits) > 1:
+        src_parts.append(exits)
+        dst_parts.append(np.full(len(exits), pseudo, dtype=np.intp))
+        added.append("pseudo_exit")
+    if not added:
+        return src, dst, ()
+    return np.concatenate(src_parts), np.concatenate(dst_parts), tuple(added)
+
+
 class GraphArrays(NamedTuple):
     """A task graph as flat arrays: the cost matrix and the edge list.
 
@@ -400,6 +431,10 @@ class GraphArrays(NamedTuple):
     ``names`` holds the *trailing* task names: the tasks before them
     keep the default ``T<id + 1>``, so ``None`` means every name is a
     default and a pseudo task's name costs no string for the others.
+    ``structure`` (optional) is the shared, already compiled
+    :class:`~repro.model.compiled.GraphStructure` whose ``src``/``dst``
+    these are: a factory drawing costs on a fixed structure hands it
+    back so the instance compile and normalization reuse it.
 
     This is the form the random generator produces and
     :class:`~repro.model.compiled.CompiledGraph` compiles; a
@@ -412,6 +447,7 @@ class GraphArrays(NamedTuple):
     dst: np.ndarray
     cost: np.ndarray
     names: Optional[Tuple[str, ...]] = None
+    structure: Optional[object] = None
 
     def to_graph(self) -> TaskGraph:
         """The :class:`TaskGraph` with these rows, edges and names."""
@@ -435,35 +471,31 @@ class GraphArrays(NamedTuple):
         row, with zero-cost edges to every entry (from every exit) in
         task-id order after the existing edges -- the ids, edge order
         and costs the object form gives.  Returns ``self`` when the
-        graph already has one entry and one exit.
+        graph already has one entry and one exit.  With a
+        ``structure``, its cached normalized form supplies the edges
+        and rides along on the result.
         """
         n, p = self.w.shape
-        has_parent = np.zeros(n, dtype=bool)
-        has_parent[self.dst] = True
-        has_child = np.zeros(n, dtype=bool)
-        has_child[self.src] = True
-        entries = np.flatnonzero(~has_parent)
-        exits = np.flatnonzero(~has_child)
-        src, dst, added = [self.src], [self.dst], []
-        pseudo = n
-        if len(entries) > 1:
-            src.append(np.full(len(entries), pseudo, dtype=np.intp))
-            dst.append(entries)
-            added.append("pseudo_entry")
-            pseudo += 1
-        if len(exits) > 1:
-            src.append(exits)
-            dst.append(np.full(len(exits), pseudo, dtype=np.intp))
-            added.append("pseudo_exit")
+        if self.structure is not None:
+            shape, added = self.structure.normalized
+            src, dst = shape.src, shape.dst
+        else:
+            shape = None
+            has_parent = np.zeros(n, dtype=bool)
+            has_parent[self.dst] = True
+            has_child = np.zeros(n, dtype=bool)
+            has_child[self.src] = True
+            src, dst, added = pseudo_edges(
+                n, self.src, self.dst,
+                np.flatnonzero(~has_parent), np.flatnonzero(~has_child),
+            )
         if not added:
             return self
-        src_all = np.concatenate(src)
         return GraphArrays(
             np.concatenate([self.w, np.zeros((len(added), p))]),
-            src_all,
-            np.concatenate(dst),
-            np.concatenate(
-                [self.cost, np.zeros(len(src_all) - len(self.cost))]
-            ),
-            (self.names or ()) + tuple(added),
+            src,
+            dst,
+            np.concatenate([self.cost, np.zeros(len(src) - len(self.cost))]),
+            (self.names or ()) + added,
+            shape,
         )

@@ -20,6 +20,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.model.compiled import GraphStructure
 from repro.model.task_graph import GraphArrays, TaskGraph
 
 __all__ = [
@@ -30,12 +31,16 @@ __all__ = [
 
 class TopologyArrays(NamedTuple):
     """A validated topology as read-only arrays: edge ``e`` runs
-    ``src[e] -> dst[e]``, in the topology's edge order."""
+    ``src[e] -> dst[e]``, in the topology's edge order.  ``compiled``
+    (optional) is the shared
+    :class:`~repro.model.compiled.GraphStructure` of these edges, which
+    every realized draw carries along."""
 
     n_tasks: int
     src: np.ndarray
     dst: np.ndarray
     names: Optional[Tuple[str, ...]] = None
+    compiled: Optional[GraphStructure] = None
 
 
 @dataclass
@@ -117,7 +122,8 @@ def realize_arrays(
     ``randomize_comm=True`` the cost is drawn uniform on
     ``[0, 2 * CCR * w_i]`` instead (same mean, randomized -- an optional
     variant documented in DESIGN.md), one draw per edge in edge order.
-    The edge arrays are shared with ``structure``, not copied.
+    The edge arrays (and ``structure.compiled``) are shared with
+    ``structure``, not copied.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -133,7 +139,10 @@ def realize_arrays(
         cost = ccr * source_costs
     if not np.isfinite(cost).all():
         raise ValueError(f"communication costs must be finite (ccr={ccr})")
-    return GraphArrays(w, structure.src, structure.dst, cost, structure.names)
+    return GraphArrays(
+        w, structure.src, structure.dst, cost, structure.names,
+        structure.compiled,
+    )
 
 
 def realize_topology(

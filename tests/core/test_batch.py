@@ -515,3 +515,137 @@ def test_batch_queues_match_the_replayed_schedules():
     # HDLTS entry duplicates, SDBATS mirrors, and equal-key ties whose
     # placement order is not id order all occurred
     assert all(seen.values()), seen
+
+
+# ----------------------------------------------------------------------
+# lanes sharing one structure object
+# ----------------------------------------------------------------------
+#: factories that hand back one cached structure for every draw
+_SHARED_CASES = {
+    "random-fixed": ({"axis": "ccr", "v": 24, "structure_seed": 5}, 5.0),
+    "fft": ({"axis": "m", "n_procs": 3}, 4),
+    "molecular": ({"axis": "ccr", "n_procs": 3}, 3.0),
+}
+
+_UNION_ARRAYS = (
+    "W", "topo_position", "succ_indptr", "succ_ids", "succ_costs",
+    "pred_indptr", "pred_ids", "pred_costs", "entry_child", "entry_comm",
+    "ne_indptr", "ne_ids", "ne_costs",
+)
+_BATCH_ARTIFACTS = (
+    "_succ_global", "_pred_global", "depths", "mean_costs", "std_costs",
+    "mean_upward_rank", "std_upward_rank", "oct_table", "oct_rank",
+    "pets_rank", "cp_min_bounds",
+)
+
+
+def _assert_same_result(got, want, label):
+    assert np.array_equal(got.makespans, want.makespans), label
+    assert got.counters == want.counters, label
+    for field in (
+        "tasks", "procs", "starts", "dup_steps", "entry_proc", "entry_dup"
+    ):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), (label, field)
+        if a is not None:
+            assert np.array_equal(a, b), (label, field)
+
+
+@pytest.mark.parametrize("factory", sorted(_SHARED_CASES))
+def test_shared_structure_batch_equals_distinct_structures(factory):
+    """A batch whose lanes hold one structure object (its peels tiled)
+    equals the batch of equal but distinct structures: every union
+    array, rank artifact and scheduler result."""
+    from repro.core.batch import BATCHABLE_STATIC, run_static_set
+    from repro.model.compiled import compile_instance
+
+    params, x = _SHARED_CASES[factory]
+    spec = GraphSpec(factory, params)
+    shared, distinct = [], []
+    for rep in range(6):
+        arrays = spec._draw(x, np.random.default_rng([0, rep]))
+        shared.append(compile_instance(arrays))
+        distinct.append(compile_instance(arrays._replace(structure=None)))
+    assert len({id(g.structure) for g in shared}) == 1
+    assert len({id(g.structure) for g in distinct}) == len(distinct)
+    one, many = CompiledBatch(shared), CompiledBatch(distinct)
+    assert one._shared is shared[0].structure and many._shared is None
+
+    for name in _UNION_ARRAYS:
+        assert np.array_equal(getattr(one, name), getattr(many, name)), name
+    for name in _BATCH_ARTIFACTS:
+        assert np.array_equal(
+            getattr(one, name)(), getattr(many, name)()
+        ), name
+    for name in ("up_batches", "down_batches"):
+        got, want = getattr(one, name)(), getattr(many, name)()
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b)), name
+
+    ran = 0
+    for name in sorted(BATCHABLE):
+        if not all(instance_batchable(g, [name]) for g in shared):
+            continue
+        _assert_same_result(
+            run_batch(one, name), run_batch(many, name), (factory, name)
+        )
+        ran += 1
+    assert ran == len(BATCHABLE)
+    statics = sorted(BATCHABLE_STATIC)
+    fused_one = run_static_set(one, statics)
+    fused_many = run_static_set(many, statics)
+    for name in statics:
+        _assert_same_result(fused_one[name], fused_many[name], (factory, name))
+
+
+@pytest.mark.parametrize("factory", sorted(_SHARED_CASES))
+def test_cached_structures_are_read_only_and_unaffected_by_mutation(factory):
+    """Every array of a cached structure (raw and normalized, compiled
+    fields and peels included) is read-only, and mutating what a draw
+    returns -- its ``GraphArrays`` or its compiled instance's graph --
+    leaves the next draw unchanged."""
+    from repro.model.compiled import GraphStructure
+
+    params, x = _SHARED_CASES[factory]
+    spec = GraphSpec(factory, params)
+
+    def draw(rep):
+        return spec._draw(x, np.random.default_rng([1, rep]))
+
+    reference = [draw(rep) for rep in range(3)]
+    instance = spec.instance(x, np.random.default_rng([1, 0]))
+    structure = reference[0].structure
+    assert isinstance(structure, GraphStructure)
+    assert instance.structure is structure.normalized[0]
+    for shape in (structure, instance.structure):
+        for name in ("succ_ids", "heights", "depths"):  # compile, peel
+            getattr(shape, name)
+        arrays = [
+            value for value in vars(shape).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert len(arrays) >= 13
+        for array in arrays:
+            assert not array.flags.writeable
+
+    for arrays in (draw(0), draw(1)):
+        with pytest.raises(ValueError):
+            arrays.src[0] = 1
+        arrays.w[:] = -1.0
+        arrays.cost[:] = -1.0
+    graph = instance.graph
+    if not graph.has_edge(graph.entry_task, graph.exit_task):
+        graph.add_edge(graph.entry_task, graph.exit_task, 123.0)
+    graph.add_task([1.0] * graph.n_procs)
+
+    for rep, want in enumerate(reference):
+        got = draw(rep)
+        assert got.structure is want.structure
+        for field in ("w", "src", "dst", "cost"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    again = spec.instance(x, np.random.default_rng([1, 0]))
+    assert again.structure is instance.structure
+    for field in ("w", "succ_indptr", "succ_ids", "succ_costs", "topo"):
+        assert np.array_equal(getattr(again, field), getattr(instance, field))
+    assert again.graph.n_tasks == instance.n_tasks

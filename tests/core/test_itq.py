@@ -1,6 +1,8 @@
 """Unit tests for the Independent Task Queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.itq import IndependentTaskQueue
 from repro.model.task_graph import TaskGraph
@@ -79,3 +81,64 @@ def test_parallel_tasks_all_ready_immediately():
         graph.add_task([1])
     itq = IndependentTaskQueue(graph)
     assert itq.ready_tasks() == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# the sorted frontier against a set model
+# ----------------------------------------------------------------------
+@st.composite
+def _dag_and_done(draw):
+    """A DAG (edges run from lower to higher ids) and a done subset."""
+    n = draw(st.integers(1, 12))
+    pairs = [(s, d) for s in range(n) for d in range(s + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = TaskGraph(1)
+    for _ in range(n):
+        graph.add_task([1.0])
+    for s, d in edges:
+        graph.add_edge(s, d, 0.0)
+    done = draw(st.sets(st.integers(0, n - 1)))
+    return graph, done
+
+
+def _model_ready(graph, completed):
+    """``sorted(set)`` oracle: uncompleted tasks whose parents all are."""
+    return sorted(
+        t for t in graph.tasks()
+        if t not in completed
+        and all(p in completed for p in graph.predecessors(t))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dag_and_done(), resume=st.booleans(), data=st.data())
+def test_frontier_matches_the_set_model(case, resume, data):
+    """Under any completion order, from scratch or :meth:`resumed`, the
+    frontier reads like ``sorted(set)`` of the ready tasks, and each
+    read is a copy."""
+    graph, done = case
+    completed = set(done) if resume else set()
+    itq = (
+        IndependentTaskQueue.resumed(graph, done)
+        if resume
+        else IndependentTaskQueue(graph)
+    )
+    while True:
+        want = _model_ready(graph, completed)
+        ready = itq.ready_tasks()
+        assert ready == want
+        assert list(itq) == want and len(itq) == len(want)
+        assert all(t in itq for t in want)
+        assert not any(t in itq for t in completed)
+        ready.clear()  # a copy: the queue is unchanged
+        assert itq.ready_tasks() == want
+        if not want:
+            break
+        task = want[data.draw(st.integers(0, len(want) - 1))]
+        released = itq.complete(task)
+        completed.add(task)
+        assert sorted(released) == sorted(
+            set(_model_ready(graph, completed)) - set(want)
+        )
+        with pytest.raises(ValueError, match="not independent"):
+            itq.complete(task)

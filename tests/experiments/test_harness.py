@@ -227,6 +227,75 @@ class TestInstanceRoute:
         assert built == []
         assert structures and max(structures.values()) == 1
 
+    def test_fixed_structure_is_drawn_and_compiled_once(self, monkeypatch):
+        """A 16-rep ``random-fixed`` fig2 point draws its structure once
+        and compiles it once; each replication draws only its costs,
+        exactly as the generator's full draw on a re-seeded structure
+        generator would, leaving ``rng`` in the same state."""
+        import dataclasses
+
+        from repro.experiments import graphspec
+        from repro.experiments.figures import get_figure
+        from repro.generator.random_dag import RandomDAGGenerator
+        from repro.model.compiled import GraphStructure
+        from repro.runtime.context import current_context
+
+        assert current_context().batch == "auto"
+        fig2 = get_figure("fig2")
+        params = dict(fig2.graph.params, structure_seed=11)
+        definition = dataclasses.replace(
+            fig2, graph=GraphSpec("random-fixed", params)
+        )
+        calls = {"edges": 0, "compile": 0}
+        edges, compile_ = RandomDAGGenerator._edges, GraphStructure._compile
+
+        def counting_edges(self, *args):
+            calls["edges"] += 1
+            return edges(self, *args)
+
+        def counting_compile(self):
+            calls["compile"] += 1
+            return compile_(self)
+
+        monkeypatch.setattr(RandomDAGGenerator, "_edges", counting_edges)
+        monkeypatch.setattr(GraphStructure, "_compile", counting_compile)
+        drawn = []
+        factory = graphspec._FACTORIES["random-fixed"]
+
+        def recording(x, rng, **kwargs):
+            before = rng.bit_generator.state
+            arrays = factory(x, rng, **kwargs)
+            drawn.append((x, before, rng.bit_generator.state, arrays))
+            return arrays
+
+        monkeypatch.setitem(graphspec._FACTORIES, "random-fixed", recording)
+        graphspec._random_structure.cache_clear()
+        try:
+            values = run_replications(definition, 3.0, 2, 0, 16, seed=0)
+        finally:
+            graphspec._random_structure.cache_clear()
+        assert len(values) == 16 and len(drawn) == 16
+        assert calls == {"edges": 1, "compile": 1}
+        monkeypatch.undo()
+
+        config = {
+            k: v for k, v in params.items() if k not in ("axis", "structure_seed")
+        }
+        generator = RandomDAGGenerator(GeneratorConfig(**config, ccr=3.0))
+        for x, before, after, arrays in drawn:
+            assert x == 3.0
+            oracle = np.random.default_rng()
+            oracle.bit_generator.state = before
+            want = generator.arrays(oracle, np.random.default_rng(11))
+            for field in ("w", "src", "dst", "cost"):
+                assert np.array_equal(
+                    getattr(arrays, field), getattr(want, field)
+                ), field
+            assert arrays.names == want.names
+            rng = np.random.default_rng()
+            rng.bit_generator.state = after
+            assert rng.random() == oracle.random()
+
     def test_scalar_path_derives_the_graph(self, monkeypatch):
         from repro.experiments.figures import get_figure
         from repro.runtime.context import activate, current_context
