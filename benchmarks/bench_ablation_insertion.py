@@ -9,25 +9,20 @@ HEFT +- insertion on communication-heavy random DAGs.
 import numpy as np
 
 from conftest import bench_reps, emit
+from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import SweepDefinition, run_sweep
 from repro.experiments.report import format_sweep
-from repro.generator.parameters import GeneratorConfig
-from repro.generator.random_dag import generate_random_graph
 
 
 def _definition() -> SweepDefinition:
-    base = GeneratorConfig(v=100, density=4)  # denser -> more idle gaps
-
-    def make(ccr, rng):
-        return generate_random_graph(base.with_(ccr=float(ccr)), rng)
-
     return SweepDefinition(
         key="ablation_insertion",
         title="Ablation: insertion-based EST (SLR vs CCR)",
         x_label="CCR",
         x_values=(1.0, 3.0, 5.0),
         metric="slr",
-        make_graph=make,
+        # denser -> more idle gaps
+        graph=GraphSpec("random", {"axis": "ccr", "v": 100, "density": 4}),
         schedulers=("HDLTS", "HDLTS-insertion", "HEFT", "HEFT-noinsertion"),
         description="random DAGs v=100 density=4",
     )
@@ -37,7 +32,7 @@ def test_ablation_insertion(benchmark):
     result = run_sweep(_definition(), reps=bench_reps(), seed=0)
     emit("ablation_insertion", format_sweep(result))
 
-    graph = _definition().make_graph(3.0, np.random.default_rng(0)).normalized()
+    graph = _definition().build_graph(3.0, np.random.default_rng(0)).normalized()
     from repro.core import HDLTS
 
     benchmark(lambda: HDLTS(use_insertion=True).run(graph))

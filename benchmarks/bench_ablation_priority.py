@@ -10,25 +10,20 @@ dominate the greedy strawman and at least match the cruder proxies.
 import numpy as np
 
 from conftest import bench_reps, emit
+from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import SweepDefinition, run_sweep
 from repro.experiments.report import format_sweep
-from repro.generator.parameters import GeneratorConfig
-from repro.generator.random_dag import generate_random_graph
 
 
 def _definition() -> SweepDefinition:
-    base = GeneratorConfig(v=100, beta=1.6)  # high heterogeneity
-
-    def make(ccr, rng):
-        return generate_random_graph(base.with_(ccr=float(ccr)), rng)
-
     return SweepDefinition(
         key="ablation_priority",
         title="Ablation: ITQ priority rule (SLR vs CCR)",
         x_label="CCR",
         x_values=(1.0, 2.0, 3.0, 4.0, 5.0),
         metric="slr",
-        make_graph=make,
+        # high heterogeneity
+        graph=GraphSpec("random", {"axis": "ccr", "v": 100, "beta": 1.6}),
         schedulers=(
             "HDLTS",
             "HDLTS-range",
@@ -44,7 +39,7 @@ def test_ablation_priority(benchmark):
     result = run_sweep(_definition(), reps=bench_reps(), seed=0)
     emit("ablation_priority", format_sweep(result))
 
-    graph = _definition().make_graph(3.0, np.random.default_rng(0)).normalized()
+    graph = _definition().build_graph(3.0, np.random.default_rng(0)).normalized()
     from repro.core import HDLTS
 
     benchmark(lambda: HDLTS().run(graph))

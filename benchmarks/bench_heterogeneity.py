@@ -10,6 +10,7 @@ beta for both matrix structures.
 import numpy as np
 
 from conftest import bench_reps, emit
+from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import SweepDefinition, run_sweep
 from repro.experiments.report import format_sweep
 from repro.generator.parameters import GeneratorConfig
@@ -17,20 +18,22 @@ from repro.generator.random_dag import generate_random_graph
 
 
 def _definition(heterogeneity: str) -> SweepDefinition:
-    base = GeneratorConfig(
-        v=100, ccr=2.0, single_entry=True, heterogeneity=heterogeneity
-    )
-
-    def make(beta, rng):
-        return generate_random_graph(base.with_(beta=float(beta)), rng)
-
     return SweepDefinition(
         key=f"heterogeneity_{heterogeneity}",
         title=f"SLR vs beta, {heterogeneity} cost matrices",
         x_label="beta",
         x_values=(0.4, 0.8, 1.2, 1.6, 2.0),
         metric="slr",
-        make_graph=make,
+        graph=GraphSpec(
+            "random",
+            {
+                "axis": "beta",
+                "v": 100,
+                "ccr": 2.0,
+                "single_entry": True,
+                "heterogeneity": heterogeneity,
+            },
+        ),
         schedulers=("HDLTS", "HEFT", "SDBATS", "PEFT"),
         description=f"v=100, CCR=2, single entry, {heterogeneity} W",
     )

@@ -76,7 +76,6 @@ __all__ = [
     "instance_batchable",
     "lane_gates",
     "max_lanes",
-    "min_lanes",
     "run_batch",
     "run_static_set",
 ]
@@ -359,7 +358,7 @@ class CompiledBatch:
         self.entry_child[b_of, children] = True
         self.entry_comm = np.zeros((self.n_lanes, n))
         self.entry_comm[b_of, children] = self.succ_costs[flat]
-        # entry-stripped predecessor CSR (HDLTS entry-children rows)
+        # entry-stripped predecessor CSR (HDLTS ready rows)
         keep = self.pred_ids != self.entry
         total = self.n_lanes * n
         owner = np.repeat(np.arange(total), np.diff(self.pred_indptr))
@@ -979,6 +978,31 @@ def _static_orders(batch: CompiledBatch, cfg: _StaticConfig) -> np.ndarray:
     return flat.reshape(n_lanes, n) - np.arange(n_lanes)[:, None] * n
 
 
+def _release(
+    batch: CompiledBatch,
+    lanes: np.ndarray,
+    task: np.ndarray,
+    indeg: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Commit ``task[b]`` in every lane ``b`` of ``lanes`` (all of
+    them): decrement its children's in-degrees in ``indeg`` and return
+    the ``(lane, child)`` pairs whose last parent that was.  One task
+    per lane has distinct children, so the scatter has no write
+    conflicts."""
+    row = lanes * batch.n_tasks + task
+    s0 = batch.succ_indptr[row]
+    cnt = batch.succ_indptr[row + 1] - s0
+    if not int(cnt.sum()):
+        return lanes[:0], lanes[:0]
+    flat, _ = _ragged_indices(s0, cnt)
+    b_of = np.repeat(lanes, cnt)
+    child = batch.succ_ids[flat]
+    newdeg = indeg[b_of, child] - 1
+    indeg[b_of, child] = newdeg
+    released = newdeg == 0
+    return b_of[released], child[released]
+
+
 def _peft_orders(batch: CompiledBatch, ranks: np.ndarray) -> np.ndarray:
     """PEFT's ready-heap consumption order, all lanes per step.
 
@@ -998,19 +1022,9 @@ def _peft_orders(batch: CompiledBatch, ranks: np.ndarray) -> np.ndarray:
         task = score.argmax(axis=1)
         orders[:, k] = task
         score[lanes, task] = -np.inf
-        s0 = batch.succ_indptr[lanes * n + task]
-        cnt = batch.succ_indptr[lanes * n + task + 1] - s0
-        if int(cnt.sum()):
-            # one task per lane, distinct children: no write conflicts
-            flat, _ = _ragged_indices(s0, cnt)
-            b_of = np.repeat(lanes, cnt)
-            child = batch.succ_ids[flat]
-            newdeg = indeg[b_of, child] - 1
-            indeg[b_of, child] = newdeg
-            released = newdeg == 0
-            rb, rc = b_of[released], child[released]
-            if rb.size:
-                score[rb, rc] = ranks[rb, rc]
+        rb, rc = _release(batch, lanes, task, indeg)
+        if rb.size:
+            score[rb, rc] = ranks[rb, rc]
     return orders
 
 
@@ -1249,6 +1263,29 @@ def _run_static_set(
 # ----------------------------------------------------------------------
 # HDLTS (append mode) with a batched ready-list step
 # ----------------------------------------------------------------------
+def _entry_arrival(
+    lf: np.ndarray,
+    arrive: np.ndarray,
+    w_entry: np.ndarray,
+    first_start: np.ndarray,
+    duplicate: bool,
+) -> np.ndarray:
+    """When the entry's data reaches an entry child, per CPU.
+
+    ``min(LF(entry), BF(entry) + comm)``: a local copy's finish, or the
+    best copy's finish plus the edge's communication (``arrive``).
+    With Algorithm 1 (``duplicate``), a CPU that holds no entry copy
+    and whose first start leaves room for the entry's cost ``w_entry``
+    would duplicate the entry there, so the data arrives at ``w_entry``
+    when that is earlier.
+    """
+    via = np.minimum(lf, arrive)
+    if not duplicate:
+        return via
+    ok = (first_start >= w_entry - _EPS) & np.isinf(lf)
+    return np.where(ok & (w_entry < via), w_entry, via)
+
+
 def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchResult:
     n_lanes, n, p = batch.n_lanes, batch.n_tasks, batch.n_procs
     entry = batch.entry
@@ -1396,61 +1433,39 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
         procs_rec[:, step] = proc
         starts_rec[:, step] = start
 
-        # release children whose last parent just committed
-        s0 = batch.succ_indptr[lanes * n + selected]
-        scnt = batch.succ_indptr[lanes * n + selected + 1] - s0
-        if int(scnt.sum()):
-            flat, _ = _ragged_indices(s0, scnt)
-            b_of = np.repeat(lanes, scnt)
-            child = batch.succ_ids[flat]
-            newdeg = indeg[b_of, child] - 1
-            indeg[b_of, child] = newdeg
-            released = newdeg == 0
-            rb, rc = b_of[released], child[released]
-            c_rows += rb.size
-            if rb.size:
-                mask_t[rc, rb] = True
-                is_ec = entry_child[rb, rc]
-                ob, oc = rb[~is_ec], rc[~is_ec]
-                if ob.size:
-                    ready_t[oc, ob, :] = _gather_ready(
-                        batch.pred_indptr,
-                        batch.pred_ids,
-                        batch.pred_costs,
-                        fin_of,
-                        proc_of,
-                        best_finish,
-                        ob,
-                        oc,
-                        p,
-                    )
+        # release children whose last parent just committed.  One
+        # gather over the entry-stripped CSR builds every released row:
+        # a task without an entry parent has the same row on both CSRs,
+        # and an entry child's row waits for the entry's data as well
+        rb, rc = _release(batch, lanes, selected, indeg)
+        c_rows += rb.size
+        if rb.size:
+            mask_t[rc, rb] = True
+            rows = _gather_ready(
+                batch.ne_indptr,
+                batch.ne_ids,
+                batch.ne_costs,
+                fin_of,
+                proc_of,
+                best_finish,
+                rb,
+                rc,
+                p,
+            )
+            is_ec = entry_child[rb, rc]
+            if is_ec.any():
                 eb, ec = rb[is_ec], rc[is_ec]
-                if eb.size:
-                    non_entry_t[ec, eb, :] = _gather_ready(
-                        batch.ne_indptr,
-                        batch.ne_ids,
-                        batch.ne_costs,
-                        fin_of,
-                        proc_of,
-                        best_finish,
-                        eb,
-                        ec,
-                        p,
-                    )
-                    comm = batch.entry_comm[eb, ec]
-                    via = np.minimum(
-                        lf_entry[eb],
-                        (best_finish[eb, entry] + comm)[:, None],
-                    )
-                    if cfg.duplicate_entry:
-                        w_entry = W[eb, entry, :]
-                        ok = (
-                            first_start[eb] >= w_entry - _EPS
-                        ) & np.isinf(lf_entry[eb])
-                        via = np.where(ok & (w_entry < via), w_entry, via)
-                    ready_t[ec, eb, :] = np.maximum(
-                        non_entry_t[ec, eb, :], via
-                    )
+                non_entry_t[ec, eb, :] = rows[is_ec]
+                arrive = best_finish[eb, entry] + batch.entry_comm[eb, ec]
+                via = _entry_arrival(
+                    lf_entry[eb],
+                    arrive[:, None],
+                    W[eb, entry, :],
+                    first_start[eb],
+                    cfg.duplicate_entry,
+                )
+                rows[is_ec] = np.maximum(rows[is_ec], via)
+            ready_t[rc, rb, :] = rows
 
         # the commit (and any duplicate) only touched the chosen CPU:
         # refresh the pending entry children's dirty column there
@@ -1461,16 +1476,13 @@ def _run_hdlts(batch: CompiledBatch, name: str, cfg: _DynamicConfig) -> BatchRes
         c_cols += pb.size
         if pb.size:
             pp = proc[pb]
-            comm = batch.entry_comm[pb, pc]
-            via = np.minimum(
-                lf_entry[pb, pp], best_finish[pb, entry] + comm
+            via = _entry_arrival(
+                lf_entry[pb, pp],
+                best_finish[pb, entry] + batch.entry_comm[pb, pc],
+                W[pb, entry, pp],
+                first_start[pb, pp],
+                cfg.duplicate_entry,
             )
-            if cfg.duplicate_entry:
-                w_entry = W[pb, entry, pp]
-                ok = (first_start[pb, pp] >= w_entry - _EPS) & np.isinf(
-                    lf_entry[pb, pp]
-                )
-                via = np.where(ok & (w_entry < via), w_entry, via)
             ready_t[pc, pb, pp] = np.maximum(via, non_entry_t[pc, pb, pp])
 
     counters = {

@@ -2,8 +2,8 @@
 
 A *campaign* scales the figure harness three orders of magnitude past
 the paper's few-hundred-replication protocol: a declarative spec
-(:class:`~repro.experiments.harness.SweepDefinition`\\ s with portable
-:class:`~repro.experiments.graphspec.GraphSpec`\\ s, one
+(:class:`~repro.experiments.harness.SweepDefinition`\\ s, whose graph
+factories are :class:`~repro.experiments.graphspec.GraphSpec` data, one
 :class:`~repro.runtime.context.RunContext`) is expanded into a
 deterministic list of **tasks** -- the exact chunk decomposition the
 parallel sweep runner uses -- which are dealt round-robin onto
@@ -155,12 +155,6 @@ class Campaign:
             raise ValueError("a campaign needs at least one sweep definition")
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate sweep keys: {keys}")
-        closures = sorted(d.key for d in definitions if not d.portable)
-        if closures:
-            raise ValueError(
-                f"definitions {closures} use make_graph closures and cannot "
-                "be written to a campaign manifest; give them a GraphSpec"
-            )
         self.path = pathlib.Path(path)
         self.context = context
         self.reps = reps

@@ -9,9 +9,8 @@ EXPERIMENTS.md.
 
 Every figure's graph factory is a declarative
 :class:`~repro.experiments.graphspec.GraphSpec` (registered factory
-name + parameters), not a closure: definitions pickle, ship to
-``spawn``/``forkserver`` workers, and serialize into run manifests --
-while building graphs bit-identical to the original closures.
+name + parameters): definitions pickle, ship to ``spawn``/``forkserver``
+workers, and serialize into run manifests.
 
 ``fig3`` defaults to task sizes up to 1000; pass ``full=True`` to include
 the paper's 5000/10000-task points (minutes of pure-Python runtime).

@@ -1,20 +1,18 @@
-"""Declarative graph specs: named factories instead of closures.
+"""Declarative graph specs: the one graph factory a sweep carries.
 
-A :class:`~repro.experiments.harness.SweepDefinition` used to close
-over a local graph-factory function, which meant figure definitions
-only survived ``fork`` (closures do not pickle) and a run could not be
-written to a manifest.  A :class:`GraphSpec` replaces the closure with
-*data*: the name of a registered factory plus its keyword parameters.
-Specs pickle, serialize to JSON, ship to ``spawn``/``forkserver``
-workers, and rebuild bit-identical graphs anywhere.
+A :class:`GraphSpec` is a graph factory as *data*: the name of a
+registered factory plus its keyword parameters.  Specs pickle,
+serialize to JSON, ship to ``spawn``/``forkserver`` workers, and
+rebuild bit-identical graphs anywhere, so every
+:class:`~repro.experiments.harness.SweepDefinition` can run in a
+worker pool, a campaign shard or the service.
 
 Factories receive ``(x, rng, **params)`` where ``x`` is the sweep's
 current x-axis value; the ``axis`` parameter names which knob ``x``
-drives (``"ccr"``, ``"v"``, ``"n_procs"``, ``"m"``, ...).  Every
-built-in factory returns the array form of a task graph
-(:class:`~repro.model.task_graph.GraphArrays`); a registered factory
-may also return a :class:`~repro.model.task_graph.TaskGraph`.
-:meth:`GraphSpec.build` turns arrays into a graph, while
+drives (``"ccr"``, ``"v"``, ``"n_procs"``, ``"m"``, ...).  A factory
+returns the array form of a task graph
+(:class:`~repro.model.task_graph.GraphArrays`).
+:meth:`GraphSpec.build` turns the arrays into a graph, while
 :meth:`GraphSpec.instance` compiles them straight into the normalized
 :class:`~repro.model.compiled.CompiledGraph` the sweep harness
 carries, without a ``TaskGraph``.  The factories with a fixed
@@ -24,17 +22,17 @@ parameters) and the workflow families (``fft``, ``montage``,
 it once per process into a read-only
 :class:`~repro.model.compiled.GraphStructure` and hand it back with
 each draw (``GraphArrays.structure``): each replication draws only its
-costs, and every instance and batch lane shares the structure.  Axis values
-are cast exactly as the original closures did (``int`` for counts,
-``float`` otherwise), so spec-built graphs are bit-identical to the
-closure-built ones for the same RNG stream.
+costs, and every instance and batch lane shares the structure.  Axis
+values are cast to ``int`` for counts and ``float`` otherwise, so a
+``"random"`` spec makes the same draws as
+``generate_random_graph(config.with_(axis=float(x)), rng)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -53,7 +51,7 @@ __all__ = [
     "graph_factory_names",
 ]
 
-GraphFactoryFn = Callable[..., Union[TaskGraph, GraphArrays]]
+GraphFactoryFn = Callable[..., GraphArrays]
 
 _FACTORIES: Dict[str, GraphFactoryFn] = {}
 
@@ -62,13 +60,13 @@ _INT_AXES = frozenset({"v", "n_procs", "density", "m"})
 
 
 def _cast_axis(axis: str, x) -> object:
-    """Cast an x-axis value the way the original closures did."""
+    """Cast an x-axis value: ``int`` for counts, ``float`` otherwise."""
     return int(x) if axis in _INT_AXES else float(x)
 
 
 def register_graph_factory(name: str) -> Callable[[GraphFactoryFn], GraphFactoryFn]:
     """Register ``fn(x, rng, **params)`` under ``name``; it returns a
-    :class:`TaskGraph` or a :class:`GraphArrays`."""
+    :class:`GraphArrays`."""
 
     def decorate(fn: GraphFactoryFn) -> GraphFactoryFn:
         if name in _FACTORIES:
@@ -95,7 +93,7 @@ class GraphSpec:
         # copy defensively; specs are treated as immutable values
         object.__setattr__(self, "params", dict(self.params))
 
-    def _draw(self, x, rng: np.random.Generator) -> Union[TaskGraph, GraphArrays]:
+    def _draw(self, x, rng: np.random.Generator) -> GraphArrays:
         try:
             fn = _FACTORIES[self.factory]
         except KeyError:
@@ -107,8 +105,7 @@ class GraphSpec:
 
     def build(self, x, rng: np.random.Generator) -> TaskGraph:
         """Materialize the graph for x-axis value ``x``."""
-        drawn = self._draw(x, rng)
-        return drawn.to_graph() if isinstance(drawn, GraphArrays) else drawn
+        return self._draw(x, rng).to_graph()
 
     def instance(self, x, rng: np.random.Generator) -> CompiledGraph:
         """The normalized, compiled instance for ``x`` (the same draws
@@ -262,9 +259,9 @@ def _montage_graph(
     """Montage mosaic workflow as :class:`GraphArrays`, drawing the
     structure size per instance.
 
-    The size draw happens *before* cost realization, exactly like the
-    original closure, so the RNG stream (and every cost) is unchanged;
-    each size's structure is built once.
+    The size draw comes *before* the cost draws (then the same draws as
+    ``montage_workflow(size, ...)``); each size's structure is built
+    once.
     """
     p = _topology_params(x, axis, {"n_procs": n_procs, "ccr": ccr})
     size = sizes[int(rng.integers(len(sizes)))]

@@ -29,7 +29,7 @@ from repro.core.batch import (
 from repro.experiments.graphspec import GraphSpec
 from repro.metrics.metrics import efficiency, slr
 from repro.metrics.stats import RunningStats
-from repro.model.compiled import CompiledGraph, compile_instance
+from repro.model.compiled import CompiledGraph
 from repro.model.task_graph import TaskGraph
 from repro.runtime.context import current_context
 from repro.schedule.validation import validate_schedule
@@ -45,8 +45,6 @@ __all__ = [
     "run_replications",
 ]
 
-GraphFactory = Callable[[object, np.random.Generator], TaskGraph]
-OptionalFactory = Optional[GraphFactory]
 #: replications ``[rep_lo, rep_hi)`` of x point ``x`` (index ``x_index``)
 PointSlice = Tuple[object, int, int, int]
 
@@ -62,14 +60,13 @@ _METRICS: Dict[str, Callable[[CompiledGraph, float], float]] = {
 class SweepDefinition:
     """A reproducible experiment: one figure of the paper.
 
-    The graph factory comes in one of two forms: the declarative
-    ``graph`` spec (a :class:`~repro.experiments.graphspec.GraphSpec`,
-    the preferred form -- the definition then pickles, ships to any
-    worker start method, and serializes into run manifests) or a legacy
-    ``make_graph`` closure (fork-only, unserializable; kept for ad-hoc
-    local sweeps).
+    ``graph`` names the instance factory as data (a
+    :class:`~repro.experiments.graphspec.GraphSpec`: a registered
+    factory plus its parameters), so every definition pickles, ships to
+    any worker start method, and serializes into run manifests,
+    campaign specs and service jobs.
 
-    A third form sweeps a *job stream* instead of a single graph: give
+    The other form sweeps a *job stream* instead of a single graph: give
     ``stream`` (a :class:`~repro.stream.spec.StreamSpec`) and the x-axis
     drives its injection knob (arrival rate/interval/job count), the
     ``schedulers`` tuple names stream policies, and ``metric`` comes
@@ -83,7 +80,6 @@ class SweepDefinition:
     x_label: str
     x_values: Tuple
     metric: str
-    make_graph: OptionalFactory = None
     schedulers: Tuple[str, ...] = PAPER_SET
     description: str = ""
     graph: Optional[GraphSpec] = None
@@ -93,7 +89,7 @@ class SweepDefinition:
         if not self.x_values:
             raise ValueError("sweep needs at least one x value")
         if self.stream is not None:
-            if self.make_graph is not None or self.graph is not None:
+            if self.graph is not None:
                 raise ValueError(
                     "a stream definition cannot also carry a graph factory"
                 )
@@ -113,38 +109,24 @@ class SweepDefinition:
             raise ValueError(
                 f"metric must be one of {sorted(_METRICS)}, got {self.metric!r}"
             )
-        if (self.make_graph is None) == (self.graph is None):
+        if self.graph is None:
             raise ValueError(
-                "exactly one of make_graph (closure) or graph (GraphSpec) "
+                "exactly one of graph (GraphSpec) or stream (StreamSpec) "
                 "must be given"
             )
 
     def build_graph(self, x, rng: np.random.Generator) -> TaskGraph:
         """Materialize the graph for x point ``x`` from ``rng``."""
-        if self.graph is not None:
-            return self.graph.build(x, rng)
-        return self.make_graph(x, rng)
+        return self.graph.build(x, rng)
 
     def build_instance(self, x, rng: np.random.Generator) -> CompiledGraph:
         """The normalized, compiled instance for x point ``x``: the
-        draws of :meth:`build_graph`, and for array-producing factories
-        no ``TaskGraph`` until a scalar scheduler asks for one."""
-        if self.graph is not None:
-            return self.graph.instance(x, rng)
-        return compile_instance(self.make_graph(x, rng))
-
-    @property
-    def portable(self) -> bool:
-        """True when the definition can be pickled/serialized (spec form)."""
-        return self.graph is not None or self.stream is not None
+        draws of :meth:`build_graph`, with no ``TaskGraph`` until a
+        scalar scheduler asks for one."""
+        return self.graph.instance(x, rng)
 
     def to_dict(self) -> Dict[str, object]:
-        """Manifest form; requires a declarative spec (graph or stream)."""
-        if self.graph is None and self.stream is None:
-            raise ValueError(
-                f"definition {self.key!r} uses a make_graph closure and "
-                "cannot be serialized; give it a GraphSpec instead"
-            )
+        """Manifest form: the fields plus the graph or stream spec."""
         data = {
             "key": self.key,
             "title": self.title,
@@ -510,13 +492,15 @@ def _stream_replications(
         for rep in reps
     ]
     jobs = [job.compiled for instance in instances for job in instance.jobs]
-    point_queues = {}
+    statics = {}
     for name in definition.schedulers:
         policy = normalize_policy(name)
         if policy.startswith(STATIC_PREFIX):
-            point_queues[name] = admission_queues(
-                jobs, policy[len(STATIC_PREFIX):]
-            )
+            statics[name] = policy[len(STATIC_PREFIX):]
+    by_scheduler = admission_queues(jobs, list(statics.values()))
+    point_queues = {
+        name: by_scheduler[scheduler] for name, scheduler in statics.items()
+    }
     results = []
     lo = 0
     for rep, instance in zip(reps, instances):
@@ -556,12 +540,12 @@ def run_points(
     back to the scalar path.  The caller folds each slice on its own.
 
     Stream definitions run point by point: each slice builds its
-    replications' workloads and computes the admission queues of each
-    ``Static/<Name>`` policy once over all their jobs
-    (:func:`~repro.stream.arena.admission_queues`, which batches under
-    the same context rules); each replication then only replays its
-    jobs' frozen queues.  ``batch="off"`` and validation keep every
-    admission schedule scalar.
+    replications' workloads and computes the admission queues of every
+    ``Static/<Name>`` policy in one call over all their jobs
+    (:func:`~repro.stream.arena.admission_queues`, which packs each
+    group once and gates it like the graph path); each replication
+    then only replays its jobs' frozen queues.  ``batch="off"`` and
+    validation keep every admission schedule scalar.
 
     ``tick`` (if given) is called after every kernel group, scalar
     replication and stream slice: a service worker renews its leases

@@ -9,12 +9,13 @@ Workers are configured explicitly, not by fork inheritance: the pool
 initializer ships the active :class:`~repro.runtime.context.RunContext`
 (with the parent's *effective* observability state folded in) plus the
 sweep definitions to every worker, which :func:`~repro.runtime.context
-.adopt`\\ s the context as its own.  Definitions built from declarative
-:class:`~repro.experiments.graphspec.GraphSpec`\\ s pickle, so the pool
-runs under any start method -- ``fork``, ``spawn`` or ``forkserver`` --
-with bit-identical results.  Legacy closure-based definitions still
-work, but only under ``fork`` (the initializer arguments then travel
-through inherited memory instead of pickling).
+.adopt`\\ s the context as its own.  A definition names its graph
+factory as data (:class:`~repro.experiments.graphspec.GraphSpec`), so
+it pickles and the pool runs under any start method -- ``fork``,
+``spawn`` or ``forkserver`` -- with bit-identical results.  A factory
+registered outside :mod:`~repro.experiments.graphspec` reaches a
+``spawn``/``forkserver`` worker only if the worker imports the module
+that registers it.
 
 The pool runs the tasks of :func:`~repro.service.store.enumerate_tasks`
 and ``imap`` yields them home in submission order, so the parent folds
@@ -99,10 +100,8 @@ def _init_worker(
 ) -> None:
     """Pool initializer: adopt the shipped context, register definitions.
 
-    Under ``fork`` the arguments arrive through inherited memory (so
-    closure-based definitions still work); under ``spawn``/
-    ``forkserver`` they are pickled, which is why portable definitions
-    carry a :class:`~repro.experiments.graphspec.GraphSpec`.
+    Under ``fork`` the arguments arrive through inherited memory; under
+    ``spawn``/``forkserver`` they are pickled.
 
     When the context names a telemetry directory the worker keeps a
     heartbeat file there (throttled, stamped with its owner's pid as
@@ -225,9 +224,8 @@ def sweep_pool(
     Every definition that will run on the pool must be passed here: the
     pool initializer ships them to the workers, so definitions appearing
     after the pool exists are invisible to it.  ``start_method`` (or
-    ``context.start_method``) picks how workers start; under anything
-    but ``fork`` every definition must be portable (declarative
-    ``graph`` spec, not a closure).  Workers adopt the active context
+    ``context.start_method``) picks how workers start.  Workers adopt
+    the active context
     (observability flags included) with the pool's worker count and
     start method filled in.
     """
@@ -242,14 +240,6 @@ def sweep_pool(
             "start method resolved to 'serial'; a worker pool cannot be "
             "created (run the sweeps through run_sweep_parallel instead)"
         )
-    if method != "fork":
-        closures = sorted(d.key for d in definitions if not d.portable)
-        if closures:
-            raise ValueError(
-                f"definitions {closures} use make_graph closures, which "
-                f"cannot be shipped to {method!r} workers; give them a "
-                "GraphSpec or use start_method='fork'"
-            )
     n_workers = _default_workers(workers, ctx)
     effective = ctx.with_(workers=n_workers, start_method=method)
     mp_context = multiprocessing.get_context(method)

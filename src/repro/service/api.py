@@ -1,7 +1,7 @@
 """The submission API: tickets in, bit-identical results out.
 
 This module is what ``repro submit`` / ``watch`` / ``status`` (and any
-script) talk to: submit portable
+script) talk to: submit
 :class:`~repro.experiments.harness.SweepDefinition`\\ s plus the
 :class:`~repro.runtime.context.RunContext` that should govern
 execution, get back a **ticket**; poll the ticket's status; cancel it;

@@ -550,7 +550,7 @@ class SqliteStore:
     ) -> JobRow:
         """Enqueue one job: insert the job row plus every task, atomically.
 
-        ``definitions`` are portable
+        ``definitions`` are
         :class:`~repro.experiments.harness.SweepDefinition`\\ s;
         ``context`` is the :class:`~repro.runtime.context.RunContext`
         workers will adopt.  The task list is the shared deterministic
@@ -562,12 +562,6 @@ class SqliteStore:
         definitions = list(definitions)
         if not definitions:
             raise ValueError("a job needs at least one sweep definition")
-        closures = sorted(d.key for d in definitions if not d.portable)
-        if closures:
-            raise ValueError(
-                f"definitions {closures} use make_graph closures and cannot "
-                "be submitted to the service; give them a GraphSpec"
-            )
         tasks = enumerate_tasks(definitions, reps, context.chunk_size)
         kind = "stream" if any(d.stream is not None for d in definitions) else "sweep"
         ticket = uuid.uuid4().hex[:12]

@@ -551,60 +551,78 @@ class _AdmittedJob:
 
 
 def admission_queues(
-    instances: Sequence[Union[CompiledGraph, TaskGraph]], name: str
-) -> List[Queues]:
-    """Every job's frozen per-CPU queues under registry scheduler ``name``.
+    instances: Sequence[Union[CompiledGraph, TaskGraph]], names: Sequence[str]
+) -> Dict[str, List[Queues]]:
+    """Every job's frozen per-CPU queues under each registry scheduler
+    in ``names``, keyed by name.
 
     A static schedule depends on its job's instance alone, so all of
     them can be computed before any event loop runs.  When the active
     context allows it (``batch="auto"``, fast engine) the instances are
     grouped by :func:`~repro.core.batch.batch_key` -- structures may
-    differ -- and each group of at least
-    :func:`~repro.core.batch.min_lanes` lanes runs as one
-    :func:`~repro.core.batch.run_batch` call, whose lanes' queues come
-    straight from its arrays (:meth:`~repro.core.batch.BatchResult.queues`).
-    Narrower groups, instances the kernel does not cover and
-    non-batchable schedulers run ``make_scheduler(name)`` on the
-    instance's derived graph.  Both routes give the same queues and the
-    same counter totals.
+    differ -- and each group is packed once: the names whose
+    :func:`~repro.core.batch.lane_gates` entry the group reaches run on
+    that one :class:`~repro.core.batch.CompiledBatch`, the static lists
+    as one fused :func:`~repro.core.batch.run_static_set` call and each
+    HDLTS variant through :func:`~repro.core.batch.run_batch`, and each
+    lane's queues come straight from the result's arrays
+    (:meth:`~repro.core.batch.BatchResult.queues`).  Narrower groups,
+    instances the kernel does not cover and non-batchable schedulers
+    run ``make_scheduler(name)`` on the instance's derived graph.  Both
+    routes give the same queues and the same counter totals.
     """
     from repro.baselines.registry import make_scheduler
     from repro.core.batch import (
-        BATCHABLE,
+        BATCHABLE_STATIC,
         CompiledBatch,
         batch_groups,
-        min_lanes,
+        lane_gates,
         run_batch,
+        run_static_set,
     )
     from repro.runtime.context import current_context
 
+    names = list(dict.fromkeys(names))
     compiled = [compile_graph(instance) for instance in instances]
-    queues: List[Optional[Queues]] = [None] * len(compiled)
+    queues: Dict[str, List[Optional[Queues]]] = {
+        name: [None] * len(compiled) for name in names
+    }
     ctx = current_context()
-    if ctx.batch == "auto" and ctx.engine == "fast" and name in BATCHABLE:
-        bus = obs.get_bus()
-        for sub in batch_groups(compiled, [name], min_lanes(name)):
-            batch = CompiledBatch([compiled[i] for i in sub])
-            with obs.span(
-                "stream.batch", scheduler=name, size=batch.n_lanes,
-                key=batch.label,
-            ):
-                if bus.active:
-                    bus.emit(
-                        "stream.batch", scheduler=name,
-                        size=batch.n_lanes, key=batch.label,
-                    )
-                batched = run_batch(batch, name)
+    gates = {}
+    if ctx.batch == "auto" and ctx.engine == "fast":
+        gates = lane_gates(names)
+    groups = []
+    if gates:
+        groups = batch_groups(compiled, list(gates), min(gates.values()))
+    bus = obs.get_bus()
+    for sub in groups:
+        batch = CompiledBatch([compiled[i] for i in sub])
+        wide = [name for name in gates if batch.n_lanes >= gates[name]]
+        with obs.span(
+            "stream.batch", schedulers=wide, size=batch.n_lanes,
+            key=batch.label,
+        ):
+            if bus.active:
+                bus.emit(
+                    "stream.batch", schedulers=wide,
+                    size=batch.n_lanes, key=batch.label,
+                )
+            statics = [name for name in wide if name in BATCHABLE_STATIC]
+            batched = run_static_set(batch, statics) if statics else {}
+            for name in wide:
+                if name not in batched:
+                    batched[name] = run_batch(batch, name)
                 # the counter totals the scalar runs would have recorded
                 # (no-ops while profiling is off)
-                for key, total in batched.counters.items():
+                for key, total in batched[name].counters.items():
                     obs.count(key, total)
-                for idx, lane_queues in zip(sub, batched.queues()):
-                    queues[idx] = lane_queues
-    for idx, instance in enumerate(compiled):
-        if queues[idx] is None:
-            schedule = make_scheduler(name).run(instance.graph).schedule
-            queues[idx] = schedule_queues(schedule)
+                for idx, lane_queues in zip(sub, batched[name].queues()):
+                    queues[name][idx] = lane_queues
+    for name in names:
+        for idx, instance in enumerate(compiled):
+            if queues[name][idx] is None:
+                schedule = make_scheduler(name).run(instance.graph).schedule
+                queues[name][idx] = schedule_queues(schedule)
     return queues
 
 
@@ -1042,10 +1060,10 @@ class JobStream:
         n_procs = instance.n_procs
         n_jobs = len(instance.jobs)
         if job_queues is None:
+            name = policy[len(STATIC_PREFIX):]
             job_queues = admission_queues(
-                [job.compiled for job in instance.jobs],
-                policy[len(STATIC_PREFIX):],
-            )
+                [job.compiled for job in instance.jobs], [name]
+            )[name]
         avail: List[float] = state["avail"]
         fail_at = failure_times(self.failures or None, n_procs)
         taus = [fail_at.get(p, float("inf")) for p in range(n_procs)]

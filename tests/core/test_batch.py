@@ -24,7 +24,6 @@ from repro.core.batch import (
     instance_batchable,
     lane_gates,
     max_lanes,
-    min_lanes,
     run_batch,
 )
 from repro.experiments.graphspec import GraphSpec, graph_factory_names
@@ -78,13 +77,12 @@ def test_min_lanes_by_kernel_family():
     # HDLTS amortizes its per-step cost over a few lanes, the static
     # list schedulers need a wider batch
     for name in ("HDLTS", "HDLTS-nodup", "HDLTS-rank"):
-        assert min_lanes(name) == 8
+        assert lane_gates([name])[name] == 8
     for name in ("HEFT", "HEFT-noinsertion", "PETS", "PEFT", "SDBATS"):
-        assert min_lanes(name) == 16
-    assert {min_lanes(name) for name in BATCHABLE} == {8, 16}
+        assert lane_gates([name])[name] == 16
+    assert {lane_gates([name])[name] for name in BATCHABLE} == {8, 16}
     for name in ("PETS-rpt", "CPOP"):
-        with pytest.raises(KeyError):
-            min_lanes(name)
+        assert lane_gates([name]) == {}
 
 
 def test_lane_gates_by_fused_set_width():
@@ -93,11 +91,11 @@ def test_lane_gates_by_fused_set_width():
         "HDLTS": 8, "HEFT": 4, "PETS": 4, "PEFT": 4, "SDBATS": 4,
     }
     # each insertion mode is its own set; names outside the kernel and
-    # duplicates drop out; a lone static is min_lanes
+    # duplicates drop out; a lone static needs 16 lanes
     assert lane_gates(
         ["HEFT", "HEFT-noinsertion", "PEFT", "PEFT", "CPOP", "PETS-rpt"]
     ) == {"HEFT": 8, "HEFT-noinsertion": 16, "PEFT": 8}
-    assert lane_gates(["PETS"]) == {"PETS": min_lanes("PETS")}
+    assert lane_gates(["PETS"]) == {"PETS": 16}
     assert lane_gates(["HEFT", "PETS", "PEFT"])["HEFT"] == 6  # ceil(16/3)
     assert lane_gates([]) == {}
 

@@ -34,7 +34,7 @@ from repro.runtime.telemetry import (
     format_status,
     status_document,
 )
-from tests.experiments.test_harness import tiny_closure_sweep, tiny_sweep
+from tests.experiments.test_harness import tiny_sweep
 
 
 def _campaign(path, reps=6, n_shards=3, chunk_size=2, seed=3) -> Campaign:
@@ -101,11 +101,6 @@ def test_spec_validation(tmp_path):
     with pytest.raises(ValueError, match="duplicate sweep keys"):
         Campaign(tmp_path, context, reps=1, n_shards=1,
                  definitions=[tiny_sweep(), tiny_sweep()])
-    # closures cannot be written to a manifest -- campaigns are
-    # declarative by construction
-    with pytest.raises(ValueError, match="GraphSpec"):
-        Campaign(tmp_path, context, reps=1, n_shards=1,
-                 definitions=[tiny_closure_sweep()])
 
 
 def test_task_enumeration_and_partition(tmp_path):

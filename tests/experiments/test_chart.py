@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.chart import ascii_chart
+from repro.experiments.graphspec import GraphSpec
 from repro.experiments.harness import run_sweep
 from tests.experiments.test_harness import tiny_sweep
 
@@ -51,7 +52,7 @@ def test_flat_series_does_not_crash():
         x_label="x",
         x_values=(1, 2),
         metric="slr",
-        make_graph=lambda x, rng: None,
+        graph=GraphSpec("random", {"axis": "ccr"}),
         schedulers=("A-ONE", "B-TWO"),
     )
     result = SweepResult(definition=definition, reps=1, seed=0)

@@ -12,10 +12,10 @@ import pytest
 
 from repro.experiments.campaign import Campaign, merge, run_shard
 from repro.experiments.harness import run_sweep
-from repro.experiments.parallel import run_sweep_parallel, sweep_pool
+from repro.experiments.parallel import run_sweep_parallel
 from repro.runtime.context import RunContext
 from repro.service.store import ColumnarStore
-from tests.experiments.test_harness import tiny_closure_sweep, tiny_sweep
+from tests.experiments.test_harness import tiny_sweep
 
 
 def _assert_same_stats(result, serial):
@@ -201,20 +201,6 @@ class TestStartMethods:
         definition = tiny_sweep()
         result = run_sweep_parallel(
             definition, reps=2, seed=0, workers=4, start_method="serial",
-        )
-        _assert_same_stats(result, run_sweep(definition, reps=2, seed=0))
-
-    def test_closure_definitions_rejected_off_fork(self):
-        with pytest.raises(ValueError, match="closure"):
-            with sweep_pool(
-                [tiny_closure_sweep()], workers=2, start_method="spawn"
-            ):
-                pass  # pragma: no cover
-
-    def test_closure_definitions_still_work_under_fork(self):
-        definition = tiny_closure_sweep()
-        result = run_sweep_parallel(
-            definition, reps=2, seed=0, workers=2, start_method="fork"
         )
         _assert_same_stats(result, run_sweep(definition, reps=2, seed=0))
 

@@ -59,7 +59,6 @@ def test_figure_definitions_are_portable():
 
     for key in sorted(_EXPECTED_KEYS):
         definition = get_figure(key)
-        assert definition.portable
         clone = pickle.loads(pickle.dumps(definition))
         assert clone == definition
         rebuilt = SweepDefinition.from_dict(definition.to_dict())

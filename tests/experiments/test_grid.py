@@ -9,7 +9,7 @@ from repro.experiments.grid import (
     marginals_from_sweep,
     run_grid,
 )
-from repro.experiments.harness import run_sweep
+from repro.experiments.harness import SweepDefinition, run_sweep
 
 _SMALL_GRID = {
     "v": (20, 40),
@@ -145,7 +145,8 @@ class TestGridAsSweep:
         definition = grid_sweep_definition(
             grid=_SMALL_GRID, sample=None, schedulers=("HDLTS", "HEFT")
         )
-        assert definition.portable  # serializes into campaign manifests
+        # serializes into campaign manifests
+        assert SweepDefinition.from_dict(definition.to_dict()) == definition
         assert definition.graph.factory == "table2"
         assert definition.x_values == (0, 1, 2, 3)  # 2 x 2 configs
         configs = definition.graph.params["configs"]

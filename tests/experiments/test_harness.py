@@ -1,5 +1,7 @@
 """Unit tests for the sweep harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.experiments.harness import (
 )
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
+from repro.model.compiled import compile_instance
 
 
 def tiny_sweep(metric="slr", schedulers=("HDLTS", "HEFT")) -> SweepDefinition:
@@ -27,22 +30,29 @@ def tiny_sweep(metric="slr", schedulers=("HDLTS", "HEFT")) -> SweepDefinition:
     )
 
 
-def tiny_closure_sweep() -> SweepDefinition:
-    """The legacy closure form of :func:`tiny_sweep` (fork-only)."""
-    def make(ccr, rng):
-        return generate_random_graph(
-            GeneratorConfig(v=20, ccr=float(ccr), n_procs=3), rng
-        )
-
-    return SweepDefinition(
-        key="tiny",
-        title="tiny test sweep",
-        x_label="CCR",
-        x_values=(1.0, 3.0),
-        metric="slr",
-        make_graph=make,
-        schedulers=("HDLTS", "HEFT"),
+#: the generator choices of the ablation and heterogeneity benches:
+#: (swept axis, fixed GeneratorConfig fields, x values)
+ABLATION_CONFIGS = [
+    pytest.param(
+        "ccr", {"v": 100, "density": 4}, (1.0, 3.0, 5.0), id="insertion"
+    ),
+    pytest.param(
+        "ccr", {"alpha": 0.5, "v": 100, "single_entry": True},
+        (1.0, 2.0, 3.0, 4.0, 5.0), id="duplication",
+    ),
+    pytest.param(
+        "ccr", {"v": 100, "beta": 1.6}, (1.0, 2.0, 3.0, 4.0, 5.0),
+        id="priority",
+    ),
+] + [
+    pytest.param(
+        "beta",
+        {"v": 100, "ccr": 2.0, "single_entry": True, "heterogeneity": kind},
+        (0.4, 0.8, 1.2, 1.6, 2.0),
+        id=f"heterogeneity-{kind}",
     )
+    for kind in ("inconsistent", "consistent")
+]
 
 
 class TestDefinition:
@@ -58,7 +68,7 @@ class TestDefinition:
                 x_label="x",
                 x_values=(),
                 metric="slr",
-                make_graph=lambda x, rng: None,
+                graph=GraphSpec("random", {"axis": "ccr"}),
             )
 
 
@@ -102,32 +112,50 @@ class TestRun:
         assert all(row["x_label"] == "CCR" for row in rows)
         assert all(row["metric"] == "slr" for row in rows)
 
-    def test_closure_and_spec_forms_build_identical_graphs(self):
-        """GraphSpec-built instances match the legacy closure's bit for bit."""
-        spec, closure = tiny_sweep(), tiny_closure_sweep()
-        for x in spec.x_values:
-            a = spec.build_graph(x, np.random.default_rng([7, 0]))
-            b = closure.build_graph(x, np.random.default_rng([7, 0]))
-            assert np.array_equal(a.cost_matrix(), b.cost_matrix())
-            assert list(a.edges()) == list(b.edges())
+    @pytest.mark.parametrize("axis, config, x_values", ABLATION_CONFIGS)
+    def test_random_spec_matches_the_generator_oracle(
+        self, axis, config, x_values
+    ):
+        """A ``random`` spec makes exactly the draws of
+        ``generate_random_graph(cfg.with_(axis=float(x)), rng)``."""
+        spec = GraphSpec("random", {"axis": axis, **config})
+        base = GeneratorConfig(**config)
+        for i, x in enumerate(x_values):
+            rng_a = np.random.default_rng([11, i, 0])
+            rng_b = np.random.default_rng([11, i, 0])
+            a = spec.instance(x, rng_a)
+            b = compile_instance(
+                generate_random_graph(base.with_(**{axis: float(x)}), rng_b)
+            )
+            assert np.array_equal(a.w, b.w)
+            for name in ("succ_indptr", "succ_ids", "succ_costs",
+                         "pred_indptr", "pred_ids", "pred_costs", "topo"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("axis, config, x_values", ABLATION_CONFIGS)
+    def test_ablation_definitions_round_trip(self, axis, config, x_values):
+        definition = SweepDefinition(
+            key="ablation", title="ablation", x_label=axis,
+            x_values=x_values, metric="slr",
+            graph=GraphSpec("random", {"axis": axis, **config}),
+            schedulers=("HDLTS", "HDLTS-nodup", "HEFT-noinsertion"),
+        )
+        rebuilt = SweepDefinition.from_dict(
+            json.loads(json.dumps(definition.to_dict()))
+        )
+        assert rebuilt == definition
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        a = definition.build_instance(x_values[-1], rng_a)
+        b = rebuilt.build_instance(x_values[-1], rng_b)
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.succ_costs, b.succ_costs)
 
     def test_exactly_one_factory_form_required(self):
         with pytest.raises(ValueError, match="exactly one"):
             SweepDefinition(
                 key="x", title="x", x_label="x", x_values=(1,), metric="slr"
             )
-        with pytest.raises(ValueError, match="exactly one"):
-            SweepDefinition(
-                key="x", title="x", x_label="x", x_values=(1,), metric="slr",
-                make_graph=lambda x, rng: None,
-                graph=GraphSpec("random", {"axis": "ccr"}),
-            )
-
-    def test_closure_definition_refuses_serialization(self):
-        closure = tiny_closure_sweep()
-        assert not closure.portable
-        with pytest.raises(ValueError, match="closure"):
-            closure.to_dict()
 
     def test_ablation_variant_names_coexist(self):
         """Registry names keep HDLTS ablation variants distinct."""

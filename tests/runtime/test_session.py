@@ -81,15 +81,6 @@ class TestManifest:
         with pytest.raises(ValueError, match="schema"):
             open_run_dir(run_dir.path)
 
-    def test_closure_definitions_rejected(self, tmp_path):
-        from tests.experiments.test_harness import tiny_closure_sweep
-
-        with pytest.raises(ValueError, match="closure"):
-            Campaign.create(
-                tmp_path / "run", [tiny_closure_sweep()], reps=2,
-                n_shards=1, context=RunContext(),
-            )
-
 
 class TestLedger:
     """Shard 0 as the run directory's durable chunk record."""

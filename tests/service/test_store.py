@@ -26,7 +26,7 @@ from repro.service.store import (
     parse_task_id,
     task_id,
 )
-from tests.experiments.test_harness import tiny_closure_sweep, tiny_sweep
+from tests.experiments.test_harness import tiny_sweep
 
 #: awkward floats that must survive a JSON round-trip to the last ulp
 VALUES = [
@@ -175,11 +175,6 @@ class TestSqliteStore:
             assert store.task_counts(job.id) == {
                 "pending": len(tasks), "leased": 0, "done": 0, "failed": 0
             }
-
-    def test_add_job_rejects_closures(self, tmp_path):
-        with SqliteStore.open(tmp_path / "svc") as store:
-            with pytest.raises(ValueError, match="closure"):
-                store.add_job([tiny_closure_sweep()], 2, RunContext())
 
     def test_job_lookup_and_cancel(self, tmp_path):
         with SqliteStore.open(tmp_path / "svc") as store:

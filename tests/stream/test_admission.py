@@ -7,7 +7,8 @@ set of jobs at once.  Under ``batch="auto"`` it groups the jobs by
 the batched multi-DAG kernel; under ``batch="off"`` every job runs its
 scalar scheduler.  The two must give equal queues job by job and equal
 counter totals -- for ragged job mixes, for groups narrower than
-``min_lanes`` and for graphs the kernel does not cover.  At the sweep
+their lane gate, for several names packed together and for graphs the
+kernel does not cover.  At the sweep
 level, a stream sweep under ``batch="auto"`` must report the values and
 counters of the ``batch="off"`` run.
 """
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.batch import min_lanes
+from repro.core.batch import lane_gates
 from repro.experiments.harness import run_sweep
 from repro.generator.parameters import GeneratorConfig
 from repro.generator.random_dag import generate_random_graph
@@ -82,7 +83,7 @@ def _assert_equal_arms(graphs, name):
                 merge_up=False
             ) as registry:
                 queues, events = _with_batch_events(
-                    lambda: admission_queues(graphs, name)
+                    lambda: admission_queues(graphs, [name])[name]
                 )
             arms[batch] = (queues, registry.snapshot()["counters"], events)
     (auto, auto_counters, batches), (off, off_counters, off_batches) = (
@@ -114,26 +115,59 @@ def test_hypothesis_ragged_job_mixes(sizes, n_procs, ccr, seed):
 
 @pytest.mark.parametrize("name", STATIC_NAMES)
 def test_wide_group_runs_the_kernel(name):
-    graphs = [_graph(10, 3, 1.0, seed) for seed in range(min_lanes(name) + 2)]
+    gate = lane_gates([name])[name]
+    graphs = [_graph(10, 3, 1.0, seed) for seed in range(gate + 2)]
     batches = _assert_equal_arms(graphs, name)
     assert batches, f"{name}: the auto arm never ran the batched kernel"
-    assert sum(e.payload["size"] for e in batches) >= min_lanes(name)
+    assert sum(e.payload["size"] for e in batches) >= gate
+    assert all(e.payload["schedulers"] == [name] for e in batches)
 
 
 @pytest.mark.parametrize("name", STATIC_NAMES)
 def test_group_narrower_than_min_lanes_stays_scalar(name):
-    graphs = [_graph(10, 3, 1.0, seed) for seed in range(min_lanes(name) - 1)]
+    gate = lane_gates([name])[name]
+    graphs = [_graph(10, 3, 1.0, seed) for seed in range(gate - 1)]
     assert _assert_equal_arms(graphs, name) == []
 
 
+def test_one_pack_serves_every_name():
+    """Several names share each group's one pack; every name's queues
+    and the counter totals equal one scalar run per name and job."""
+    names = ["HDLTS", "HEFT", "PETS", "PEFT", "HEFT-noinsertion", "CPOP"]
+    gates = lane_gates(names)
+    graphs = [_graph(10, 3, 1.0, seed) for seed in range(10)]
+    arms = {}
+    with obs.enabled_scope(True):
+        for batch in ("off", "auto"):
+            with activate(current_context().with_(batch=batch)), obs.scoped(
+                merge_up=False
+            ) as registry:
+                queues, events = _with_batch_events(
+                    lambda: admission_queues(graphs, names)
+                )
+            arms[batch] = (queues, registry.snapshot()["counters"], events)
+    (auto, auto_counters, batches), (off, off_counters, _) = (
+        arms["auto"], arms["off"],
+    )
+    assert auto == off
+    assert auto_counters == off_counters
+    # one pack per group: 10 lanes reach HDLTS's 8 and the fused
+    # three-member set's ceil(16 / 3); the lone no-insertion static
+    # (16) and CPOP (not batchable) stay scalar
+    assert [e.payload["size"] for e in batches] == [10]
+    assert batches[0].payload["schedulers"] == [
+        name for name in names if name in gates and gates[name] <= 10
+    ] == ["HDLTS", "HEFT", "PETS", "PEFT"]
+
+
 def test_reference_engine_keeps_the_scalar_producer():
-    graphs = [_graph(10, 3, 1.0, seed) for seed in range(min_lanes("HEFT"))]
+    graphs = [_graph(10, 3, 1.0, seed) for seed in range(16)]
     with activate(current_context().with_(engine="reference")):
         queues, events = _with_batch_events(
-            lambda: admission_queues(graphs, "HEFT")
+            lambda: admission_queues(graphs, ["HEFT"])
         )
     assert events == []
-    assert queues == admission_queues(graphs, "HEFT")
+    assert queues == admission_queues(graphs, ["HEFT"])
 
 
 def test_graphs_outside_the_kernel_fall_back():
@@ -155,7 +189,8 @@ def test_graphs_outside_the_kernel_fall_back():
 @pytest.mark.parametrize("name", ("HDLTS", "HEFT", "PETS"))
 def test_precomputed_queues_replay_like_own_admission(name):
     instance = build_workload(3, n_jobs=8, sigma=0.2)
-    queues = admission_queues([job.graph for job in instance.jobs], name)
+    graphs = [job.graph for job in instance.jobs]
+    queues = admission_queues(graphs, [name])[name]
     policy = f"Static/{name}"
     with activate(current_context().with_(batch="off")):
         scalar = run_stream(instance, policy)
@@ -166,7 +201,8 @@ def test_precomputed_queues_replay_like_own_admission(name):
 
 def test_queue_count_must_match_the_jobs():
     instance = build_workload(1, n_jobs=3)
-    queues = admission_queues([job.graph for job in instance.jobs], "HEFT")
+    queues = admission_queues([job.graph for job in instance.jobs], ["HEFT"])
+    queues = queues["HEFT"]
     with pytest.raises(ValueError, match="queues for 2 jobs"):
         run_stream(instance, "Static/HEFT", queues=queues[:2])
     with pytest.raises(ValueError, match="Static/<Name>"):
@@ -208,10 +244,13 @@ def test_harness_stream_auto_vs_off():
     for key in ("HDLTS/decisions", "HEFT/eft_evaluations", "HEFT/runs",
                 "PETS/eft_evaluations", "stream/jobs", "stream/dispatches"):
         assert auto_counters.get(key), key
-    sizes = {e.payload["scheduler"]: e.payload["size"] for e in batches}
-    assert sizes.get("HEFT", 0) >= min_lanes("HEFT"), sizes
-    assert sizes.get("PETS", 0) >= min_lanes("PETS"), sizes
-    assert sizes.get("HDLTS", 0) >= min_lanes("HDLTS"), sizes
+    # each group is packed once for every static policy it reaches
+    gates = lane_gates(["HDLTS", "HEFT", "PETS", "PEFT"])
+    for name in gates:
+        assert any(name in e.payload["schedulers"] for e in batches), name
+    for e in batches:
+        size, names = e.payload["size"], e.payload["schedulers"]
+        assert names and all(size >= gates[name] for name in names)
 
 
 def test_validated_stream_sweep_keeps_the_scalar_producer():

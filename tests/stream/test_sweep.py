@@ -8,6 +8,7 @@ accumulation in submission order makes that possible.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -96,7 +97,9 @@ class TestDefinition:
         assert instance.exact == (level == 0.0)
 
     def test_stream_definitions_are_portable(self):
-        assert rate_sweep().portable
+        # pickles for spawn/forkserver workers
+        definition = rate_sweep()
+        assert pickle.loads(pickle.dumps(definition)) == definition
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
